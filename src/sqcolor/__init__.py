@@ -5,7 +5,6 @@ from .coloring import (
     INCONCLUSIVE,
     NOT_CHOOSABLE,
     ChoosabilityResult,
-    chromatic_number,
     degeneracy,
     find_L_coloring,
     greedy_extend,
@@ -36,7 +35,6 @@ from .errors import (
 )
 from .formats import (
     from_graph6,
-    load_graphs,
     parse_graphs,
     parse_lists,
     parse_one_graph,
@@ -60,7 +58,6 @@ from .graph_core import (
     biconnected_components,
     cut_vertices,
     distance,
-    distance_table,
     girth,
     is_connected,
     is_subcubic,
@@ -74,7 +71,6 @@ from .planar_embed import (
     euler_genus_check,
     faces,
     find_planar_embedding,
-    incident_faces,
 )
 from .reducer import (
     AvailableLists,

@@ -20,7 +20,6 @@ from .coloring import (
     INCONCLUSIVE,
     NOT_CHOOSABLE,
     is_k_choosable,
-    is_proper,
 )
 from .discharging import discharge_audit, describe_config, render_audit
 from .errors import (
@@ -122,19 +121,12 @@ def _run_girth(g: Graph, args) -> tuple[int, str]:
 
 def _run_color(g: Graph, args) -> tuple[int, str]:
     lists = _resolve_lists(args.lists, g.n)
+    # color_square_7lists certifies its coloring on the square, or raises.
     coloring = color_square_7lists(g, lists)
-    if coloring is None:
-        return EXIT_VIOLATED, "result=none\n"
-    ok = is_proper(square(g), coloring) and all(
-        coloring[v] in lists[v] for v in range(g.n)
-    )
     if args.structured:
         colors = ",".join(str(c) for c in coloring)
-        return (
-            EXIT_OK if ok else EXIT_VIOLATED,
-            f"colors={colors}\nverified={'ok' if ok else 'failed'}\n",
-        )
-    return EXIT_OK if ok else EXIT_VIOLATED, write_coloring(coloring)
+        return EXIT_OK, f"colors={colors}\nverified=ok\n"
+    return EXIT_OK, write_coloring(coloring)
 
 
 def _run_choosable(g: Graph, args) -> tuple[int, str]:
@@ -160,7 +152,7 @@ def _run_reduce(g: Graph, args) -> tuple[int, str]:
         if not isinstance(cfg, CutTwoVertex):
             return EXIT_VIOLATED, "error=no cut 2-vertex found\n"
         u = cfg.u
-    H, _ = reduce_cut_two_vertex(g, u)
+    H = reduce_cut_two_vertex(g, u)
     x, y = sorted(g.neighbors(u))
     head = f"removed={u}\nedge={x},{y}\n"
     if args.structured:
@@ -208,12 +200,15 @@ def _run_file(task) -> tuple[int, str]:
 
 
 def _batch(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     opts = {k: v for k, v in vars(args).items() if k not in ("func", "paths", "jobs")}
     tasks = [(args.command, path, opts) for path in args.paths]
     worst = EXIT_OK
     chunks = []
-    if args.jobs > 1 and len(tasks) > 1 and all(p != "-" for p in args.paths):
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1 and all(p != "-" for p in args.paths):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_file, tasks))
     else:
         results = [_run_file(t) for t in tasks]
@@ -276,7 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_batch(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("paths", nargs="+", metavar="FILE", help="graph file, or - for stdin")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers over input files")
+        p.add_argument(
+            "--jobs", type=int, default=1,
+            help="parallel workers over input files (at most one per file and per CPU)",
+        )
         p.add_argument("--structured", action="store_true", help="key=value report with header")
         p.set_defaults(func=_batch)
         return p

@@ -1,4 +1,4 @@
-"""List coloring, choosability, degeneracy, chromatic number.
+"""List coloring, choosability, degeneracy.
 
 Colors are opaque small integers.  A coloring is a list indexed by
 vertex with None as the unassigned sentinel.  All searches are exact
@@ -200,54 +200,3 @@ def is_k_choosable(
     except BudgetExceeded:
         return ChoosabilityResult(INCONCLUSIVE, None, nodes, max_nodes)
     return ChoosabilityResult(CHOOSABLE, None, nodes, max_nodes)
-
-
-def _colorable(g: Graph, k: int, order: list[int]) -> bool:
-    """Exact k-colorability via backtracking with first-use symmetry cap."""
-    n = g.n
-    color: list[Optional[int]] = [None] * n
-
-    def dfs(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        banned = {color[u] for u in g.adj[v] if color[u] is not None}
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if c in banned:
-                continue
-            color[v] = c
-            if dfs(i + 1, max(used, c + 1)):
-                return True
-            color[v] = None
-        return False
-
-    return dfs(0, 0)
-
-
-def _greedy_clique(g: Graph) -> int:
-    """Size of a greedily grown clique, a chromatic lower bound."""
-    best = 1 if g.n else 0
-    for v in range(g.n):
-        clique = [v]
-        for u in sorted(g.adj[v], key=lambda x: -len(g.adj[x])):
-            if all(g.has_edge(u, w) for w in clique):
-                clique.append(u)
-        best = max(best, len(clique))
-    return best
-
-
-def chromatic_number(g: Graph) -> int:
-    """Return the chromatic number by branch and bound."""
-    if g.n == 0:
-        return 0
-    if g.m == 0:
-        return 1
-    d, elim = degeneracy(g)
-    ub = d + 1
-    lb = _greedy_clique(g)
-    order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
-    for k in range(lb, ub + 1):
-        if _colorable(g, k, order):
-            return k
-    return ub

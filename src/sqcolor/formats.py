@@ -203,11 +203,6 @@ def parse_graphs(text: str, source: str = "<input>") -> list[tuple[Graph, Rotati
     return parse_graphs_text(text, source)
 
 
-def load_graphs(path: str) -> list[tuple[Graph, RotationSystem | None]]:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_graphs(fh.read(), source=path)
-
-
 def parse_one_graph(text: str, source: str = "<input>") -> tuple[Graph, RotationSystem | None]:
     items = parse_graphs(text, source)
     if len(items) != 1:

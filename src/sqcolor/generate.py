@@ -328,9 +328,7 @@ def named(name: str) -> tuple[Graph, Optional[RotationSystem]]:
     """Catalog fixture by name, with a rotation system when planar."""
     key = name.strip().lower()
     g: Optional[Graph] = None
-    if key in ("c5", "c6", "c7"):
-        g = _cycle(int(key[1:]))
-    elif key.startswith("c") and key[1:].isdigit() and int(key[1:]) >= 3:
+    if key.startswith("c") and key[1:].isdigit() and int(key[1:]) >= 3:
         g = _cycle(int(key[1:]))
     elif key.startswith("p") and key[1:].isdigit() and int(key[1:]) >= 1:
         g = _path(int(key[1:]))

@@ -114,11 +114,6 @@ def distance(g: Graph, u: int, v: int) -> float:
     return INF
 
 
-def distance_table(g: Graph) -> tuple[tuple[float, ...], ...]:
-    """Return the full distance matrix, math.inf for unreachable pairs."""
-    return tuple(tuple(bfs_distances(g, s)) for s in range(g.n))
-
-
 def is_connected(g: Graph) -> bool:
     """Return True when the graph has one component (true for n <= 1)."""
     if g.n <= 1:

@@ -10,7 +10,6 @@ component separately.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import networkx as nx
@@ -107,16 +106,3 @@ def find_planar_embedding(g: Graph) -> RotationSystem | None:
     if not euler_genus_check(g, rs):
         raise AssertionError("planarity backend produced a non-planar rotation")
     return rs
-
-
-def incident_faces(v: int, face_list: list[Face]) -> Counter:
-    """Return face index -> number of times the face walk visits v."""
-    out: Counter = Counter()
-    for i, face in enumerate(face_list):
-        hits = sum(1 for u, _ in face.walk if u == v)
-        if hits:
-            out[i] = hits
-        elif not face.walk and len(face_list) == 1:
-            # single-vertex graph: the lone face is incident to the vertex
-            out[i] = 1
-    return out

@@ -1,20 +1,19 @@
-"""Reducible configurations and the six-cycle recoloring engine.
+"""Reducible configurations, the six-cycle recoloring engine, and coloring.
 
 Detects local structures that let a square list-coloring of a smaller
-graph extend to the whole graph, and carries out the extensions: greedy
-completion at low-degree vertices, the cut-vertex edge splice, and the
-full recoloring decision tree around a six-cycle with a 2-vertex.
+graph extend to the whole graph (find-config and the charge audit use
+them), and colors the square of an in-class graph by the proof's three
+rules: drop a leaf, splice a 2-vertex, or recolor around a six-cycle
+with a 2-vertex.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .coloring import find_L_coloring, greedy_extend, is_proper, normalize_lists
+from .coloring import is_proper, normalize_lists
 from .errors import ListTooSmall, NotCutVertex, NotTwoVertex, PreconditionViolated
-from .formats import write_graph_text, write_lists
 from .graph_core import (
     Graph,
     biconnected_components,
@@ -24,13 +23,10 @@ from .graph_core import (
     distance,
     girth,
     induced_subgraph,
-    is_connected,
     is_subcubic,
     m1_m2,
     square,
 )
-
-log = logging.getLogger("sqcolor")
 
 ALPHA = "alpha"
 A = "a"
@@ -197,22 +193,23 @@ def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleConfig]:
         x, y = sorted(g.neighbors(v6))
         # Look for a path x .. y of length 4 avoiding v6; together with
         # x-v6-y it closes a six-cycle.
-        path = _path_of_length(g, x, y, 4, forbidden={v6})
+        path = _path_of_length(g.adj, x, y, 4, forbidden={v6})
         if path is not None:
             cycle = tuple(path) + (v6,)
             return SixCycleConfig(cycle=cycle, two_vertex=5, host=g)
     return None
 
 
-def _path_of_length(g: Graph, src: int, dst: int, length: int, forbidden: set) -> Optional[list]:
-    """Lexicographically first simple src-dst path with exactly `length` edges."""
+def _path_of_length(adj, src: int, dst: int, length: int, forbidden: Iterable[int]) -> Optional[list]:
+    """First simple src-dst path with exactly `length` edges, in the order
+    of the adjacency adj (lexicographic for a Graph's sorted adj)."""
     path = [src]
     used = {src} | set(forbidden)
 
     def dfs(v: int, left: int) -> bool:
         if left == 0:
             return v == dst
-        for u in g.adj[v]:
+        for u in adj[v]:
             if u in used or (u == dst and left > 1):
                 continue
             used.add(u)
@@ -303,16 +300,110 @@ def find_reducible_config(g: Graph):
     return None
 
 
-def _external_square_neighbors(g: Graph, v: int, cycle_set: set) -> set:
-    """G2-neighbors of v outside the cycle."""
-    out = set()
-    for u in g.adj[v]:
-        if u not in cycle_set:
-            out.add(u)
-        for w in g.adj[u]:
-            if w != v and w not in cycle_set:
-                out.add(w)
-    return out
+def _square_neighbors(adj, v: int) -> set:
+    """Vertices at distance 1 or 2 from v."""
+    near = set(adj[v])
+    for u in adj[v]:
+        near.update(adj[u])
+    near.discard(v)
+    return near
+
+
+def _free_color(colors: frozenset, f: Sequence[Optional[int]], near: Iterable[int]) -> int:
+    """Smallest color of `colors` that no vertex of `near` wears in f."""
+    free = colors - {f[u] for u in near}
+    _invariant(bool(free), "a vertex with at most 6 square-neighbors has a free color")
+    return min(free)
+
+
+def _available(cyc: tuple, lists, phi: Sequence[Optional[int]], near: dict) -> AvailableLists:
+    """Available lists of the cycle cyc = (v1, ..., v6), given the
+    square-neighborhood near[v] of each cycle vertex in the host."""
+    v1, v2, v3, v4, v5, _ = cyc
+    C = {}
+    for v in cyc:
+        used = {phi[u] for u in near[v] if u not in cyc and phi[u] is not None}
+        C[v] = frozenset(lists[v] - used)
+    alpha = phi[v1]
+    if alpha is None or phi[v5] != alpha:
+        raise PreconditionViolated("both neighbors of the 2-vertex must carry one color")
+    return AvailableLists(C=C, alpha=alpha, a=phi[v2], b=phi[v3], c=phi[v4])
+
+
+def _recoloring(cyc: tuple, avail: AvailableLists) -> dict:
+    """New colors for some of v1..v5 when v1 and v5 share a color.
+
+    Try the five single-vertex recolorings (v1, v5, v2, v3, v4, in this
+    order; later ones rely on the equalities that earlier failures
+    establish), and when all escapes fail, look up the precomputed
+    recoloring row for the available 2-sets at (v2, v3, v4).
+    """
+    v1, v2, v3, v4, v5, v6 = cyc
+    Cv = avail.C
+    alpha, a, b, c = avail.alpha, avail.a, avail.b, avail.c
+    _invariant(len({alpha, a, b, c}) == 4, "the four cycle colors must be distinct")
+    for v, bound in ((v1, 3), (v2, 2), (v3, 2), (v4, 2), (v5, 3), (v6, 5)):
+        _invariant(len(Cv[v]) >= bound, f"available list at vertex {v} smaller than {bound}")
+
+    # Escape recolorings: each moves one cycle vertex to a spare color,
+    # plus at most one of its cycle neighbors.
+    escapes = (
+        (v1, {a, b, alpha}, {}),
+        (v5, {b, c, alpha}, {}),
+        (v2, {a, b, c}, {v1: a}),
+        (v3, {a, b, c, alpha}, {v1: b}),
+        (v4, {a, b, c}, {v5: c}),
+    )
+    for v, taken, also in escapes:
+        spare = Cv[v] - taken
+        if spare:
+            return {v: min(spare), **also}
+
+    # All escapes failed, so the available lists collapse to the table
+    # situation; these five facts are forced at this point.
+    _invariant(Cv[v1] == {a, b, alpha}, "v1 must have exactly {a, b, alpha} available")
+    _invariant(Cv[v5] == {b, c, alpha}, "v5 must have exactly {b, c, alpha} available")
+    _invariant(a in Cv[v2] and Cv[v2] <= {a, b, c}, "v2 availability must sit inside {a, b, c}")
+    _invariant(b in Cv[v3] and Cv[v3] <= {a, b, c, alpha}, "v3 availability must sit inside {a, b, c, alpha}")
+    _invariant(c in Cv[v4] and Cv[v4] <= {a, b, c}, "v4 availability must sit inside {a, b, c}")
+
+    sym = {A: a, B: b, C: c, ALPHA: alpha}
+    c2 = frozenset({A, B}) if b in Cv[v2] else frozenset({A, C})
+    if a in Cv[v3]:
+        c3 = frozenset({B, A})
+    elif c in Cv[v3]:
+        c3 = frozenset({B, C})
+    else:
+        c3 = frozenset({B, ALPHA})
+    c4 = frozenset({C, A}) if a in Cv[v4] else frozenset({C, B})
+    row = RECOLORING_ROWS[(c2, c3, c4)]
+    new = {v: sym[symbol] for v, symbol in zip(cyc, row)}
+    _invariant(all(new[v] in Cv[v] for v in new), "table row leaves an available list")
+    return new
+
+
+def _extend_sixcycle(cyc: tuple, lists, f: list, near: dict) -> None:
+    """Color the 2-vertex v6 of the six-cycle cyc = (v1, ..., v6) in f.
+
+    f colors the host minus v6 properly in its square, except that v1
+    and v5 may share a color; near[v] is the host square-neighborhood of
+    each cycle vertex.  If v1 and v5 differ in color, v6 is colored
+    greedily; otherwise v1..v5 are recolored first (_recoloring).
+    """
+    v1, v5, v6 = cyc[0], cyc[4], cyc[5]
+    if f[v1] == f[v5]:
+        for v, color in _recoloring(cyc, _available(cyc, lists, f, near)).items():
+            f[v] = color
+    f[v6] = _free_color(lists[v6], f, near[v6])
+    for v in cyc:
+        _invariant(f[v] in lists[v], "extension left some list")
+        _invariant(all(f[u] != f[v] for u in near[v]), "extension produced an improper square coloring")
+
+
+def _host_view(cfg: SixCycleConfig) -> tuple[tuple, dict]:
+    """The ordered cycle of cfg and the square-neighborhoods of its vertices."""
+    cyc = cfg.ordered()
+    return cyc, {v: _square_neighbors(cfg.host.adj, v) for v in cyc}
 
 
 def available_lists(cfg: SixCycleConfig, L: Sequence[Iterable[int]], phi: Sequence[Optional[int]]) -> AvailableLists:
@@ -327,19 +418,8 @@ def available_lists(cfg: SixCycleConfig, L: Sequence[Iterable[int]], phi: Sequen
     for v in range(g.n):
         if len(lists[v]) < 7:
             raise ListTooSmall(f"vertex {v} has a list of size {len(lists[v])}")
-    v1, v2, v3, v4, v5, v6 = cfg.ordered()
-    cycle_set = set(cfg.cycle)
-    C = {}
-    for v in cfg.cycle:
-        used = set()
-        for y in _external_square_neighbors(g, v, cycle_set):
-            if phi[y] is not None:
-                used.add(phi[y])
-        C[v] = frozenset(lists[v] - used)
-    alpha = phi[v1]
-    if alpha is None or phi[v5] != alpha:
-        raise PreconditionViolated("both neighbors of the 2-vertex must carry one color")
-    return AvailableLists(C=C, alpha=alpha, a=phi[v2], b=phi[v3], c=phi[v4])
+    cyc, near = _host_view(cfg)
+    return _available(cyc, lists, phi, near)
 
 
 def _invariant(cond: bool, msg: str) -> None:
@@ -374,26 +454,13 @@ def _check_phi(g: Graph, sq: Graph, lists, phi, v1: int, v5: int, v6: int) -> No
                 raise PreconditionViolated(f"square edge {u}-{w} is monochromatic")
 
 
-def _finish(g: Graph, sq: Graph, lists, f: list, v6: int) -> list:
-    """Greedily color v6 in the square and verify the whole coloring."""
-    choice = greedy_extend(sq, f, v6, lists)
-    _invariant(choice is not None, "the 2-vertex has at most 6 square-neighbors, a color is free")
-    f[v6] = choice
-    _invariant(is_proper(sq, f), "extension produced an improper square coloring")
-    _invariant(all(f[v] in lists[v] for v in range(g.n)), "extension left some list")
-    return f
-
-
 def extend_sixcycle(cfg: SixCycleConfig, L: Sequence[Iterable[int]], phi: Sequence[Optional[int]]) -> list:
     """Extend a square coloring of host minus the 2-vertex to the host square.
 
     Decision tree: if the cycle neighbors of the 2-vertex differ in
-    color, coloring the 2-vertex greedily suffices.  Otherwise try the
-    five single-vertex recolorings (v1, v5, v2, v3, v4, in this order;
-    later ones rely on the equalities that earlier failures establish),
-    and when all escapes fail, look up the precomputed recoloring row
-    for the available 2-sets at (v2, v3, v4).  Never fails on valid
-    input.
+    color, coloring the 2-vertex greedily suffices.  Otherwise recolor
+    by an escape or a table row (_recoloring) first.  Never fails on
+    valid input.
     """
     cfg.validate()
     g = cfg.host
@@ -403,78 +470,15 @@ def extend_sixcycle(cfg: SixCycleConfig, L: Sequence[Iterable[int]], phi: Sequen
     for v in range(g.n):
         if len(lists[v]) < 7:
             raise PreconditionViolated(f"vertex {v} has a list of size {len(lists[v])} < 7")
-    v1, v2, v3, v4, v5, v6 = cfg.ordered()
-    sq = square(g)
-    _check_phi(g, sq, lists, phi, v1, v5, v6)
-
-    if phi[v1] != phi[v5]:
-        return _finish(g, sq, lists, list(phi), v6)
-
-    avail = available_lists(cfg, L, phi)
-    Cv = avail.C
-    alpha, a, b, c = avail.alpha, avail.a, avail.b, avail.c
-    _invariant(len({alpha, a, b, c}) == 4, "the four cycle colors must be distinct")
-    for v, bound in ((v1, 3), (v2, 2), (v3, 2), (v4, 2), (v5, 3), (v6, 5)):
-        _invariant(len(Cv[v]) >= bound, f"available list at vertex {v} smaller than {bound}")
-
-    # Escape recolorings.  Each changes one or two cycle vertices and
-    # leaves the rest of phi in place.
-    for gamma in sorted(Cv[v1] - {a, b, alpha}):
-        f = list(phi)
-        f[v1] = gamma
-        return _finish(g, sq, lists, f, v6)
-    for gamma in sorted(Cv[v5] - {b, c, alpha}):
-        f = list(phi)
-        f[v5] = gamma
-        return _finish(g, sq, lists, f, v6)
-    for gamma in sorted(Cv[v2] - {a, b, c}):
-        f = list(phi)
-        f[v2] = gamma
-        f[v1] = a
-        return _finish(g, sq, lists, f, v6)
-    for gamma in sorted(Cv[v3] - {a, b, c, alpha}):
-        f = list(phi)
-        f[v3] = gamma
-        f[v1] = b
-        return _finish(g, sq, lists, f, v6)
-    for gamma in sorted(Cv[v4] - {a, b, c}):
-        f = list(phi)
-        f[v4] = gamma
-        f[v5] = c
-        return _finish(g, sq, lists, f, v6)
-
-    # All escapes failed, so the available lists collapse to the table
-    # situation; these five facts are forced at this point.
-    _invariant(Cv[v1] == {a, b, alpha}, "v1 must have exactly {a, b, alpha} available")
-    _invariant(Cv[v5] == {b, c, alpha}, "v5 must have exactly {b, c, alpha} available")
-    _invariant(a in Cv[v2] and Cv[v2] <= {a, b, c}, "v2 availability must sit inside {a, b, c}")
-    _invariant(b in Cv[v3] and Cv[v3] <= {a, b, c, alpha}, "v3 availability must sit inside {a, b, c, alpha}")
-    _invariant(c in Cv[v4] and Cv[v4] <= {a, b, c}, "v4 availability must sit inside {a, b, c}")
-
-    sym = {A: a, B: b, C: c, ALPHA: alpha}
-    c2 = frozenset({A, B}) if b in Cv[v2] else frozenset({A, C})
-    if a in Cv[v3]:
-        c3 = frozenset({B, A})
-    elif c in Cv[v3]:
-        c3 = frozenset({B, C})
-    else:
-        c3 = frozenset({B, ALPHA})
-    c4 = frozenset({C, A}) if a in Cv[v4] else frozenset({C, B})
-    row = RECOLORING_ROWS[(c2, c3, c4)]
+    cyc, near = _host_view(cfg)
+    _check_phi(g, square(g), lists, phi, cyc[0], cyc[4], cyc[5])
     f = list(phi)
-    for v, symbol in zip((v1, v2, v3, v4, v5), row):
-        f[v] = sym[symbol]
-    _invariant(all(f[v] in Cv[v] for v in (v1, v2, v3, v4, v5)), "table row leaves an available list")
-    return _finish(g, sq, lists, f, v6)
+    _extend_sixcycle(cyc, lists, f, near)
+    return f
 
 
-def reduce_cut_two_vertex(g: Graph, u: int) -> tuple[Graph, Callable]:
-    """Splice out a cut 2-vertex: H joins the two sides by a direct edge.
-
-    Returns H and a lift taking (coloring of the square of H, lists of g)
-    back to a coloring of the square of g; the spliced vertex is colored
-    greedily among its at most 6 square-neighbors.
-    """
+def reduce_cut_two_vertex(g: Graph, u: int) -> Graph:
+    """Splice out a cut 2-vertex: H joins the two sides by a direct edge."""
     if g.degree(u) != 2:
         raise NotTwoVertex(f"vertex {u} has degree {g.degree(u)}")
     if u not in cut_vertices(g):
@@ -482,88 +486,94 @@ def reduce_cut_two_vertex(g: Graph, u: int) -> tuple[Graph, Callable]:
     x, y = sorted(g.neighbors(u))
     if g.has_edge(x, y):
         raise PreconditionViolated("the neighbors are already adjacent")
-    old_ids = [v for v in range(g.n) if v != u]
-    new_id = {v: i for i, v in enumerate(old_ids)}
+    new_id = {v: i for i, v in enumerate(v for v in range(g.n) if v != u)}
     edges = [(new_id[p], new_id[q]) for p, q in g.edges() if p != u and q != u]
     edges.append((new_id[x], new_id[y]))
-    H = Graph(g.n - 1, edges)
-
-    def lift(phi_H: Sequence[Optional[int]], L: Sequence[Iterable[int]]) -> list:
-        lists = normalize_lists(g, L)
-        f: list = [None] * g.n
-        for i, v in enumerate(old_ids):
-            f[v] = phi_H[i]
-        sq = square(g)
-        choice = greedy_extend(sq, f, u, lists)
-        _invariant(choice is not None, "a spliced 2-vertex has at most 6 square-neighbors")
-        f[u] = choice
-        return f
-
-    return H, lift
+    return Graph(g.n - 1, edges)
 
 
-def _color_connected(g: Graph, lists) -> Optional[list]:
-    """Recursive coloring of the square of one connected in-class graph."""
-    if g.n == 0:
-        return []
-    if g.n == 1:
-        return [min(lists[0])]
-    cfg = find_reducible_config(g)
-    if isinstance(cfg, OneVertex):
-        sub, old_ids = induced_subgraph(g, [v for v in range(g.n) if v != cfg.v])
-        inner = _color_connected(sub, [lists[v] for v in old_ids])
-        if inner is None:
-            return None
-        f: list = [None] * g.n
-        for i, v in enumerate(old_ids):
-            f[v] = inner[i]
-        choice = greedy_extend(square(g), f, cfg.v, lists)
-        _invariant(choice is not None, "a degree-<=1 vertex has at most 3 square-neighbors")
-        f[cfg.v] = choice
-        return f
-    if isinstance(cfg, CutTwoVertex):
-        H, lift = reduce_cut_two_vertex(g, cfg.u)
-        if girth(H) >= 6:
-            old_ids = [v for v in range(g.n) if v != cfg.u]
-            inner = _color_square_7lists(H, [lists[v] for v in old_ids])
-            if inner is not None:
-                return lift(inner, lists)
-        # The splice cannot shorten any cycle below 6, but stay safe on
-        # adversarial inputs and fall through to exact search.
-    if isinstance(cfg, SixCycleTwoVertex):
-        v6 = cfg.config.cycle[cfg.config.two_vertex]
-        sub, old_ids = induced_subgraph(g, [v for v in range(g.n) if v != v6])
-        inner = _color_connected(sub, [lists[v] for v in old_ids])
-        if inner is None:
-            return None
-        phi: list = [None] * g.n
-        for i, v in enumerate(old_ids):
-            phi[v] = inner[i]
-        return extend_sixcycle(cfg.config, lists, phi)
-    return find_L_coloring(square(g), lists)
+# The proof's three rules, one record per removed vertex.
+LEAF = "leaf"
+SPLICE = "splice"
+SIXCYCLE = "six-cycle"
 
 
-def _color_square_7lists(g: Graph, lists) -> Optional[list]:
-    if is_connected(g):
-        return _color_connected(g, lists)
-    f: list = [None] * g.n
-    for comp in components(g):
-        sub, old_ids = induced_subgraph(g, comp)
-        inner = _color_connected(sub, [lists[v] for v in old_ids])
-        if inner is None:
-            return None
-        for i, v in enumerate(old_ids):
-            f[v] = inner[i]
+def _peel(adj: list) -> list:
+    """Remove every vertex of an in-class graph; return (rule, v, nbrs, cycle) records.
+
+    adj is a list of neighbor sets and is emptied.  Every subcubic planar
+    graph of girth >= 6 has a vertex of degree <= 2, and each rule keeps
+    the graph in the class:
+      leaf      deg v <= 1: delete v.
+      six-cycle v lies on a six-cycle (v's neighbors x, y are joined by a
+                path of 4 edges avoiding v): delete v; cycle is
+                (x, ..., y, v).
+      splice    otherwise: delete v and join x to y.  Every cycle
+                through v has length >= 7 (or v is a cut vertex), so the
+                girth stays >= 6.
+    """
+    gone = [False] * len(adj)
+    work = [v for v in range(len(adj)) if len(adj[v]) <= 2]
+    records = []
+    while work:
+        v = work.pop()
+        if gone[v]:
+            continue
+        gone[v] = True
+        nbrs = tuple(sorted(adj[v]))
+        adj[v] = set()
+        for u in nbrs:
+            adj[u].discard(v)
+        rule, cycle = LEAF, None
+        if len(nbrs) == 2:
+            x, y = nbrs
+            path = _path_of_length(adj, x, y, 4, forbidden=())
+            if path is None:
+                _invariant(y not in adj[x], "a splice never doubles an edge at girth >= 6")
+                adj[x].add(y)
+                adj[y].add(x)
+                records.append((SPLICE, v, nbrs, None))
+                continue  # x and y keep their degrees
+            rule, cycle = SIXCYCLE, (*path, v)
+        records.append((rule, v, nbrs, cycle))
+        work.extend(u for u in nbrs if len(adj[u]) <= 2)
+    _invariant(all(gone), "every in-class graph has a vertex of degree at most 2")
+    return records
+
+
+def _lift(adj: list, records: list, lists) -> list:
+    """Undo the peel records in reverse, coloring each vertex as it returns.
+
+    adj starts empty and ends as the original graph.  A leaf or spliced
+    vertex has at most 6 square-neighbors and takes a free color; a
+    six-cycle vertex goes through the recoloring engine.
+    """
+    f: list = [None] * len(adj)
+    for rule, v, nbrs, cycle in reversed(records):
+        if rule == SPLICE:
+            x, y = nbrs
+            adj[x].discard(y)
+            adj[y].discard(x)
+        adj[v] = set(nbrs)
+        for u in nbrs:
+            adj[u].add(v)
+        if rule == SIXCYCLE:
+            _extend_sixcycle(cycle, lists, f, {w: _square_neighbors(adj, w) for w in cycle})
+        else:
+            f[v] = _free_color(lists[v], f, _square_neighbors(adj, v))
     return f
 
 
-def color_square_7lists(g: Graph, L: Sequence[Iterable[int]]) -> Optional[list]:
+def color_square_7lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
     """Properly color the square of g from per-vertex lists of size >= 7.
 
-    Recursion driven by find_reducible_config; structures without a
-    constructive reduction fall back to exact search on the current
-    subinstance.  On valid input this never returns None; a None is a
-    bug and the offending instance is logged in full.
+    g must be subcubic and planar with girth >= 6, else
+    PreconditionViolated.  The proof's three rules (leaf, splice,
+    six-cycle) peel g down to nothing on one mutable adjacency (_peel);
+    the lift puts the vertices back in reverse order and colors them
+    (_lift).  No exact search runs.  The result is certified proper on
+    the square of g and inside every list; a failed certificate raises
+    AssertionError.
     """
     from .planar_embed import find_planar_embedding
 
@@ -581,14 +591,13 @@ def color_square_7lists(g: Graph, L: Sequence[Iterable[int]]) -> Optional[list]:
     for v in range(g.n):
         if len(lists[v]) < 7:
             raise PreconditionViolated(f"vertex {v} has a list of size {len(lists[v])} < 7")
-    out = _color_square_7lists(g, lists)
-    if out is None:
-        log.error(
-            "coloring fell through on a valid instance\n%s%s",
-            write_graph_text(g),
-            write_lists(lists),
-        )
-    return out
+    adj = [set(a) for a in g.adj]
+    f = _lift(adj, _peel(adj), lists)
+    _invariant(
+        is_proper(square(g), f) and all(f[v] in lists[v] for v in range(g.n)),
+        "final certificate: the coloring must be proper on the square and inside the lists",
+    )
+    return f
 
 
 @dataclass(frozen=True)

@@ -315,3 +315,57 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 12
+
+
+def test_color_structured_large_honeycomb(tmp_path, capsys):
+    path = write_fixture(tmp_path, "hc300.txt", write_graph_text(named("honeycomb-300")[0]))
+    code, out = run(capsys, ["color", "--structured", path])
+    assert code == 0
+    assert "verified=ok" in out.splitlines()
+
+
+def test_color_output_is_deterministic(tmp_path, capsys):
+    g = named("honeycomb-50")[0]
+    path = write_fixture(tmp_path, "hc50.txt", write_graph_text(g))
+    lists = "".join(f"{v}: {' '.join(str((v * 3 + i) % 10 + 1) for i in range(7))}\n" for v in range(g.n))
+    lists_path = write_fixture(tmp_path, "lists.txt", lists)
+    argv = ["color", "--structured", "--lists", lists_path, path]
+    code, first = run(capsys, argv)
+    assert code == 0
+    assert run(capsys, argv) == (0, first)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    code, _ = run(capsys, ["girth", "--jobs", jobs, c6_file(tmp_path)])
+    assert code == 2
+
+
+def test_jobs_pool_is_clamped(tmp_path, capsys, monkeypatch):
+    import sqcolor.cli as cli
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    paths = [write_fixture(tmp_path, f"{k}.txt", write_graph_text(named("c6")[0])) for k in range(3)]
+    assert run(capsys, ["girth", "--jobs", "10000", *paths])[0] == 0
+    assert run(capsys, ["girth", "--jobs", "2", *paths])[0] == 0
+    assert run(capsys, ["girth", "--jobs", "10000", *paths[:1]])[0] == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert run(capsys, ["girth", "--jobs", "10000", *paths])[0] == 0
+    # One file or one CPU runs in-process, with no pool.
+    assert sizes == [3, 2]

@@ -11,7 +11,6 @@ from sqcolor.coloring import (
     CHOOSABLE,
     INCONCLUSIVE,
     NOT_CHOOSABLE,
-    chromatic_number,
     degeneracy,
     find_L_coloring,
     greedy_extend,
@@ -185,17 +184,6 @@ def test_choosability_matches_naive_oracle_c5():
     assert want is False
     assert got.verdict == NOT_CHOOSABLE
     assert not brute_colorable(cycle(5), got.witness)
-
-
-def test_chromatic_number_classics():
-    assert chromatic_number(Graph(1, [])) == 1
-    assert chromatic_number(Graph(2, [])) == 1
-    assert chromatic_number(named("p5")[0]) == 2
-    assert chromatic_number(cycle(6)) == 2
-    assert chromatic_number(cycle(5)) == 3
-    assert chromatic_number(complete(4)) == 4
-    assert chromatic_number(named("petersen")[0]) == 3
-    assert chromatic_number(named("q3")[0]) == 2
 
 
 def test_square_of_class_members_is_7_colorable(corpus12):

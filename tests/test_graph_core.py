@@ -17,7 +17,6 @@ from sqcolor.graph_core import (
     components,
     cut_vertices,
     distance,
-    distance_table,
     girth,
     induced_subgraph,
     is_connected,
@@ -191,7 +190,7 @@ def test_add_vertex():
 def test_distance_queries():
     g = cycle(8)
     assert distance(g, 0, 4) == 4
-    table = distance_table(g)
+    table = [bfs_distances(g, s) for s in range(8)]
     assert table[0][4] == 4
     assert all(table[v][v] == 0 for v in range(8))
-    assert all(table[u][v] == table[v][u] for u in range(8) for v in range(8))
+    assert all(table[u][v] == table[v][u] == distance(g, u, v) for u in range(8) for v in range(8))

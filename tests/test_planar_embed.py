@@ -12,7 +12,6 @@ from sqcolor.planar_embed import (
     euler_genus_check,
     faces,
     find_planar_embedding,
-    incident_faces,
 )
 
 
@@ -78,17 +77,6 @@ def test_face_lengths_sum_to_twice_edges(corpus12):
         fs = faces(g, embed(g))
         assert sum(f.length for f in fs) == 2 * g.m
         assert euler_genus_check(g, embed(g))
-
-
-def test_incident_faces_multiplicity():
-    g = Graph(2, [(0, 1)])
-    fs = faces(g, embed(g))
-    assert len(fs) == 1
-    counts = incident_faces(0, fs)
-    assert counts[0] == 1
-    g2 = Graph(3, [(0, 1), (1, 2)])
-    fs2 = faces(g2, embed(g2))
-    assert incident_faces(1, fs2)[0] == 2
 
 
 def test_nonplanar_graphs_have_no_embedding():

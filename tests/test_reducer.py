@@ -13,7 +13,7 @@ from sqcolor.errors import (
     NotTwoVertex,
     PreconditionViolated,
 )
-from sqcolor.generate import GeneratorSpec, named
+from sqcolor.generate import GeneratorSpec, named, random_instance
 from sqcolor.graph_core import Graph, girth, square
 from sqcolor.reducer import (
     A,
@@ -21,6 +21,8 @@ from sqcolor.reducer import (
     B,
     C,
     RECOLORING_ROWS,
+    SIXCYCLE,
+    SPLICE,
     CutTwoVertex,
     OneVertex,
     SixCycleConfig,
@@ -36,6 +38,7 @@ from sqcolor.reducer import (
     find_spacing_violation,
     reduce_cut_two_vertex,
     verify_lemma2_tables,
+    _peel,
 )
 
 
@@ -492,13 +495,14 @@ def test_extend_sweep_on_sixcycle_hosts(corpus12):
 
 def test_reduce_cut_two_vertex_round_trip():
     g = named("two-heptagons")[0]
-    H, lift = reduce_cut_two_vertex(g, 14)
+    H = reduce_cut_two_vertex(g, 14)
     assert H.n == 14
     assert H.has_edge(0, 7)
     assert girth(H) >= 6
-    phi_H = find_L_coloring(square(H), [list(range(7))] * 14)
-    assert phi_H is not None
-    f = lift(phi_H, FULL * 15)
+    # The colorer splices the same vertex and puts it back.
+    records = _peel([set(a) for a in g.adj])
+    assert (SPLICE, 14, (0, 7), None) in records
+    f = color_square_7lists(g, FULL * 15)
     assert is_proper(square(g), f)
     assert f[14] in range(7)
 
@@ -566,3 +570,42 @@ def test_color_square_rejects_nonplanar_girth_six():
     assert girth(g) == 6
     with pytest.raises(PreconditionViolated):
         color_square_7lists(g, FULL * 14)
+
+
+def assert_colors(g, lists, f):
+    assert is_proper(square(g), f)
+    assert all(f[v] in set(lists[v]) for v in range(g.n))
+
+
+def test_color_square_large_honeycomb():
+    # n = 1202; a recursion one level per vertex overflowed the stack here.
+    g = named("honeycomb-300")[0]
+    assert g.n == 1202
+    lists = FULL * g.n
+    assert_colors(g, lists, color_square_7lists(g, lists))
+
+
+def test_coloring_needs_no_exact_search(corpus12, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact search ran on the coloring path")
+
+    monkeypatch.setattr("sqcolor.coloring._search", refuse)
+    rng = random.Random(11)
+    graphs = list(corpus12)
+    graphs += [random_instance(GeneratorSpec(max_n=150, seed=s)) for s in range(20)]
+    for g in graphs:
+        lists = [sorted(rng.sample(range(1, 11), 7)) for _ in range(g.n)]
+        assert_colors(g, lists, color_square_7lists(g, lists))
+
+
+def test_splice_of_a_two_vertex_on_a_long_cycle():
+    # On c8 no 2-vertex is a cut vertex or lies on a six-cycle: the peel
+    # splices c8 down to c6 before the six-cycle rule applies.
+    g = named("c8")[0]
+    rules = [rule for rule, *_ in _peel([set(a) for a in g.adj])]
+    assert rules[:3] == [SPLICE, SPLICE, SIXCYCLE]
+    rng = random.Random(3)
+    for _ in range(50):
+        lists = [sorted(rng.sample(range(1, 10), 7)) for _ in range(g.n)]
+        assert_colors(g, lists, color_square_7lists(g, lists))
+
