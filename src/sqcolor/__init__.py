@@ -59,6 +59,7 @@ from .graph_core import (
     cut_vertices,
     distance,
     girth,
+    girth_at_least,
     is_connected,
     is_subcubic,
     m1_m2,
@@ -68,6 +69,7 @@ from .graph_core import (
 from .planar_embed import (
     Face,
     RotationSystem,
+    check_class,
     euler_genus_check,
     faces,
     find_planar_embedding,

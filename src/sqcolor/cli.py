@@ -2,8 +2,9 @@
 
 One binary with subcommands; inputs are graph files (text or graph6,
 `-` for stdin).  Exit codes: 0 success or verified, 1 property violated,
-2 usage or parse error, 3 budget exhausted.  Reports are deterministic:
-same inputs, seeds, and budgets give byte-identical output.
+2 usage or parse error, 3 search budget, recursion depth or memory
+exhausted.  Reports are deterministic: same inputs, seeds, and budgets
+give byte-identical output.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
     GenerationFailed,
     ListTooSmall,
     NotCutVertex,
-    NotInClass,
     NotTwoVertex,
     ParseError,
     PreconditionViolated,
@@ -330,8 +330,10 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: resource limit reached ({type(exc).__name__})", file=sys.stderr)
+        return EXIT_BUDGET
     except (
-        NotInClass,
         PreconditionViolated,
         NotTwoVertex,
         NotCutVertex,

@@ -10,13 +10,12 @@ negative final charge somewhere or contains a reducible configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import NotInClass
-from .graph_core import INF, Graph, cut_vertices, girth, is_connected, is_subcubic
-from .planar_embed import Face, faces as trace_faces, find_planar_embedding
-from .reducer import find_reducible_config, find_spacing_violation
+from .graph_core import Graph, components, cut_vertices, is_connected
+from .planar_embed import Face, check_class, faces as trace_faces
+from .reducer import close_two_vertex_pair, find_reducible_config
 
 
 @dataclass
@@ -25,10 +24,8 @@ class ChargeLedger:
     face_charge: dict
     transfers: list
 
-    def total(self) -> Fraction:
-        return sum(self.vertex_charge.values(), Fraction(0)) + sum(
-            self.face_charge.values(), Fraction(0)
-        )
+    def total(self) -> int:
+        return sum(self.vertex_charge.values()) + sum(self.face_charge.values())
 
     def copy(self) -> "ChargeLedger":
         return ChargeLedger(
@@ -41,8 +38,8 @@ class ChargeLedger:
 def initial_charges(g: Graph, face_list: Sequence[Face]) -> ChargeLedger:
     """Starting charges: 2d(v) - 6 per vertex, length - 6 per face."""
     return ChargeLedger(
-        vertex_charge={v: Fraction(2 * g.degree(v) - 6) for v in range(g.n)},
-        face_charge={i: Fraction(f.length - 6) for i, f in enumerate(face_list)},
+        vertex_charge={v: 2 * g.degree(v) - 6 for v in range(g.n)},
+        face_charge={i: f.length - 6 for i, f in enumerate(face_list)},
         transfers=[],
     )
 
@@ -60,7 +57,7 @@ def apply_r1(ledger: ChargeLedger, g: Graph, face_list: Sequence[Face]) -> Charg
             if g.degree(v) == 2:
                 out.face_charge[i] -= 1
                 out.vertex_charge[v] += 1
-                out.transfers.append((i, v, Fraction(1)))
+                out.transfers.append((i, v, 1))
     return out
 
 
@@ -108,12 +105,12 @@ def claim3_bound_check(g: Graph, face_list: Sequence[Face]) -> Claim3Report:
         )
         for i, face in enumerate(face_list)
     )
-    if girth(g) == INF:
+    if g.m == g.n - len(components(g)):
         return Claim3Report(checked=False, reason="acyclic", rows=rows)
     cuts = cut_vertices(g)
     if any(g.degree(v) == 2 for v in cuts):
         return Claim3Report(checked=False, reason="cut 2-vertex present", rows=rows)
-    if find_spacing_violation(g) is not None:
+    if close_two_vertex_pair(g) is not None:
         return Claim3Report(checked=False, reason="close 2-vertices on a cycle", rows=rows)
     return Claim3Report(checked=True, reason="", rows=rows)
 
@@ -123,8 +120,8 @@ class AuditReport:
     n: int
     m: int
     face_count: int
-    initial_total: Fraction
-    final_total: Fraction
+    initial_total: int
+    final_total: int
     ledger: ChargeLedger
     negative_vertices: tuple
     negative_faces: tuple
@@ -140,27 +137,20 @@ class AuditReport:
         return self.has_negative or self.config is not None
 
 
-def discharge_audit(g: Graph, face_list: Optional[Sequence[Face]] = None) -> AuditReport:
+def discharge_audit(g: Graph) -> AuditReport:
     """Full charge audit of one connected in-class graph.
 
-    Traces the faces, totals the charges before and after the rule
-    (both must be -12), lists every element left negative, and runs the
-    configuration detectors.  At least one side of the dichotomy must
-    come back nonempty.
+    Checks the class (check_class), traces the faces of the embedding it
+    returns, totals the charges before and after the rule (both must be
+    -12), lists every element left negative, and runs the configuration
+    detectors.  At least one side of the dichotomy must come back
+    nonempty.
     """
     if g.n == 0:
         raise NotInClass("empty graph")
     if not is_connected(g):
         raise NotInClass("graph is disconnected")
-    if not is_subcubic(g):
-        raise NotInClass("graph has a vertex of degree above 3")
-    if girth(g) < 6:
-        raise NotInClass("girth is below 6")
-    if face_list is None:
-        rs = find_planar_embedding(g)
-        if rs is None:
-            raise NotInClass("graph is not planar")
-        face_list = trace_faces(g, rs)
+    face_list = trace_faces(g, check_class(g))
     before = initial_charges(g, face_list)
     after = apply_r1(before, g, face_list)
     negative_vertices = tuple(

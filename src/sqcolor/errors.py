@@ -29,8 +29,11 @@ class PreconditionViolated(ValueError):
     """An operation was called on inputs outside its stated domain."""
 
 
-class NotInClass(ValueError):
-    """The graph is not connected subcubic planar with girth at least 6."""
+class NotInClass(PreconditionViolated):
+    """The graph is not subcubic planar with girth at least 6.
+
+    The charge audit also raises it for an empty or disconnected graph.
+    """
 
 
 class GenerationFailed(RuntimeError):

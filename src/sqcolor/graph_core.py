@@ -170,30 +170,48 @@ def square(g: Graph) -> Graph:
 
 
 def girth(g: Graph) -> float:
-    """Return the length of a shortest cycle, math.inf for a forest.
+    """Return the length of a shortest cycle, math.inf for a forest."""
+    return _shortest_cycle(g, INF)
+
+
+def girth_at_least(g: Graph, k: float) -> bool:
+    """Return True when g has no cycle shorter than k.
+
+    The search stops at depth about k/2 from every vertex, so at bounded
+    degree and small k it takes time linear in n.
+    """
+    return _shortest_cycle(g, k) >= k
+
+
+def _shortest_cycle(g: Graph, cap: float) -> float:
+    """Return min(girth, cap).
 
     Per-source BFS: a non-tree edge (u, v) seen while scanning u closes a
     walk of length dist[u] + dist[v] + 1 through the source.  The walk
     contains a cycle no longer than itself, so the minimum over all
-    sources and edges is exactly the girth.
+    sources and edges is exactly the girth.  A vertex is scanned only
+    while it can still close a walk shorter than the best so far, which
+    starts at cap; per-source state lives in dicts, so a small cap makes
+    each source cost O(1) at bounded degree.
     """
-    best = INF
+    best = cap
     for s in range(g.n):
-        dist = [INF] * g.n
-        parent = [-1] * g.n
-        dist[s] = 0
+        dist = {s: 0}
+        parent = {s: -1}
         q = deque([s])
         while q:
             u = q.popleft()
-            if 2 * dist[u] >= best - 1:
+            du = dist[u]
+            if 2 * du >= best - 1:
                 continue
             for w in g.adj[u]:
-                if dist[w] == INF:
-                    dist[w] = dist[u] + 1
+                dw = dist.get(w)
+                if dw is None:
+                    dist[w] = du + 1
                     parent[w] = u
                     q.append(w)
                 elif parent[u] != w:
-                    cand = dist[u] + dist[w] + 1
+                    cand = du + dw + 1
                     if cand < best:
                         best = cand
     return best

@@ -5,7 +5,8 @@ neighbors.  Faces are closed walks of directed edges; the successor of
 (u, v) is (v, w) where w follows u in the rotation at v.  Face length
 counts edge sides, so a bridge contributes 2 to the face containing it.
 Embedding operations reject disconnected graphs; callers embed each
-component separately.
+component separately.  check_class is the one membership test for the
+coloring theorem's class (subcubic, girth at least 6, planar).
 """
 
 from __future__ import annotations
@@ -14,8 +15,15 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .errors import InconsistentRotation
-from .graph_core import Graph, is_connected
+from .errors import InconsistentRotation, NotInClass
+from .graph_core import (
+    Graph,
+    components,
+    girth_at_least,
+    induced_subgraph,
+    is_connected,
+    is_subcubic,
+)
 
 
 @dataclass(frozen=True)
@@ -106,3 +114,25 @@ def find_planar_embedding(g: Graph) -> RotationSystem | None:
     if not euler_genus_check(g, rs):
         raise AssertionError("planarity backend produced a non-planar rotation")
     return rs
+
+
+def check_class(g: Graph) -> RotationSystem:
+    """Return a plane rotation system of g, or raise NotInClass.
+
+    g must be subcubic with girth at least 6 and planar.  Each component
+    is embedded on its own and its rotations are written back in g's
+    vertex ids; faces can be traced from the result when g is connected.
+    """
+    if not is_subcubic(g):
+        raise NotInClass("graph has a vertex of degree above 3")
+    if not girth_at_least(g, 6):
+        raise NotInClass("girth is below 6")
+    rot: list = [()] * g.n
+    for comp in components(g):
+        sub, old_ids = induced_subgraph(g, comp)
+        rs = find_planar_embedding(sub)
+        if rs is None:
+            raise NotInClass("graph is not planar")
+        for i, row in enumerate(rs.rot):
+            rot[old_ids[i]] = tuple(old_ids[u] for u in row)
+    return RotationSystem(tuple(rot))

@@ -18,15 +18,14 @@ from .graph_core import (
     Graph,
     biconnected_components,
     bfs_distances,
-    components,
     cut_vertices,
     distance,
-    girth,
-    induced_subgraph,
+    girth_at_least,
     is_subcubic,
     m1_m2,
     square,
 )
+from .planar_embed import check_class
 
 ALPHA = "alpha"
 A = "a"
@@ -84,7 +83,7 @@ class SixCycleConfig:
         v6 = self.cycle[self.two_vertex]
         if g.degree(v6) != 2:
             raise PreconditionViolated(f"vertex {v6} has degree {g.degree(v6)}, not 2")
-        if girth(g) < 6:
+        if not girth_at_least(g, 6):
             raise PreconditionViolated("host girth is below 6")
 
 
@@ -185,7 +184,7 @@ class SpacingViolation:
 
 def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleConfig]:
     """Find a six-cycle through a 2-vertex; requires host girth >= 6."""
-    if girth(g) < 6:
+    if not girth_at_least(g, 6):
         return None
     for v6 in range(g.n):
         if g.degree(v6) != 2:
@@ -224,31 +223,34 @@ def _path_of_length(adj, src: int, dst: int, length: int, forbidden: Iterable[in
 
 
 def _cycle_through(g: Graph, block: set, u: int, w: int) -> tuple:
-    """Some cycle inside the block containing both u and w."""
-    best: list = []
+    """Some cycle inside the block containing both u and w.
 
-    def dfs(v: int, path: list, on_path: set) -> bool:
-        for x in g.adj[v]:
+    Depth-first over simple paths from u, neighbors in adjacency order,
+    until an edge closes a path of at least 3 vertices through w back
+    to u.  The explicit stack keeps long cycles off the call stack.
+    """
+    path = [u]
+    on_path = {u}
+    stack = [iter(g.adj[u])]
+    while stack:
+        for x in stack[-1]:
             if x == u and len(path) >= 3 and w in on_path:
-                best.extend(path)
-                return True
+                return tuple(path)
             if x in on_path or x not in block:
                 continue
             path.append(x)
             on_path.add(x)
-            if dfs(x, path, on_path):
-                return True
-            path.pop()
-            on_path.discard(x)
-        return False
-
-    found = dfs(u, [u], {u})
-    assert found, "vertices share a 2-connected block, so a common cycle exists"
-    return tuple(best)
+            stack.append(iter(g.adj[x]))
+            break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+    raise AssertionError("vertices share a 2-connected block, so a common cycle exists")
 
 
-def find_spacing_violation(g: Graph) -> Optional[SpacingViolation]:
-    """Two 2-vertices at distance <= 3 sharing a cycle, if any."""
+def close_two_vertex_pair(g: Graph) -> Optional[tuple]:
+    """First (u, w, dist, block): 2-vertices u < w at distance <= 3 in a
+    common block of at least 3 vertices (so on a common cycle), or None."""
     twos = [v for v in range(g.n) if g.degree(v) == 2]
     if len(twos) < 2:
         return None
@@ -262,9 +264,17 @@ def find_spacing_violation(g: Graph) -> Optional[SpacingViolation]:
                 dist = bfs_distances(g, u)
             if dist[w] <= 3:
                 block = next(b for b in blocks if u in b and w in b)
-                cycle = _cycle_through(g, block, u, w)
-                return SpacingViolation(cycle=cycle, u=u, w=w, dist=int(dist[w]))
+                return u, w, int(dist[w]), block
     return None
+
+
+def find_spacing_violation(g: Graph) -> Optional[SpacingViolation]:
+    """Two 2-vertices at distance <= 3 sharing a cycle, if any."""
+    pair = close_two_vertex_pair(g)
+    if pair is None:
+        return None
+    u, w, dist, block = pair
+    return SpacingViolation(cycle=_cycle_through(g, block, u, w), u=u, w=w, dist=dist)
 
 
 def find_reducible_config(g: Graph):
@@ -567,26 +577,15 @@ def _lift(adj: list, records: list, lists) -> list:
 def color_square_7lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
     """Properly color the square of g from per-vertex lists of size >= 7.
 
-    g must be subcubic and planar with girth >= 6, else
-    PreconditionViolated.  The proof's three rules (leaf, splice,
-    six-cycle) peel g down to nothing on one mutable adjacency (_peel);
-    the lift puts the vertices back in reverse order and colors them
+    g must be subcubic and planar with girth >= 6, else NotInClass (a
+    PreconditionViolated) from check_class.  The proof's three rules
+    (leaf, splice, six-cycle) peel g down to nothing on one mutable
+    adjacency (_peel); the lift puts the vertices back in reverse order and colors them
     (_lift).  No exact search runs.  The result is certified proper on
     the square of g and inside every list; a failed certificate raises
     AssertionError.
     """
-    from .planar_embed import find_planar_embedding
-
-    if not is_subcubic(g):
-        raise PreconditionViolated("graph must be subcubic")
-    if girth(g) < 6:
-        raise PreconditionViolated("girth must be at least 6")
-    # The embedding backend wants connected input; planarity of the whole
-    # graph is planarity of every component.
-    for comp in components(g):
-        sub, _ = induced_subgraph(g, comp)
-        if find_planar_embedding(sub) is None:
-            raise PreconditionViolated("graph must be planar")
+    check_class(g)
     lists = normalize_lists(g, L)
     for v in range(g.n):
         if len(lists[v]) < 7:

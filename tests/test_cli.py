@@ -1,10 +1,14 @@
 """Tests for the command line interface."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sqcolor
+from sqcolor import cli
 from sqcolor.cli import main
 from sqcolor.coloring import is_proper
 from sqcolor.formats import from_graph6, parse_one_graph, to_graph6, write_graph_text
@@ -308,10 +312,14 @@ def test_verify_lemma2_structured_header(capsys):
 
 
 def test_console_entry_point_runs():
+    # The child finds the same sqcolor as this process, installed or not.
+    src = str(Path(sqcolor.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "sqcolor.cli", "verify-lemma2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 12
@@ -322,6 +330,35 @@ def test_color_structured_large_honeycomb(tmp_path, capsys):
     code, out = run(capsys, ["color", "--structured", path])
     assert code == 0
     assert "verified=ok" in out.splitlines()
+
+
+def test_long_cycle_runs_every_class_command(tmp_path, capsys):
+    path = write_fixture(tmp_path, "c3000.txt", write_graph_text(named("c3000")[0]))
+    code, out = run(capsys, ["color", "--structured", path])
+    assert code == 0 and "verified=ok" in out.splitlines()
+    code, out = run(capsys, ["find-config", path])
+    assert code == 0 and out.startswith("config=spacing_violation u=0 w=1 dist=1 cycle=0,1,2,")
+    code, out = run(capsys, ["discharge-audit", path])
+    assert code == 0 and out.endswith("dichotomy=ok\n")
+
+
+def test_recursion_limit_exits_3_without_traceback(tmp_path, capsys):
+    # The exact choosability search recurses once per vertex.
+    path = write_fixture(tmp_path, "c1200.txt", write_graph_text(named("c1200")[0]))
+    code = main(["choosable", "-k", "2", path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "error: resource limit reached (RecursionError)\n"
+
+
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
+    def exhaust(g, args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._RUNNERS, "girth", exhaust)
+    code = main(["girth", c6_file(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: resource limit reached (MemoryError)\n"
 
 
 def test_color_output_is_deterministic(tmp_path, capsys):
@@ -342,8 +379,6 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
 
 
 def test_jobs_pool_is_clamped(tmp_path, capsys, monkeypatch):
-    import sqcolor.cli as cli
-
     sizes = []
 
     class RecordingPool:

@@ -8,7 +8,7 @@ import pytest
 from oracles import girth_per_edge, square_edges_bfs, to_nx
 import networkx as nx
 
-from sqcolor.generate import named
+from sqcolor.generate import GeneratorSpec, enumerate_class, named
 from sqcolor.graph_core import (
     Graph,
     add_vertex,
@@ -18,6 +18,7 @@ from sqcolor.graph_core import (
     cut_vertices,
     distance,
     girth,
+    girth_at_least,
     induced_subgraph,
     is_connected,
     is_subcubic,
@@ -127,6 +128,28 @@ def test_girth_matches_per_edge_oracle(corpus12):
     for name in ("q3", "prism6", "petersen", "dodecahedron", "two-heptagons"):
         g = named(name)[0]
         assert girth(g) == girth_per_edge(g)
+
+
+def test_girth_at_least_agrees_with_girth():
+    graphs = []
+    for min_girth in (3, 4, 5, 6):
+        spec = GeneratorSpec(max_n=9, min_girth=min_girth, connectivity=False)
+        graphs += enumerate_class(spec)
+    rng = random.Random(23)
+    for _ in range(1000):
+        n = rng.randint(0, 14)
+        p = rng.choice((0.1, 0.2, 0.35, 0.6))
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    for g in graphs:
+        value = girth(g)
+        for k in range(3, 9):
+            assert girth_at_least(g, k) == (value >= k), (g.edges(), k)
+
+
+def test_girth_at_least_on_long_cycles():
+    assert girth_at_least(cycle(3000), 6)
+    assert not girth_at_least(cycle(5), 6)
+    assert girth_at_least(path(3000), 6)
 
 
 def test_m1_m2_on_subdivided_prism():

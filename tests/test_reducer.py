@@ -1,12 +1,14 @@
 """Tests for configuration detection, recoloring, and the main coloring routine."""
 
 import random
+import sys
 
 import pytest
 
 from oracles import naive_choosable
 
 from sqcolor.coloring import find_L_coloring, is_proper, normalize_lists
+from sqcolor.discharging import discharge_audit
 from sqcolor.errors import (
     ListTooSmall,
     NotCutVertex,
@@ -263,6 +265,15 @@ def test_spacing_needs_common_cycle():
     # Trees never carry a witness no matter how close the 2-vertices sit.
     p7 = named("p7")[0]
     assert find_spacing_violation(p7) is None
+
+
+def test_spacing_witness_on_a_long_cycle():
+    # The cycle walk is 3000 vertices deep; a recursive walk overflowed here.
+    g = named("c3000")[0]
+    got = find_spacing_violation(g)
+    assert (got.u, got.w, got.dist) == (0, 1, 1)
+    assert got.cycle == tuple(range(3000))
+    assert got.verify(g)
 
 
 def test_crowding_verify():
@@ -596,6 +607,19 @@ def test_coloring_needs_no_exact_search(corpus12, monkeypatch):
     for g in graphs:
         lists = [sorted(rng.sample(range(1, 11), 7)) for _ in range(g.n)]
         assert_colors(g, lists, color_square_7lists(g, lists))
+
+
+def test_class_checks_never_run_whole_graph_girth(corpus12, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole-graph girth ran")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sqcolor" and hasattr(module, "girth"):
+            monkeypatch.setattr(module, "girth", refuse)
+    for g in list(corpus12) + [named("c3000")[0]]:
+        assert_colors(g, FULL * g.n, color_square_7lists(g, FULL * g.n))
+        find_reducible_config(g)
+        assert discharge_audit(g).dichotomy_holds
 
 
 def test_splice_of_a_two_vertex_on_a_long_cycle():
