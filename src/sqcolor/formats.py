@@ -111,21 +111,17 @@ def write_graph_text(g: Graph, rot: RotationSystem | None = None) -> str:
 
 # graph6, per the standard 6-bit encoding
 
-
-def _g6_bits_to_bytes(bits: list[int]) -> bytes:
-    while len(bits) % 6 != 0:
-        bits.append(0)
-    out = bytearray()
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        out.append(val + 63)
-    return bytes(out)
+# Maps a 6-bit group to its graph6 byte.
+_G6_BYTE = bytes((b + 63) & 255 for b in range(256))
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode a graph as a graph6 string (n up to 258047)."""
+    """Encode a graph as a graph6 string (n up to 258047).
+
+    Bit u + v(v-1)/2 of the body is the pair u < v of the upper triangle,
+    six bits to a byte, high bit first; the body is filled edge by edge,
+    so memory is one byte per six vertex pairs.
+    """
     n = g.n
     if n <= 62:
         head = bytes([n + 63])
@@ -133,11 +129,13 @@ def to_graph6(g: Graph) -> str:
         head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
         raise ValueError("graph too large for this graph6 writer")
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    return (head + _g6_bits_to_bytes(bits)).decode("ascii")
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for v in range(n):
+        for u in g.adj[v]:
+            if u < v:
+                bit = u + v * (v - 1) // 2
+                body[bit // 6] |= 32 >> (bit % 6)
+    return (head + body.translate(_G6_BYTE)).decode("ascii")
 
 
 def from_graph6(line: str, source: str = "<g6>", lineno: int = 1) -> Graph:

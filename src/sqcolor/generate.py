@@ -23,10 +23,7 @@ from .graph_core import (
     INF,
     Graph,
     add_vertex,
-    bfs_distances,
-    cut_vertices,
-    distance,
-    girth,
+    girth_at_least,
     is_connected,
     is_subcubic,
 )
@@ -102,12 +99,29 @@ def _attach_sets(g: Graph, min_girth: float) -> Iterator[tuple]:
         yield (v,)
     if min_girth == INF:
         return
-    need = int(min_girth) - 2
-    dists = {v: bfs_distances(g, v) for v in open_vertices}
+    # dist(u, w) >= min_girth - 2 exactly when w lies outside u's ball
+    # of radius min_girth - 3.
+    near = {v: _ball(g, v, int(min_girth) - 3) for v in open_vertices}
     for size in (2, 3):
         for S in combinations(open_vertices, size):
-            if all(dists[u][w] >= need for u, w in combinations(S, 2)):
+            if all(w not in near[u] for u, w in combinations(S, 2)):
                 yield S
+
+
+def _ball(g: Graph, s: int, radius: int) -> set[int]:
+    """Vertices within distance radius of s, by a BFS that stops at that
+    depth; O(1) at bounded degree and radius."""
+    seen = {s}
+    frontier = [s]
+    for _ in range(radius):
+        nxt = []
+        for u in frontier:
+            for w in g.adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
 
 
 def _enumerate_connected(max_n: int, min_girth: float) -> list[list[Graph]]:
@@ -212,8 +226,12 @@ def random_instance(spec: GeneratorSpec) -> Graph:
     """Randomly grown class member, deterministic under the seed.
 
     Growth steps keep the class invariants by construction except for
-    planarity of chords, which is checked and rolled back.  Bounded
-    retries; exhausting them raises GenerationFailed.
+    planarity of chords, which is checked and rolled back.  A chord may
+    join two vertices of degree <= 2 at distance >= girth - 1, so it
+    closes no cycle shorter than the girth; the candidates are the pairs
+    u < v with v outside the depth-(girth - 2) BFS ball of u, which costs
+    O(1) per vertex at degree <= 3 instead of a whole-graph BFS per pair.
+    Bounded retries; exhausting them raises GenerationFailed.
     """
     spec.validate()
     rng = random.Random(spec.seed)
@@ -228,7 +246,7 @@ def random_instance(spec: GeneratorSpec) -> Graph:
             g.n <= spec.max_n
             and is_subcubic(g)
             and is_connected(g)
-            and girth(g) >= spec.min_girth
+            and girth_at_least(g, spec.min_girth)
             and find_planar_embedding(g) is not None
         ):
             return g
@@ -271,12 +289,7 @@ def _random_step(g: Graph, spec: GeneratorSpec, rng: random.Random) -> Optional[
             return None
         u, v = rng.choice(pairs)
         return fuse_cycle_on_edge(g, u, v, ring)
-    pairs = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if g.degree(u) <= 2 and g.degree(v) <= 2 and distance(g, u, v) >= ring - 1
-    ]
+    pairs = _chord_pairs(g, ring)
     if not pairs:
         return None
     u, v = rng.choice(pairs)
@@ -284,6 +297,18 @@ def _random_step(g: Graph, spec: GeneratorSpec, rng: random.Random) -> Optional[
     if find_planar_embedding(h) is None:
         return None
     return h
+
+
+def _chord_pairs(g: Graph, ring: int) -> list[tuple[int, int]]:
+    """Pairs u < v of vertices of degree <= 2 with dist(u, v) >= ring - 1,
+    in lexicographic order: v qualifies exactly when it lies outside u's
+    ball of radius ring - 2."""
+    open_vertices = [v for v in range(g.n) if g.degree(v) <= 2]
+    pairs = []
+    for i, u in enumerate(open_vertices):
+        near = _ball(g, u, ring - 2)
+        pairs.extend((u, v) for v in open_vertices[i + 1 :] if v not in near)
+    return pairs
 
 
 def _from_nx(nxg) -> Graph:

@@ -21,7 +21,7 @@ from sqcolor.formats import (
     write_lists,
 )
 from sqcolor.generate import named
-from sqcolor.graph_core import Graph
+from sqcolor.graph_core import Graph, square
 from sqcolor.planar_embed import find_planar_embedding
 
 
@@ -96,6 +96,25 @@ def test_graph6_matches_networkx(corpus12):
         h = nx.from_graph6_bytes(line.encode())
         assert nx.is_isomorphic(h, to_nx(g))
         assert from_graph6(nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()) == g
+
+
+def test_graph6_round_trip_across_the_long_header():
+    # n = 62 is the last one-byte header, n = 63 the first four-byte one.
+    rng = random.Random(11)
+    for n in (62, 63):
+        for p in (0.0, 0.1, 0.5, 1.0):
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            line = to_graph6(g)
+            assert line[0] == ("~" if n == 63 else chr(n + 63))
+            assert line == nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
+            assert from_graph6(line) == g
+
+
+def test_graph6_round_trip_large_square():
+    g = square(named("c3000")[0])
+    line = to_graph6(g)
+    assert len(line) == 4 + (3000 * 2999 // 2 + 5) // 6
+    assert from_graph6(line) == g
 
 
 def test_graph6_rejects_bad_input():

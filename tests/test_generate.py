@@ -1,5 +1,6 @@
 """Tests for canonical codes, class enumeration, and instance generation."""
 
+import hashlib
 import math
 import random
 
@@ -7,9 +8,12 @@ import pytest
 
 from oracles import graphs_in_class, isomorphic, relabel
 
+from sqcolor import generate
 from sqcolor.errors import BudgetExceeded, GenerationFailed, UnknownName
+from sqcolor.formats import to_graph6
 from sqcolor.generate import (
     GeneratorSpec,
+    _chord_pairs,
     add_long_chord,
     attach_cycle_at_vertex,
     attach_pendant,
@@ -22,6 +26,7 @@ from sqcolor.generate import (
 )
 from sqcolor.graph_core import (
     Graph,
+    bfs_distances,
     girth,
     is_connected,
     is_subcubic,
@@ -278,3 +283,60 @@ def test_random_instance_respects_tree_spec():
     g = random_instance(GeneratorSpec(max_n=10, min_girth=math.inf, seed=0))
     assert girth(g) == math.inf
     assert max_degree(g) <= 3
+
+
+def test_chord_pairs_match_brute_force(monkeypatch):
+    graphs = list(enumerate_class(GeneratorSpec(max_n=9, min_girth=3, connectivity=False)))
+    grown = {}
+    step = generate._random_step
+
+    def recording(g, spec, rng):
+        grown[g] = None
+        return step(g, spec, rng)
+
+    monkeypatch.setattr(generate, "_random_step", recording)
+    for seed, min_girth in ((0, 6), (1, 6), (13, 6), (2, 4), (3, 5), (4, 8)):
+        random_instance(GeneratorSpec(max_n=60, min_girth=min_girth, seed=seed))
+    assert len(grown) > 100
+    for g in graphs + list(grown):
+        dist = [bfs_distances(g, u) for u in range(g.n)]
+        for ring in range(3, 9):
+            want = [
+                (u, v)
+                for u in range(g.n)
+                for v in range(u + 1, g.n)
+                if g.degree(u) <= 2 and g.degree(v) <= 2 and dist[u][v] >= ring - 1
+            ]
+            assert _chord_pairs(g, ring) == want, (g.edges(), ring)
+
+
+# sha256 of to_graph6(random_instance(GeneratorSpec(max_n=150, seed=s)))
+# for s = 0..19; other tests and the benchmark rely on these seeds' graphs.
+RANDOM_150_SHA256 = [
+    "6d910990ae3f3cc0c40fef3826b0109d6c41e03a352e55eee06c2bfd5b95f4cb",
+    "c8230dac509786c0991ed27aa757994bcd7e9da0f997e7b5fc5e4c7c79f58389",
+    "78d683df54741dc3a48c58be1eb6610181071bab059e0e91b53720185f912572",
+    "9e0f8d87022a7b26252691c86f90b21c5c61c9cd8400c86f474c5bc49c073838",
+    "76bff990bf39ed7e9d29c6b0cf7512a37fa29fd2868f63aab7ddd0e83a25804a",
+    "5b9ec4ce036389a61bf0a0369337a97c375a59687fbbf5f447ca8e72502b5d0b",
+    "8cf659d30a0b3312d310f671c5ccc56dd1d9c25d72d0c6fb0159c3e0d0114229",
+    "e8d8378de002525f2865e0ceb4ee2c6c27b4ceb75cce3271e80959a43543cfa9",
+    "f5b0b03b61b83283c2bc992566951da7e07d9367bbac700365198cda4a6febe9",
+    "a968398ec2277e47c052ceeb91f12504e1dc5a1157a3ed17a54e4904e5af5777",
+    "3b3f4691d7a38094188a9ad4e0c61500447cdda10b463648e5d430bbd8497fd8",
+    "917b9446c774d3cbdcb40eb3208c7282615d3d3256f7efa317c09d14389a2645",
+    "e1df0884fade828c0df21b2dc8a29fa37b312c204f2f58d73572fa9d1e7eb8be",
+    "2e3696293b1faf85bdd0bcd0c7dab74ecb501b01038649edd4147af49c3b9fd5",
+    "0c03cb1118f64f6f7f3ac61579b9bea24386ee923a59c0dea6d19c8586687622",
+    "83f1a3d8883ffd794c9ec020443a35db75b2af0c8dcee2696327a0f26de9e7c5",
+    "43c9f03dac42997d3a988fe564ee12e4c164be33970d7abb8688cd212997e090",
+    "9474f463a48390a74308ec206d2e3e014ce48baaaa0c710d259a704aa4fa1e0d",
+    "2c14e7548bc928d034081235b4f4e2077e4df71c22067a9925e96e3f637bcfbb",
+    "a0073783e408ec54dfe75d963b6612134145a82407f145d9b2d80aa6681dbe0c",
+]
+
+
+def test_random_instance_outputs_are_frozen():
+    for seed, want in enumerate(RANDOM_150_SHA256):
+        line = to_graph6(random_instance(GeneratorSpec(max_n=150, seed=seed)))
+        assert hashlib.sha256(line.encode()).hexdigest() == want, seed

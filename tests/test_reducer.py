@@ -620,6 +620,8 @@ def test_class_checks_never_run_whole_graph_girth(corpus12, monkeypatch):
         assert_colors(g, FULL * g.n, color_square_7lists(g, FULL * g.n))
         find_reducible_config(g)
         assert discharge_audit(g).dichotomy_holds
+    g = random_instance(GeneratorSpec(max_n=150, seed=0))
+    assert g.n <= 150
 
 
 def test_splice_of_a_two_vertex_on_a_long_cycle():
