@@ -73,6 +73,7 @@ from .planar_embed import (
     euler_genus_check,
     faces,
     find_planar_embedding,
+    is_planar,
 )
 from .reducer import (
     AvailableLists,

@@ -139,14 +139,19 @@ def to_graph6(g: Graph) -> str:
 
 
 def from_graph6(line: str, source: str = "<g6>", lineno: int = 1) -> Graph:
-    """Decode one graph6 line."""
+    """Decode one graph6 line.
+
+    The body is read byte by byte: zero bytes are skipped, and the pair
+    (u, v) of the current bit u + v(v-1)/2 is advanced as the bits are
+    found, so memory is O(n + m) beyond the line itself.
+    """
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     data = s.encode("ascii", errors="replace")
     if not data:
         raise ParseError(source, lineno, line, "empty graph6 line")
-    if any(b < 63 or b > 126 for b in data):
+    if min(data) < 63 or max(data) > 126:
         raise ParseError(source, lineno, s, "invalid graph6 byte")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
@@ -154,25 +159,31 @@ def from_graph6(line: str, source: str = "<g6>", lineno: int = 1) -> Graph:
         if len(data) < 4:
             raise ParseError(source, lineno, s, "truncated graph6 header")
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body = data[4:]
+        start = 4
     else:
         n = data[0] - 63
-        body = data[1:]
+        start = 1
     need = n * (n - 1) // 2
-    if len(body) != (need + 5) // 6:
+    if len(data) - start != (need + 5) // 6:
         raise ParseError(source, lineno, s, f"graph6 body length mismatch for n={n}")
-    bits = []
-    for byte in body:
-        val = byte - 63
-        for k in range(5, -1, -1):
-            bits.append((val >> k) & 1)
     edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
+    u, v, at = 0, 1, 0
+    for i in range(start, len(data)):
+        val = data[i] - 63
+        if not val:
+            continue
+        base = 6 * (i - start)
+        for k in range(6):
+            if val & (32 >> k):
+                bit = base + k
+                if bit >= need:
+                    break
+                u += bit - at
+                at = bit
+                while u >= v:
+                    u -= v
+                    v += 1
                 edges.append((u, v))
-            idx += 1
     return Graph(n, edges)
 
 

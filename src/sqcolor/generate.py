@@ -27,13 +27,9 @@ from .graph_core import (
     is_connected,
     is_subcubic,
 )
-from .planar_embed import RotationSystem, find_planar_embedding
+from .planar_embed import RotationSystem, find_planar_embedding, is_planar
 
 ENUMERATION_BUDGET = 14
-
-# Any graph with at most 8 edges is planar; the smallest non-planar
-# graph has 9.
-_ALWAYS_PLANAR_EDGES = 8
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,7 @@ def _enumerate_connected(max_n: int, min_girth: float) -> list[list[Graph]]:
                 h = add_vertex(g, S)
                 if not is_subcubic(h):
                     continue
-                if h.m > _ALWAYS_PLANAR_EDGES and find_planar_embedding(h) is None:
+                if not is_planar(h):
                     continue
                 code = canonical_code(h)
                 if code not in seen:
@@ -247,7 +243,7 @@ def random_instance(spec: GeneratorSpec) -> Graph:
             and is_subcubic(g)
             and is_connected(g)
             and girth_at_least(g, spec.min_girth)
-            and find_planar_embedding(g) is not None
+            and is_planar(g)
         ):
             return g
     raise GenerationFailed(f"no instance for {spec} after bounded retries")
@@ -294,7 +290,7 @@ def _random_step(g: Graph, spec: GeneratorSpec, rng: random.Random) -> Optional[
         return None
     u, v = rng.choice(pairs)
     h = add_long_chord(g, u, v)
-    if find_planar_embedding(h) is None:
+    if not is_planar(h):
         return None
     return h
 

@@ -5,7 +5,15 @@ neighbors.  Faces are closed walks of directed edges; the successor of
 (u, v) is (v, w) where w follows u in the rotation at v.  Face length
 counts edge sides, so a bridge contributes 2 to the face containing it.
 Embedding operations reject disconnected graphs; callers embed each
-component separately.  check_class is the one membership test for the
+component separately.
+
+is_planar decides planarity without an embedding.  A subcubic graph has
+no K5 subdivision (its branch vertices need degree 4), so by Kuratowski
+it is non-planar exactly when it contains a subdivided K3,3, whose six
+branch vertices have degree 3 in the 2-core.  Most class members have
+fewer, and then no planarity test runs at all; otherwise the test runs
+on the cubic kernel, the 2-core with its 2-paths spliced, which is far
+smaller than the graph.  check_class is the one membership test for the
 coloring theorem's class (subcubic, girth at least 6, planar).
 """
 
@@ -18,9 +26,7 @@ import networkx as nx
 from .errors import InconsistentRotation, NotInClass
 from .graph_core import (
     Graph,
-    components,
     girth_at_least,
-    induced_subgraph,
     is_connected,
     is_subcubic,
 )
@@ -116,23 +122,89 @@ def find_planar_embedding(g: Graph) -> RotationSystem | None:
     return rs
 
 
-def check_class(g: Graph) -> RotationSystem:
-    """Return a plane rotation system of g, or raise NotInClass.
+def is_planar(g: Graph) -> bool:
+    """Return True when g, connected or not, has a plane embedding.
 
-    g must be subcubic with girth at least 6 and planar.  Each component
-    is embedded on its own and its rotations are written back in g's
-    vertex ids; faces can be traced from the result when g is connected.
+    Leaves are stripped repeatedly, which leaves the 2-core.  A graph is
+    planar when its 2-core has fewer than six vertices of degree >= 3
+    and fewer than five of degree >= 4, since a subdivided K3,3 or K5
+    needs that many branch vertices; at degree <= 3 this reads "fewer
+    than six 3-vertices", and no planarity test runs.  Otherwise every
+    2-vertex whose two neighbours are not adjacent is spliced out, which
+    leaves a simple graph homeomorphic to the 2-core, and each component
+    of it that still has enough branch vertices goes through
+    find_planar_embedding, so every positive answer is Euler-checked.
     """
+    if _few_branch_vertices(len(a) for a in g.adj):
+        return True
+    adj = [set(a) for a in g.adj]
+    stack = [v for v in range(g.n) if len(adj[v]) <= 1]
+    while stack:
+        v = stack.pop()
+        for u in adj[v]:
+            adj[u].discard(v)
+            if len(adj[u]) == 1:
+                stack.append(u)
+        adj[v].clear()
+    if _few_branch_vertices(len(a) for a in adj):
+        return True
+    for v in range(g.n):
+        if len(adj[v]) == 2:
+            a, b = adj[v]
+            if b not in adj[a]:
+                adj[a].discard(v)
+                adj[b].discard(v)
+                adj[a].add(b)
+                adj[b].add(a)
+                adj[v].clear()
+    seen = [False] * g.n
+    for s in range(g.n):
+        if seen[s] or not adj[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        for u in comp:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        if _few_branch_vertices(len(adj[v]) for v in comp):
+            continue
+        new_of = {v: i for i, v in enumerate(comp)}
+        kernel = Graph(len(comp), [(new_of[v], new_of[w]) for v in comp for w in adj[v] if v < w])
+        if find_planar_embedding(kernel) is None:
+            return False
+    return True
+
+
+def _few_branch_vertices(degrees) -> bool:
+    """True when the degrees rule out a subdivided K3,3 (six of degree
+    >= 3) and a subdivided K5 (five of degree >= 4)."""
+    deg3 = deg4 = 0
+    for d in degrees:
+        if d >= 3:
+            deg3 += 1
+            if d >= 4:
+                deg4 += 1
+    return deg3 < 6 and deg4 < 5
+
+
+def check_degree_and_girth(g: Graph) -> None:
+    """Raise NotInClass unless g is subcubic with girth at least 6."""
     if not is_subcubic(g):
         raise NotInClass("graph has a vertex of degree above 3")
     if not girth_at_least(g, 6):
         raise NotInClass("girth is below 6")
-    rot: list = [()] * g.n
-    for comp in components(g):
-        sub, old_ids = induced_subgraph(g, comp)
-        rs = find_planar_embedding(sub)
-        if rs is None:
-            raise NotInClass("graph is not planar")
-        for i, row in enumerate(rs.rot):
-            rot[old_ids[i]] = tuple(old_ids[u] for u in row)
-    return RotationSystem(tuple(rot))
+
+
+def check_class(g: Graph) -> None:
+    """Raise NotInClass unless g is subcubic, of girth at least 6 and planar.
+
+    g may be disconnected.  Planarity is decided by is_planar, so most
+    class members pass without any embedding being built; callers that
+    need a rotation system call check_degree_and_girth and then
+    find_planar_embedding themselves.
+    """
+    check_degree_and_girth(g)
+    if not is_planar(g):
+        raise NotInClass("graph is not planar")

@@ -216,6 +216,21 @@ def test_audit_rejects_out_of_class():
         discharge_audit(heawood)
 
 
+def test_audit_keeps_the_class_messages_and_the_full_embedding():
+    heawood_edges = [(i, (i + 1) % 14) for i in range(14)]
+    heawood_edges += [(i, (i + (5 if i % 2 == 0 else -5)) % 14) for i in range(14)]
+    heawood = Graph(14, sorted({(min(u, v), max(u, v)) for u, v in heawood_edges}))
+    with pytest.raises(NotInClass, match="^graph is not planar$"):
+        discharge_audit(heawood)
+    with pytest.raises(NotInClass, match="^girth is below 6$"):
+        discharge_audit(cycle(5))
+    with pytest.raises(NotInClass, match="^graph has a vertex of degree above 3$"):
+        discharge_audit(Graph(5, [(0, i) for i in range(1, 5)]))
+    # The faces come from networkx's embedding of the whole graph.
+    g = named("subdivided-prism")[0]
+    assert discharge_audit(g).face_count == len(faces_of(g))
+
+
 def test_audit_needs_no_spacing_witness(monkeypatch):
     # claim3 only asks whether a close pair exists; the witness cycle
     # search behind it backtracks for seconds on this instance.

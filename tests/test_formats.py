@@ -1,6 +1,7 @@
 """Tests for graph and list serialization."""
 
 import random
+import tracemalloc
 
 import pytest
 import networkx as nx
@@ -114,7 +115,16 @@ def test_graph6_round_trip_large_square():
     g = square(named("c3000")[0])
     line = to_graph6(g)
     assert len(line) == 4 + (3000 * 2999 // 2 + 5) // 6
-    assert from_graph6(line) == g
+    # Decoding must take O(n + m) memory, not one item per vertex pair
+    # (4.5 million here).
+    tracemalloc.start()
+    try:
+        decoded = from_graph6(line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decoded == g
+    assert peak < 8 * 2**20
 
 
 def test_graph6_rejects_bad_input():

@@ -340,3 +340,19 @@ def test_random_instance_outputs_are_frozen():
     for seed, want in enumerate(RANDOM_150_SHA256):
         line = to_graph6(random_instance(GeneratorSpec(max_n=150, seed=seed)))
         assert hashlib.sha256(line.encode()).hexdigest() == want, seed
+
+
+# sha256 of the graph6 lines ("<g6>\n" each) of two enumerations, frozen
+# before planarity in the generator moved to the cubic kernel.
+ENUMERATION_SHA256 = {
+    (11, 6, True): (376, "326b3bcd486fc49b0c1b7fdbcab4669c42f18205890a5bcb30d9193c9240fb5a"),
+    (9, 4, False): (754, "24506da682876125e649be65cb39fd669e152f55e2c23e37b358f162b736f2e2"),
+}
+
+
+def test_enumeration_outputs_are_frozen():
+    for (max_n, min_girth, connectivity), (count, want) in ENUMERATION_SHA256.items():
+        spec = GeneratorSpec(max_n=max_n, min_girth=min_girth, connectivity=connectivity)
+        lines = [to_graph6(g) + "\n" for g in enumerate_class(spec)]
+        assert len(lines) == count
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == want, spec

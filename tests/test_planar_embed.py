@@ -2,17 +2,24 @@
 
 import random
 
+import networkx as nx
 import pytest
 
-from sqcolor.errors import InconsistentRotation
-from sqcolor.generate import named
-from sqcolor.graph_core import Graph
+from oracles import to_nx
+
+from sqcolor import planar_embed
+from sqcolor.errors import InconsistentRotation, NotInClass
+from sqcolor.generate import _disjoint_union, named, subdivide_edge
+from sqcolor.graph_core import Graph, girth, is_subcubic
 from sqcolor.planar_embed import (
     RotationSystem,
+    check_class,
     euler_genus_check,
     faces,
     find_planar_embedding,
+    is_planar,
 )
+from sqcolor.reducer import color_square_7lists
 
 
 def embed(g):
@@ -128,3 +135,142 @@ def test_embedding_subdivision_of_k5_stays_nonplanar():
         nxt += 1
     g = Graph(nxt, edges)
     assert find_planar_embedding(g) is None
+
+
+# --- is_planar: the cubic-kernel decision ---
+
+
+def core_three_vertices(g):
+    """Vertices of degree 3 in the 2-core, by networkx."""
+    core = nx.k_core(to_nx(g), 2)
+    return sum(1 for _, d in core.degree() if d >= 3)
+
+
+@pytest.fixture
+def planarity_calls(monkeypatch):
+    """Record the graphs networkx's planarity test is asked about."""
+    seen = []
+    real = nx.check_planarity
+
+    def record(h, *args, **kwargs):
+        seen.append(h.copy())
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(planar_embed.nx, "check_planarity", record)
+    return seen
+
+
+def random_subcubic(rng, n, m):
+    deg = [0] * n
+    edges = set()
+    for _ in range(20 * m):
+        if len(edges) >= m:
+            break
+        u, v = rng.randrange(n), rng.randrange(n)
+        e = (min(u, v), max(u, v))
+        if u != v and e not in edges and deg[u] < 3 and deg[v] < 3:
+            edges.add(e)
+            deg[u] += 1
+            deg[v] += 1
+    return Graph(n, sorted(edges))
+
+
+def decorate(rng, g):
+    """Subdivide random edges into long 2-paths and hang pendant trees."""
+    for _ in range(rng.randrange(2 * g.m + 1)):
+        u, v = rng.choice(g.edges())
+        g = subdivide_edge(g, u, v)
+    for _ in range(rng.randrange(0, 8)):
+        open_vertices = [v for v in range(g.n) if g.degree(v) < 3]
+        if not open_vertices:
+            break
+        g = Graph(g.n + 1, g.edges() + [(rng.choice(open_vertices), g.n)])
+    return g
+
+
+def test_is_planar_matches_networkx_on_random_subcubic_graphs(planarity_calls):
+    rng = random.Random(2024)
+    answers = {True: 0, False: 0}
+    disconnected = 0
+    for _ in range(2000):
+        parts = []
+        for _ in range(rng.choice((1, 1, 1, 2, 3))):
+            k = rng.randint(1, 16)
+            m = rng.randint(0, 3 * k // 2) if rng.random() < 0.5 else 3 * k // 2
+            parts.append(decorate(rng, random_subcubic(rng, k, m)))
+        g = _disjoint_union(parts)
+        assert is_subcubic(g)
+        want = nx.check_planarity(to_nx(g))[0]
+        del planarity_calls[:]
+        assert is_planar(g) is want
+        if core_three_vertices(g) < 6:
+            assert not planarity_calls
+        answers[want] += 1
+        if g.n and not nx.is_connected(to_nx(g)):
+            disconnected += 1
+    assert answers[True] > 500 and answers[False] > 300, answers
+    assert disconnected > 500, disconnected
+
+
+def heawood():
+    return Graph(14, sorted(nx.heawood_graph().edges()))
+
+
+def test_is_planar_on_k33_with_every_edge_subdivided(planarity_calls):
+    k33 = Graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    g = k33
+    for u, v in k33.edges():
+        g = subdivide_edge(g, u, v)
+    assert girth(g) == 8
+    assert core_three_vertices(g) == 6
+    assert is_planar(g) is False
+    # The kernel is K3,3 itself: the splice takes every subdivision out.
+    assert [(h.number_of_nodes(), h.number_of_edges()) for h in planarity_calls] == [(6, 9)]
+
+
+def test_is_planar_on_heawood_with_a_pendant_path(planarity_calls):
+    g = subdivide_edge(heawood(), 0, 1)
+    g = Graph(g.n + 3, g.edges() + [(14, 15), (15, 16), (16, 17)])
+    assert is_subcubic(g)
+    assert is_planar(g) is False
+    assert [h.number_of_nodes() for h in planarity_calls] == [14]
+
+
+def test_is_planar_on_planar_graphs_with_six_three_vertices(planarity_calls):
+    graphs = [named(name)[0] for name in ("prism6", "subdivided-prism", "dodecahedron")]
+    del planarity_calls[:]
+    for g in graphs:
+        assert core_three_vertices(g) >= 6
+        assert is_planar(g) is True
+    assert [h.number_of_nodes() for h in planarity_calls] == [12, 12, 20]
+
+
+def test_is_planar_on_a_disjoint_union_with_heawood():
+    g = _disjoint_union([named("c6")[0], heawood()])
+    assert girth(g) == 6
+    assert is_planar(g) is False
+    with pytest.raises(NotInClass, match="^graph is not planar$"):
+        check_class(g)
+    with pytest.raises(NotInClass, match="^graph is not planar$"):
+        color_square_7lists(g, [list(range(1, 8))] * g.n)
+    assert is_planar(_disjoint_union([named("c6")[0], named("subdivided-prism")[0], Graph(1, [])]))
+
+
+def test_is_planar_on_graphs_of_higher_degree():
+    k5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    wheel = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+    assert is_planar(k5) is False
+    assert is_planar(_disjoint_union([k5, named("c6")[0]])) is False
+    assert is_planar(wheel) is True
+    assert is_planar(Graph(0, [])) is True
+
+
+def test_check_class_messages():
+    assert check_class(named("subdivided-prism")[0]) is None
+    k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    with pytest.raises(NotInClass, match="^graph has a vertex of degree above 3$"):
+        check_class(Graph(5, [(0, i) for i in range(1, 5)]))
+    with pytest.raises(NotInClass, match="^girth is below 6$"):
+        check_class(k4)
+    with pytest.raises(NotInClass, match="^graph is not planar$"):
+        check_class(heawood())

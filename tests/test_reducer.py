@@ -15,7 +15,7 @@ from sqcolor.errors import (
     NotTwoVertex,
     PreconditionViolated,
 )
-from sqcolor.generate import GeneratorSpec, named, random_instance
+from sqcolor.generate import GeneratorSpec, enumerate_class, named, random_instance
 from sqcolor.graph_core import Graph, girth, square
 from sqcolor.reducer import (
     A,
@@ -622,6 +622,21 @@ def test_class_checks_never_run_whole_graph_girth(corpus12, monkeypatch):
         assert discharge_audit(g).dichotomy_holds
     g = random_instance(GeneratorSpec(max_n=150, seed=0))
     assert g.n <= 150
+
+
+def test_coloring_needs_no_planarity_test(monkeypatch):
+    # No subcubic graph of girth >= 6 with at most 10 vertices, and no
+    # cycle, has six 3-vertices in its 2-core, so neither the enumeration
+    # nor the class check reaches networkx.
+    def refuse(*args, **kwargs):
+        raise AssertionError("networkx planarity ran")
+
+    c3000 = named("c3000")[0]  # named() embeds its fixture
+    monkeypatch.setattr("sqcolor.planar_embed.nx.check_planarity", refuse)
+    graphs = list(enumerate_class(GeneratorSpec(max_n=10)))
+    assert len(graphs) == 163
+    for g in graphs + [c3000]:
+        assert_colors(g, FULL * g.n, color_square_7lists(g, FULL * g.n))
 
 
 def test_splice_of_a_two_vertex_on_a_long_cycle():
