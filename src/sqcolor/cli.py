@@ -26,7 +26,6 @@ from .discharging import discharge_audit, describe_config, render_audit
 from .errors import (
     BudgetExceeded,
     GenerationFailed,
-    ListTooSmall,
     NotCutVertex,
     NotTwoVertex,
     ParseError,
@@ -337,7 +336,6 @@ def main(argv=None) -> int:
         PreconditionViolated,
         NotTwoVertex,
         NotCutVertex,
-        ListTooSmall,
         UnknownName,
         GenerationFailed,
     ) as exc:

@@ -7,6 +7,7 @@ and deterministic; budgets are node counts, never wall clock.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -112,24 +113,29 @@ def greedy_extend(g: Graph, coloring: Sequence[Optional[int]], v: int, lists: Se
 
 
 def degeneracy(g: Graph) -> tuple[int, list[int]]:
-    """Return (d, order): repeated minimum-degree removal.
+    """Return (d, order): repeated minimum-degree removal, ties to the
+    smallest vertex.
 
     Every vertex has at most d neighbors later in the order, so coloring
     the order in reverse meets at most d colored neighbors per step.
     """
-    n = g.n
     deg = [len(a) for a in g.adj]
-    removed = [False] * n
+    heap = [(dv, v) for v, dv in enumerate(deg)]
+    heapq.heapify(heap)
+    removed = [False] * g.n
     order = []
     d = 0
-    for _ in range(n):
-        v = min((x for x in range(n) if not removed[x]), key=lambda x: (deg[x], x))
-        d = max(d, deg[v])
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if removed[v]:
+            continue  # a stale entry: v's current (deg, v) came off first
+        d = max(d, dv)
         order.append(v)
         removed[v] = True
         for u in g.adj[v]:
             if not removed[u]:
                 deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
     return d, order
 
 

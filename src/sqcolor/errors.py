@@ -48,8 +48,13 @@ class NotCutVertex(ValueError):
     """The chosen vertex is not a cut vertex."""
 
 
-class ListTooSmall(ValueError):
-    """A color list is smaller than the operation requires."""
+class ListTooSmall(PreconditionViolated):
+    """A color list is smaller than the operation requires.
+
+    The square colorer and the six-cycle engine need every list to hold
+    at least 7 colors; the message reads "vertex v has a list of size
+    k < 7".
+    """
 
 
 class PartialColoring(ValueError):

@@ -4,6 +4,13 @@ Vertices are dense integers 0..n-1.  Graphs are simple (no loops, no
 parallel edges) and immutable after construction; derived graphs are new
 objects.  Infinite distances and infinite girth use math.inf, which is
 deliberately distinct from every natural number and compares correctly.
+
+Each primitive has one implementation here: the distance-2
+neighbourhood (square_neighbors), the component walk
+(adjacency_components) and the blocks (biconnected_components), from
+which the cut vertices are read off.  The first two take any adjacency
+sequence, so the reducer's and the planarity test's mutable adjacencies
+of sets use them too.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ INF = math.inf
 class Graph:
     """Undirected simple graph with sorted adjacency."""
 
-    __slots__ = ("n", "adj", "_adjsets", "_square")
+    __slots__ = ("n", "adj", "_square")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -34,7 +41,6 @@ class Graph:
             adjsets[u].add(v)
             adjsets[v].add(u)
         self.n = n
-        self._adjsets = tuple(frozenset(s) for s in adjsets)
         self.adj = tuple(tuple(sorted(s)) for s in adjsets)
         self._square = None
 
@@ -49,7 +55,7 @@ class Graph:
         return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adjsets[u]
+        return v in self.adj[u]
 
     def edges(self) -> list[tuple[int, int]]:
         """Return all edges as (u, v) pairs with u < v, sorted."""
@@ -99,71 +105,53 @@ def bfs_distances(g: Graph, source: int) -> list[float]:
 
 def distance(g: Graph, u: int, v: int) -> float:
     """Return the length of a shortest u-v path, math.inf if none."""
-    if u == v:
-        return 0
-    seen = {u}
-    q = deque([(u, 0)])
-    while q:
-        x, d = q.popleft()
-        for w in g.adj[x]:
-            if w == v:
-                return d + 1
-            if w not in seen:
-                seen.add(w)
-                q.append((w, d + 1))
-    return INF
+    return bfs_distances(g, u)[v]
+
+
+def adjacency_components(adj: Sequence[Iterable[int]]) -> list[list[int]]:
+    """Return the components of adj, one list each in breadth-first order
+    from its smallest vertex; adj[v] holds the neighbours of v."""
+    seen = [False] * len(adj)
+    out = []
+    for s in range(len(adj)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        for u in comp:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        out.append(comp)
+    return out
 
 
 def is_connected(g: Graph) -> bool:
     """Return True when the graph has one component (true for n <= 1)."""
-    if g.n <= 1:
-        return True
-    seen = {0}
-    q = deque([0])
-    while q:
-        u = q.popleft()
-        for w in g.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                q.append(w)
-    return len(seen) == g.n
+    return len(adjacency_components(g.adj)) <= 1
 
 
 def components(g: Graph) -> list[list[int]]:
     """Return the vertex sets of the connected components, sorted."""
-    seen = [False] * g.n
-    out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    q.append(w)
-        out.append(sorted(comp))
-    return out
+    return [sorted(comp) for comp in adjacency_components(g.adj)]
+
+
+def square_neighbors(adj: Sequence[Iterable[int]], v: int) -> set[int]:
+    """Return the vertices at distance 1 or 2 from v; adj[u] holds the
+    neighbours of u."""
+    near = set(adj[v])
+    for u in adj[v]:
+        near.update(adj[u])
+    near.discard(v)
+    return near
 
 
 def square(g: Graph) -> Graph:
     """Return the square graph: edges between vertices at distance 1 or 2."""
     if g._square is not None:
         return g._square
-    edges = []
-    for u in range(g.n):
-        near = set()
-        for w in g.adj[u]:
-            near.add(w)
-            near.update(g._adjsets[w])
-        near.discard(u)
-        for v in near:
-            if u < v:
-                edges.append((u, v))
+    edges = [(u, v) for u in range(g.n) for v in square_neighbors(g.adj, u) if u < v]
     sq = Graph(g.n, edges)
     g._square = sq
     return sq
@@ -219,55 +207,21 @@ def _shortest_cycle(g: Graph, cap: float) -> float:
 
 def m1_m2(g: Graph, v: int) -> tuple[int, int]:
     """Count degree-2 vertices at distance exactly 1 and exactly 2 from v."""
-    d1 = set(g.adj[v])
-    d2 = set()
-    for w in d1:
-        d2.update(g._adjsets[w])
-    d2 -= d1
-    d2.discard(v)
+    d1 = g.adj[v]
+    d2 = square_neighbors(g.adj, v).difference(d1)
     m1 = sum(1 for w in d1 if len(g.adj[w]) == 2)
     m2 = sum(1 for w in d2 if len(g.adj[w]) == 2)
     return m1, m2
 
 
 def cut_vertices(g: Graph) -> set[int]:
-    """Return the articulation points, via iterative DFS lowpoints."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    cuts = set()
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        timer = 0
-        root_children = 0
-        stack = [(root, -1, iter(g.adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if disc[w] == -1:
-                    if u == root:
-                        root_children += 1
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, u, iter(g.adj[w])))
-                    advanced = True
-                    break
-                low[u] = min(low[u], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if p != root and low[u] >= disc[p]:
-                        cuts.add(p)
-        if root_children >= 2:
-            cuts.add(root)
+    """Return the articulation points: the vertices that lie in two or
+    more blocks of biconnected_components(g)."""
+    seen: set[int] = set()
+    cuts: set[int] = set()
+    for block in biconnected_components(g):
+        cuts |= block & seen
+        seen |= block
     return cuts
 
 
@@ -276,50 +230,41 @@ def biconnected_components(g: Graph) -> list[set[int]]:
 
     Bridges show up as 2-vertex blocks.  Two vertices lie on a common
     cycle exactly when some block with at least 3 vertices contains both.
+    Iterative lowpoint DFS: vertices are stacked as they are discovered,
+    and when a child u of p finishes with low[u] >= disc[p], p and the
+    vertices stacked from u on form a block.
     """
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    edge_stack: list[tuple[int, int]] = []
+    disc = [-1] * g.n
+    low = [0] * g.n
     blocks: list[set[int]] = []
-    for root in range(n):
+    timer = 0
+    for root in range(g.n):
         if disc[root] != -1:
             continue
-        timer = 0
-        stack = [(root, -1, iter(g.adj[root]))]
         disc[root] = low[root] = timer
         timer += 1
+        found = [root]
+        stack = [(root, -1, iter(g.adj[root]), 0)]
         while stack:
-            u, parent, it = stack[-1]
-            advanced = False
+            u, parent, it, at = stack[-1]
             for w in it:
-                if w == parent:
-                    continue
                 if disc[w] == -1:
-                    edge_stack.append((u, w))
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, u, iter(g.adj[w])))
-                    advanced = True
+                    stack.append((w, u, iter(g.adj[w]), len(found)))
+                    found.append(w)
                     break
-                if disc[w] < disc[u]:
-                    edge_stack.append((u, w))
-                    low[u] = min(low[u], disc[w])
-            if not advanced:
+                if w != parent and disc[w] < low[u]:
+                    low[u] = disc[w]
+            else:
                 stack.pop()
                 if stack:
                     p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
                     if low[u] >= disc[p]:
-                        block = set()
-                        while edge_stack:
-                            x, y = edge_stack.pop()
-                            block.add(x)
-                            block.add(y)
-                            if (x, y) == (p, u):
-                                break
-                        if block:
-                            blocks.append(block)
+                        blocks.append({p, *found[at:]})
+                        del found[at:]
+                    elif low[u] < low[p]:
+                        low[p] = low[u]
     return blocks
 
 

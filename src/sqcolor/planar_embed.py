@@ -26,6 +26,7 @@ import networkx as nx
 from .errors import InconsistentRotation, NotInClass
 from .graph_core import (
     Graph,
+    adjacency_components,
     girth_at_least,
     is_connected,
     is_subcubic,
@@ -157,17 +158,7 @@ def is_planar(g: Graph) -> bool:
                 adj[a].add(b)
                 adj[b].add(a)
                 adj[v].clear()
-    seen = [False] * g.n
-    for s in range(g.n):
-        if seen[s] or not adj[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        for u in comp:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
+    for comp in adjacency_components(adj):
         if _few_branch_vertices(len(adj[v]) for v in comp):
             continue
         new_of = {v: i for i, v in enumerate(comp)}

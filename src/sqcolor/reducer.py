@@ -24,6 +24,7 @@ from .graph_core import (
     is_subcubic,
     m1_m2,
     square,
+    square_neighbors,
 )
 from .planar_embed import check_class
 
@@ -190,36 +191,29 @@ def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleConfig]:
         if g.degree(v6) != 2:
             continue
         x, y = sorted(g.neighbors(v6))
-        # Look for a path x .. y of length 4 avoiding v6; together with
-        # x-v6-y it closes a six-cycle.
-        path = _path_of_length(g.adj, x, y, 4, forbidden={v6})
+        # A path x .. y of 4 edges avoiding v6 closes a six-cycle with x-v6-y.
+        path = _four_path(g.adj, x, y, v6)
         if path is not None:
-            cycle = tuple(path) + (v6,)
-            return SixCycleConfig(cycle=cycle, two_vertex=5, host=g)
+            return SixCycleConfig(cycle=(*path, v6), two_vertex=5, host=g)
     return None
 
 
-def _path_of_length(adj, src: int, dst: int, length: int, forbidden: Iterable[int]) -> Optional[list]:
-    """First simple src-dst path with exactly `length` edges, in the order
-    of the adjacency adj (lexicographic for a Graph's sorted adj)."""
-    path = [src]
-    used = {src} | set(forbidden)
-
-    def dfs(v: int, left: int) -> bool:
-        if left == 0:
-            return v == dst
-        for u in adj[v]:
-            if u in used or (u == dst and left > 1):
+def _four_path(adj, x: int, y: int, avoid: int) -> Optional[tuple]:
+    """First path (x, a, b, c, y) of 4 edges on distinct vertices, none of
+    them avoid, in the order of the adjacency adj (lexicographic for a
+    Graph's sorted adj); avoid is neither x nor y.  When x and y are the
+    neighbours of avoid at girth >= 6, only the tests against going back
+    (b != x, c != a) can fire; the others rule out shorter cycles."""
+    for a in adj[x]:
+        if a == y or a == avoid:
+            continue
+        for b in adj[a]:
+            if b == x or b == y or b == avoid:
                 continue
-            used.add(u)
-            path.append(u)
-            if dfs(u, left - 1):
-                return True
-            path.pop()
-            used.discard(u)
-        return False
-
-    return path if dfs(src, length) else None
+            for c in adj[b]:
+                if c != a and c != x and c != avoid and y in adj[c]:
+                    return (x, a, b, c, y)
+    return None
 
 
 def _cycle_through(g: Graph, block: set, u: int, w: int) -> tuple:
@@ -308,15 +302,6 @@ def find_reducible_config(g: Graph):
         if (d == 3 and score > 2) or (d == 2 and score > 0):
             return TwoVertexCrowding(v, m1, m2)
     return None
-
-
-def _square_neighbors(adj, v: int) -> set:
-    """Vertices at distance 1 or 2 from v."""
-    near = set(adj[v])
-    for u in adj[v]:
-        near.update(adj[u])
-    near.discard(v)
-    return near
 
 
 def _free_color(colors: frozenset, f: Sequence[Optional[int]], near: Iterable[int]) -> int:
@@ -413,7 +398,7 @@ def _extend_sixcycle(cyc: tuple, lists, f: list, near: dict) -> None:
 def _host_view(cfg: SixCycleConfig) -> tuple[tuple, dict]:
     """The ordered cycle of cfg and the square-neighborhoods of its vertices."""
     cyc = cfg.ordered()
-    return cyc, {v: _square_neighbors(cfg.host.adj, v) for v in cyc}
+    return cyc, {v: square_neighbors(cfg.host.adj, v) for v in cyc}
 
 
 def available_lists(cfg: SixCycleConfig, L: Sequence[Iterable[int]], phi: Sequence[Optional[int]]) -> AvailableLists:
@@ -423,13 +408,18 @@ def available_lists(cfg: SixCycleConfig, L: Sequence[Iterable[int]], phi: Sequen
     Callers reach this only on the branch where the two neighbors of the
     2-vertex around the cycle received the same color.
     """
-    g = cfg.host
+    lists = _seven_lists(cfg.host, L)
+    cyc, near = _host_view(cfg)
+    return _available(cyc, lists, phi, near)
+
+
+def _seven_lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
+    """The frozen lists of g; ListTooSmall unless each has >= 7 colors."""
     lists = normalize_lists(g, L)
     for v in range(g.n):
         if len(lists[v]) < 7:
-            raise ListTooSmall(f"vertex {v} has a list of size {len(lists[v])}")
-    cyc, near = _host_view(cfg)
-    return _available(cyc, lists, phi, near)
+            raise ListTooSmall(f"vertex {v} has a list of size {len(lists[v])} < 7")
+    return lists
 
 
 def _invariant(cond: bool, msg: str) -> None:
@@ -476,10 +466,7 @@ def extend_sixcycle(cfg: SixCycleConfig, L: Sequence[Iterable[int]], phi: Sequen
     g = cfg.host
     if not is_subcubic(g):
         raise PreconditionViolated("host must be subcubic")
-    lists = normalize_lists(g, L)
-    for v in range(g.n):
-        if len(lists[v]) < 7:
-            raise PreconditionViolated(f"vertex {v} has a list of size {len(lists[v])} < 7")
+    lists = _seven_lists(g, L)
     cyc, near = _host_view(cfg)
     _check_phi(g, square(g), lists, phi, cyc[0], cyc[4], cyc[5])
     f = list(phi)
@@ -537,7 +524,7 @@ def _peel(adj: list) -> list:
         rule, cycle = LEAF, None
         if len(nbrs) == 2:
             x, y = nbrs
-            path = _path_of_length(adj, x, y, 4, forbidden=())
+            path = _four_path(adj, x, y, v)
             if path is None:
                 _invariant(y not in adj[x], "a splice never doubles an edge at girth >= 6")
                 adj[x].add(y)
@@ -568,9 +555,9 @@ def _lift(adj: list, records: list, lists) -> list:
         for u in nbrs:
             adj[u].add(v)
         if rule == SIXCYCLE:
-            _extend_sixcycle(cycle, lists, f, {w: _square_neighbors(adj, w) for w in cycle})
+            _extend_sixcycle(cycle, lists, f, {w: square_neighbors(adj, w) for w in cycle})
         else:
-            f[v] = _free_color(lists[v], f, _square_neighbors(adj, v))
+            f[v] = _free_color(lists[v], f, square_neighbors(adj, v))
     return f
 
 
@@ -586,10 +573,7 @@ def color_square_7lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
     AssertionError.
     """
     check_class(g)
-    lists = normalize_lists(g, L)
-    for v in range(g.n):
-        if len(lists[v]) < 7:
-            raise PreconditionViolated(f"vertex {v} has a list of size {len(lists[v])} < 7")
+    lists = _seven_lists(g, L)
     adj = [set(a) for a in g.adj]
     f = _lift(adj, _peel(adj), lists)
     _invariant(

@@ -133,3 +133,22 @@ def relabel(g, perm):
 def random_lists(rng, n, size, universe):
     """One random list assignment: size colors per vertex, drawn from universe."""
     return [sorted(rng.sample(universe, size)) for _ in range(n)]
+
+
+def degeneracy_by_scan(g):
+    """(d, order) by repeated minimum-degree removal, scanning every
+    remaining vertex for the minimum (deg, v) at each step."""
+    n = g.n
+    deg = [len(a) for a in g.adj]
+    removed = [False] * n
+    order = []
+    d = 0
+    for _ in range(n):
+        v = min((x for x in range(n) if not removed[x]), key=lambda x: (deg[x], x))
+        d = max(d, deg[v])
+        order.append(v)
+        removed[v] = True
+        for u in g.adj[v]:
+            if not removed[u]:
+                deg[u] -= 1
+    return d, order

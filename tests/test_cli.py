@@ -93,8 +93,9 @@ def test_color_structured(tmp_path, capsys):
 
 
 def test_color_rejects_short_lists(tmp_path, capsys):
-    code, out = run(capsys, ["color", "--lists", "uniform:6", c6_file(tmp_path)])
+    code = main(["color", "--lists", "uniform:6", c6_file(tmp_path)])
     assert code == 1
+    assert capsys.readouterr().err == "error: vertex 0 has a list of size 6 < 7\n"
 
 
 def test_color_with_lists_file(tmp_path, capsys):
@@ -111,6 +112,16 @@ def test_choosable_even_cycle(tmp_path, capsys):
     code, out = run(capsys, ["choosable", "-k", "2", c6_file(tmp_path)])
     assert code == 0
     assert out.splitlines()[0] == "verdict=choosable"
+
+
+def test_choosable_long_cycle_by_degeneracy(tmp_path, capsys):
+    # Degeneracy 2 < 3 decides it without a search; a degeneracy that
+    # rescans every remaining vertex per step spends about a minute on it.
+    n = 20000
+    path = write_fixture(tmp_path, "c20000.txt", write_graph_text(Graph(n, [(i, (i + 1) % n) for i in range(n)])))
+    code, out = run(capsys, ["choosable", "-k", "3", path])
+    assert code == 0
+    assert out == "verdict=choosable\nnodes=0\n"
 
 
 def test_choosable_odd_cycle_witness(tmp_path, capsys):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import brute_colorable, graphs_in_class, naive_choosable, random_lists
+from oracles import brute_colorable, degeneracy_by_scan, graphs_in_class, naive_choosable, random_lists
 
 from sqcolor.coloring import (
     CHOOSABLE,
@@ -112,6 +112,18 @@ def test_degeneracy_order_property(corpus12):
         for v in order:
             later = sum(1 for w in g.adj[v] if position[w] > position[v])
             assert later <= d
+
+
+def test_degeneracy_matches_the_scan(corpus12):
+    rng = random.Random(41)
+    graphs = [named(name)[0] for name in ("q3", "petersen", "dodecahedron", "honeycomb-3", "p5")]
+    graphs += corpus12[::20] + [complete(k) for k in range(1, 7)]
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        p = rng.random() * 0.4
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    for g in graphs:
+        assert degeneracy(g) == degeneracy_by_scan(g)
 
 
 def test_choosability_of_even_cycles():

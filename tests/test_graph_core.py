@@ -180,6 +180,28 @@ def test_cut_vertices_matches_networkx(corpus12):
     assert cut_vertices(g) == {0, 7, 14}
 
 
+def random_mixed_graph(rng):
+    """A random graph with isolated vertices, trees, bridges and cycles."""
+    n = rng.randint(1, 30)
+    edges = {(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.6}
+    for _ in range(rng.randint(0, n // 3) if n >= 2 else 0):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph(n, edges)
+
+
+def test_blocks_and_components_match_networkx_on_disconnected_input(subcubic9):
+    rng = random.Random(17)
+    graphs = subcubic9 + [random_mixed_graph(rng) for _ in range(500)]
+    assert sum(1 for g in graphs if not is_connected(g)) > 500
+    for g in graphs:
+        h = to_nx(g)
+        assert cut_vertices(g) == set(nx.articulation_points(h))
+        assert sorted(map(sorted, biconnected_components(g))) == sorted(map(sorted, nx.biconnected_components(h)))
+        assert components(g) == sorted(sorted(c) for c in nx.connected_components(h))
+        assert is_connected(g) == (nx.number_connected_components(h) <= 1)
+
+
 def test_biconnected_components_cover_cyclic_blocks():
     g = named("two-heptagons")[0]
     blocks = [b for b in biconnected_components(g) if len(b) >= 3]

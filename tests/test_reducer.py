@@ -16,7 +16,7 @@ from sqcolor.errors import (
     PreconditionViolated,
 )
 from sqcolor.generate import GeneratorSpec, enumerate_class, named, random_instance
-from sqcolor.graph_core import Graph, girth, square
+from sqcolor.graph_core import Graph, girth, girth_at_least, square
 from sqcolor.reducer import (
     A,
     ALPHA,
@@ -40,6 +40,7 @@ from sqcolor.reducer import (
     find_spacing_violation,
     reduce_cut_two_vertex,
     verify_lemma2_tables,
+    _four_path,
     _peel,
 )
 
@@ -182,6 +183,44 @@ def test_find_sixcycle_on_subdivided_prism():
 def test_find_sixcycle_respects_girth_gate():
     assert find_sixcycle_two_vertex(named("prism6")[0]) is None
     assert find_sixcycle_two_vertex(cycle(7)) is None
+
+
+def first_four_path_by_walks(adj, x, y, avoid):
+    """First of all 4-edge walks from x, listed in adjacency order, that
+    ends at y on five distinct vertices without avoid."""
+    walks = [(x,)]
+    for _ in range(4):
+        walks = [w + (u,) for w in walks for u in adj[w[-1]]]
+    return next((w for w in walks if w[-1] == y and len(set(w)) == 5 and avoid not in w), None)
+
+
+def test_four_path_is_the_first_path_in_adjacency_order(subcubic9):
+    rng = random.Random(5)
+    found_below_six = 0
+    for g in subcubic9:
+        below_six = not girth_at_least(g, 6)
+        adjs = [g.adj, [tuple(rng.sample(a, len(a))) for a in g.adj], [set(a) for a in g.adj]]
+        cases = []
+        for v in range(g.n):
+            if g.degree(v) == 2:
+                cases.append((*g.adj[v], v))
+        if g.n >= 3:
+            for _ in range(4):
+                x, y, other = rng.sample(range(g.n), 3)
+                cases += [(x, y, -1), (x, y, other)]
+        for adj in adjs:
+            for x, y, avoid in cases:
+                want = first_four_path_by_walks(adj, x, y, avoid)
+                assert _four_path(adj, x, y, avoid) == want, (g.adj, x, y, avoid)
+                found_below_six += want is not None and below_six
+        # The peel's case: v is already gone from a set adjacency.
+        for v in range(g.n):
+            if g.degree(v) == 2:
+                adj = [set(a) - {v} for a in g.adj]
+                adj[v] = set()
+                x, y = g.adj[v]
+                assert _four_path(adj, x, y, v) == first_four_path_by_walks(adj, x, y, v)
+    assert found_below_six > 100
 
 
 # --- reducible configuration detection ---
@@ -330,8 +369,9 @@ def test_available_lists_requires_size_seven():
     g = cycle(6)
     cfg = hexagon_config(g)
     phi = [1, 2, 3, 4, 1, None]
-    with pytest.raises(ListTooSmall):
+    with pytest.raises(ListTooSmall, match=r"^vertex 0 has a list of size 6 < 7$"):
         available_lists(cfg, [list(range(6))] * 6, phi)
+    assert issubclass(ListTooSmall, PreconditionViolated)
 
 
 # --- the recoloring engine on hand-built fixtures ---
