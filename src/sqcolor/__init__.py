@@ -62,7 +62,6 @@ from .graph_core import (
     girth_at_least,
     is_connected,
     is_subcubic,
-    m1_m2,
     max_degree,
     square,
 )
@@ -79,10 +78,8 @@ from .reducer import (
     AvailableLists,
     CutTwoVertex,
     OneVertex,
-    SixCycleConfig,
     SixCycleTwoVertex,
     SpacingViolation,
-    TwoVertexCrowding,
     available_lists,
     color_square_7lists,
     extend_sixcycle,

@@ -26,11 +26,8 @@ from .discharging import discharge_audit, describe_config, render_audit
 from .errors import (
     BudgetExceeded,
     GenerationFailed,
-    NotCutVertex,
-    NotTwoVertex,
     ParseError,
     PreconditionViolated,
-    UnknownName,
 )
 from .formats import (
     parse_graphs,
@@ -41,9 +38,8 @@ from .formats import (
     write_graph_text,
 )
 from .generate import GeneratorSpec, enumerate_class, named, random_instance
-from .graph_core import INF, Graph, girth, square
+from .graph_core import INF, Graph, cut_vertices, girth, square
 from .reducer import (
-    CutTwoVertex,
     color_square_7lists,
     find_reducible_config,
     reduce_cut_two_vertex,
@@ -147,10 +143,9 @@ def _run_find_config(g: Graph, args) -> tuple[int, str]:
 def _run_reduce(g: Graph, args) -> tuple[int, str]:
     u = args.vertex
     if u is None:
-        cfg = find_reducible_config(g)
-        if not isinstance(cfg, CutTwoVertex):
+        u = min((v for v in cut_vertices(g) if g.degree(v) == 2), default=None)
+        if u is None:
             return EXIT_VIOLATED, "error=no cut 2-vertex found\n"
-        u = cfg.u
     H = reduce_cut_two_vertex(g, u)
     x, y = sorted(g.neighbors(u))
     head = f"removed={u}\nedge={x},{y}\n"
@@ -332,13 +327,7 @@ def main(argv=None) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"error: resource limit reached ({type(exc).__name__})", file=sys.stderr)
         return EXIT_BUDGET
-    except (
-        PreconditionViolated,
-        NotTwoVertex,
-        NotCutVertex,
-        UnknownName,
-        GenerationFailed,
-    ) as exc:
+    except (PreconditionViolated, GenerationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATED
     except (OSError, ValueError) as exc:

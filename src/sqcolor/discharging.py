@@ -229,10 +229,8 @@ def describe_config(cfg) -> str:
     if isinstance(cfg, reducer.CutTwoVertex):
         return f"cut_two_vertex u={cfg.u} x={cfg.x} y={cfg.y}"
     if isinstance(cfg, reducer.SixCycleTwoVertex):
-        cyc = ",".join(str(v) for v in cfg.config.cycle)
-        return f"sixcycle_two_vertex cycle={cyc} two_vertex={cfg.config.cycle[cfg.config.two_vertex]}"
-    if isinstance(cfg, reducer.TwoVertexCrowding):
-        return f"two_vertex_crowding v={cfg.v} m1={cfg.m1} m2={cfg.m2}"
+        cyc = ",".join(str(v) for v in cfg.cycle)
+        return f"sixcycle_two_vertex cycle={cyc} two_vertex={cfg.cycle[5]}"
     if isinstance(cfg, reducer.SpacingViolation):
         cyc = ",".join(str(v) for v in cfg.cycle)
         return f"spacing_violation u={cfg.u} w={cfg.w} dist={cfg.dist} cycle={cyc}"

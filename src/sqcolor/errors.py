@@ -40,11 +40,11 @@ class GenerationFailed(RuntimeError):
     """Randomized instance growth gave up after bounded retries."""
 
 
-class NotTwoVertex(ValueError):
+class NotTwoVertex(PreconditionViolated):
     """The chosen vertex does not have degree exactly 2."""
 
 
-class NotCutVertex(ValueError):
+class NotCutVertex(PreconditionViolated):
     """The chosen vertex is not a cut vertex."""
 
 
@@ -65,5 +65,5 @@ class InconsistentRotation(ValueError):
     """A rotation system does not match the graph's adjacency."""
 
 
-class UnknownName(KeyError):
+class UnknownName(PreconditionViolated):
     """No catalog entry under the requested name."""

@@ -25,7 +25,7 @@ INF = math.inf
 class Graph:
     """Undirected simple graph with sorted adjacency."""
 
-    __slots__ = ("n", "adj", "_square")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -42,7 +42,6 @@ class Graph:
             adjsets[v].add(u)
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in adjsets)
-        self._square = None
 
     @property
     def m(self) -> int:
@@ -149,12 +148,8 @@ def square_neighbors(adj: Sequence[Iterable[int]], v: int) -> set[int]:
 
 def square(g: Graph) -> Graph:
     """Return the square graph: edges between vertices at distance 1 or 2."""
-    if g._square is not None:
-        return g._square
     edges = [(u, v) for u in range(g.n) for v in square_neighbors(g.adj, u) if u < v]
-    sq = Graph(g.n, edges)
-    g._square = sq
-    return sq
+    return Graph(g.n, edges)
 
 
 def girth(g: Graph) -> float:
@@ -203,15 +198,6 @@ def _shortest_cycle(g: Graph, cap: float) -> float:
                     if cand < best:
                         best = cand
     return best
-
-
-def m1_m2(g: Graph, v: int) -> tuple[int, int]:
-    """Count degree-2 vertices at distance exactly 1 and exactly 2 from v."""
-    d1 = g.adj[v]
-    d2 = square_neighbors(g.adj, v).difference(d1)
-    m1 = sum(1 for w in d1 if len(g.adj[w]) == 2)
-    m2 = sum(1 for w in d2 if len(g.adj[w]) == 2)
-    return m1, m2
 
 
 def cut_vertices(g: Graph) -> set[int]:

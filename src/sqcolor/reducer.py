@@ -1,10 +1,12 @@
 """Reducible configurations, the six-cycle recoloring engine, and coloring.
 
-Detects local structures that let a square list-coloring of a smaller
-graph extend to the whole graph (find-config and the charge audit use
-them), and colors the square of an in-class graph by the proof's three
-rules: drop a leaf, splice a 2-vertex, or recolor around a six-cycle
-with a 2-vertex.
+Detects the paper's four reducible configurations, one type each: a
+vertex of degree <= 1 (OneVertex), a cut 2-vertex (CutTwoVertex), a
+2-vertex on a six-cycle (SixCycleTwoVertex), and two 2-vertices within
+distance 3 on a common cycle (SpacingViolation).  find-config and the
+charge audit report them.  Colors the square of an in-class graph by
+the proof's three rules: drop a leaf, splice a 2-vertex, or recolor
+around a six-cycle with a 2-vertex.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .coloring import is_proper, normalize_lists
+from .coloring import normalize_lists
 from .errors import ListTooSmall, NotCutVertex, NotTwoVertex, PreconditionViolated
 from .graph_core import (
     Graph,
@@ -22,8 +24,6 @@ from .graph_core import (
     distance,
     girth_at_least,
     is_subcubic,
-    m1_m2,
-    square,
     square_neighbors,
 )
 from .planar_embed import check_class
@@ -55,37 +55,6 @@ RECOLORING_ROWS: dict[tuple[frozenset, frozenset, frozenset], tuple] = {
 
 # Within-cycle pairs that are square-adjacent when the girth is >= 6.
 SQUARE_PAIRS = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3), (2, 4), (0, 4))
-
-
-@dataclass(frozen=True)
-class SixCycleConfig:
-    """A six-cycle whose entry two_vertex points at a degree-2 vertex."""
-
-    cycle: tuple
-    two_vertex: int
-    host: Graph
-
-    def ordered(self) -> tuple:
-        """Cycle vertices rotated so the degree-2 vertex comes last."""
-        k = self.two_vertex
-        return tuple(self.cycle[(k + 1 + i) % 6] for i in range(6))
-
-    def validate(self) -> None:
-        g = self.host
-        cyc = self.cycle
-        if len(cyc) != 6 or len(set(cyc)) != 6:
-            raise PreconditionViolated("cycle must list six distinct vertices")
-        for i in range(6):
-            u, v = cyc[i], cyc[(i + 1) % 6]
-            if not (0 <= u < g.n) or not (0 <= v < g.n) or not g.has_edge(u, v):
-                raise PreconditionViolated(f"missing cycle edge {u}-{v}")
-        if not (0 <= self.two_vertex < 6):
-            raise PreconditionViolated("two_vertex must index into the cycle")
-        v6 = self.cycle[self.two_vertex]
-        if g.degree(v6) != 2:
-            raise PreconditionViolated(f"vertex {v6} has degree {g.degree(v6)}, not 2")
-        if not girth_at_least(g, 6):
-            raise PreconditionViolated("host girth is below 6")
 
 
 @dataclass(frozen=True)
@@ -125,34 +94,40 @@ class CutTwoVertex:
 
 @dataclass(frozen=True)
 class SixCycleTwoVertex:
-    config: SixCycleConfig
+    """A six-cycle (v1, ..., v6) of host whose last vertex v6 has degree 2.
+
+    The recoloring engine reads the cycle in this order: v1 and v5 are
+    the neighbours of the 2-vertex v6.
+    """
+
+    cycle: tuple
+    host: Graph
+
+    def validate(self) -> None:
+        """Raise PreconditionViolated unless host has girth >= 6 and cycle
+        is a six-cycle of host ending at a 2-vertex."""
+        g = self.host
+        cyc = self.cycle
+        if len(cyc) != 6 or len(set(cyc)) != 6:
+            raise PreconditionViolated("cycle must list six distinct vertices")
+        for i in range(6):
+            u, v = cyc[i], cyc[(i + 1) % 6]
+            if not (0 <= u < g.n) or not (0 <= v < g.n) or not g.has_edge(u, v):
+                raise PreconditionViolated(f"missing cycle edge {u}-{v}")
+        v6 = cyc[5]
+        if g.degree(v6) != 2:
+            raise PreconditionViolated(f"vertex {v6} has degree {g.degree(v6)}, not 2")
+        if not girth_at_least(g, 6):
+            raise PreconditionViolated("host girth is below 6")
 
     def verify(self, g: Graph) -> bool:
-        if self.config.host is not g and self.config.host != g:
+        if self.host is not g and self.host != g:
             return False
         try:
-            self.config.validate()
+            self.validate()
         except PreconditionViolated:
             return False
         return True
-
-
-@dataclass(frozen=True)
-class TwoVertexCrowding:
-    """Too many 2-vertices within distance two of v."""
-
-    v: int
-    m1: int
-    m2: int
-
-    def verify(self, g: Graph) -> bool:
-        if not 0 <= self.v < g.n:
-            return False
-        if m1_m2(g, self.v) != (self.m1, self.m2):
-            return False
-        d = g.degree(self.v)
-        score = 2 * self.m1 + self.m2
-        return (d == 3 and score > 2) or (d == 2 and score > 0)
 
 
 @dataclass(frozen=True)
@@ -183,7 +158,7 @@ class SpacingViolation:
         )
 
 
-def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleConfig]:
+def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleTwoVertex]:
     """Find a six-cycle through a 2-vertex; requires host girth >= 6."""
     if not girth_at_least(g, 6):
         return None
@@ -194,7 +169,7 @@ def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleConfig]:
         # A path x .. y of 4 edges avoiding v6 closes a six-cycle with x-v6-y.
         path = _four_path(g.adj, x, y, v6)
         if path is not None:
-            return SixCycleConfig(cycle=(*path, v6), two_vertex=5, host=g)
+            return SixCycleTwoVertex(cycle=(*path, v6), host=g)
     return None
 
 
@@ -272,11 +247,26 @@ def find_spacing_violation(g: Graph) -> Optional[SpacingViolation]:
 
 
 def find_reducible_config(g: Graph):
-    """First reducible structure in preference order, or None.
+    """The first of the paper's four reducible configurations, or None.
 
-    Constructively reducible variants come first: degree-<=1 vertex,
-    cut 2-vertex, six-cycle with a 2-vertex; the two counting variants
-    witness out-of-class crowding and only gate fallback search.
+    Checked in this order: a vertex of degree <= 1, a cut 2-vertex, a
+    2-vertex on a six-cycle, two 2-vertices within distance 3 on a
+    common cycle.  None is possible only out of class.
+
+    Proof that an in-class graph G with n >= 1 has one of the four.
+    Suppose it has none.  No vertex has degree <= 1.  Take an end block
+    B of a component: a block with at most one cut vertex c.  B is not
+    a bridge, since its far end would be a leaf, so B is 2-connected and
+    every face of its plane embedding is a cycle of length l >= 6.
+    Every vertex of B other than c has all its edges in B; if c exists,
+    it has degree 2 in B.  Charge each vertex 2 d_B - 6 and each face
+    l - 6; by Euler the total is -12.  Each face pays 1 to every
+    degree-2 vertex of B on it, so degree-2 vertices end at 0.  A face
+    holds at most floor(l/4) of G's 2-vertices, since any two of them
+    are >= 4 apart on a common cycle; it holds none if l = 6 (six-cycle
+    rule), and it holds c at most once.  So every face ends at >= -1,
+    and only the <= 2 faces holding c can be negative: the total is
+    >= -2, not -12.
     """
     for v in range(g.n):
         if g.degree(v) <= 1:
@@ -288,20 +278,8 @@ def find_reducible_config(g: Graph):
             return CutTwoVertex(u, x, y)
     cfg = find_sixcycle_two_vertex(g)
     if cfg is not None:
-        return SixCycleTwoVertex(cfg)
-    # Spacing first: a close pair on a cycle always puts some vertex
-    # over the crowding threshold too, so the other order would never
-    # surface a spacing witness.
-    sv = find_spacing_violation(g)
-    if sv is not None:
-        return sv
-    for v in range(g.n):
-        m1, m2 = m1_m2(g, v)
-        score = 2 * m1 + m2
-        d = g.degree(v)
-        if (d == 3 and score > 2) or (d == 2 and score > 0):
-            return TwoVertexCrowding(v, m1, m2)
-    return None
+        return cfg
+    return find_spacing_violation(g)
 
 
 def _free_color(colors: frozenset, f: Sequence[Optional[int]], near: Iterable[int]) -> int:
@@ -309,6 +287,12 @@ def _free_color(colors: frozenset, f: Sequence[Optional[int]], near: Iterable[in
     free = colors - {f[u] for u in near}
     _invariant(bool(free), "a vertex with at most 6 square-neighbors has a free color")
     return min(free)
+
+
+def _fits(f: Sequence[Optional[int]], lists, v: int, near: Iterable[int]) -> bool:
+    """f[v] lies in the list of v and differs from f[u] for every u in near."""
+    color = f[v]
+    return color in lists[v] and all(f[u] != color for u in near)
 
 
 def _available(cyc: tuple, lists, phi: Sequence[Optional[int]], near: dict) -> AvailableLists:
@@ -377,31 +361,25 @@ def _recoloring(cyc: tuple, avail: AvailableLists) -> dict:
     return new
 
 
-def _extend_sixcycle(cyc: tuple, lists, f: list, near: dict) -> None:
+def _extend_sixcycle(cyc: tuple, lists, f: list, adj) -> None:
     """Color the 2-vertex v6 of the six-cycle cyc = (v1, ..., v6) in f.
 
     f colors the host minus v6 properly in its square, except that v1
-    and v5 may share a color; near[v] is the host square-neighborhood of
-    each cycle vertex.  If v1 and v5 differ in color, v6 is colored
-    greedily; otherwise v1..v5 are recolored first (_recoloring).
+    and v5 may share a color; adj is the host adjacency.  If v1 and v5
+    differ in color, v6 is colored greedily; otherwise v1..v5 are
+    recolored first (_recoloring).
     """
+    near = {v: square_neighbors(adj, v) for v in cyc}
     v1, v5, v6 = cyc[0], cyc[4], cyc[5]
     if f[v1] == f[v5]:
         for v, color in _recoloring(cyc, _available(cyc, lists, f, near)).items():
             f[v] = color
     f[v6] = _free_color(lists[v6], f, near[v6])
     for v in cyc:
-        _invariant(f[v] in lists[v], "extension left some list")
-        _invariant(all(f[u] != f[v] for u in near[v]), "extension produced an improper square coloring")
+        _invariant(_fits(f, lists, v, near[v]), "extension must stay in the lists and proper on the square")
 
 
-def _host_view(cfg: SixCycleConfig) -> tuple[tuple, dict]:
-    """The ordered cycle of cfg and the square-neighborhoods of its vertices."""
-    cyc = cfg.ordered()
-    return cyc, {v: square_neighbors(cfg.host.adj, v) for v in cyc}
-
-
-def available_lists(cfg: SixCycleConfig, L: Sequence[Iterable[int]], phi: Sequence[Optional[int]]) -> AvailableLists:
+def available_lists(cfg: SixCycleTwoVertex, L: Sequence[Iterable[int]], phi: Sequence[Optional[int]]) -> AvailableLists:
     """Per-vertex colors not used by colored square-neighbors off the cycle.
 
     phi colors every vertex except the cycle's 2-vertex (entry None).
@@ -409,8 +387,8 @@ def available_lists(cfg: SixCycleConfig, L: Sequence[Iterable[int]], phi: Sequen
     2-vertex around the cycle received the same color.
     """
     lists = _seven_lists(cfg.host, L)
-    cyc, near = _host_view(cfg)
-    return _available(cyc, lists, phi, near)
+    near = {v: square_neighbors(cfg.host.adj, v) for v in cfg.cycle}
+    return _available(cfg.cycle, lists, phi, near)
 
 
 def _seven_lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
@@ -427,7 +405,7 @@ def _invariant(cond: bool, msg: str) -> None:
         raise AssertionError(f"recoloring invariant failed: {msg}")
 
 
-def _check_phi(g: Graph, sq: Graph, lists, phi, v1: int, v5: int, v6: int) -> None:
+def _check_phi(g: Graph, lists, phi, v1: int, v5: int, v6: int) -> None:
     """phi must be a proper list coloring of the square of g minus v6."""
     if len(phi) != g.n:
         raise PreconditionViolated("coloring length does not match host")
@@ -445,7 +423,7 @@ def _check_phi(g: Graph, sq: Graph, lists, phi, v1: int, v5: int, v6: int) -> No
     for u in range(g.n):
         if u == v6:
             continue
-        for w in sq.adj[u]:
+        for w in sorted(square_neighbors(g.adj, u)):
             if w <= u or w == v6:
                 continue
             if {u, w} == {v1, v5}:
@@ -454,23 +432,23 @@ def _check_phi(g: Graph, sq: Graph, lists, phi, v1: int, v5: int, v6: int) -> No
                 raise PreconditionViolated(f"square edge {u}-{w} is monochromatic")
 
 
-def extend_sixcycle(cfg: SixCycleConfig, L: Sequence[Iterable[int]], phi: Sequence[Optional[int]]) -> list:
-    """Extend a square coloring of host minus the 2-vertex to the host square.
+def extend_sixcycle(cfg: SixCycleTwoVertex, L: Sequence[Iterable[int]], phi: Sequence[Optional[int]]) -> list:
+    """Extend a square coloring of host minus the 2-vertex v6 to the host square.
 
-    Decision tree: if the cycle neighbors of the 2-vertex differ in
-    color, coloring the 2-vertex greedily suffices.  Otherwise recolor
-    by an escape or a table row (_recoloring) first.  Never fails on
-    valid input.
+    cfg.cycle = (v1, ..., v6) ends at the 2-vertex, so v1 and v5 are its
+    neighbours.  Decision tree: if v1 and v5 differ in color, coloring
+    v6 greedily suffices.  Otherwise recolor by an escape or a table row
+    (_recoloring) first.  Never fails on valid input.
     """
     cfg.validate()
     g = cfg.host
     if not is_subcubic(g):
         raise PreconditionViolated("host must be subcubic")
     lists = _seven_lists(g, L)
-    cyc, near = _host_view(cfg)
-    _check_phi(g, square(g), lists, phi, cyc[0], cyc[4], cyc[5])
+    v1, _, _, _, v5, v6 = cfg.cycle
+    _check_phi(g, lists, phi, v1, v5, v6)
     f = list(phi)
-    _extend_sixcycle(cyc, lists, f, near)
+    _extend_sixcycle(cfg.cycle, lists, f, g.adj)
     return f
 
 
@@ -555,7 +533,7 @@ def _lift(adj: list, records: list, lists) -> list:
         for u in nbrs:
             adj[u].add(v)
         if rule == SIXCYCLE:
-            _extend_sixcycle(cycle, lists, f, {w: square_neighbors(adj, w) for w in cycle})
+            _extend_sixcycle(cycle, lists, f, adj)
         else:
             f[v] = _free_color(lists[v], f, square_neighbors(adj, v))
     return f
@@ -577,7 +555,7 @@ def color_square_7lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
     adj = [set(a) for a in g.adj]
     f = _lift(adj, _peel(adj), lists)
     _invariant(
-        is_proper(square(g), f) and all(f[v] in lists[v] for v in range(g.n)),
+        all(_fits(f, lists, v, square_neighbors(g.adj, v)) for v in range(g.n)),
         "final certificate: the coloring must be proper on the square and inside the lists",
     )
     return f

@@ -73,7 +73,7 @@ def test_criterion_2_recoloring_sweep(corpus12, capsys):
         if cfg is None:
             continue
         hosts += 1
-        v_cycle = cfg.ordered()
+        v_cycle = cfg.cycle
         v1, v5, v6 = v_cycle[0], v_cycle[4], v_cycle[5]
         sq_g = square(g)
         host, old_ids = remove_vertex(g, v6)

@@ -195,6 +195,17 @@ def test_reduce_structured(tmp_path, capsys):
     assert from_graph6(lines[3].removeprefix("graph=")).n == 14
 
 
+def test_reduce_finds_cut_two_vertex_beside_a_leaf(tmp_path, capsys):
+    # A leaf comes first in find-config, but reduce wants a cut 2-vertex.
+    path = write_fixture(tmp_path, "p5.txt", write_graph_text(named("p5")[0]))
+    code, out = run(capsys, ["reduce", path])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["removed=1", "edge=0,2"]
+    got, _ = parse_one_graph("\n".join(lines[2:]) + "\n")
+    assert got == Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
 def test_reduce_requires_cut_two_vertex(tmp_path, capsys):
     code, _ = run(capsys, ["reduce", c6_file(tmp_path)])
     assert code == 1
@@ -252,8 +263,14 @@ def test_generate_named(capsys):
 
 
 def test_generate_unknown_name(capsys):
-    code, _ = run(capsys, ["generate", "--name", "mystery"])
+    code = main(["generate", "--name", "mystery"])
+    captured = capsys.readouterr()
     assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unknown fixture 'mystery'; try c<k>, p<k>, q3, prism6, dodecahedron,"
+        " petersen, honeycomb-<k>, subdivided-prism, two-heptagons\n"
+    )
 
 
 def test_generate_random_deterministic(capsys):

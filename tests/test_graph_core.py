@@ -22,7 +22,6 @@ from sqcolor.graph_core import (
     induced_subgraph,
     is_connected,
     is_subcubic,
-    m1_m2,
     max_degree,
     remove_vertex,
     square,
@@ -106,11 +105,6 @@ def test_square_matches_bfs_oracle_on_corpus(corpus12):
         assert frozenset(square(g).edges()) == square_edges_bfs(g)
 
 
-def test_square_memoized_identity():
-    g = cycle(7)
-    assert square(g) is square(g)
-
-
 def test_girth_fixtures():
     assert girth(cycle(5)) == 5
     assert girth(cycle(6)) == 6
@@ -150,26 +144,6 @@ def test_girth_at_least_on_long_cycles():
     assert girth_at_least(cycle(3000), 6)
     assert not girth_at_least(cycle(5), 6)
     assert girth_at_least(path(3000), 6)
-
-
-def test_m1_m2_on_subdivided_prism():
-    g = named("subdivided-prism")[0]
-    two = [v for v in range(g.n) if g.degree(v) == 2]
-    assert len(two) == 6
-    v = two[0]
-    m1, m2 = m1_m2(g, v)
-    assert m1 == 0
-    assert m2 == 0
-    x = g.adj[v][0]
-    m1x, m2x = m1_m2(g, x)
-    assert m1x == 1
-    assert m2x >= 1
-
-
-def test_m1_m2_on_cycle():
-    g = cycle(6)
-    for v in range(6):
-        assert m1_m2(g, v) == (2, 2)
 
 
 def test_cut_vertices_matches_networkx(corpus12):

@@ -16,7 +16,8 @@ from sqcolor.errors import (
     PreconditionViolated,
 )
 from sqcolor.generate import GeneratorSpec, enumerate_class, named, random_instance
-from sqcolor.graph_core import Graph, girth, girth_at_least, square
+from sqcolor.graph_core import Graph, girth, girth_at_least, induced_subgraph, square
+from sqcolor.planar_embed import check_class
 from sqcolor.reducer import (
     A,
     ALPHA,
@@ -27,10 +28,8 @@ from sqcolor.reducer import (
     SPLICE,
     CutTwoVertex,
     OneVertex,
-    SixCycleConfig,
     SixCycleTwoVertex,
     SpacingViolation,
-    TwoVertexCrowding,
     available_lists,
     check_lemma2_row,
     color_square_7lists,
@@ -41,6 +40,7 @@ from sqcolor.reducer import (
     reduce_cut_two_vertex,
     verify_lemma2_tables,
     _four_path,
+    _lift,
     _peel,
 )
 
@@ -143,41 +143,28 @@ def test_check_lemma2_row_mutations_never_pass_silently():
 # --- six-cycle configuration plumbing ---
 
 
-def test_sixcycle_config_ordered_rotation():
-    g = cycle(6)
-    cfg = SixCycleConfig(cycle=(1, 2, 3, 4, 5, 0), two_vertex=5, host=g)
-    assert cfg.ordered() == (1, 2, 3, 4, 5, 0)
-    cfg2 = SixCycleConfig(cycle=(0, 1, 2, 3, 4, 5), two_vertex=2, host=g)
-    assert cfg2.ordered() == (3, 4, 5, 0, 1, 2)
-
-
 def test_sixcycle_config_validate_errors():
     g = cycle(6)
     with pytest.raises(PreconditionViolated):
-        SixCycleConfig(cycle=(0, 1, 2, 3, 4, 4), two_vertex=5, host=g).validate()
+        SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 4), host=g).validate()
     with pytest.raises(PreconditionViolated):
-        SixCycleConfig(cycle=(0, 1, 2, 3, 5, 4), two_vertex=5, host=g).validate()
-    with pytest.raises(PreconditionViolated):
-        SixCycleConfig(cycle=(0, 1, 2, 3, 4, 5), two_vertex=9, host=g).validate()
+        SixCycleTwoVertex(cycle=(0, 1, 2, 3, 5, 4), host=g).validate()
     small = cycle(5)
     with pytest.raises(PreconditionViolated):
-        SixCycleConfig(cycle=(0, 1, 2, 3, 4, 0), two_vertex=0, host=small).validate()
+        SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 0), host=small).validate()
 
 
 def test_find_sixcycle_on_c6():
     cfg = hexagon_config(cycle(6))
     assert cfg.cycle == (1, 2, 3, 4, 5, 0)
-    assert cfg.two_vertex == 5
     cfg.validate()
-    assert cfg.ordered()[5] == 0
 
 
 def test_find_sixcycle_on_subdivided_prism():
     g = named("subdivided-prism")[0]
     cfg = hexagon_config(g)
     cfg.validate()
-    v6 = cfg.cycle[cfg.two_vertex]
-    assert g.degree(v6) == 2
+    assert g.degree(cfg.cycle[5]) == 2
 
 
 def test_find_sixcycle_respects_girth_gate():
@@ -315,17 +302,9 @@ def test_spacing_witness_on_a_long_cycle():
     assert got.verify(g)
 
 
-def test_crowding_verify():
-    g = cycle(7)
-    assert TwoVertexCrowding(0, 2, 2).verify(g)
-    assert not TwoVertexCrowding(0, 0, 0).verify(g)
-    prism = named("prism6")[0]
-    assert not TwoVertexCrowding(0, 0, 0).verify(prism)
-
-
 def test_config_detection_matches_frozen_corpus_profile(corpus12):
     counts = {"OneVertex": 0, "CutTwoVertex": 0, "SixCycleTwoVertex": 0,
-              "SpacingViolation": 0, "TwoVertexCrowding": 0, "none": 0}
+              "SpacingViolation": 0, "none": 0}
     for g in corpus12:
         got = find_reducible_config(g)
         counts[type(got).__name__ if got is not None else "none"] += 1
@@ -336,9 +315,45 @@ def test_config_detection_matches_frozen_corpus_profile(corpus12):
         "CutTwoVertex": 0,
         "SixCycleTwoVertex": 44,
         "SpacingViolation": 17,
-        "TwoVertexCrowding": 0,
         "none": 0,
     }
+
+
+def two_core(g):
+    """g with vertices of degree <= 1 stripped until none is left."""
+    adj = [set(a) for a in g.adj]
+    gone = set()
+    work = [v for v in range(g.n) if len(adj[v]) <= 1]
+    while work:
+        v = work.pop()
+        if v in gone:
+            continue
+        gone.add(v)
+        for u in adj[v]:
+            adj[u].discard(v)
+            if len(adj[u]) <= 1:
+                work.append(u)
+        adj[v] = set()
+    return induced_subgraph(g, [v for v in range(g.n) if v not in gone])[0]
+
+
+def test_every_in_class_graph_has_one_of_the_four_configs(corpus12):
+    # find_reducible_config's docstring proves that no in-class graph
+    # with n >= 1 lacks all four; leafless cores reach the cut 2-vertex.
+    graphs = list(corpus12)
+    for s in range(50):
+        core = two_core(random_instance(GeneratorSpec(max_n=150, seed=s)))
+        if core.n:
+            check_class(core)
+            graphs.append(core)
+    graphs += [named(name)[0] for name in ("c3000", "honeycomb-50", "subdivided-prism", "two-heptagons")]
+    seen = set()
+    for g in graphs:
+        got = find_reducible_config(g)
+        assert isinstance(got, (OneVertex, CutTwoVertex, SixCycleTwoVertex, SpacingViolation)), g.edges()
+        assert got.verify(g)
+        seen.add(type(got))
+    assert seen == {OneVertex, CutTwoVertex, SixCycleTwoVertex, SpacingViolation}
 
 
 # --- available lists ---
@@ -348,7 +363,7 @@ def test_available_lists_with_no_externals_is_whole_list():
     g = cycle(6)
     cfg = hexagon_config(g)
     phi = [None] * 6
-    v1, v2, v3, v4, v5, v6 = cfg.ordered()
+    v1, v2, v3, v4, v5, v6 = cfg.cycle
     phi[v1], phi[v2], phi[v3], phi[v4], phi[v5] = 1, 2, 3, 4, 1
     avail = available_lists(cfg, FULL * 6, phi)
     assert all(avail.C[v] == frozenset(range(7)) for v in cfg.cycle)
@@ -359,7 +374,7 @@ def test_available_lists_requires_matching_end_colors():
     g = cycle(6)
     cfg = hexagon_config(g)
     phi = [None] * 6
-    v1, v2, v3, v4, v5, v6 = cfg.ordered()
+    v1, v2, v3, v4, v5, v6 = cfg.cycle
     phi[v1], phi[v2], phi[v3], phi[v4], phi[v5] = 1, 2, 3, 4, 5
     with pytest.raises(PreconditionViolated):
         available_lists(cfg, FULL * 6, phi)
@@ -397,13 +412,13 @@ def pendant_phi(externals):
 def fixture_config(g):
     cfg = find_sixcycle_two_vertex(g)
     assert cfg is not None
-    assert cfg.ordered() == (1, 2, 3, 4, 5, 0) or cfg.ordered()[5] == 5
+    assert cfg.cycle == (1, 2, 3, 4, 5, 0) or cfg.cycle[5] == 5
     return cfg
 
 
 def run_fixture(externals):
     g = pendant_hexagon()
-    cfg = SixCycleConfig(cycle=(0, 1, 2, 3, 4, 5), two_vertex=5, host=g)
+    cfg = SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 5), host=g)
     cfg.validate()
     phi = pendant_phi(externals)
     f = extend_sixcycle(cfg, FULL * 21, phi)
@@ -432,7 +447,7 @@ def test_table_fixture_variant_b():
 
 def test_fixture_available_lists_variant_a():
     g = pendant_hexagon()
-    cfg = SixCycleConfig(cycle=(0, 1, 2, 3, 4, 5), two_vertex=5, host=g)
+    cfg = SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 5), host=g)
     avail = available_lists(cfg, FULL * 21, pendant_phi(VARIANT_A))
     assert avail.C[0] == frozenset({0, 1, 2})
     assert avail.C[1] == frozenset({1, 2})
@@ -480,7 +495,7 @@ def test_escape_at_v4_recolors_v5_to_c():
 
 def test_branch_one_keeps_coloring():
     g = cycle(6)
-    cfg = SixCycleConfig(cycle=(0, 1, 2, 3, 4, 5), two_vertex=5, host=g)
+    cfg = SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 5), host=g)
     phi = [1, 2, 3, 1, 2, None]
     f = extend_sixcycle(cfg, FULL * 6, phi)
     assert f[:5] == [1, 2, 3, 1, 2]
@@ -490,7 +505,7 @@ def test_branch_one_keeps_coloring():
 
 def test_bare_hexagon_escape():
     g = cycle(6)
-    cfg = SixCycleConfig(cycle=(0, 1, 2, 3, 4, 5), two_vertex=5, host=g)
+    cfg = SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 5), host=g)
     phi = [1, 2, 3, 4, 1, None]
     f = extend_sixcycle(cfg, FULL * 6, phi)
     assert f == [0, 2, 3, 4, 1, 3]
@@ -499,7 +514,7 @@ def test_bare_hexagon_escape():
 
 def test_extend_rejects_improper_phi():
     g = cycle(6)
-    cfg = SixCycleConfig(cycle=(0, 1, 2, 3, 4, 5), two_vertex=5, host=g)
+    cfg = SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 5), host=g)
     with pytest.raises(PreconditionViolated):
         extend_sixcycle(cfg, FULL * 6, [1, 1, 3, 4, 1, None])
     with pytest.raises(PreconditionViolated):
@@ -512,7 +527,7 @@ def test_extend_rejects_improper_phi():
 
 def test_extend_rejects_small_lists():
     g = cycle(6)
-    cfg = SixCycleConfig(cycle=(0, 1, 2, 3, 4, 5), two_vertex=5, host=g)
+    cfg = SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 5), host=g)
     with pytest.raises(PreconditionViolated):
         extend_sixcycle(cfg, [list(range(6))] * 6, [1, 2, 3, 4, 1, None])
 
@@ -524,7 +539,7 @@ def test_extend_sweep_on_sixcycle_hosts(corpus12):
     assert len(hosts) == 470
     for g in rng.sample(hosts, 25):
         cfg = find_sixcycle_two_vertex(g)
-        v6 = cfg.cycle[cfg.two_vertex]
+        v6 = cfg.cycle[5]
         sq = square(g)
         for trial in range(6):
             lists = [sorted(rng.sample(range(1, 15), 7)) for _ in range(g.n)]
@@ -612,6 +627,22 @@ def test_color_square_rejects_out_of_class():
         color_square_7lists(k4, FULL * 4)
     with pytest.raises(PreconditionViolated):
         color_square_7lists(cycle(6), [list(range(6))] * 6)
+
+
+@pytest.mark.parametrize("v, color", [(2, "clash"), (3, 99)])
+def test_final_certificate_rejects_a_bad_lift(monkeypatch, v, color):
+    # Vertex 2 takes the color of vertex 0, at distance 2 on c6; or
+    # vertex 3 takes a color outside its list.
+    lift = _lift
+
+    def bad_lift(adj, records, lists):
+        f = lift(adj, records, lists)
+        f[v] = f[0] if color == "clash" else color
+        return f
+
+    monkeypatch.setattr("sqcolor.reducer._lift", bad_lift)
+    with pytest.raises(AssertionError, match="final certificate"):
+        color_square_7lists(cycle(6), FULL * 6)
 
 
 def test_color_square_rejects_nonplanar_girth_six():
