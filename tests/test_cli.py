@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -337,6 +338,20 @@ def test_verify_lemma2_structured_header(capsys):
     assert code == 0
     assert out.splitlines()[0] == "sqcolor-report 1"
     assert len(out.splitlines()) == 13
+
+
+# sha256 of the stdout of `sqcolor verify-lemma2` with these flags.
+LEMMA2_SHA256 = {
+    (): "422ac36f8d977a95adf7d7a2bc65f0589fe41d503068a228c2a4e32dc92bd6dc",
+    ("--structured",): "9a3c4afd6f25459e55744353014313b337f45571161bcbb90331c4c93e49eced",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(LEMMA2_SHA256))
+def test_verify_lemma2_output_is_frozen(capsys, flags):
+    code, out = run(capsys, ["verify-lemma2", *flags])
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == LEMMA2_SHA256[flags]
 
 
 def test_console_entry_point_runs():

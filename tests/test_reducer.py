@@ -30,6 +30,7 @@ from sqcolor.reducer import (
     OneVertex,
     SixCycleTwoVertex,
     SpacingViolation,
+    AvailableLists,
     available_lists,
     check_lemma2_row,
     color_square_7lists,
@@ -42,6 +43,7 @@ from sqcolor.reducer import (
     _four_path,
     _lift,
     _peel,
+    _recoloring,
 )
 
 
@@ -138,6 +140,48 @@ def test_check_lemma2_row_mutations_never_pass_silently():
                 if check_lemma2_row(c2, c3, c4, mutated) is None:
                     assert all(mutated[j] in sets[j] for j in range(5))
                     assert all(mutated[p] != mutated[q] for p, q in SQUARE_PAIRS)
+
+
+# --- every branch of the recoloring engine ---
+
+# The cycle (v1, ..., v6) on scattered vertex ids, the colors that the
+# symbols stand for, and a spare color d.
+CYC = (5, 2, 7, 0, 3, 8)
+COLOR = {ALPHA: 10, A: 11, B: 12, C: 13, "d": 14}
+# (x2, x3, x4): C(v2) = {a, x2}, C(v3) = {b, x3}, C(v4) = {c, x4}.
+TABLE_KEYS = [(x2, x3, x4) for x2 in (B, C) for x4 in (A, B) for x3 in (A, C, ALPHA)]
+ESCAPES = [  # (index of the cycle vertex given the spare color d, new colors)
+    (0, {0: "d"}),
+    (4, {4: "d"}),
+    (1, {1: "d", 0: A}),
+    (2, {2: "d", 0: B}),
+    (3, {3: "d", 4: C}),
+]
+
+
+def engine_cases():
+    for key in TABLE_KEYS:
+        row = RECOLORING_ROWS[(frozenset({A, key[0]}), frozenset({B, key[1]}), frozenset({C, key[2]}))]
+        yield pytest.param(key, None, dict(enumerate(row)), id="row-" + "-".join(key))
+    for spare_at, new in ESCAPES:
+        yield pytest.param(TABLE_KEYS[0], spare_at, new, id=f"escape-v{spare_at + 1}")
+
+
+@pytest.mark.parametrize("key, spare_at, new", engine_cases())
+def test_recoloring_reaches_every_branch(key, spare_at, new):
+    # A table situation: v1 and v5 wear alpha, v2, v3, v4 wear a, b, c;
+    # one spare color at a vertex of v1..v5 opens that vertex's escape.
+    x2, x3, x4 = (COLOR[s] for s in key)
+    alpha, a, b, c, d = (COLOR[s] for s in (ALPHA, A, B, C, "d"))
+    avail = [{a, b, alpha}, {a, x2}, {b, x3}, {c, x4}, {b, c, alpha}, set(range(20, 25))]
+    if spare_at is not None:
+        avail[spare_at].add(d)
+    Cv = {v: frozenset(s) for v, s in zip(CYC, avail)}
+    f = [None] * 9
+    for v, color in zip(CYC, (alpha, a, b, c, alpha)):
+        f[v] = color
+    got = _recoloring(CYC, AvailableLists(C=Cv, alpha=alpha, a=a, b=b, c=c))
+    assert got == {CYC[i]: COLOR[s] for i, s in new.items()}
 
 
 # --- six-cycle configuration plumbing ---
