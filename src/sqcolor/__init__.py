@@ -75,12 +75,10 @@ from .planar_embed import (
     is_planar,
 )
 from .reducer import (
-    AvailableLists,
     CutTwoVertex,
     OneVertex,
     SixCycleTwoVertex,
     SpacingViolation,
-    available_lists,
     color_square_7lists,
     extend_sixcycle,
     find_reducible_config,

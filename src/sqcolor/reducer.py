@@ -33,39 +33,30 @@ A = "a"
 B = "b"
 C = "c"
 
-# Recoloring table for the last branch of extend_sixcycle.  Keys are the
-# available 2-sets at (v2, v3, v4); values are the new colors on
-# (v1, ..., v5).  v1 always has {a, b, alpha} available and v5 has
-# {b, c, alpha}.  Every row avoids conflicts on the square-adjacent
-# pairs 12, 23, 34, 45, 13, 24, 35, 15; the pairs 14 and 25 are free.
-RECOLORING_ROWS: dict[tuple[frozenset, frozenset, frozenset], tuple] = {
-    (frozenset({A, B}), frozenset({B, A}), frozenset({C, A})): (ALPHA, B, A, C, B),
-    (frozenset({A, B}), frozenset({B, C}), frozenset({C, A})): (A, B, C, A, ALPHA),
-    (frozenset({A, B}), frozenset({B, ALPHA}), frozenset({C, A})): (A, B, ALPHA, C, B),
-    (frozenset({A, B}), frozenset({B, A}), frozenset({C, B})): (ALPHA, B, A, C, B),
-    (frozenset({A, B}), frozenset({B, C}), frozenset({C, B})): (B, A, C, B, ALPHA),
-    (frozenset({A, B}), frozenset({B, ALPHA}), frozenset({C, B})): (A, B, ALPHA, C, B),
-    (frozenset({A, C}), frozenset({B, A}), frozenset({C, A})): (A, C, B, A, ALPHA),
-    (frozenset({A, C}), frozenset({B, C}), frozenset({C, A})): (A, C, B, A, ALPHA),
-    (frozenset({A, C}), frozenset({B, ALPHA}), frozenset({C, A})): (A, C, B, A, ALPHA),
-    (frozenset({A, C}), frozenset({B, A}), frozenset({C, B})): (ALPHA, C, A, B, C),
-    (frozenset({A, C}), frozenset({B, C}), frozenset({C, B})): (B, A, C, B, ALPHA),
-    (frozenset({A, C}), frozenset({B, ALPHA}), frozenset({C, B})): (A, C, ALPHA, B, C),
+# Recoloring table for the last branch of _recoloring.  When every
+# escape fails, v1 has {a, b, alpha} available, v5 has {b, c, alpha},
+# and C(v2) = {a, x2}, C(v3) = {b, x3}, C(v4) = {c, x4} for some
+# x2 in {b, c}, x3 in {a, c, alpha} and x4 in {a, b}.  Keys are
+# (x2, x3, x4); values are the new colors on (v1, ..., v5).  Every row
+# avoids conflicts on the square-adjacent pairs 12, 23, 34, 45, 13, 24,
+# 35, 15; the pairs 14 and 25 are free.
+RECOLORING_ROWS: dict[tuple[str, str, str], tuple[str, ...]] = {
+    (B, A, A): (ALPHA, B, A, C, B),
+    (B, C, A): (A, B, C, A, ALPHA),
+    (B, ALPHA, A): (A, B, ALPHA, C, B),
+    (B, A, B): (ALPHA, B, A, C, B),
+    (B, C, B): (B, A, C, B, ALPHA),
+    (B, ALPHA, B): (A, B, ALPHA, C, B),
+    (C, A, A): (A, C, B, A, ALPHA),
+    (C, C, A): (A, C, B, A, ALPHA),
+    (C, ALPHA, A): (A, C, B, A, ALPHA),
+    (C, A, B): (ALPHA, C, A, B, C),
+    (C, C, B): (B, A, C, B, ALPHA),
+    (C, ALPHA, B): (A, C, ALPHA, B, C),
 }
 
 # Within-cycle pairs that are square-adjacent when the girth is >= 6.
 SQUARE_PAIRS = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3), (2, 4), (0, 4))
-
-
-@dataclass(frozen=True)
-class AvailableLists:
-    """Colors still usable at each cycle vertex, plus the four key colors."""
-
-    C: dict
-    alpha: int
-    a: int
-    b: int
-    c: int
 
 
 @dataclass(frozen=True)
@@ -295,31 +286,25 @@ def _fits(f: Sequence[Optional[int]], lists, v: int, near: Iterable[int]) -> boo
     return color in lists[v] and all(f[u] != color for u in near)
 
 
-def _available(cyc: tuple, lists, phi: Sequence[Optional[int]], near: dict) -> AvailableLists:
-    """Available lists of the cycle cyc = (v1, ..., v6), given the
-    square-neighborhood near[v] of each cycle vertex in the host."""
-    v1, v2, v3, v4, v5, _ = cyc
-    C = {}
-    for v in cyc:
-        used = {phi[u] for u in near[v] if u not in cyc and phi[u] is not None}
-        C[v] = frozenset(lists[v] - used)
-    alpha = phi[v1]
-    if alpha is None or phi[v5] != alpha:
-        raise PreconditionViolated("both neighbors of the 2-vertex must carry one color")
-    return AvailableLists(C=C, alpha=alpha, a=phi[v2], b=phi[v3], c=phi[v4])
+def _available(cyc: tuple, lists, f: Sequence[Optional[int]], near: dict) -> dict:
+    """The available list of each vertex v of the cycle cyc = (v1, ..., v6):
+    the colors of lists[v] that no square-neighbor off the cycle wears in
+    f.  near[v] is the square-neighborhood of v in the host."""
+    return {v: lists[v] - {f[u] for u in near[v] if u not in cyc} for v in cyc}
 
 
-def _recoloring(cyc: tuple, avail: AvailableLists) -> dict:
-    """New colors for some of v1..v5 when v1 and v5 share a color.
+def _recoloring(cyc: tuple, Cv: dict, f: Sequence[Optional[int]]) -> dict:
+    """New colors for some of v1..v5 when f[v1] == f[v5].
 
-    Try the five single-vertex recolorings (v1, v5, v2, v3, v4, in this
-    order; later ones rely on the equalities that earlier failures
-    establish), and when all escapes fail, look up the precomputed
-    recoloring row for the available 2-sets at (v2, v3, v4).
+    f colors v1, ..., v5 alpha, a, b, c, alpha; Cv holds their available
+    lists (_available).  Try the five single-vertex recolorings (v1, v5,
+    v2, v3, v4, in this order; later ones rely on the equalities that
+    earlier failures establish), and when all escapes fail, look up the
+    row of RECOLORING_ROWS for the colors (x2, x3, x4) that C(v2), C(v3)
+    and C(v4) hold besides a, b and c.
     """
     v1, v2, v3, v4, v5, v6 = cyc
-    Cv = avail.C
-    alpha, a, b, c = avail.alpha, avail.a, avail.b, avail.c
+    alpha, a, b, c = f[v1], f[v2], f[v3], f[v4]
     _invariant(len({alpha, a, b, c}) == 4, "the four cycle colors must be distinct")
     for v, bound in ((v1, 3), (v2, 2), (v3, 2), (v4, 2), (v5, 3), (v6, 5)):
         _invariant(len(Cv[v]) >= bound, f"available list at vertex {v} smaller than {bound}")
@@ -346,17 +331,11 @@ def _recoloring(cyc: tuple, avail: AvailableLists) -> dict:
     _invariant(b in Cv[v3] and Cv[v3] <= {a, b, c, alpha}, "v3 availability must sit inside {a, b, c, alpha}")
     _invariant(c in Cv[v4] and Cv[v4] <= {a, b, c}, "v4 availability must sit inside {a, b, c}")
 
+    x2 = B if b in Cv[v2] else C
+    x3 = A if a in Cv[v3] else C if c in Cv[v3] else ALPHA
+    x4 = A if a in Cv[v4] else B
     sym = {A: a, B: b, C: c, ALPHA: alpha}
-    c2 = frozenset({A, B}) if b in Cv[v2] else frozenset({A, C})
-    if a in Cv[v3]:
-        c3 = frozenset({B, A})
-    elif c in Cv[v3]:
-        c3 = frozenset({B, C})
-    else:
-        c3 = frozenset({B, ALPHA})
-    c4 = frozenset({C, A}) if a in Cv[v4] else frozenset({C, B})
-    row = RECOLORING_ROWS[(c2, c3, c4)]
-    new = {v: sym[symbol] for v, symbol in zip(cyc, row)}
+    new = {v: sym[symbol] for v, symbol in zip(cyc, RECOLORING_ROWS[(x2, x3, x4)])}
     _invariant(all(new[v] in Cv[v] for v in new), "table row leaves an available list")
     return new
 
@@ -372,23 +351,11 @@ def _extend_sixcycle(cyc: tuple, lists, f: list, adj) -> None:
     near = {v: square_neighbors(adj, v) for v in cyc}
     v1, v5, v6 = cyc[0], cyc[4], cyc[5]
     if f[v1] == f[v5]:
-        for v, color in _recoloring(cyc, _available(cyc, lists, f, near)).items():
+        for v, color in _recoloring(cyc, _available(cyc, lists, f, near), f).items():
             f[v] = color
     f[v6] = _free_color(lists[v6], f, near[v6])
     for v in cyc:
         _invariant(_fits(f, lists, v, near[v]), "extension must stay in the lists and proper on the square")
-
-
-def available_lists(cfg: SixCycleTwoVertex, L: Sequence[Iterable[int]], phi: Sequence[Optional[int]]) -> AvailableLists:
-    """Per-vertex colors not used by colored square-neighbors off the cycle.
-
-    phi colors every vertex except the cycle's 2-vertex (entry None).
-    Callers reach this only on the branch where the two neighbors of the
-    2-vertex around the cycle received the same color.
-    """
-    lists = _seven_lists(cfg.host, L)
-    near = {v: square_neighbors(cfg.host.adj, v) for v in cfg.cycle}
-    return _available(cfg.cycle, lists, phi, near)
 
 
 def _seven_lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
@@ -412,33 +379,30 @@ def _check_phi(g: Graph, lists, phi, v1: int, v5: int, v6: int) -> None:
     if phi[v6] is not None:
         raise PreconditionViolated("the 2-vertex must be uncolored")
     for v in range(g.n):
-        if v == v6:
-            continue
-        if phi[v] is None:
+        if v != v6 and phi[v] is None:
             raise PreconditionViolated(f"vertex {v} is uncolored")
-        if phi[v] not in lists[v]:
-            raise PreconditionViolated(f"vertex {v} wears a color outside its list")
     # Removing the degree-2 vertex v6 deletes exactly the square edges at
     # v6 plus the pair {v1, v5}, whose distance without v6 is >= 3.
-    for u in range(g.n):
-        if u == v6:
+    for v in range(g.n):
+        if v == v6:
             continue
-        for w in sorted(square_neighbors(g.adj, u)):
-            if w <= u or w == v6:
-                continue
-            if {u, w} == {v1, v5}:
-                continue
-            if phi[u] == phi[w]:
-                raise PreconditionViolated(f"square edge {u}-{w} is monochromatic")
+        skip = {v6, v5} if v == v1 else {v6, v1} if v == v5 else {v6}
+        if not _fits(phi, lists, v, square_neighbors(g.adj, v) - skip):
+            raise PreconditionViolated(
+                f"vertex {v} wears a color outside its list or shared with a square-neighbor"
+            )
 
 
 def extend_sixcycle(cfg: SixCycleTwoVertex, L: Sequence[Iterable[int]], phi: Sequence[Optional[int]]) -> list:
     """Extend a square coloring of host minus the 2-vertex v6 to the host square.
 
     cfg.cycle = (v1, ..., v6) ends at the 2-vertex, so v1 and v5 are its
-    neighbours.  Decision tree: if v1 and v5 differ in color, coloring
-    v6 greedily suffices.  Otherwise recolor by an escape or a table row
-    (_recoloring) first.  Never fails on valid input.
+    neighbours.  phi must be a proper coloring of the square of host
+    minus v6 from the lists, with phi[v6] None, else PreconditionViolated
+    naming the first offending vertex.  If v1 and v5 differ in color,
+    coloring v6 greedily suffices.  Otherwise recolor by an escape or a
+    row of RECOLORING_ROWS (_recoloring) first.  Never fails on valid
+    input.
     """
     cfg.validate()
     g = cfg.host
@@ -563,18 +527,14 @@ def color_square_7lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
 
 @dataclass(frozen=True)
 class Lemma2Case:
-    c2: tuple
-    c3: tuple
-    c4: tuple
+    key: tuple
     f: tuple
     failure: Optional[str]
 
     def line(self) -> str:
-        def fmt(t):
-            return "{" + ",".join(t) + "}"
-
+        x2, x3, x4 = self.key
         verdict = "OK" if self.failure is None else f"FAIL({self.failure})"
-        return f"case {fmt(self.c2)}|{fmt(self.c3)}|{fmt(self.c4)} -> f=({','.join(self.f)}) {verdict}"
+        return f"case {{a,{x2}}}|{{b,{x3}}}|{{c,{x4}}} -> f=({','.join(self.f)}) {verdict}"
 
 
 @dataclass(frozen=True)
@@ -589,17 +549,18 @@ class Lemma2Report:
         return "\n".join(case.line() for case in self.cases)
 
 
-def check_lemma2_row(c2: frozenset, c3: frozenset, c4: frozenset, f: tuple) -> Optional[str]:
+def check_lemma2_row(key: tuple, f: tuple) -> Optional[str]:
     """Validate one recoloring row; None when sound, else the broken constraint.
 
-    Checks membership of each new color in its available set (v1 and v5
-    have the fixed sets from the failed escapes), properness on the
-    square-adjacent pairs inside the cycle, and that the four colors
-    seen by the 2-vertex leave it a free color from its 5 available.
+    key = (x2, x3, x4) gives the available sets {a, x2}, {b, x3} and
+    {c, x4} of v2, v3 and v4; v1 and v5 have the fixed sets from the
+    failed escapes.  Checks membership of each new color in its available
+    set, properness on the square-adjacent pairs inside the cycle, and
+    that the four colors seen by the 2-vertex leave it a free color from
+    its 5 available.
     """
-    c1 = frozenset({A, B, ALPHA})
-    c5 = frozenset({B, C, ALPHA})
-    sets = (c1, c2, c3, c4, c5)
+    x2, x3, x4 = key
+    sets = ({A, B, ALPHA}, {A, x2}, {B, x3}, {C, x4}, {B, C, ALPHA})
     for i in range(5):
         if f[i] not in sets[i]:
             return f"f(v{i + 1}) not in C(v{i + 1})"
@@ -611,26 +572,13 @@ def check_lemma2_row(c2: frozenset, c3: frozenset, c4: frozenset, f: tuple) -> O
     return None
 
 
-def _ordered_symbols(s: frozenset, first: str) -> tuple:
-    rest = sorted(s - {first}, key=[A, B, C, ALPHA].index)
-    return (first, *rest)
-
-
 def verify_lemma2_tables() -> Lemma2Report:
     """Check all 12 recoloring rows; every case must come back OK."""
     cases = []
-    for c2 in (frozenset({A, B}), frozenset({A, C})):
-        for c4 in (frozenset({C, A}), frozenset({C, B})):
-            for c3 in (frozenset({B, A}), frozenset({B, C}), frozenset({B, ALPHA})):
-                f = RECOLORING_ROWS[(c2, c3, c4)]
-                failure = check_lemma2_row(c2, c3, c4, f)
-                cases.append(
-                    Lemma2Case(
-                        c2=_ordered_symbols(c2, A),
-                        c3=_ordered_symbols(c3, B),
-                        c4=_ordered_symbols(c4, C),
-                        f=f,
-                        failure=failure,
-                    )
-                )
+    for x2 in (B, C):
+        for x4 in (A, B):
+            for x3 in (A, C, ALPHA):
+                key = (x2, x3, x4)
+                f = RECOLORING_ROWS[key]
+                cases.append(Lemma2Case(key, f, check_lemma2_row(key, f)))
     return Lemma2Report(cases=tuple(cases))

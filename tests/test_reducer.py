@@ -16,7 +16,7 @@ from sqcolor.errors import (
     PreconditionViolated,
 )
 from sqcolor.generate import GeneratorSpec, enumerate_class, named, random_instance
-from sqcolor.graph_core import Graph, girth, girth_at_least, induced_subgraph, square
+from sqcolor.graph_core import Graph, girth, girth_at_least, induced_subgraph, square, square_neighbors
 from sqcolor.planar_embed import check_class
 from sqcolor.reducer import (
     A,
@@ -30,8 +30,6 @@ from sqcolor.reducer import (
     OneVertex,
     SixCycleTwoVertex,
     SpacingViolation,
-    AvailableLists,
-    available_lists,
     check_lemma2_row,
     color_square_7lists,
     extend_sixcycle,
@@ -40,6 +38,7 @@ from sqcolor.reducer import (
     find_spacing_violation,
     reduce_cut_two_vertex,
     verify_lemma2_tables,
+    _available,
     _four_path,
     _lift,
     _peel,
@@ -66,10 +65,10 @@ def hexagon_config(g):
 def test_rows_cover_all_twelve_case_combinations():
     keys = set(RECOLORING_ROWS)
     expect = set()
-    for c2 in (frozenset({A, B}), frozenset({A, C})):
-        for c3 in (frozenset({B, A}), frozenset({B, C}), frozenset({B, ALPHA})):
-            for c4 in (frozenset({C, A}), frozenset({C, B})):
-                expect.add((c2, c3, c4))
+    for x2 in (B, C):
+        for x3 in (A, C, ALPHA):
+            for x4 in (A, B):
+                expect.add((x2, x3, x4))
     assert keys == expect
     assert len(keys) == 12
 
@@ -86,58 +85,56 @@ def test_verify_lemma2_tables_all_ok():
 
 
 def test_check_lemma2_row_accepts_every_stored_row():
-    for (c2, c3, c4), f in RECOLORING_ROWS.items():
-        assert check_lemma2_row(c2, c3, c4, f) is None
+    for key, f in RECOLORING_ROWS.items():
+        assert check_lemma2_row(key, f) is None
 
 
 def test_check_lemma2_row_catches_conflict():
-    c2 = frozenset({A, B})
-    c3 = frozenset({B, A})
-    c4 = frozenset({C, A})
-    good = RECOLORING_ROWS[(c2, c3, c4)]
+    key = (B, A, A)  # {a,b}|{b,a}|{c,a}
+    good = RECOLORING_ROWS[key]
     assert good == (ALPHA, B, A, C, B)
     broken = (ALPHA, B, B, C, B)
-    assert check_lemma2_row(c2, c3, c4, broken) == "v2v3 conflict"
+    assert check_lemma2_row(key, broken) == "v2v3 conflict"
 
 
 def test_check_lemma2_row_catches_bad_membership():
-    c2 = frozenset({A, B})
-    c3 = frozenset({B, A})
-    c4 = frozenset({C, A})
+    key = (B, A, A)
     broken = (C, B, A, C, B)
-    assert check_lemma2_row(c2, c3, c4, broken) == "f(v1) not in C(v1)"
+    assert check_lemma2_row(key, broken) == "f(v1) not in C(v1)"
     broken5 = (ALPHA, B, A, C, A)
-    assert check_lemma2_row(c2, c3, c4, broken5) == "f(v5) not in C(v5)"
+    assert check_lemma2_row(key, broken5) == "f(v5) not in C(v5)"
+
+
+def available_symbols(key):
+    """The available sets C(v1), ..., C(v5) of the table situation key."""
+    x2, x3, x4 = key
+    return ({A, B, ALPHA}, {A, x2}, {B, x3}, {C, x4}, {B, C, ALPHA})
 
 
 def test_check_lemma2_row_catches_out_of_list_symbols():
-    c1 = frozenset({A, B, ALPHA})
-    c5 = frozenset({B, C, ALPHA})
-    for (c2, c3, c4), good in RECOLORING_ROWS.items():
-        for i, avail in enumerate((c1, c2, c3, c4, c5)):
+    for key, good in RECOLORING_ROWS.items():
+        for i, avail in enumerate(available_symbols(key)):
             for s in (A, B, C, ALPHA):
                 if s in avail:
                     continue
                 mutated = good[:i] + (s,) + good[i + 1 :]
-                got = check_lemma2_row(c2, c3, c4, mutated)
+                got = check_lemma2_row(key, mutated)
                 assert got == f"f(v{i + 1}) not in C(v{i + 1})"
 
 
 def test_check_lemma2_row_mutations_never_pass_silently():
     # A mutation may happen to build another sound row, but whenever the
     # checker accepts one it must genuinely satisfy all row constraints.
-    c1 = frozenset({A, B, ALPHA})
-    c5 = frozenset({B, C, ALPHA})
     from sqcolor.reducer import SQUARE_PAIRS
 
-    for (c2, c3, c4), good in RECOLORING_ROWS.items():
-        sets = (c1, c2, c3, c4, c5)
+    for key, good in RECOLORING_ROWS.items():
+        sets = available_symbols(key)
         for i in range(5):
             for s in (A, B, C, ALPHA):
                 if s == good[i]:
                     continue
                 mutated = good[:i] + (s,) + good[i + 1 :]
-                if check_lemma2_row(c2, c3, c4, mutated) is None:
+                if check_lemma2_row(key, mutated) is None:
                     assert all(mutated[j] in sets[j] for j in range(5))
                     assert all(mutated[p] != mutated[q] for p, q in SQUARE_PAIRS)
 
@@ -161,7 +158,7 @@ ESCAPES = [  # (index of the cycle vertex given the spare color d, new colors)
 
 def engine_cases():
     for key in TABLE_KEYS:
-        row = RECOLORING_ROWS[(frozenset({A, key[0]}), frozenset({B, key[1]}), frozenset({C, key[2]}))]
+        row = RECOLORING_ROWS[key]
         yield pytest.param(key, None, dict(enumerate(row)), id="row-" + "-".join(key))
     for spare_at, new in ESCAPES:
         yield pytest.param(TABLE_KEYS[0], spare_at, new, id=f"escape-v{spare_at + 1}")
@@ -180,7 +177,7 @@ def test_recoloring_reaches_every_branch(key, spare_at, new):
     f = [None] * 9
     for v, color in zip(CYC, (alpha, a, b, c, alpha)):
         f[v] = color
-    got = _recoloring(CYC, AvailableLists(C=Cv, alpha=alpha, a=a, b=b, c=c))
+    got = _recoloring(CYC, Cv, f)
     assert got == {CYC[i]: COLOR[s] for i, s in new.items()}
 
 
@@ -403,34 +400,19 @@ def test_every_in_class_graph_has_one_of_the_four_configs(corpus12):
 # --- available lists ---
 
 
+def available(cfg, L, phi):
+    near = {v: square_neighbors(cfg.host.adj, v) for v in cfg.cycle}
+    return _available(cfg.cycle, normalize_lists(cfg.host, L), phi, near)
+
+
 def test_available_lists_with_no_externals_is_whole_list():
     g = cycle(6)
     cfg = hexagon_config(g)
     phi = [None] * 6
     v1, v2, v3, v4, v5, v6 = cfg.cycle
     phi[v1], phi[v2], phi[v3], phi[v4], phi[v5] = 1, 2, 3, 4, 1
-    avail = available_lists(cfg, FULL * 6, phi)
-    assert all(avail.C[v] == frozenset(range(7)) for v in cfg.cycle)
-    assert (avail.alpha, avail.a, avail.b, avail.c) == (1, 2, 3, 4)
-
-
-def test_available_lists_requires_matching_end_colors():
-    g = cycle(6)
-    cfg = hexagon_config(g)
-    phi = [None] * 6
-    v1, v2, v3, v4, v5, v6 = cfg.cycle
-    phi[v1], phi[v2], phi[v3], phi[v4], phi[v5] = 1, 2, 3, 4, 5
-    with pytest.raises(PreconditionViolated):
-        available_lists(cfg, FULL * 6, phi)
-
-
-def test_available_lists_requires_size_seven():
-    g = cycle(6)
-    cfg = hexagon_config(g)
-    phi = [1, 2, 3, 4, 1, None]
-    with pytest.raises(ListTooSmall, match=r"^vertex 0 has a list of size 6 < 7$"):
-        available_lists(cfg, [list(range(6))] * 6, phi)
-    assert issubclass(ListTooSmall, PreconditionViolated)
+    avail = available(cfg, FULL * 6, phi)
+    assert all(avail[v] == frozenset(range(7)) for v in cfg.cycle)
 
 
 # --- the recoloring engine on hand-built fixtures ---
@@ -492,13 +474,13 @@ def test_table_fixture_variant_b():
 def test_fixture_available_lists_variant_a():
     g = pendant_hexagon()
     cfg = SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 5), host=g)
-    avail = available_lists(cfg, FULL * 21, pendant_phi(VARIANT_A))
-    assert avail.C[0] == frozenset({0, 1, 2})
-    assert avail.C[1] == frozenset({1, 2})
-    assert avail.C[2] == frozenset({0, 2})
-    assert avail.C[3] == frozenset({2, 3})
-    assert avail.C[4] == frozenset({0, 2, 3})
-    assert avail.C[5] == frozenset({0, 1, 2, 3, 5, 6})
+    avail = available(cfg, FULL * 21, pendant_phi(VARIANT_A))
+    assert avail[0] == frozenset({0, 1, 2})
+    assert avail[1] == frozenset({1, 2})
+    assert avail[2] == frozenset({0, 2})
+    assert avail[3] == frozenset({2, 3})
+    assert avail[4] == frozenset({0, 2, 3})
+    assert avail[5] == frozenset({0, 1, 2, 3, 5, 6})
 
 
 def test_escape_at_v1():
@@ -572,8 +554,9 @@ def test_extend_rejects_improper_phi():
 def test_extend_rejects_small_lists():
     g = cycle(6)
     cfg = SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 5), host=g)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ListTooSmall, match=r"^vertex 0 has a list of size 6 < 7$"):
         extend_sixcycle(cfg, [list(range(6))] * 6, [1, 2, 3, 4, 1, None])
+    assert issubclass(ListTooSmall, PreconditionViolated)
 
 
 def test_extend_sweep_on_sixcycle_hosts(corpus12):
