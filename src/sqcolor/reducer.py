@@ -417,7 +417,12 @@ def extend_sixcycle(cfg: SixCycleTwoVertex, L: Sequence[Iterable[int]], phi: Seq
 
 
 def reduce_cut_two_vertex(g: Graph, u: int) -> Graph:
-    """Splice out a cut 2-vertex: H joins the two sides by a direct edge."""
+    """Splice out a cut 2-vertex: H joins the two sides by a direct edge.
+
+    ValueError unless 0 <= u < g.n.
+    """
+    if not 0 <= u < g.n:
+        raise ValueError(f"vertex {u} is out of range for n={g.n}")
     if g.degree(u) != 2:
         raise NotTwoVertex(f"vertex {u} has degree {g.degree(u)}")
     if u not in cut_vertices(g):

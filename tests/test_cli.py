@@ -217,6 +217,17 @@ def test_reduce_requires_cut_two_vertex(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("vertex", ["99", "-2"])
+def test_reduce_rejects_vertex_out_of_range(tmp_path, capsys, vertex):
+    # A hexagon with a pendant path 0-6-7; vertex -2 must not wrap to 6.
+    path = write_fixture(tmp_path, "g.txt", "8 8\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n0 6\n6 7\n")
+    code = main(["reduce", f"--vertex={vertex}", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: vertex {vertex} is out of range for n=8\n"
+
+
 def test_discharge_audit_c6_golden(tmp_path, capsys):
     code, out = run(capsys, ["discharge-audit", c6_file(tmp_path)])
     assert code == 0

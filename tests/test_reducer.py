@@ -606,6 +606,10 @@ def test_reduce_cut_two_vertex_errors():
         reduce_cut_two_vertex(g, 0)
     with pytest.raises(NotCutVertex):
         reduce_cut_two_vertex(cycle(6), 0)
+    for u in (15, -1):
+        with pytest.raises(ValueError, match=rf"^vertex {u} is out of range for n=15$") as exc:
+            reduce_cut_two_vertex(g, u)
+        assert exc.type is ValueError
 
 
 # --- the top-level coloring routine ---
