@@ -168,15 +168,14 @@ def engine_cases():
 def test_recoloring_reaches_every_branch(key, spare_at, new):
     # A table situation: v1 and v5 wear alpha, v2, v3, v4 wear a, b, c;
     # one spare color at a vertex of v1..v5 opens that vertex's escape.
-    x2, x3, x4 = (COLOR[s] for s in key)
-    alpha, a, b, c, d = (COLOR[s] for s in (ALPHA, A, B, C, "d"))
-    avail = [{a, b, alpha}, {a, x2}, {b, x3}, {c, x4}, {b, c, alpha}, set(range(20, 25))]
+    avail = [{COLOR[s] for s in symbols} for symbols in available_symbols(key)]
+    avail.append(set(range(20, 25)))
     if spare_at is not None:
-        avail[spare_at].add(d)
-    Cv = {v: frozenset(s) for v, s in zip(CYC, avail)}
+        avail[spare_at].add(COLOR["d"])
+    Cv = {v: frozenset(colors) for v, colors in zip(CYC, avail)}
     f = [None] * 9
-    for v, color in zip(CYC, (alpha, a, b, c, alpha)):
-        f[v] = color
+    for v, s in zip(CYC, (ALPHA, A, B, C, ALPHA)):
+        f[v] = COLOR[s]
     got = _recoloring(CYC, Cv, f)
     assert got == {CYC[i]: COLOR[s] for i, s in new.items()}
 
