@@ -10,6 +10,7 @@ give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -255,7 +256,10 @@ def _girth_arg(value: str) -> float:
     return int(value)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on the first call (not at import) and reused
+    by every later main call; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sqcolor",
         description="Square list-coloring toolkit for sparse planar graphs.",

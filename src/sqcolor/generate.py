@@ -53,38 +53,61 @@ def canonical_code(g: Graph) -> tuple:
     Placing vertex k contributes k bits (adjacency to the k already
     placed vertices); codes compare level by level, so prefixes that
     fall strictly behind the best sequence can be dropped.  All tied
-    prefixes are kept, which makes the maximum exact.
+    prefixes are kept, which makes the maximum exact.  The next vertex
+    is a neighbour of the prefix, or any vertex once the prefix is a
+    union of components.
+
+    A prefix is kept as (score, placed, boundary): score[u] has bit
+    n - 1 - i set for each neighbour of u at position i, so at level k
+    the raw scores compare as the level values score[u] >> (n - k);
+    placed and boundary are bitmasks of the prefix and of its unplaced
+    neighbours.  When the boundary is empty, one vertex per
+    neighbourhood is tried: swapping two unplaced twins is an
+    automorphism fixing the prefix, so an edgeless graph costs O(n^2).
+    The cost still grows with the number of components that are not
+    twins (six disjoint edges tie at every order of the edges), and
+    enumerate_class calls this only on connected graphs.
     """
     n = g.n
     if n == 0:
         return (0, ())
-    frontier = [((v,), {v: 0}) for v in range(n)]
+    adj = g.adj
+    nbmask = [sum(1 << w for w in adj[v]) for v in range(n)]
+    frontier = [([0] * n, 0, 0)]
     levels: list[int] = []
-    for k in range(1, n):
+    for k in range(n):
         best_val = -1
         best: list = []
-        for prefix, pos in frontier:
-            cands = {u for v in prefix for u in g.adj[v] if u not in pos}
+        for entry in frontier:
+            score, placed, cands = entry
             if not cands:
-                cands = {u for u in range(n) if u not in pos}
-            top = k - 1
-            for cand in sorted(cands):
-                val = 0
-                for w in g.adj[cand]:
-                    i = pos.get(w)
-                    if i is not None:
-                        val |= 1 << (top - i)
+                seen = set()
+                for u in range(n):
+                    if not placed >> u & 1 and nbmask[u] not in seen:
+                        seen.add(nbmask[u])
+                        cands |= 1 << u
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                u = low.bit_length() - 1
+                val = score[u]
                 if val > best_val:
                     best_val = val
-                    best = [(prefix, pos, cand)]
+                    best = [(entry, u)]
                 elif val == best_val:
-                    best.append((prefix, pos, cand))
+                    best.append((entry, u))
+        if k:
+            levels.append(best_val >> (n - k))
+        if k == n - 1:
+            break
+        bit = 1 << (n - 1 - k)
         frontier = []
-        for prefix, pos, cand in best:
-            pos2 = dict(pos)
-            pos2[cand] = k
-            frontier.append((prefix + (cand,), pos2))
-        levels.append(best_val)
+        for (score, placed, boundary), u in best:
+            score = score.copy()
+            for w in adj[u]:
+                score[w] |= bit
+            placed |= 1 << u
+            frontier.append((score, placed, (boundary | nbmask[u]) & ~placed))
     return (n, tuple(levels))
 
 

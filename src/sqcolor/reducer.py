@@ -560,9 +560,10 @@ def check_lemma2_row(key: tuple, f: tuple) -> Optional[str]:
     key = (x2, x3, x4) gives the available sets {a, x2}, {b, x3} and
     {c, x4} of v2, v3 and v4; v1 and v5 have the fixed sets from the
     failed escapes.  Checks membership of each new color in its available
-    set, properness on the square-adjacent pairs inside the cycle, and
-    that the four colors seen by the 2-vertex leave it a free color from
-    its 5 available.
+    set and properness on the square-adjacent pairs inside the cycle.
+    The 2-vertex v6 needs no check: its square-neighbours are v1, v2, v4,
+    v5 and the third neighbours of v1 and v5, at most six, so its 7-list
+    always keeps a color for it.
     """
     x2, x3, x4 = key
     sets = ({A, B, ALPHA}, {A, x2}, {B, x3}, {C, x4}, {B, C, ALPHA})
@@ -572,8 +573,6 @@ def check_lemma2_row(key: tuple, f: tuple) -> Optional[str]:
     for i, j in SQUARE_PAIRS:
         if f[i] == f[j]:
             return f"v{i + 1}v{j + 1} conflict"
-    if len({f[0], f[1], f[3], f[4]}) > 4:
-        return "v6 has no free color"
     return None
 
 

@@ -152,3 +152,40 @@ def degeneracy_by_scan(g):
             if not removed[u]:
                 deg[u] -= 1
     return d, order
+
+
+def canonical_code_by_frontier(g):
+    """canonical_code by the direct search: every tied prefix is a tuple
+    with a position dict, and the candidates of a prefix are recomputed
+    from all its vertices at every level."""
+    n = g.n
+    if n == 0:
+        return (0, ())
+    frontier = [((v,), {v: 0}) for v in range(n)]
+    levels = []
+    for k in range(1, n):
+        best_val = -1
+        best = []
+        for prefix, pos in frontier:
+            cands = {u for v in prefix for u in g.adj[v] if u not in pos}
+            if not cands:
+                cands = {u for u in range(n) if u not in pos}
+            top = k - 1
+            for cand in sorted(cands):
+                val = 0
+                for w in g.adj[cand]:
+                    i = pos.get(w)
+                    if i is not None:
+                        val |= 1 << (top - i)
+                if val > best_val:
+                    best_val = val
+                    best = [(prefix, pos, cand)]
+                elif val == best_val:
+                    best.append((prefix, pos, cand))
+        frontier = []
+        for prefix, pos, cand in best:
+            pos2 = dict(pos)
+            pos2[cand] = k
+            frontier.append((prefix + (cand,), pos2))
+        levels.append(best_val)
+    return (n, tuple(levels))

@@ -99,6 +99,23 @@ def test_color_rejects_short_lists(tmp_path, capsys):
     assert capsys.readouterr().err == "error: vertex 0 has a list of size 6 < 7\n"
 
 
+def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
+    # main reuses one parser; options of one call must not reach the next.
+    path = c6_file(tmp_path)
+    assert main(["color", "--lists", "uniform:6", path]) == 1
+    capsys.readouterr()
+    code, out = run(capsys, ["color", path])
+    assert code == 0
+    coloring = [int(line.split(": ")[1]) for line in out.splitlines()]
+    assert len(coloring) == 6 and all(c in range(1, 8) for c in coloring)
+    code, out = run(capsys, ["discharge-audit", "--full", path])
+    assert code == 0
+    assert "vertex_charge v=0 charge=0" in out.splitlines()
+    code, out = run(capsys, ["discharge-audit", path])
+    assert code == 0
+    assert not any(line.startswith(("vertex_charge", "face_charge")) for line in out.splitlines())
+
+
 def test_color_with_lists_file(tmp_path, capsys):
     lists_text = "".join(f"{v}: 10 20 30 40 50 60 70\n" for v in range(6))
     lists_path = write_fixture(tmp_path, "lists.txt", lists_text)

@@ -3,10 +3,11 @@
 import hashlib
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from oracles import graphs_in_class, isomorphic, relabel
+from oracles import canonical_code_by_frontier, graphs_in_class, isomorphic, relabel
 
 from sqcolor import generate
 from sqcolor.errors import BudgetExceeded, GenerationFailed, UnknownName
@@ -74,6 +75,62 @@ def test_canonical_code_equal_iff_isomorphic_on_pairs():
     assert canonical_code(cycle(6)) != canonical_code(named("p6")[0])
 
 
+def random_connected_subcubic(rng, n):
+    """A random spanning tree of maximum degree 3 plus random extra edges
+    between vertices of degree < 3; triangles are allowed."""
+    deg = [0] * n
+    edges = set()
+    for v in range(1, n):
+        u = rng.choice([u for u in range(v) if deg[u] < 3])
+        edges.add((u, v))
+        deg[u] += 1
+        deg[v] += 1
+    for _ in range(rng.randint(0, n)):
+        u, v = sorted((rng.randrange(n), rng.randrange(n)))
+        if u < v and deg[u] < 3 and deg[v] < 3 and (u, v) not in edges:
+            edges.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return Graph(n, sorted(edges))
+
+
+@pytest.mark.parametrize("max_n, min_girth", [(10, 6), (8, 3), (8, 4), (8, 5)])
+def test_canonical_code_matches_frontier_oracle_on_enumeration(monkeypatch, max_n, min_girth):
+    calls = []
+
+    def record(h):
+        code = canonical_code(h)
+        calls.append((h, code))
+        return code
+
+    monkeypatch.setattr(generate, "canonical_code", record)
+    list(enumerate_class(GeneratorSpec(max_n=max_n, min_girth=min_girth)))
+    assert calls
+    for h, code in calls:
+        assert code == canonical_code_by_frontier(h), h.edges()
+
+
+def test_canonical_code_matches_frontier_oracle_on_random_graphs():
+    # Connected inputs only: the oracle tries every order of the
+    # components' vertices that ties, which is factorial on isolated ones.
+    rng = random.Random(83)
+    for _ in range(1000):
+        g = random_connected_subcubic(rng, rng.randint(1, 12))
+        assert canonical_code(g) == canonical_code_by_frontier(g), g.edges()
+
+
+def test_canonical_code_of_edgeless_graphs():
+    # Every order ties here; keeping them all took seconds at n = 8.
+    for n in (12, 14):
+        assert canonical_code(Graph(n, [])) == (n, (0,) * (n - 1))
+
+
+def test_canonical_code_with_isolated_vertices_matches_oracle():
+    for extra in range(4):
+        g = Graph(6 + extra, [(i, (i + 1) % 6) for i in range(6)])
+        assert canonical_code(g) == canonical_code_by_frontier(g)
+
+
 # --- enumeration ---
 
 
@@ -104,6 +161,16 @@ def test_enumerate_lower_girth_matches_atlas():
         assert len(got) == len(want)
         for g in got:
             assert any(isomorphic(g, h) for h in want)
+
+
+CORPUS12_G6 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "corpus12.g6"
+
+
+def test_enumeration_matches_the_frozen_corpus_file(corpus12):
+    # Pins the n = 12 representatives and their order, which the
+    # enumeration hashes below (max_n 11 and 9) do not reach.
+    got = "".join(to_graph6(g) + "\n" for g in corpus12).encode("ascii")
+    assert got == CORPUS12_G6.read_bytes()
 
 
 def test_enumerate_members_satisfy_predicates(corpus12):
