@@ -14,12 +14,7 @@ from typing import Sequence
 
 from .errors import NotInClass
 from .graph_core import Graph, components, cut_vertices, is_connected
-from .planar_embed import (
-    Face,
-    check_degree_and_girth,
-    faces as trace_faces,
-    find_planar_embedding,
-)
+from .planar_embed import Face, _embed, check_degree_and_girth
 from .reducer import close_two_vertex_pair, find_reducible_config
 
 
@@ -146,22 +141,23 @@ def discharge_audit(g: Graph) -> AuditReport:
     """Full charge audit of one connected in-class graph.
 
     Checks the class: nonempty and connected, then the degree and girth
-    checks that check_class makes, then one networkx embedding of the
-    whole graph, whose rotation the faces are traced from (is_planar
-    would only answer yes or no).  Totals the charges before and after
-    the rule (both must be -12), lists every element left negative, and
-    runs the configuration detectors.  At least one side of the
-    dichotomy must come back nonempty.
+    checks that check_class makes, then a plane embedding built from the
+    cubic kernel's (is_planar would only answer yes or no).  Any
+    embedding serves, since Euler gives -12 for each; its faces are the
+    ones the embedding's Euler check traced.  Totals the charges before
+    and after the rule (both must be -12), lists every element left
+    negative, and runs the configuration detectors.  At least one side
+    of the dichotomy must come back nonempty.
     """
     if g.n == 0:
         raise NotInClass("empty graph")
     if not is_connected(g):
         raise NotInClass("graph is disconnected")
     check_degree_and_girth(g)
-    rs = find_planar_embedding(g)
-    if rs is None:
+    embedded = _embed(g)
+    if embedded is None:
         raise NotInClass("graph is not planar")
-    face_list = trace_faces(g, rs)
+    _, face_list = embedded
     before = initial_charges(g, face_list)
     after = apply_r1(before, g, face_list)
     negative_vertices = tuple(

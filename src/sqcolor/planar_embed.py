@@ -7,13 +7,19 @@ counts edge sides, so a bridge contributes 2 to the face containing it.
 Embedding operations reject disconnected graphs; callers embed each
 component separately.
 
+Both planarity entry points work on the cubic kernel (_kernel): the
+2-core with its 2-paths spliced, which is homeomorphic to the 2-core and
+so planar exactly when the graph is, and far smaller than it.
 is_planar decides planarity without an embedding.  A subcubic graph has
 no K5 subdivision (its branch vertices need degree 4), so by Kuratowski
 it is non-planar exactly when it contains a subdivided K3,3, whose six
 branch vertices have degree 3 in the 2-core.  Most class members have
-fewer, and then no planarity test runs at all; otherwise the test runs
-on the cubic kernel, the 2-core with its 2-paths spliced, which is far
-smaller than the graph.  check_class is the one membership test for the
+fewer, and then no planarity test runs at all; otherwise networkx tests
+the kernel.  find_planar_embedding embeds the kernel (with networkx
+unless its rotation is forced), then puts back the spliced 2-vertices,
+whose rotations are forced, and the pendant trees, which fit in any
+angle, and Euler-checks the faces it traces.  Any plane embedding serves the charge audit, which
+takes those faces too.  check_class is the one membership test for the
 coloring theorem's class (subcubic, girth at least 6, planar).
 """
 
@@ -99,70 +105,113 @@ def euler_genus_check(g: Graph, rs: RotationSystem) -> bool:
     return g.n - g.m + f == 2
 
 
-def find_planar_embedding(g: Graph) -> RotationSystem | None:
-    """Return a rotation system with n - m + f = 2, or None when none exists.
+def _kernel(adj):
+    """The cubic kernel of a graph given by its adjacency.
 
-    The search is delegated to networkx's linear-time planarity test; the
-    returned rotation is re-validated here by tracing faces and checking
-    the Euler count, so a wrong embedding cannot slip through.
+    Leaves are stripped repeatedly, which leaves the 2-core; then every
+    2-vertex whose two neighbours are not adjacent is spliced out, in
+    vertex order, which leaves a simple graph homeomorphic to the 2-core.
+    Returns (kadj, core, splices): kadj[v] is the set of v's kernel
+    neighbours (empty off the kernel), core[v] says whether v is in the
+    2-core, and splices lists (v, a, b) in splice order, v having joined
+    a and b.
+    """
+    kadj = [set(a) for a in adj]
+    stack = [v for v in range(len(kadj)) if len(kadj[v]) <= 1]
+    while stack:
+        v = stack.pop()
+        for u in kadj[v]:
+            kadj[u].discard(v)
+            if len(kadj[u]) == 1:
+                stack.append(u)
+        kadj[v].clear()
+    core = [bool(a) for a in kadj]
+    splices = []
+    for v in range(len(kadj)):
+        if len(kadj[v]) == 2:
+            a, b = kadj[v]
+            if b not in kadj[a]:
+                kadj[a].discard(v)
+                kadj[b].discard(v)
+                kadj[a].add(b)
+                kadj[b].add(a)
+                kadj[v].clear()
+                splices.append((v, a, b))
+    return kadj, core, splices
+
+
+def _embed(g: Graph) -> tuple[RotationSystem, list[Face]] | None:
+    """Embed connected g by embedding its cubic kernel; return the rotation
+    and its faces, or None when g is not planar.
+
+    The kernel is homeomorphic to the 2-core, so it is planar exactly when
+    g is.  Without a vertex of degree >= 3 it is empty or a triangle and
+    its rotation is forced; otherwise networkx embeds it.  The splices are
+    undone in reverse order (v takes b's place at a and a's place at b),
+    each core vertex gets its pendant-tree neighbours after its core ones,
+    and tree vertices keep their adjacency order.  The faces are traced
+    once and Euler-checked, so a wrong rotation cannot slip through.
     """
     if not is_connected(g):
         raise ValueError("embedding requires a connected graph")
-    if g.n == 1:
-        return RotationSystem(((),))
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(g.edges())
-    ok, emb = nx.check_planarity(nxg)
-    if not ok:
-        return None
-    rot = tuple(tuple(emb.neighbors_cw_order(v)) for v in range(g.n))
-    rs = RotationSystem(rot)
-    if not euler_genus_check(g, rs):
-        raise AssertionError("planarity backend produced a non-planar rotation")
-    return rs
+    kadj, core, splices = _kernel(g.adj)
+    rot = [list(a) for a in kadj]
+    kernel = [v for v in range(g.n) if kadj[v]]
+    if any(len(kadj[v]) >= 3 for v in kernel):
+        nxg = nx.Graph()
+        nxg.add_nodes_from(kernel)
+        nxg.add_edges_from((v, w) for v in kernel for w in sorted(kadj[v]) if v < w)
+        ok, emb = nx.check_planarity(nxg)
+        if not ok:
+            return None
+        for v in kernel:
+            rot[v] = list(emb.neighbors_cw_order(v))
+    for v, a, b in reversed(splices):
+        rot[a][rot[a].index(b)] = v
+        rot[b][rot[b].index(a)] = v
+        rot[v] = [a, b]
+    rs = RotationSystem(tuple(
+        tuple(rot[v]) + tuple(w for w in g.adj[v] if not core[w]) if core[v] else g.adj[v]
+        for v in range(g.n)
+    ))
+    face_list = faces(g, rs)
+    if g.n - g.m + len(face_list) != 2:
+        raise AssertionError("kernel embedding lifted to a non-planar rotation")
+    return rs, face_list
+
+
+def find_planar_embedding(g: Graph) -> RotationSystem | None:
+    """Return a rotation system with n - m + f = 2, or None when none exists.
+
+    g must be connected.  Only the cubic kernel goes to networkx's
+    linear-time planarity test; see _embed.
+    """
+    found = _embed(g)
+    return None if found is None else found[0]
 
 
 def is_planar(g: Graph) -> bool:
     """Return True when g, connected or not, has a plane embedding.
 
-    Leaves are stripped repeatedly, which leaves the 2-core.  A graph is
-    planar when its 2-core has fewer than six vertices of degree >= 3
+    A graph is planar when it has fewer than six vertices of degree >= 3
     and fewer than five of degree >= 4, since a subdivided K3,3 or K5
     needs that many branch vertices; at degree <= 3 this reads "fewer
-    than six 3-vertices", and no planarity test runs.  Otherwise every
-    2-vertex whose two neighbours are not adjacent is spliced out, which
-    leaves a simple graph homeomorphic to the 2-core, and each component
-    of it that still has enough branch vertices goes through
-    find_planar_embedding, so every positive answer is Euler-checked.
+    than six 3-vertices", and no planarity test runs.  The same holds for
+    the cubic kernel (_kernel), which has the 2-core's branch vertices.
+    Each component of the kernel that still has enough of them goes
+    through find_planar_embedding, so every positive answer is
+    Euler-checked.
     """
     if _few_branch_vertices(len(a) for a in g.adj):
         return True
-    adj = [set(a) for a in g.adj]
-    stack = [v for v in range(g.n) if len(adj[v]) <= 1]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            adj[u].discard(v)
-            if len(adj[u]) == 1:
-                stack.append(u)
-        adj[v].clear()
-    if _few_branch_vertices(len(a) for a in adj):
+    kadj, _, _ = _kernel(g.adj)
+    if _few_branch_vertices(len(a) for a in kadj):
         return True
-    for v in range(g.n):
-        if len(adj[v]) == 2:
-            a, b = adj[v]
-            if b not in adj[a]:
-                adj[a].discard(v)
-                adj[b].discard(v)
-                adj[a].add(b)
-                adj[b].add(a)
-                adj[v].clear()
-    for comp in adjacency_components(adj):
-        if _few_branch_vertices(len(adj[v]) for v in comp):
+    for comp in adjacency_components(kadj):
+        if _few_branch_vertices(len(kadj[v]) for v in comp):
             continue
         new_of = {v: i for i, v in enumerate(comp)}
-        kernel = Graph(len(comp), [(new_of[v], new_of[w]) for v in comp for w in adj[v] if v < w])
+        kernel = Graph(len(comp), [(new_of[v], new_of[w]) for v in comp for w in kadj[v] if v < w])
         if find_planar_embedding(kernel) is None:
             return False
     return True
@@ -192,9 +241,10 @@ def check_class(g: Graph) -> None:
     """Raise NotInClass unless g is subcubic, of girth at least 6 and planar.
 
     g may be disconnected.  Planarity is decided by is_planar, so most
-    class members pass without any embedding being built; callers that
-    need a rotation system call check_degree_and_girth and then
-    find_planar_embedding themselves.
+    class members pass without any embedding being built.  Callers that
+    need a rotation system embed connected g themselves: the charge audit
+    calls check_degree_and_girth and then _embed, which also returns the
+    faces its Euler check traced.
     """
     check_degree_and_girth(g)
     if not is_planar(g):

@@ -15,6 +15,7 @@ from sqcolor.coloring import is_proper
 from sqcolor.formats import from_graph6, parse_one_graph, to_graph6, write_graph_text
 from sqcolor.generate import named
 from sqcolor.graph_core import Graph, square
+from sqcolor.planar_embed import euler_genus_check
 
 
 def write_fixture(tmp_path, name, text):
@@ -284,11 +285,19 @@ def test_generate_g6_lines(capsys):
 
 
 def test_generate_named(capsys):
-    code, out = run(capsys, ["generate", "--name", "c6"])
-    assert code == 0
-    got, rot = parse_one_graph(out)
-    assert got == named("c6")[0]
-    assert rot is not None
+    fixtures = ("c3", "c6", "c7", "p1", "p2", "p5", "q3", "cube", "prism6", "6-prism",
+                "dodecahedron", "petersen", "honeycomb-1", "honeycomb-3", "subdivided-prism",
+                "two-heptagons", "two-heptagons-sharing-a-2-vertex")
+    for name in fixtures:
+        code, out = run(capsys, ["generate", "--name", name])
+        assert code == 0
+        got, rot = parse_one_graph(out)
+        assert got == named(name)[0], name
+        # p1 has no edge, so no rotation line; petersen has no rotation.
+        assert (rot is not None) is (got.m > 0 and name != "petersen"), name
+        if rot is not None:
+            rot.validate(got)
+            assert euler_genus_check(got, rot), name
 
 
 def test_generate_unknown_name(capsys):

@@ -15,7 +15,7 @@ from sqcolor.discharging import (
 from sqcolor.errors import NotInClass
 from sqcolor.generate import GeneratorSpec, named, random_instance
 from sqcolor.graph_core import Graph
-from sqcolor.planar_embed import faces, find_planar_embedding
+from sqcolor.planar_embed import RotationSystem, euler_genus_check, faces, find_planar_embedding
 from sqcolor.reducer import CutTwoVertex, OneVertex, SixCycleTwoVertex
 
 
@@ -27,6 +27,25 @@ def faces_of(g):
     rs = find_planar_embedding(g)
     assert rs is not None
     return faces(g, rs)
+
+
+def faces_with_pendants_outside(g, k):
+    """Faces of g, a k-cycle 0..k-1 with pendant vertices numbered from k,
+    embedded with every pendant in the outer face, so that the inner face
+    is the bare k-cycle.  A cycle vertex lists its predecessor, its
+    successor, then its pendant, so the walk i -> i+1 -> i+2 turns
+    straight on."""
+    rot = [((v - 1) % k, (v + 1) % k) + tuple(w for w in g.adj[v] if w >= k) for v in range(k)]
+    rs = RotationSystem(tuple(rot) + g.adj[k:])
+    assert euler_genus_check(g, rs)
+    return faces(g, rs)
+
+
+def pendant_seven_cycle():
+    """7-cycle with one 2-vertex (0); pendants push the rest to degree 3."""
+    edges = [(i, (i + 1) % 7) for i in range(7)]
+    edges += [(i, 6 + i) for i in range(1, 7)]
+    return Graph(13, edges)
 
 
 def test_initial_charges_cube():
@@ -86,11 +105,9 @@ def test_r1_does_not_mutate_input_ledger():
 
 def test_r1_pays_once_per_incidence():
     # One 2-vertex (0) on a 7-cycle; pendants push the rest to degree 3.
-    # Each of the two 7-walk faces pays vertex 0 exactly once.
-    edges = [(i, (i + 1) % 7) for i in range(7)]
-    edges += [(i, 6 + i) for i in range(1, 7)]
-    g = Graph(13, edges)
-    fs = faces_of(g)
+    # The bare 7-face and the outer face each pay vertex 0 exactly once.
+    g = pendant_seven_cycle()
+    fs = faces_with_pendants_outside(g, 7)
     after = apply_r1(initial_charges(g, fs), g, fs)
     pure = [i for i, f in enumerate(fs) if f.length == 7]
     assert len(pure) == 1
@@ -137,7 +154,7 @@ def spread_twelve_cycle():
 
 def test_claim3_checked_and_tight():
     g = spread_twelve_cycle()
-    report = claim3_bound_check(g, faces_of(g))
+    report = claim3_bound_check(g, faces_with_pendants_outside(g, 12))
     assert report.checked
     assert report.passed
     twelve = [r for r in report.rows if r.length == 12]
@@ -147,10 +164,8 @@ def test_claim3_checked_and_tight():
 
 
 def test_claim3_seven_face_cap():
-    edges = [(i, (i + 1) % 7) for i in range(7)]
-    edges += [(i, 6 + i) for i in range(1, 7)]
-    g = Graph(13, edges)
-    report = claim3_bound_check(g, faces_of(g))
+    g = pendant_seven_cycle()
+    report = claim3_bound_check(g, faces_with_pendants_outside(g, 7))
     assert report.checked
     seven = [r for r in report.rows if r.length == 7]
     assert len(seven) == 1
@@ -226,7 +241,7 @@ def test_audit_keeps_the_class_messages_and_the_full_embedding():
         discharge_audit(cycle(5))
     with pytest.raises(NotInClass, match="^graph has a vertex of degree above 3$"):
         discharge_audit(Graph(5, [(0, i) for i in range(1, 5)]))
-    # The faces come from networkx's embedding of the whole graph.
+    # The faces come from the embedding find_planar_embedding returns.
     g = named("subdivided-prism")[0]
     assert discharge_audit(g).face_count == len(faces_of(g))
 

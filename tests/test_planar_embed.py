@@ -7,10 +7,11 @@ import pytest
 
 from oracles import to_nx
 
-from sqcolor import planar_embed
+from sqcolor import generate, planar_embed
+from sqcolor.discharging import discharge_audit
 from sqcolor.errors import InconsistentRotation, NotInClass
 from sqcolor.generate import _disjoint_union, named, subdivide_edge
-from sqcolor.graph_core import Graph, girth, is_subcubic
+from sqcolor.graph_core import Graph, components, girth, induced_subgraph, is_subcubic
 from sqcolor.planar_embed import (
     RotationSystem,
     check_class,
@@ -188,17 +189,23 @@ def decorate(rng, g):
     return g
 
 
-def test_is_planar_matches_networkx_on_random_subcubic_graphs(planarity_calls):
+def seeded_graphs():
+    """2,000 subcubic graphs, a third of them disconnected: random cores
+    with subdivided edges and pendant trees."""
     rng = random.Random(2024)
-    answers = {True: 0, False: 0}
-    disconnected = 0
     for _ in range(2000):
         parts = []
         for _ in range(rng.choice((1, 1, 1, 2, 3))):
             k = rng.randint(1, 16)
             m = rng.randint(0, 3 * k // 2) if rng.random() < 0.5 else 3 * k // 2
             parts.append(decorate(rng, random_subcubic(rng, k, m)))
-        g = _disjoint_union(parts)
+        yield _disjoint_union(parts)
+
+
+def test_is_planar_matches_networkx_on_random_subcubic_graphs(planarity_calls):
+    answers = {True: 0, False: 0}
+    disconnected = 0
+    for g in seeded_graphs():
         assert is_subcubic(g)
         want = nx.check_planarity(to_nx(g))[0]
         del planarity_calls[:]
@@ -210,6 +217,81 @@ def test_is_planar_matches_networkx_on_random_subcubic_graphs(planarity_calls):
             disconnected += 1
     assert answers[True] > 500 and answers[False] > 300, answers
     assert disconnected > 500, disconnected
+
+
+def test_find_planar_embedding_matches_networkx_on_each_component():
+    answers = {True: 0, False: 0}
+    for g in seeded_graphs():
+        for comp in components(g):
+            h = induced_subgraph(g, comp)[0]
+            want = nx.check_planarity(to_nx(h))[0]
+            rs = find_planar_embedding(h)
+            assert (rs is not None) is want
+            answers[want] += 1
+            if rs is not None:
+                rs.validate(h)
+                assert sum(f.length for f in faces(h, rs)) == 2 * h.m
+                assert euler_genus_check(h, rs)
+    assert answers[True] > 2000 and answers[False] > 300, answers
+
+
+def test_find_planar_embedding_matches_networkx_on_enumeration_candidates(monkeypatch):
+    # Every connected candidate _enumerate_connected tests for planarity.
+    checked = []
+
+    def compare(h):
+        want = nx.check_planarity(to_nx(h))[0]
+        rs = find_planar_embedding(h)
+        assert (rs is not None) is want is is_planar(h)
+        if rs is not None:
+            assert euler_genus_check(h, rs)
+        checked.append(h.n)
+        return want
+
+    monkeypatch.setattr(generate, "is_planar", compare)
+    generate._enumerate_connected(11, 6)
+    assert len(checked) > 2000 and max(checked) == 11
+
+
+def test_audits_embed_only_the_kernel(planarity_calls):
+    for name in ("c3000", "honeycomb-50"):
+        g = named(name)[0]
+        del planarity_calls[:]
+        assert discharge_audit(g).final_total == -12
+        if name == "c3000":
+            assert planarity_calls == []
+        else:
+            assert [h.number_of_nodes() < g.n for h in planarity_calls] == [True]
+
+
+def test_euler_check_rejects_a_mutated_lift(monkeypatch):
+    # Reversing one branch vertex of the kernel's rotation (swapping two
+    # of its three neighbours) merges its three faces into one, so the
+    # Euler check on the lifted rotation must fail.
+    g = named("subdivided-prism")[0]
+    real = nx.check_planarity
+
+    class Mutated:
+        def __init__(self, emb):
+            self.emb = emb
+
+        def neighbors_cw_order(self, v):
+            order = list(self.emb.neighbors_cw_order(v))
+            if v == 0:
+                order[0], order[1] = order[1], order[0]
+            return order
+
+    def mutant(h, *args, **kwargs):
+        ok, emb = real(h, *args, **kwargs)
+        return ok, Mutated(emb)
+
+    rs = find_planar_embedding(g)
+    assert len(rs.rot[0]) == 3 and any(g.degree(w) == 2 for w in rs.rot[0])
+    monkeypatch.setattr(planar_embed.nx, "check_planarity", mutant)
+    with pytest.raises(AssertionError, match="non-planar rotation"):
+        find_planar_embedding(g)
+    with pytest.raises(AssertionError, match="non-planar rotation"):
+        discharge_audit(g)
 
 
 def heawood():
