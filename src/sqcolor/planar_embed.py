@@ -18,9 +18,10 @@ fewer, and then no planarity test runs at all; otherwise networkx tests
 the kernel.  find_planar_embedding embeds the kernel (with networkx
 unless its rotation is forced), then puts back the spliced 2-vertices,
 whose rotations are forced, and the pendant trees, which fit in any
-angle, and Euler-checks the faces it traces.  Any plane embedding serves the charge audit, which
-takes those faces too.  check_class is the one membership test for the
-coloring theorem's class (subcubic, girth at least 6, planar).
+angle, and Euler-checks the faces it traces.  Any plane embedding
+serves the charge audit, which takes those faces too.  check_class is
+the one membership test for the coloring theorem's class (subcubic,
+girth at least 6, planar).
 """
 
 from __future__ import annotations
@@ -111,31 +112,29 @@ def _kernel(adj):
     Leaves are stripped repeatedly, which leaves the 2-core; then every
     2-vertex whose two neighbours are not adjacent is spliced out, in
     vertex order, which leaves a simple graph homeomorphic to the 2-core.
-    Returns (kadj, core, splices): kadj[v] is the set of v's kernel
-    neighbours (empty off the kernel), core[v] says whether v is in the
-    2-core, and splices lists (v, a, b) in splice order, v having joined
-    a and b.
+    Returns (kadj, core, splices).  kadj[v] lists v's kernel neighbours,
+    and is empty off the kernel; splicing v out puts b in v's place at a
+    and a in v's place at b.  core[v] says whether v is in the 2-core.
+    splices lists (v, a, b) in splice order, v having joined a and b.
     """
-    kadj = [set(a) for a in adj]
+    kadj = [list(a) for a in adj]
     stack = [v for v in range(len(kadj)) if len(kadj[v]) <= 1]
     while stack:
         v = stack.pop()
         for u in kadj[v]:
-            kadj[u].discard(v)
+            kadj[u].remove(v)
             if len(kadj[u]) == 1:
                 stack.append(u)
-        kadj[v].clear()
+        kadj[v] = []
     core = [bool(a) for a in kadj]
     splices = []
     for v in range(len(kadj)):
         if len(kadj[v]) == 2:
             a, b = kadj[v]
             if b not in kadj[a]:
-                kadj[a].discard(v)
-                kadj[b].discard(v)
-                kadj[a].add(b)
-                kadj[b].add(a)
-                kadj[v].clear()
+                kadj[a][kadj[a].index(v)] = b
+                kadj[b][kadj[b].index(v)] = a
+                kadj[v] = []
                 splices.append((v, a, b))
     return kadj, core, splices
 
@@ -154,13 +153,14 @@ def _embed(g: Graph) -> tuple[RotationSystem, list[Face]] | None:
     """
     if not is_connected(g):
         raise ValueError("embedding requires a connected graph")
-    kadj, core, splices = _kernel(g.adj)
-    rot = [list(a) for a in kadj]
-    kernel = [v for v in range(g.n) if kadj[v]]
-    if any(len(kadj[v]) >= 3 for v in kernel):
+    # A kernel without a 3-vertex is its own rotation.
+    rot, core, splices = _kernel(g.adj)
+    kernel = [v for v in range(g.n) if rot[v]]
+    if any(len(rot[v]) >= 3 for v in kernel):
         nxg = nx.Graph()
         nxg.add_nodes_from(kernel)
-        nxg.add_edges_from((v, w) for v in kernel for w in sorted(kadj[v]) if v < w)
+        # Sorted, so that networkx's input does not depend on the splices.
+        nxg.add_edges_from([(v, w) for v in kernel for w in sorted(rot[v]) if v < w])
         ok, emb = nx.check_planarity(nxg)
         if not ok:
             return None

@@ -45,7 +45,7 @@ FROZEN = {
     "corpus12": (
         "b2e182b3cdcd2576489985285a2bc690002f896ccfd29a11dac49cf8e39b40af",
         "fc72b366568e8abba420f7bd99467960fa16918c938de7d514ac41ce00d439fa",
-        "46226765d5fcecbfa3011abb37e46c33b34676c03c342a3e1e4b5c966767116c",
+        "dfdd3a02b22b499e9bef82e7de19b14f86ad5af5af6632aebe09be4da191fb0f",
     ),
     "c3000": (
         "a631e5a41f68403645804b51d665da5b3b48e04427f2f8533073c92a638b92d9",
