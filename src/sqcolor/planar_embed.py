@@ -153,7 +153,8 @@ def _embed(g: Graph) -> tuple[RotationSystem, list[Face]] | None:
     """
     if not is_connected(g):
         raise ValueError("embedding requires a connected graph")
-    # A kernel without a 3-vertex is its own rotation.
+    # A kernel with no vertex of degree >= 3 (empty or a triangle) is its
+    # own rotation.
     rot, core, splices = _kernel(g.adj)
     kernel = [v for v in range(g.n) if rot[v]]
     if any(len(rot[v]) >= 3 for v in kernel):

@@ -32,9 +32,9 @@ def faces_of(g):
 def faces_with_pendants_outside(g, k):
     """Faces of g, a k-cycle 0..k-1 with pendant vertices numbered from k,
     embedded with every pendant in the outer face, so that the inner face
-    is the bare k-cycle.  A cycle vertex lists its predecessor, its
-    successor, then its pendant, so the walk i -> i+1 -> i+2 turns
-    straight on."""
+    is the bare k-cycle.  A cycle vertex lists its predecessor, then its
+    successor, then its pendant, so the face walk that arrives from the
+    predecessor leaves to the successor."""
     rot = [((v - 1) % k, (v + 1) % k) + tuple(w for w in g.adj[v] if w >= k) for v in range(k)]
     rs = RotationSystem(tuple(rot) + g.adj[k:])
     assert euler_genus_check(g, rs)
