@@ -42,7 +42,6 @@ from .formats import (
     uniform_lists,
     write_coloring,
     write_graph_text,
-    write_lists,
 )
 from .generate import (
     GeneratorSpec,

@@ -247,13 +247,6 @@ def parse_lists(text: str, n: int, source: str = "<lists>") -> list[frozenset[in
     return [lists[v] for v in range(n)]
 
 
-def write_lists(lists) -> str:
-    lines = []
-    for v, colors in enumerate(lists):
-        lines.append(f"{v}: " + " ".join(str(c) for c in sorted(colors)))
-    return "\n".join(lines) + "\n"
-
-
 def write_coloring(coloring) -> str:
     """Serialize a coloring as one 'v: c' line per vertex."""
     lines = []

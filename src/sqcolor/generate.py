@@ -395,4 +395,4 @@ def named(name: str) -> tuple[Graph, Optional[RotationSystem]]:
             f"unknown fixture '{name}'; try c<k>, p<k>, q3, prism6, dodecahedron,"
             " petersen, honeycomb-<k>, subdivided-prism, two-heptagons"
         )
-    return g, find_planar_embedding(g) if is_connected(g) else None
+    return g, find_planar_embedding(g)

@@ -270,11 +270,6 @@ def induced_subgraph(g: Graph, keep: Sequence[int]) -> tuple[Graph, list[int]]:
     return Graph(len(old_ids), edges), old_ids
 
 
-def remove_vertex(g: Graph, v: int) -> tuple[Graph, list[int]]:
-    """Return the graph minus v plus the old-id lookup."""
-    return induced_subgraph(g, [u for u in range(g.n) if u != v])
-
-
 def add_vertex(g: Graph, attach_to: Sequence[int]) -> Graph:
     """Return a new graph with one extra vertex joined to attach_to."""
     new = g.n

@@ -4,24 +4,21 @@ A rotation system stores, for each vertex, the cyclic order of its
 neighbors.  Faces are closed walks of directed edges; the successor of
 (u, v) is (v, w) where w follows u in the rotation at v.  Face length
 counts edge sides, so a bridge contributes 2 to the face containing it.
-Embedding operations reject disconnected graphs; callers embed each
-component separately.
+Embedding operations reject empty and disconnected graphs; callers embed
+each component separately.
 
-Both planarity entry points work on the cubic kernel (_kernel): the
-2-core with its 2-paths spliced, which is homeomorphic to the 2-core and
-so planar exactly when the graph is, and far smaller than it.
-is_planar decides planarity without an embedding.  A subcubic graph has
-no K5 subdivision (its branch vertices need degree 4), so by Kuratowski
-it is non-planar exactly when it contains a subdivided K3,3, whose six
-branch vertices have degree 3 in the 2-core.  Most class members have
-fewer, and then no planarity test runs at all; otherwise networkx tests
-the kernel.  find_planar_embedding embeds the kernel (with networkx
-unless its rotation is forced), then puts back the spliced 2-vertices,
-whose rotations are forced, and the pendant trees, which fit in any
-angle, and Euler-checks the faces it traces.  Any plane embedding
-serves the charge audit, which takes those faces too.  check_class is
-the one membership test for the coloring theorem's class (subcubic,
-girth at least 6, planar).
+Planarity is decided on the cubic kernel (_kernel): the 2-core with its
+2-paths spliced, homeomorphic to the 2-core and far smaller.  A subcubic
+graph has no K5 subdivision (its branch vertices need degree 4), so by
+Kuratowski it is non-planar exactly when it contains a subdivided K3,3,
+whose six branch vertices have degree 3 in the 2-core.  _embed_kernel
+embeds a kernel component (the one call into networkx) and _face_walks
+traces the faces of every Euler check.  is_planar embeds only kernel
+components with six such vertices, which most class members lack.
+find_planar_embedding embeds the kernel, puts back the spliced
+2-vertices (forced rotations) and pendant trees (any angle), and
+Euler-checks its faces, which the charge audit takes too.  check_class
+is the one membership test for the coloring theorem's class.
 """
 
 from __future__ import annotations
@@ -70,34 +67,40 @@ class Face:
 
 
 def faces(g: Graph, rs: RotationSystem) -> list[Face]:
-    """Trace all faces of the embedding given by rs."""
+    """Trace all faces of the embedding given by rs on nonempty connected g.
+
+    Face i starts at the i-th least dart (u, v) that no earlier face
+    holds; the charge audit numbers faces by this index.
+    """
+    if g.n == 0:
+        raise ValueError("face tracing requires a nonempty graph")
     if not is_connected(g):
         raise ValueError("face tracing requires a connected graph")
     rs.validate(g)
-    if g.n == 1 and g.m == 0:
-        # a single vertex in the plane bounds one face
-        return [Face(())]
-    pos = {}
-    for v in range(g.n):
-        for i, u in enumerate(rs.rot[v]):
-            pos[(u, v)] = i
-    seen = set()
-    out = []
-    darts = [(u, v) for u in range(g.n) for v in rs.rot[u]]
-    for start in sorted(darts):
-        if start in seen:
-            continue
-        walk = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            walk.append(cur)
-            u, v = cur
-            i = pos[(u, v)]
-            w = rs.rot[v][(i + 1) % len(rs.rot[v])]
-            cur = (v, w)
-        out.append(Face(tuple(walk)))
-    return out
+    if g.m == 0:
+        return [Face(())]  # a single vertex in the plane bounds one face
+    return [Face(walk) for walk in _face_walks(range(g.n), g.adj, rs.rot)]
+
+
+def _face_walks(verts, order, rot) -> list[tuple[tuple[int, int], ...]]:
+    """The face walks of the rotation rows rot on verts, each started at
+    the first unwalked dart (u, v) for u in verts and v in order[u].  A
+    dart (s, t) is marked walked at t's position in rot[s]."""
+    seen = {v: [False] * len(rot[v]) for v in verts}
+    walks = []
+    for u in verts:
+        for v in order[u]:
+            s, t, i = u, v, rot[u].index(v)
+            walk = []
+            while not seen[s][i]:
+                seen[s][i] = True
+                walk.append((s, t))
+                row = rot[t]
+                i = (row.index(s) + 1) % len(row)
+                s, t = t, row[i]
+            if walk:
+                walks.append(tuple(walk))
+    return walks
 
 
 def euler_genus_check(g: Graph, rs: RotationSystem) -> bool:
@@ -139,34 +142,34 @@ def _kernel(adj):
     return kadj, core, splices
 
 
-def _embed(g: Graph) -> tuple[RotationSystem, list[Face]] | None:
-    """Embed connected g by embedding its cubic kernel; return the rotation
-    and its faces, or None when g is not planar.
+def _embed_kernel(rot, comp) -> bool:
+    """Give kernel component comp a plane rotation in rot, in place, or
+    return False; the one call into networkx."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(comp)
+    # Sorted, so that networkx's input does not depend on the splices.
+    nxg.add_edges_from([(v, w) for v in comp for w in sorted(rot[v]) if v < w])
+    ok, emb = nx.check_planarity(nxg)
+    if ok:
+        for v in comp:
+            rot[v] = list(emb.neighbors_cw_order(v))
+    return ok
 
-    The kernel is homeomorphic to the 2-core, so it is planar exactly when
-    g is.  Without a vertex of degree >= 3 it is empty or a triangle and
-    its rotation is forced; otherwise networkx embeds it.  The splices are
-    undone in reverse order (v takes b's place at a and a's place at b),
-    each core vertex gets its pendant-tree neighbours after its core ones,
-    and tree vertices keep their adjacency order.  The faces are traced
-    once and Euler-checked, so a wrong rotation cannot slip through.
+
+def _embed(g: Graph) -> tuple[RotationSystem, list[Face]] | None:
+    """Embed g (its caller checks it is connected) by its cubic kernel;
+    return the rotation and its faces, or None when g is not planar.
+
+    A kernel with no vertex of degree >= 3 is empty or a triangle, its
+    own rotation.  The splices are undone in reverse order (v takes b's
+    place at a and a's place at b), each core vertex gets its pendant-tree
+    neighbours after its core ones, and tree vertices keep their adjacency
+    order.  faces traces the faces once and they are Euler-checked.
     """
-    if not is_connected(g):
-        raise ValueError("embedding requires a connected graph")
-    # A kernel with no vertex of degree >= 3 (empty or a triangle) is its
-    # own rotation.
     rot, core, splices = _kernel(g.adj)
     kernel = [v for v in range(g.n) if rot[v]]
-    if any(len(rot[v]) >= 3 for v in kernel):
-        nxg = nx.Graph()
-        nxg.add_nodes_from(kernel)
-        # Sorted, so that networkx's input does not depend on the splices.
-        nxg.add_edges_from([(v, w) for v in kernel for w in sorted(rot[v]) if v < w])
-        ok, emb = nx.check_planarity(nxg)
-        if not ok:
-            return None
-        for v in kernel:
-            rot[v] = list(emb.neighbors_cw_order(v))
+    if any(len(rot[v]) >= 3 for v in kernel) and not _embed_kernel(rot, kernel):
+        return None
     for v, a, b in reversed(splices):
         rot[a][rot[a].index(b)] = v
         rot[b][rot[b].index(a)] = v
@@ -182,11 +185,10 @@ def _embed(g: Graph) -> tuple[RotationSystem, list[Face]] | None:
 
 
 def find_planar_embedding(g: Graph) -> RotationSystem | None:
-    """Return a rotation system with n - m + f = 2, or None when none exists.
-
-    g must be connected.  Only the cubic kernel goes to networkx's
-    linear-time planarity test; see _embed.
-    """
+    """Return a rotation system with n - m + f = 2, or None when none
+    exists, for nonempty connected g.  See _embed."""
+    if g.n == 0 or not is_connected(g):
+        raise ValueError("embedding requires a nonempty connected graph")
     found = _embed(g)
     return None if found is None else found[0]
 
@@ -198,23 +200,23 @@ def is_planar(g: Graph) -> bool:
     and fewer than five of degree >= 4, since a subdivided K3,3 or K5
     needs that many branch vertices; at degree <= 3 this reads "fewer
     than six 3-vertices", and no planarity test runs.  The same holds for
-    the cubic kernel (_kernel), which has the 2-core's branch vertices.
-    Each component of the kernel that still has enough of them goes
-    through find_planar_embedding, so every positive answer is
-    Euler-checked.
+    the cubic kernel, which has the 2-core's branch vertices.  Each kernel
+    component that still has enough goes to _embed_kernel, and its
+    rotation is Euler-checked, so every positive answer is checked.
     """
     if _few_branch_vertices(len(a) for a in g.adj):
         return True
-    kadj, _, _ = _kernel(g.adj)
-    if _few_branch_vertices(len(a) for a in kadj):
+    rot, _, _ = _kernel(g.adj)
+    if _few_branch_vertices(len(a) for a in rot):
         return True
-    for comp in adjacency_components(kadj):
-        if _few_branch_vertices(len(kadj[v]) for v in comp):
+    for comp in adjacency_components(rot):
+        if _few_branch_vertices(len(rot[v]) for v in comp):
             continue
-        new_of = {v: i for i, v in enumerate(comp)}
-        kernel = Graph(len(comp), [(new_of[v], new_of[w]) for v in comp for w in kadj[v] if v < w])
-        if find_planar_embedding(kernel) is None:
+        if not _embed_kernel(rot, comp):
             return False
+        m = sum(len(rot[v]) for v in comp) // 2
+        if len(comp) - m + len(_face_walks(comp, rot, rot)) != 2:
+            raise AssertionError("kernel embedding is a non-planar rotation")
     return True
 
 
@@ -242,10 +244,8 @@ def check_class(g: Graph) -> None:
     """Raise NotInClass unless g is subcubic, of girth at least 6 and planar.
 
     g may be disconnected.  Planarity is decided by is_planar, so most
-    class members pass without any embedding being built.  Callers that
-    need a rotation system embed connected g themselves: the charge audit
-    calls check_degree_and_girth and then _embed, which also returns the
-    faces its Euler check traced.
+    class members pass without any embedding being built; the charge
+    audit, which needs the faces, calls check_degree_and_girth and _embed.
     """
     check_degree_and_girth(g)
     if not is_planar(g):

@@ -189,3 +189,31 @@ def canonical_code_by_frontier(g):
             frontier.append((prefix + (cand,), pos2))
         levels.append(best_val)
     return (n, tuple(levels))
+
+
+def faces_by_sorted_darts(g, rs):
+    """Face walks of the rotation rs on connected g, numbered by sorting
+    all darts: each walk starts at the least dart that no earlier walk
+    holds.  A single vertex bounds one empty walk."""
+    if g.n == 1 and g.m == 0:
+        return [()]
+    pos = {}
+    for v in range(g.n):
+        for i, u in enumerate(rs.rot[v]):
+            pos[(u, v)] = i
+    seen = set()
+    out = []
+    darts = [(u, v) for u in range(g.n) for v in rs.rot[u]]
+    for start in sorted(darts):
+        if start in seen:
+            continue
+        walk = []
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            walk.append(cur)
+            u, v = cur
+            w = rs.rot[v][(pos[(u, v)] + 1) % len(rs.rot[v])]
+            cur = (v, w)
+        out.append(tuple(walk))
+    return out

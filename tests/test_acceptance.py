@@ -25,7 +25,7 @@ from sqcolor.coloring import (
 from sqcolor.discharging import discharge_audit
 from sqcolor.formats import write_graph_text
 from sqcolor.generate import named
-from sqcolor.graph_core import Graph, girth, remove_vertex, square
+from sqcolor.graph_core import Graph, girth, square
 from sqcolor.planar_embed import euler_genus_check, faces, find_planar_embedding
 from sqcolor.reducer import color_square_7lists, extend_sixcycle, find_sixcycle_two_vertex
 
@@ -49,6 +49,13 @@ def cycle(n):
 
 def complete(n):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def without_vertex(g, v):
+    """g minus v, and old_ids[new] for each vertex left."""
+    old_ids = [u for u in range(g.n) if u != v]
+    new_of = {u: i for i, u in enumerate(old_ids)}
+    return Graph(g.n - 1, [(new_of[a], new_of[b]) for a, b in g.edges() if v not in (a, b)]), old_ids
 
 
 def test_criterion_1_lemma2_tables(capsys):
@@ -76,7 +83,7 @@ def test_criterion_2_recoloring_sweep(corpus12, capsys):
         v_cycle = cfg.cycle
         v1, v5, v6 = v_cycle[0], v_cycle[4], v_cycle[5]
         sq_g = square(g)
-        host, old_ids = remove_vertex(g, v6)
+        host, old_ids = without_vertex(g, v6)
         sq_host = square(host)
         rng = random.Random(1000 + idx)
         for trial in range(TRIALS_PER_HOST):

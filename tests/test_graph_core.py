@@ -23,7 +23,6 @@ from sqcolor.graph_core import (
     is_connected,
     is_subcubic,
     max_degree,
-    remove_vertex,
     square,
 )
 
@@ -188,15 +187,11 @@ def test_biconnected_components_cover_cyclic_blocks():
     assert {frozenset(b) for b in small} == {frozenset({0, 14}), frozenset({7, 14})}
 
 
-def test_induced_subgraph_and_remove_vertex():
+def test_induced_subgraph():
     g = cycle(6)
     h, old_ids = induced_subgraph(g, [0, 1, 2, 3])
     assert old_ids == [0, 1, 2, 3]
     assert set(h.edges()) == {(0, 1), (1, 2), (2, 3)}
-    r, old_ids = remove_vertex(g, 0)
-    assert r.n == 5
-    assert old_ids == [1, 2, 3, 4, 5]
-    assert set(r.edges()) == {(0, 1), (1, 2), (2, 3), (3, 4)}
 
 
 def test_add_vertex():

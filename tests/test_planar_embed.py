@@ -5,7 +5,7 @@ import random
 import networkx as nx
 import pytest
 
-from oracles import to_nx
+from oracles import faces_by_sorted_darts, to_nx
 
 from sqcolor import generate, planar_embed
 from sqcolor.discharging import discharge_audit
@@ -77,6 +77,24 @@ def test_faces_of_single_vertex():
     fs = faces(g, embed(g))
     assert len(fs) == 1
     assert fs[0].length == 0
+
+
+def test_faces_match_the_sorted_dart_reference_on_corpus12(corpus12):
+    for g in corpus12:
+        rs = embed(g)
+        assert [f.walk for f in faces(g, rs)] == faces_by_sorted_darts(g, rs)
+
+
+def test_empty_graph_has_no_embedding_but_is_planar():
+    g = Graph(0, [])
+    with pytest.raises(ValueError, match="nonempty"):
+        find_planar_embedding(g)
+    with pytest.raises(ValueError, match="nonempty"):
+        faces(g, RotationSystem(()))
+    assert is_planar(g) is True
+    k5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    with pytest.raises(ValueError, match="connected"):
+        find_planar_embedding(_disjoint_union([k5, named("c6")[0]]))
 
 
 def test_face_lengths_sum_to_twice_edges(corpus12):
@@ -231,6 +249,7 @@ def test_find_planar_embedding_matches_networkx_on_each_component():
             if rs is not None:
                 rs.validate(h)
                 assert sum(f.length for f in faces(h, rs)) == 2 * h.m
+                assert [f.walk for f in faces(h, rs)] == faces_by_sorted_darts(h, rs)
                 assert euler_genus_check(h, rs)
     assert answers[True] > 2000 and answers[False] > 300, answers
 
@@ -290,6 +309,29 @@ def test_euler_check_rejects_a_mutated_lift(monkeypatch):
         find_planar_embedding(g)
     with pytest.raises(AssertionError, match="non-planar rotation"):
         discharge_audit(g)
+    with pytest.raises(AssertionError, match="non-planar rotation"):
+        is_planar(g)
+
+
+def test_is_planar_derives_the_kernel_once(monkeypatch, planarity_calls):
+    calls = {"_kernel": 0, "find_planar_embedding": 0}
+    real_kernel = planar_embed._kernel
+
+    def kernel(adj):
+        calls["_kernel"] += 1
+        return real_kernel(adj)
+
+    def embedding(g):
+        calls["find_planar_embedding"] += 1
+        return None
+
+    g = named("subdivided-prism")[0]
+    del planarity_calls[:]
+    monkeypatch.setattr(planar_embed, "_kernel", kernel)
+    monkeypatch.setattr(planar_embed, "find_planar_embedding", embedding)
+    assert is_planar(g) is True
+    assert calls == {"_kernel": 1, "find_planar_embedding": 0}
+    assert [h.number_of_nodes() for h in planarity_calls] == [12]
 
 
 def heawood():
