@@ -37,7 +37,7 @@ class NotInClass(PreconditionViolated):
 
 
 class GenerationFailed(RuntimeError):
-    """Randomized instance growth gave up after bounded retries."""
+    """A randomly grown instance failed its final class check."""
 
 
 class NotTwoVertex(PreconditionViolated):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Collection, Iterator, Optional, Sequence
 
 import networkx as nx
 
@@ -23,6 +23,7 @@ from .graph_core import (
     INF,
     Graph,
     add_vertex,
+    ball,
     girth_at_least,
     is_connected,
     is_subcubic,
@@ -120,27 +121,11 @@ def _attach_sets(g: Graph, min_girth: float) -> Iterator[tuple]:
         return
     # dist(u, w) >= min_girth - 2 exactly when w lies outside u's ball
     # of radius min_girth - 3.
-    near = {v: _ball(g, v, int(min_girth) - 3) for v in open_vertices}
+    near = {v: ball(g.adj, v, int(min_girth) - 3) for v in open_vertices}
     for size in (2, 3):
         for S in combinations(open_vertices, size):
             if all(w not in near[u] for u, w in combinations(S, 2)):
                 yield S
-
-
-def _ball(g: Graph, s: int, radius: int) -> set[int]:
-    """Vertices within distance radius of s, by a BFS that stops at that
-    depth; O(1) at bounded degree and radius."""
-    seen = {s}
-    frontier = [s]
-    for _ in range(radius):
-        nxt = []
-        for u in frontier:
-            for w in g.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
 
 
 def _enumerate_connected(max_n: int, min_girth: float) -> list[list[Graph]]:
@@ -205,11 +190,6 @@ def _disjoint_union(parts: list) -> Graph:
     return Graph(offset, edges)
 
 
-def attach_pendant(g: Graph, v: int) -> Graph:
-    """New leaf hanging from v."""
-    return add_vertex(g, [v])
-
-
 def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
     """Replace edge uv by a path through a fresh vertex."""
     edges = [e for e in g.edges() if e != (min(u, v), max(u, v))]
@@ -218,114 +198,111 @@ def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.n + 1, edges)
 
 
-def attach_cycle_at_vertex(g: Graph, v: int, length: int) -> Graph:
-    """New cycle of the given length sharing exactly the vertex v."""
-    edges = list(g.edges())
-    fresh = list(range(g.n, g.n + length - 1))
-    ring = [v] + fresh
-    edges.extend((ring[i], ring[(i + 1) % length]) for i in range(length))
-    return Graph(g.n + length - 1, edges)
-
-
-def fuse_cycle_on_edge(g: Graph, u: int, v: int, length: int) -> Graph:
-    """New cycle of the given length sharing exactly the edge uv."""
-    edges = list(g.edges())
-    fresh = list(range(g.n, g.n + length - 2))
-    chain = [u] + fresh + [v]
-    edges.extend((chain[i], chain[i + 1]) for i in range(len(chain) - 1))
-    return Graph(g.n + length - 2, edges)
-
-
-def add_long_chord(g: Graph, u: int, v: int) -> Graph:
-    """Direct edge between two currently distant vertices."""
-    return Graph(g.n, list(g.edges()) + [(u, v)])
-
-
 def random_instance(spec: GeneratorSpec) -> Graph:
     """Randomly grown class member, deterministic under the seed.
 
-    Growth steps keep the class invariants by construction except for
-    planarity of chords, which is checked and rolled back.  A chord may
-    join two vertices of degree <= 2 at distance >= girth - 1, so it
-    closes no cycle shorter than the girth; the candidates are the pairs
-    u < v with v outside the depth-(girth - 2) BFS ball of u, which costs
-    O(1) per vertex at degree <= 3 instead of a whole-graph BFS per pair.
-    Bounded retries; exhausting them raises GenerationFailed.
+    Grows one adjacency, a list of sets, in place from a min_girth-cycle
+    (one vertex if the girth is infinite or the cycle does not fit).
+    Every step keeps the class by construction: attachments go to
+    vertices of degree <= 2 (<= 1 for a cycle at a vertex), new cycles
+    have exactly the girth, no step passes max_n, and a chord joins two
+    vertices at distance >= girth - 1, found outside the depth-(girth - 2)
+    ball in O(1) per vertex, and is rolled back if it breaks planarity.
+    The result is checked once more; GenerationFailed if it left the class.
     """
     spec.validate()
     rng = random.Random(spec.seed)
-    ring = INF if spec.min_girth == INF else int(spec.min_girth)
-    for _ in range(50):
-        g = Graph(1, []) if ring == INF or spec.max_n < ring else _cycle(ring)
-        for _ in range(4 * spec.max_n):
-            if g.n >= spec.max_n:
-                break
-            g = _random_step(g, spec, rng) or g
-        if (
-            g.n <= spec.max_n
-            and is_subcubic(g)
-            and is_connected(g)
-            and girth_at_least(g, spec.min_girth)
-            and is_planar(g)
-        ):
-            return g
-    raise GenerationFailed(f"no instance for {spec} after bounded retries")
+    ring = 0 if spec.min_girth == INF else int(spec.min_girth)
+    adj: list[set[int]] = [set()]
+    if ring and spec.max_n >= ring:
+        adj = [{(i - 1) % ring, (i + 1) % ring} for i in range(ring)]
+    for _ in range(4 * spec.max_n):
+        if len(adj) >= spec.max_n:
+            break
+        _random_step(adj, spec, rng)
+    g = Graph(len(adj), _edges(adj))
+    if not (
+        g.n <= spec.max_n
+        and is_subcubic(g)
+        and is_connected(g)
+        and girth_at_least(g, spec.min_girth)
+        and is_planar(g)
+    ):
+        raise GenerationFailed(f"random instance for {spec} left the class")
+    return g
 
 
 def _cycle(k: int) -> Graph:
     return Graph(k, [(i, (i + 1) % k) for i in range(k)])
 
 
-def _random_step(g: Graph, spec: GeneratorSpec, rng: random.Random) -> Optional[Graph]:
-    room = spec.max_n - g.n
+def _edges(adj: list[set[int]]) -> list[tuple[int, int]]:
+    """The edges u < v of adj in lexicographic order, as Graph.edges."""
+    return [(u, v) for u in range(len(adj)) for v in sorted(adj[u]) if u < v]
+
+
+def _link(adj: list[set[int]], path: list[int]) -> None:
+    """Add the edges of path to adj, appending its fresh vertices first."""
+    adj.extend(set() for _ in range(max(path) + 1 - len(adj)))
+    for u, v in zip(path, path[1:]):
+        adj[u].add(v)
+        adj[v].add(u)
+
+
+def _random_step(adj: list[set[int]], spec: GeneratorSpec, rng: random.Random) -> None:
+    """Apply one random growth step to adj in place; a step without
+    candidates, or a chord that breaks planarity, leaves it unchanged."""
+    n = len(adj)
+    room = spec.max_n - n
     ring = 0 if spec.min_girth == INF else int(spec.min_girth)
     ops = []
-    open_vertices = [v for v in range(g.n) if g.degree(v) < 3]
+    open_vertices = [v for v in range(n) if len(adj[v]) < 3]
     if open_vertices:
         ops.append("pendant")
-    if g.m > 0 and ring:
+    if any(adj) and ring:
         ops.append("subdivide")
-    if ring and room >= ring - 1 and any(g.degree(v) <= 1 for v in range(g.n)):
+    if ring and room >= ring - 1 and any(len(a) <= 1 for a in adj):
         ops.append("cycle_at_vertex")
     if ring and room >= ring - 2:
         ops.append("fuse_cycle")
     if ring:
         ops.append("chord")
     if not ops:
-        return None
+        return
     op = rng.choice(ops)
     if op == "pendant":
-        return attach_pendant(g, rng.choice(open_vertices))
-    if op == "subdivide":
-        u, v = rng.choice(g.edges())
-        return subdivide_edge(g, u, v)
-    if op == "cycle_at_vertex":
-        v = rng.choice([v for v in range(g.n) if g.degree(v) <= 1])
-        return attach_cycle_at_vertex(g, v, ring)
-    if op == "fuse_cycle":
-        pairs = [(u, v) for u, v in g.edges() if g.degree(u) <= 2 and g.degree(v) <= 2]
-        if not pairs:
-            return None
-        u, v = rng.choice(pairs)
-        return fuse_cycle_on_edge(g, u, v, ring)
-    pairs = _chord_pairs(g, ring)
-    if not pairs:
-        return None
-    u, v = rng.choice(pairs)
-    h = add_long_chord(g, u, v)
-    if not is_planar(h):
-        return None
-    return h
+        _link(adj, [rng.choice(open_vertices), n])
+    elif op == "subdivide":
+        u, v = rng.choice(_edges(adj))
+        adj[u].remove(v)
+        adj[v].remove(u)
+        _link(adj, [u, n, v])
+    elif op == "cycle_at_vertex":
+        v = rng.choice([v for v in range(n) if len(adj[v]) <= 1])
+        _link(adj, [v, *range(n, n + ring - 1), v])
+    elif op == "fuse_cycle":
+        pairs = [(u, v) for u, v in _edges(adj) if len(adj[u]) <= 2 and len(adj[v]) <= 2]
+        if pairs:
+            u, v = rng.choice(pairs)
+            _link(adj, [u, *range(n, n + ring - 2), v])
+    else:
+        pairs = _chord_pairs(adj, ring)
+        if pairs:
+            u, v = rng.choice(pairs)
+            _link(adj, [u, v])
+            if not is_planar(Graph(n, _edges(adj))):
+                adj[u].remove(v)
+                adj[v].remove(u)
 
 
-def _chord_pairs(g: Graph, ring: int) -> list[tuple[int, int]]:
+def _chord_pairs(adj: Sequence[Collection[int]], ring: int) -> list[tuple[int, int]]:
     """Pairs u < v of vertices of degree <= 2 with dist(u, v) >= ring - 1,
     in lexicographic order: v qualifies exactly when it lies outside u's
     ball of radius ring - 2."""
-    open_vertices = [v for v in range(g.n) if g.degree(v) <= 2]
+    open_vertices = [v for v in range(len(adj)) if len(adj[v]) <= 2]
     pairs = []
     for i, u in enumerate(open_vertices):
-        near = _ball(g, u, ring - 2)
+        near = ball(adj, u, ring - 2)
         pairs.extend((u, v) for v in open_vertices[i + 1 :] if v not in near)
     return pairs
 

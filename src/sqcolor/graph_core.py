@@ -6,11 +6,12 @@ objects.  Infinite distances and infinite girth use math.inf, which is
 deliberately distinct from every natural number and compares correctly.
 
 Each primitive has one implementation here: the distance-2
-neighbourhood (square_neighbors), the component walk
-(adjacency_components) and the blocks (biconnected_components), from
-which the cut vertices are read off.  The first two take any adjacency
-sequence, so the reducer's and the planarity test's mutable adjacencies
-of sets use them too.
+neighbourhood (square_neighbors), the depth-bounded BFS (ball), the
+component walk (adjacency_components) and the blocks
+(biconnected_components), from which the cut vertices are read off.
+The first three take any adjacency sequence, so the reducer's, the
+sampler's and the planarity test's mutable adjacencies of sets use
+them too.
 """
 
 from __future__ import annotations
@@ -105,6 +106,26 @@ def bfs_distances(g: Graph, source: int) -> list[float]:
 def distance(g: Graph, u: int, v: int) -> float:
     """Return the length of a shortest u-v path, math.inf if none."""
     return bfs_distances(g, u)[v]
+
+
+def ball(adj: Sequence[Iterable[int]], s: int, radius: int) -> dict[int, int]:
+    """Return {v: dist(s, v)} for the vertices within distance radius of
+    s; adj[u] holds the neighbours of u.  The BFS stops at that depth or
+    when a level adds nothing, so it costs the ball's size at any radius.
+    """
+    dist = {s: 0}
+    frontier = [s]
+    depth = 0
+    while frontier and depth < radius:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = depth
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 def adjacency_components(adj: Sequence[Iterable[int]]) -> list[list[int]]:

@@ -18,10 +18,9 @@ from .coloring import normalize_lists
 from .errors import ListTooSmall, NotCutVertex, NotTwoVertex, PreconditionViolated
 from .graph_core import (
     Graph,
+    ball,
     biconnected_components,
-    bfs_distances,
     cut_vertices,
-    distance,
     girth_at_least,
     is_subcubic,
     square_neighbors,
@@ -144,8 +143,8 @@ class SpacingViolation:
             and self.u != self.w
             and g.degree(self.u) == 2
             and g.degree(self.w) == 2
-            and distance(g, self.u, self.w) == self.dist
             and self.dist <= 3
+            and ball(g.adj, self.u, 3).get(self.w) == self.dist
         )
 
 
@@ -211,20 +210,19 @@ def _cycle_through(g: Graph, block: set, u: int, w: int) -> tuple:
 def close_two_vertex_pair(g: Graph) -> Optional[tuple]:
     """First (u, w, dist, block): 2-vertices u < w at distance <= 3 in a
     common block of at least 3 vertices (so on a common cycle), or None."""
-    twos = [v for v in range(g.n) if g.degree(v) == 2]
-    if len(twos) < 2:
-        return None
-    blocks = [b for b in biconnected_components(g) if len(b) >= 3]
-    for i, u in enumerate(twos):
-        dist = None
-        for w in twos[i + 1 :]:
-            if not any(u in b and w in b for b in blocks):
-                continue
-            if dist is None:
-                dist = bfs_distances(g, u)
-            if dist[w] <= 3:
-                block = next(b for b in blocks if u in b and w in b)
-                return u, w, int(dist[w]), block
+    # A 2-vertex that is no cut vertex lies in exactly one block of >= 3
+    # vertices, so two of them share a cycle exactly when they share it.
+    block_of = {}
+    for b in biconnected_components(g):
+        if len(b) >= 3:
+            for v in b:
+                if g.degree(v) == 2:
+                    block_of[v] = b
+    for u in sorted(block_of):
+        near = ball(g.adj, u, 3)
+        w = min((w for w in near if w > u and block_of.get(w) is block_of[u]), default=None)
+        if w is not None:
+            return u, w, near[w], block_of[u]
     return None
 
 

@@ -275,6 +275,15 @@ def test_generate_count(capsys):
     assert out == "count=12\n"
 
 
+def test_generate_count_with_a_huge_girth_bound(capsys):
+    # No cycle fits, so this is the tree count of --min-girth inf; the
+    # enumeration's distance balls stop at the graph's reach, not at the
+    # bound.
+    code, out = run(capsys, ["generate", "--max-n", "8", "--min-girth", "100000000", "--count"])
+    assert code == 0
+    assert out == "count=28\n"
+
+
 def test_generate_g6_lines(capsys):
     code, out = run(capsys, ["generate", "--max-n", "6", "--g6"])
     assert code == 0

@@ -15,12 +15,8 @@ from sqcolor.formats import to_graph6
 from sqcolor.generate import (
     GeneratorSpec,
     _chord_pairs,
-    add_long_chord,
-    attach_cycle_at_vertex,
-    attach_pendant,
     canonical_code,
     enumerate_class,
-    fuse_cycle_on_edge,
     named,
     random_instance,
     subdivide_edge,
@@ -33,7 +29,7 @@ from sqcolor.graph_core import (
     is_subcubic,
     max_degree,
 )
-from sqcolor.planar_embed import find_planar_embedding
+from sqcolor.planar_embed import find_planar_embedding, is_planar
 
 
 def cycle(k):
@@ -280,41 +276,12 @@ def test_named_two_heptagons_shape():
 # --- operations ---
 
 
-def test_attach_pendant():
-    g = attach_pendant(cycle(6), 0)
-    assert g.n == 7
-    assert g.degree(0) == 3
-    assert g.degree(6) == 1
-
-
 def test_subdivide_edge():
     g = subdivide_edge(cycle(6), 0, 1)
     assert g.n == 7
     assert girth(g) == 7
     assert not g.has_edge(0, 1)
     assert g.has_edge(0, 6) and g.has_edge(1, 6)
-
-
-def test_attach_cycle_at_vertex():
-    g = attach_cycle_at_vertex(named("p2")[0], 0, 6)
-    assert g.n == 7
-    assert girth(g) == 6
-    assert g.degree(0) == 3
-
-
-def test_fuse_cycle_on_edge():
-    g = fuse_cycle_on_edge(cycle(6), 0, 1, 6)
-    assert g.n == 10
-    assert girth(g) == 6
-    assert g.degree(0) == 3 and g.degree(1) == 3
-    assert isomorphic(g, named("honeycomb-2")[0])
-
-
-def test_add_long_chord():
-    c12 = cycle(12)
-    g = add_long_chord(c12, 0, 6)
-    assert g.has_edge(0, 6)
-    assert girth(g) == 7
 
 
 # --- random generation ---
@@ -346,6 +313,12 @@ def test_random_instance_reaches_cyclic_graphs():
     assert cyclic > 0
 
 
+def test_random_instance_raises_when_the_final_check_fails(monkeypatch):
+    monkeypatch.setattr(generate, "is_subcubic", lambda g: False)
+    with pytest.raises(GenerationFailed):
+        random_instance(GeneratorSpec(max_n=12, seed=0))
+
+
 def test_random_instance_respects_tree_spec():
     g = random_instance(GeneratorSpec(max_n=10, min_girth=math.inf, seed=0))
     assert girth(g) == math.inf
@@ -357,15 +330,16 @@ def test_chord_pairs_match_brute_force(monkeypatch):
     grown = {}
     step = generate._random_step
 
-    def recording(g, spec, rng):
-        grown[g] = None
-        return step(g, spec, rng)
+    def recording(adj, spec, rng):
+        grown[tuple(frozenset(a) for a in adj)] = None
+        return step(adj, spec, rng)
 
     monkeypatch.setattr(generate, "_random_step", recording)
     for seed, min_girth in ((0, 6), (1, 6), (13, 6), (2, 4), (3, 5), (4, 8)):
         random_instance(GeneratorSpec(max_n=60, min_girth=min_girth, seed=seed))
     assert len(grown) > 100
-    for g in graphs + list(grown):
+    for adj in [g.adj for g in graphs] + list(grown):
+        g = Graph(len(adj), [(u, v) for u in range(len(adj)) for v in adj[u] if u < v])
         dist = [bfs_distances(g, u) for u in range(g.n)]
         for ring in range(3, 9):
             want = [
@@ -374,7 +348,7 @@ def test_chord_pairs_match_brute_force(monkeypatch):
                 for v in range(u + 1, g.n)
                 if g.degree(u) <= 2 and g.degree(v) <= 2 and dist[u][v] >= ring - 1
             ]
-            assert _chord_pairs(g, ring) == want, (g.edges(), ring)
+            assert _chord_pairs(adj, ring) == want, (g.edges(), ring)
 
 
 # sha256 of to_graph6(random_instance(GeneratorSpec(max_n=150, seed=s)))
@@ -407,6 +381,45 @@ def test_random_instance_outputs_are_frozen():
     for seed, want in enumerate(RANDOM_150_SHA256):
         line = to_graph6(random_instance(GeneratorSpec(max_n=150, seed=seed)))
         assert hashlib.sha256(line.encode()).hexdigest() == want, seed
+
+
+# sha256 of the newline-joined to_graph6 lines of random_instance over
+# min_girth 3, 4, 5, 7, 8, inf x max_n 5, 12, 40 x seeds 0..9, in that
+# nesting order.  These samples run every growth step (pendant,
+# subdivision, cycle at a vertex, fused cycle, chord) at several girths;
+# frozen before the sampler grew one adjacency in place.
+RANDOM_MULTI_GIRTH_SHA256 = "8c82fe8a41be4ea1fb51594dec1a55e25e71fdd70f588b5cd466868b02efb604"
+
+
+def test_random_instance_growth_steps_are_frozen():
+    lines = [
+        to_graph6(random_instance(GeneratorSpec(max_n=max_n, min_girth=min_girth, seed=seed)))
+        for min_girth in (3, 4, 5, 7, 8, math.inf)
+        for max_n in (5, 12, 40)
+        for seed in range(10)
+    ]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RANDOM_MULTI_GIRTH_SHA256
+
+
+def test_random_instance_builds_a_graph_only_to_test_planarity(monkeypatch):
+    # The sampler grows one adjacency; a Graph is built for each chord's
+    # planarity test and for the result, which the final check also tests.
+    built, planar_calls = [], []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    def counting_is_planar(g):
+        planar_calls.append(None)
+        return is_planar(g)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    monkeypatch.setattr(generate, "is_planar", counting_is_planar)
+    random_instance(GeneratorSpec(max_n=150, seed=0))
+    assert planar_calls
+    assert len(built) <= len(planar_calls)
 
 
 # sha256 of the graph6 lines ("<g6>\n" each) of two enumerations, frozen

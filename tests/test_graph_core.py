@@ -12,6 +12,7 @@ from sqcolor.generate import GeneratorSpec, enumerate_class, named
 from sqcolor.graph_core import (
     Graph,
     add_vertex,
+    ball,
     biconnected_components,
     bfs_distances,
     components,
@@ -75,6 +76,14 @@ def test_bfs_distances_on_path():
     g = path(5)
     dist = bfs_distances(g, 0)
     assert dist == [0, 1, 2, 3, 4]
+
+
+def test_ball_is_bounded_by_radius_and_by_reach():
+    g = path(5)
+    assert ball(g.adj, 1, 2) == {1: 0, 0: 1, 2: 1, 3: 2}
+    assert ball(g.adj, 0, 0) == {0: 0}
+    # Stops once a level adds nothing; running 10**18 levels would hang.
+    assert ball(g.adj, 0, 10**18) == {v: v for v in range(5)}
 
 
 def test_bfs_distances_disconnected():

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from itertools import product
 
 import pytest
 
@@ -178,6 +179,65 @@ def test_recoloring_reaches_every_branch(key, spare_at, new):
         f[v] = COLOR[s]
     got = _recoloring(CYC, Cv, f)
     assert got == {CYC[i]: COLOR[s] for i, s in new.items()}
+
+
+def collapsed_lists(own, bound):
+    """Every available list of a cycle vertex wearing the symbol own, up
+    to renaming colors: own, any of the other three cycle colors, and
+    either no spare or at least one, padded with spares to the bound."""
+    others = [COLOR[s] for s in (ALPHA, A, B, C) if s != own]
+    out = []
+    for mask in range(8):
+        base = {COLOR[own]} | {others[i] for i in range(3) if mask >> i & 1}
+        for spare in (False, True):
+            spares = range(20, 20 + max(1, bound - len(base))) if spare else ()
+            if len(base) + len(spares) >= bound:
+                out.append(frozenset(base | set(spares)))
+    return out
+
+
+def test_recoloring_is_correct_on_every_collapsed_situation():
+    # The engine sees finitely many situations up to renaming colors, and
+    # collapsing the spares of a list to "none or some" loses nothing.
+    # C(v1) = {alpha, a, b} factors out escape v1, which takes every
+    # other list of v1.  Every call must keep each new color in its list
+    # and leave no square-adjacent pair of v1..v5 sharing a color.
+    from sqcolor.reducer import SQUARE_PAIRS
+
+    v1, v2, v3, v4, v5, v6 = CYC
+    f = [None] * 9
+    for v, s in zip(CYC, (ALPHA, A, B, C, ALPHA)):
+        f[v] = COLOR[s]
+    a, b, c = COLOR[A], COLOR[B], COLOR[C]
+    fixed = {v1: frozenset({COLOR[ALPHA], a, b}), v6: frozenset(range(40, 45))}
+    branch = {(v1, v2): "v2", (v1, v3): "v3", (v4, v5): "v4", (v5,): "v5", CYC[:5]: "table"}
+    calls, failures = 0, 0
+    branches, keys = {}, set()
+    for lists in product(collapsed_lists(A, 2), collapsed_lists(B, 2),
+                         collapsed_lists(C, 2), collapsed_lists(ALPHA, 3)):
+        Cv = {**fixed, **dict(zip((v2, v3, v4, v5), lists))}
+        calls += 1
+        try:
+            new = _recoloring(CYC, Cv, f)
+        except AssertionError:
+            failures += 1
+            continue
+        g = list(f)
+        for v, color in new.items():
+            g[v] = color
+        if any(g[v] not in Cv[v] for v in CYC[:5]) or any(
+            g[CYC[i]] == g[CYC[j]] for i, j in SQUARE_PAIRS
+        ):
+            failures += 1
+        name = branch.get(tuple(sorted(new, key=CYC.index)))
+        branches[name] = branches.get(name, 0) + 1
+        if name == "table":
+            C2, C3, C4 = lists[:3]
+            keys.add((B if b in C2 else C, A if a in C3 else C if c in C3 else ALPHA, A if a in C4 else B))
+    assert calls == 40_500
+    assert failures == 0
+    assert branches == {"v5": 37_125, "v2": 2_700, "v3": 360, "v4": 252, "table": 63}
+    assert keys == set(RECOLORING_ROWS)
 
 
 # --- six-cycle configuration plumbing ---
