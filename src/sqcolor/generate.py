@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, Iterator, Optional, Sequence
 
-import networkx as nx
-
 from .errors import BudgetExceeded, GenerationFailed, UnknownName
 from .graph_core import (
     INF,
@@ -28,7 +26,7 @@ from .graph_core import (
     is_connected,
     is_subcubic,
 )
-from .planar_embed import RotationSystem, find_planar_embedding, is_planar
+from .planar_embed import RotationSystem, _planar, find_planar_embedding, is_planar
 
 ENUMERATION_BUDGET = 14
 
@@ -290,7 +288,7 @@ def _random_step(adj: list[set[int]], spec: GeneratorSpec, rng: random.Random) -
         if pairs:
             u, v = rng.choice(pairs)
             _link(adj, [u, v])
-            if not is_planar(Graph(n, _edges(adj))):
+            if not _planar(adj):
                 adj[u].remove(v)
                 adj[v].remove(u)
 
@@ -305,12 +303,6 @@ def _chord_pairs(adj: Sequence[Collection[int]], ring: int) -> list[tuple[int, i
         near = ball(adj, u, ring - 2)
         pairs.extend((u, v) for v in open_vertices[i + 1 :] if v not in near)
     return pairs
-
-
-def _from_nx(nxg) -> Graph:
-    nodes = sorted(nxg.nodes())
-    idx = {x: i for i, x in enumerate(nodes)}
-    return Graph(len(nodes), [(idx[u], idx[v]) for u, v in nxg.edges()])
 
 
 def _path(k: int) -> Graph:
@@ -331,8 +323,37 @@ def _honeycomb(k: int) -> Graph:
     return Graph(n, edges)
 
 
+# The cube and the dodecahedron as networkx's cubical_graph and
+# dodecahedral_graph label them.
+_CUBE_EDGES = [
+    (0, 1), (0, 3), (0, 4), (1, 2), (1, 7), (2, 3),
+    (2, 6), (3, 5), (4, 5), (4, 7), (5, 6), (6, 7),
+]
+_DODECAHEDRON_EDGES = [
+    (0, 1), (0, 10), (0, 19), (1, 2), (1, 8), (2, 3), (2, 6), (3, 4), (3, 19), (4, 5),
+    (4, 17), (5, 6), (5, 15), (6, 7), (7, 8), (7, 14), (8, 9), (9, 10), (9, 13), (10, 11),
+    (11, 12), (11, 18), (12, 13), (12, 16), (13, 14), (14, 15), (15, 16), (16, 17), (17, 18), (18, 19),
+]
+
+
+def _prism(k: int) -> Graph:
+    """Two k-cycles, i on the outer joined to k + i on the inner."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(k + i, k + (i + 1) % k) for i in range(k)]
+    edges += [(i, k + i) for i in range(k)]
+    return Graph(2 * k, edges)
+
+
+def _petersen() -> Graph:
+    """A pentagon 0..4, spokes i to 5 + i and the pentagram on 5..9."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i, 5 + i) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, edges)
+
+
 def _subdivided_prism() -> Graph:
-    g = _from_nx(nx.circular_ladder_graph(6))
+    g = _prism(6)
     for i in range(6):
         g = subdivide_edge(g, i, i + 6)
     return g
@@ -354,13 +375,13 @@ def named(name: str) -> tuple[Graph, Optional[RotationSystem]]:
     elif key.startswith("p") and key[1:].isdigit() and int(key[1:]) >= 1:
         g = _path(int(key[1:]))
     elif key in ("q3", "cube"):
-        g = _from_nx(nx.cubical_graph())
+        g = Graph(8, _CUBE_EDGES)
     elif key in ("prism6", "6-prism"):
-        g = _from_nx(nx.circular_ladder_graph(6))
+        g = _prism(6)
     elif key == "dodecahedron":
-        g = _from_nx(nx.dodecahedral_graph())
+        g = Graph(20, _DODECAHEDRON_EDGES)
     elif key == "petersen":
-        g = _from_nx(nx.petersen_graph())
+        g = _petersen()
     elif key.startswith("honeycomb-") and key[10:].isdigit() and int(key[10:]) >= 1:
         g = _honeycomb(int(key[10:]))
     elif key == "subdivided-prism":

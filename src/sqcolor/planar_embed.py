@@ -12,20 +12,19 @@ Planarity is decided on the cubic kernel (_kernel): the 2-core with its
 graph has no K5 subdivision (its branch vertices need degree 4), so by
 Kuratowski it is non-planar exactly when it contains a subdivided K3,3,
 whose six branch vertices have degree 3 in the 2-core.  _embed_kernel
-embeds a kernel component (the one call into networkx) and _face_walks
-traces the faces of every Euler check.  is_planar embeds only kernel
-components with six such vertices, which most class members lack.
-find_planar_embedding embeds the kernel, puts back the spliced
-2-vertices (forced rotations) and pendant trees (any angle), and
-Euler-checks its faces, which the charge audit takes too.  check_class
-is the one membership test for the coloring theorem's class.
+embeds a kernel component by the left-right planarity test (Brandes
+2009), on explicit stacks, with the rotations networkx's check_planarity
+would give, and _face_walks traces the faces of every Euler check.
+is_planar embeds only kernel components with six such vertices, which
+most class members lack.  find_planar_embedding embeds the kernel, puts
+back the spliced 2-vertices (forced rotations) and pendant trees (any
+angle), and Euler-checks its faces, which the charge audit takes too.
+check_class is the one membership test for the coloring theorem's class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .errors import InconsistentRotation, NotInClass
 from .graph_core import (
@@ -143,17 +142,331 @@ def _kernel(adj):
 
 
 def _embed_kernel(rot, comp) -> bool:
-    """Give kernel component comp a plane rotation in rot, in place, or
-    return False; the one call into networkx."""
-    nxg = nx.Graph()
-    nxg.add_nodes_from(comp)
-    # Sorted, so that networkx's input does not depend on the splices.
-    nxg.add_edges_from([(v, w) for v in comp for w in sorted(rot[v]) if v < w])
-    ok, emb = nx.check_planarity(nxg)
-    if ok:
-        for v in comp:
-            rot[v] = list(emb.neighbors_cw_order(v))
-    return ok
+    """Give connected kernel component comp a plane rotation in rot, in
+    place, or return False.
+
+    This is the left-right planarity test (Brandes 2009) on comp
+    relabelled to 0..k-1, and it gives the rotations networkx's
+    check_planarity gives on the edges (v, w), v < w, listed by v in comp
+    order and w sorted: the rows are sorted first, so that the answer
+    does not depend on the splices.  Three depth-first searches run on
+    explicit stacks: _lr_orient, _lr_sides, and the embedding below,
+    which puts each edge into its ends' rotations by its side.
+
+    A rotation is a cyclic list of darts, cw[d] following d; dart 2f
+    runs along edge f (oriented src to dst) and dart 2f + 1 against it.
+    Each rotation starts at networkx's leftmost dart, first[v]: a tree
+    edge puts the parent first, a right back edge goes just after
+    right_ref, and a left back edge just before left_ref, taking its
+    place as first if left_ref held it.
+    """
+    k = len(comp)
+    idx = {v: i for i, v in enumerate(comp)}
+    # networkx's graph copy re-lists each edge from its end that comes
+    # first in comp, which sets the order the DFS scans neighbours in.
+    given: list[list[int]] = [[] for _ in range(k)]
+    for i, v in enumerate(comp):
+        for w in sorted(rot[v]):
+            if v < w:
+                j = idx[w]
+                given[i].append(j)
+                given[j].append(i)
+    adj: list[list[int]] = [[] for _ in range(k)]
+    for i in range(k):
+        for j in given[i]:
+            if j > i:
+                adj[i].append(j)
+                adj[j].append(i)
+    m = sum(map(len, adj)) // 2
+    if k > 2 and m > 3 * k - 6:
+        return False
+    height, parent, src, dst, low, depth, out = _lr_orient(adj)
+    ordered = _sorted_rows(out, depth)
+    side = _lr_sides(ordered, height, parent, src, dst, low)
+    if side is None:
+        return False
+    ordered = _sorted_rows(out, [s * d for s, d in zip(side, depth)])
+
+    head = [0] * (2 * m)
+    head[::2] = dst
+    head[1::2] = src
+    cw = [0] * (2 * m)
+    ccw = [0] * (2 * m)
+    first = [-1] * k
+    for v, o in enumerate(ordered):
+        if o:
+            darts = [2 * f for f in o]
+            first[v] = darts[0]
+            for d, d2 in zip(darts, darts[1:] + darts[:1]):
+                cw[d] = d2
+                ccw[d2] = d
+
+    def insert_before(d, r):
+        p = ccw[r]
+        cw[p] = ccw[r] = d
+        ccw[d] = p
+        cw[d] = r
+
+    left_ref = [0] * k
+    right_ref = [0] * k
+    nxt = [0] * k  # position in ordered[v] of the next edge to place
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        o = ordered[v]
+        for i in range(nxt[v], len(o)):
+            f = o[i]
+            w = dst[f]
+            d = 2 * f + 1
+            if parent[w] == f:
+                if first[w] < 0:
+                    cw[d] = ccw[d] = d
+                else:
+                    insert_before(d, first[w])
+                first[w] = d
+                left_ref[v] = right_ref[v] = 2 * f
+                nxt[v] = i + 1
+                stack.append(w)
+                break
+            if side[f] == 1:
+                insert_before(d, cw[right_ref[w]])
+            else:
+                r = left_ref[w]
+                insert_before(d, r)
+                if first[w] == r:
+                    first[w] = d
+                left_ref[w] = d
+        else:
+            stack.pop()
+
+    for i, v in enumerate(comp):
+        row = []
+        d = start = first[i]
+        while d >= 0:
+            row.append(comp[head[d]])
+            d = cw[d]
+            if d == start:
+                break
+        rot[v] = row
+    return True
+
+
+def _sorted_rows(rows, key):
+    """Each row stably sorted by key[f] of its entries f."""
+    return [sorted(row, key=key.__getitem__) if len(row) > 1 else row for row in rows]
+
+
+def _lr_orient(adj):
+    """The orientation phase of the left-right test on the connected
+    graph adj, scanning each row in order from vertex 0.
+
+    Each edge is oriented the first time the DFS scans it: to a new
+    vertex it is a tree edge, to an ancestor a back edge; edge ids count
+    the edges in that order.  Returns (height, parent, src, dst, low,
+    depth, out): each vertex's height and tree edge in (-1 at the root),
+    each edge's ends, lowpoint and nesting depth (2 * lowpoint, + 1 when
+    its second lowpoint lies below its tail), and each vertex's
+    out-edges in orientation order.
+    """
+    k = len(adj)
+    height = [-1] * k
+    parent = [-1] * k
+    src: list[int] = []
+    dst: list[int] = []
+    low: list[int] = []
+    low2: list[int] = []
+    depth: list[int] = []
+    out: list[list[int]] = [[] for _ in range(k)]
+    nxt = [0] * k  # position in adj[v] of the next neighbour to scan
+    height[0] = 0
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        e = parent[v]
+        up = src[e] if e >= 0 else -1
+        hv = height[v]
+        a = adj[v]
+        for i in range(nxt[v], len(a)):
+            w = a[i]
+            hw = height[w]
+            if hw >= 0 and (hw > hv or w == up):
+                continue  # already oriented, from w
+            f = len(src)
+            src.append(v)
+            dst.append(w)
+            out[v].append(f)
+            low2.append(hv)
+            if hw < 0:
+                low.append(hv)
+                depth.append(0)  # set once w is done
+                parent[w] = f
+                height[w] = hv + 1
+                nxt[v] = i + 1
+                stack.append(w)
+                break
+            low.append(hw)
+            depth.append(2 * hw)
+            if e >= 0:
+                _lower(low, low2, e, hw, hv)
+        else:
+            stack.pop()
+            if e >= 0:
+                depth[e] = 2 * low[e] + (low2[e] < height[up])
+                if parent[up] >= 0:
+                    _lower(low, low2, parent[up], low[e], low2[e])
+    return height, parent, src, dst, low, depth, out
+
+
+def _lower(low, low2, e, lo, lo2) -> None:
+    """Fold an out-edge's lowpoints (lo, lo2) into those of edge e."""
+    if lo < low[e]:
+        low2[e] = min(low[e], lo2)
+        low[e] = lo
+    elif lo > low[e]:
+        low2[e] = min(low2[e], lo)
+    else:
+        low2[e] = min(low2[e], lo2)
+
+
+def _lr_sides(ordered, height, parent, src, dst, low):
+    """The testing phase of the left-right test: each edge's side, +1 or
+    -1, or None when the graph is not planar.
+
+    The DFS of _lr_orient runs again, each vertex taking its out-edges in
+    the order ordered[v].  Conflict pairs [left low, left high, right
+    low, right high] of return edges, -1 standing for none, stack up in
+    pairs; bottom[f] is the top pair when f was reached, compared by
+    identity.  ref[f] names the edge whose side f's side is relative to,
+    and the sides are made absolute once the search is done.
+    """
+    k, m = len(ordered), len(src)
+    pairs: list[list[int]] = []
+    bottom: list = [None] * m
+    low_edge = [0] * m
+    ref = [-1] * (m + 1)  # ref[-1] takes the writes to "no edge"
+    side = [1] * m
+
+    def conflicting(lo, hi, f):
+        return (lo >= 0 or hi >= 0) and low[hi] > low[f]
+
+    def add_constraints(f, e):
+        p = [-1, -1, -1, -1]
+        while True:  # merge the return edges of f into p's right
+            q = pairs.pop()
+            if q[0] >= 0 or q[1] >= 0:
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+            if q[0] >= 0 or q[1] >= 0:
+                return False
+            if low[q[2]] > low[e]:
+                if p[2] < 0 and p[3] < 0:
+                    p[3] = q[3]
+                else:
+                    ref[p[2]] = q[3]
+                p[2] = q[2]
+            else:
+                ref[q[2]] = low_edge[e]
+            if (pairs[-1] if pairs else None) is bottom[f]:
+                break
+        # merge the conflicting return edges of f's earlier siblings into p's left
+        while True:
+            q = pairs[-1]
+            if not (conflicting(q[0], q[1], f) or conflicting(q[2], q[3], f)):
+                break
+            pairs.pop()
+            if conflicting(q[2], q[3], f):
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+            if conflicting(q[2], q[3], f):
+                return False
+            ref[p[2]] = q[3]
+            if q[2] >= 0:
+                p[2] = q[2]
+            if p[0] < 0 and p[1] < 0:
+                p[1] = q[1]
+            else:
+                ref[p[0]] = q[1]
+            p[0] = q[0]
+        if max(p) >= 0:
+            pairs.append(p)
+        return True
+
+    def remove_back_edges(e):
+        u = src[e]
+        hu = height[u]
+        while pairs:  # drop the pairs whose lowest return edge ends at u
+            p = pairs[-1]
+            if p[0] < 0 and p[1] < 0:
+                lowest = low[p[2]]
+            elif p[2] < 0 and p[3] < 0:
+                lowest = low[p[0]]
+            else:
+                lowest = min(low[p[0]], low[p[2]])
+            if lowest != hu:
+                break
+            pairs.pop()
+            if p[0] >= 0:
+                side[p[0]] = -1
+        if pairs:  # trim the return edges ending at u off the top pair
+            p = pairs[-1]
+            while p[1] >= 0 and dst[p[1]] == u:
+                p[1] = ref[p[1]]
+            if p[1] < 0 and p[0] >= 0:
+                ref[p[0]] = p[2]
+                side[p[0]] = -1
+                p[0] = -1
+            while p[3] >= 0 and dst[p[3]] == u:
+                p[3] = ref[p[3]]
+            if p[3] < 0 and p[2] >= 0:
+                ref[p[2]] = p[0]
+                side[p[2]] = -1
+                p[2] = -1
+        if low[e] < hu:  # e takes the side of a highest return edge
+            hl, hr = pairs[-1][1], pairs[-1][3]
+            ref[e] = hl if hl >= 0 and (hr < 0 or low[hl] > low[hr]) else hr
+
+    def integrate(f, v):
+        # f leaves v and returns below it: the first out-edge hands its
+        # lowpoint edge to v's tree edge, a later one adds constraints.
+        if f == ordered[v][0]:
+            low_edge[parent[v]] = low_edge[f]
+            return True
+        return add_constraints(f, parent[v])
+
+    nxt = [0] * k  # position in ordered[v] of the next edge to test
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        o = ordered[v]
+        for i in range(nxt[v], len(o)):
+            f = o[i]
+            bottom[f] = pairs[-1] if pairs else None
+            if parent[dst[f]] == f:
+                nxt[v] = i + 1
+                stack.append(dst[f])
+                break
+            low_edge[f] = f
+            pairs.append([-1, -1, f, f])
+            if not integrate(f, v):
+                return None
+        else:
+            stack.pop()
+            e = parent[v]
+            if e >= 0:
+                remove_back_edges(e)
+                u = src[e]
+                if low[e] < height[u] and not integrate(e, u):
+                    return None
+
+    for f in range(m):  # follow each ref chain, then unwind it
+        chain = []
+        e = f
+        while ref[e] >= 0:
+            chain.append(e)
+            e = ref[e]
+            ref[chain[-1]] = -1
+        s = side[e]
+        for e in reversed(chain):
+            s = side[e] = side[e] * s
+    return side
 
 
 def _embed(g: Graph) -> tuple[RotationSystem, list[Face]] | None:
@@ -204,9 +517,15 @@ def is_planar(g: Graph) -> bool:
     component that still has enough goes to _embed_kernel, and its
     rotation is Euler-checked, so every positive answer is checked.
     """
-    if _few_branch_vertices(len(a) for a in g.adj):
+    return _planar(g.adj)
+
+
+def _planar(adj) -> bool:
+    """is_planar on the graph whose vertex v has the neighbours adj[v],
+    listed in any order: a list of sets will do."""
+    if _few_branch_vertices(len(a) for a in adj):
         return True
-    rot, _, _ = _kernel(g.adj)
+    rot, _, _ = _kernel(adj)
     if _few_branch_vertices(len(a) for a in rot):
         return True
     for comp in adjacency_components(rot):

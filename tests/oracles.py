@@ -217,3 +217,17 @@ def faces_by_sorted_darts(g, rs):
             cur = (v, w)
         out.append(tuple(walk))
     return out
+
+
+def embed_kernel_nx(rot, comp):
+    """networkx's embedding of a kernel component: give comp a plane
+    rotation in rot, in place, or return False."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(comp)
+    # Sorted, so that networkx's input does not depend on the splices.
+    nxg.add_edges_from([(v, w) for v in comp for w in sorted(rot[v]) if v < w])
+    ok, emb = nx.check_planarity(nxg)
+    if ok:
+        for v in comp:
+            rot[v] = list(emb.neighbors_cw_order(v))
+    return ok

@@ -400,18 +400,34 @@ def test_verify_lemma2_output_is_frozen(capsys, flags):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == LEMMA2_SHA256[flags]
 
 
-def test_console_entry_point_runs():
-    # The child finds the same sqcolor as this process, installed or not.
+def child_env():
+    """The environment in which a child finds the same sqcolor as this
+    process, installed or not."""
     src = str(Path(sqcolor.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "sqcolor.cli", "verify-lemma2"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 12
+
+
+def test_the_command_line_does_not_import_networkx():
+    # networkx is a test dependency only: the tests use it as an oracle.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sqcolor.cli, sys; print('networkx' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_color_structured_large_honeycomb(tmp_path, capsys):

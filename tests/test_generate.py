@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import canonical_code_by_frontier, graphs_in_class, isomorphic, relabel
+from oracles import canonical_code_by_frontier, from_nx, graphs_in_class, isomorphic, relabel
 
 from sqcolor import generate
 from sqcolor.errors import BudgetExceeded, GenerationFailed, UnknownName
@@ -29,7 +29,7 @@ from sqcolor.graph_core import (
     is_subcubic,
     max_degree,
 )
-from sqcolor.planar_embed import find_planar_embedding, is_planar
+from sqcolor.planar_embed import find_planar_embedding
 
 
 def cycle(k):
@@ -260,6 +260,23 @@ def test_named_aliases_and_errors():
     assert "nope" in str(e.value)
 
 
+def test_named_fixtures_are_the_networkx_graphs():
+    import networkx as nx
+
+    fixtures = {
+        "q3": nx.cubical_graph(),
+        "prism6": nx.circular_ladder_graph(6),
+        "dodecahedron": nx.dodecahedral_graph(),
+        "petersen": nx.petersen_graph(),
+    }
+    for name, h in fixtures.items():
+        assert named(name)[0] == from_nx(h), name
+    g = from_nx(nx.circular_ladder_graph(6))
+    for i in range(6):
+        g = subdivide_edge(g, i, i + 6)
+    assert named("subdivided-prism")[0] == g
+
+
 def test_named_subdivided_prism_shape():
     g = named("subdivided-prism")[0]
     twos = [v for v in range(g.n) if g.degree(v) == 2]
@@ -402,24 +419,25 @@ def test_random_instance_growth_steps_are_frozen():
 
 
 def test_random_instance_builds_a_graph_only_to_test_planarity(monkeypatch):
-    # The sampler grows one adjacency; a Graph is built for each chord's
-    # planarity test and for the result, which the final check also tests.
+    # The sampler grows one adjacency, and each chord's planarity test
+    # reads it: the one Graph built is the result, for the final check.
     built, planar_calls = [], []
     init = Graph.__init__
+    planar = generate._planar
 
     def counting_init(self, *args, **kwargs):
         built.append(None)
         init(self, *args, **kwargs)
 
-    def counting_is_planar(g):
+    def counting_planar(adj):
         planar_calls.append(None)
-        return is_planar(g)
+        return planar(adj)
 
     monkeypatch.setattr(Graph, "__init__", counting_init)
-    monkeypatch.setattr(generate, "is_planar", counting_is_planar)
+    monkeypatch.setattr(generate, "_planar", counting_planar)
     random_instance(GeneratorSpec(max_n=150, seed=0))
     assert planar_calls
-    assert len(built) <= len(planar_calls)
+    assert len(built) == 1
 
 
 # sha256 of the graph6 lines ("<g6>\n" each) of two enumerations, frozen

@@ -1,17 +1,26 @@
 """Tests for rotation systems, face tracing, and planar embedding."""
 
+import functools
 import random
+import sys
 
 import networkx as nx
 import pytest
 
-from oracles import faces_by_sorted_darts, to_nx
+from oracles import embed_kernel_nx, faces_by_sorted_darts, from_nx, to_nx
 
 from sqcolor import generate, planar_embed
 from sqcolor.discharging import discharge_audit
 from sqcolor.errors import InconsistentRotation, NotInClass
 from sqcolor.generate import _disjoint_union, named, subdivide_edge
-from sqcolor.graph_core import Graph, components, girth, induced_subgraph, is_subcubic
+from sqcolor.graph_core import (
+    Graph,
+    adjacency_components,
+    components,
+    girth,
+    induced_subgraph,
+    is_subcubic,
+)
 from sqcolor.planar_embed import (
     RotationSystem,
     check_class,
@@ -167,15 +176,16 @@ def core_three_vertices(g):
 
 @pytest.fixture
 def planarity_calls(monkeypatch):
-    """Record the graphs networkx's planarity test is asked about."""
+    """Record (vertices, edges) of each kernel component _embed_kernel
+    is asked to embed."""
     seen = []
-    real = nx.check_planarity
+    real = planar_embed._embed_kernel
 
-    def record(h, *args, **kwargs):
-        seen.append(h.copy())
-        return real(h, *args, **kwargs)
+    def record(rot, comp):
+        seen.append((len(comp), sum(len(rot[v]) for v in comp) // 2))
+        return real(rot, comp)
 
-    monkeypatch.setattr(planar_embed.nx, "check_planarity", record)
+    monkeypatch.setattr(planar_embed, "_embed_kernel", record)
     return seen
 
 
@@ -207,17 +217,20 @@ def decorate(rng, g):
     return g
 
 
+@functools.cache
 def seeded_graphs():
     """2,000 subcubic graphs, over a quarter of them disconnected: random
-    cores with subdivided edges and pendant trees."""
+    cores with subdivided edges and pendant trees; built once."""
     rng = random.Random(2024)
+    graphs = []
     for _ in range(2000):
         parts = []
         for _ in range(rng.choice((1, 1, 1, 2, 3))):
             k = rng.randint(1, 16)
             m = rng.randint(0, 3 * k // 2) if rng.random() < 0.5 else 3 * k // 2
             parts.append(decorate(rng, random_subcubic(rng, k, m)))
-        yield _disjoint_union(parts)
+        graphs.append(_disjoint_union(parts))
+    return tuple(graphs)
 
 
 def test_is_planar_matches_networkx_on_random_subcubic_graphs(planarity_calls):
@@ -278,7 +291,7 @@ def test_audits_embed_only_the_kernel(planarity_calls):
     assert discharge_audit(cycle).final_total == -12
     assert planarity_calls == []
     assert discharge_audit(honeycomb).final_total == -12
-    assert [h.number_of_nodes() < honeycomb.n for h in planarity_calls] == [True]
+    assert [n < honeycomb.n for n, _ in planarity_calls] == [True]
 
 
 def test_euler_check_rejects_a_mutated_lift(monkeypatch):
@@ -286,25 +299,17 @@ def test_euler_check_rejects_a_mutated_lift(monkeypatch):
     # of its three neighbours) merges its three faces into one, so the
     # Euler check on the lifted rotation must fail.
     g = named("subdivided-prism")[0]
-    real = nx.check_planarity
+    real = planar_embed._embed_kernel
 
-    class Mutated:
-        def __init__(self, emb):
-            self.emb = emb
-
-        def neighbors_cw_order(self, v):
-            order = list(self.emb.neighbors_cw_order(v))
-            if v == 0:
-                order[0], order[1] = order[1], order[0]
-            return order
-
-    def mutant(h, *args, **kwargs):
-        ok, emb = real(h, *args, **kwargs)
-        return ok, Mutated(emb)
+    def mutant(rot, comp):
+        ok = real(rot, comp)
+        if 0 in comp:
+            rot[0][0], rot[0][1] = rot[0][1], rot[0][0]
+        return ok
 
     rs = find_planar_embedding(g)
     assert len(rs.rot[0]) == 3 and any(g.degree(w) == 2 for w in rs.rot[0])
-    monkeypatch.setattr(planar_embed.nx, "check_planarity", mutant)
+    monkeypatch.setattr(planar_embed, "_embed_kernel", mutant)
     with pytest.raises(AssertionError, match="non-planar rotation"):
         find_planar_embedding(g)
     with pytest.raises(AssertionError, match="non-planar rotation"):
@@ -331,23 +336,28 @@ def test_is_planar_derives_the_kernel_once(monkeypatch, planarity_calls):
     monkeypatch.setattr(planar_embed, "find_planar_embedding", embedding)
     assert is_planar(g) is True
     assert calls == {"_kernel": 1, "find_planar_embedding": 0}
-    assert [h.number_of_nodes() for h in planarity_calls] == [12]
+    assert [n for n, _ in planarity_calls] == [12]
 
 
 def heawood():
     return Graph(14, sorted(nx.heawood_graph().edges()))
 
 
-def test_is_planar_on_k33_with_every_edge_subdivided(planarity_calls):
+def subdivided_k33():
     k33 = Graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
     g = k33
     for u, v in k33.edges():
         g = subdivide_edge(g, u, v)
+    return g
+
+
+def test_is_planar_on_k33_with_every_edge_subdivided(planarity_calls):
+    g = subdivided_k33()
     assert girth(g) == 8
     assert core_three_vertices(g) == 6
     assert is_planar(g) is False
     # The kernel is K3,3 itself: the splice takes every subdivision out.
-    assert [(h.number_of_nodes(), h.number_of_edges()) for h in planarity_calls] == [(6, 9)]
+    assert planarity_calls == [(6, 9)]
 
 
 def test_is_planar_on_heawood_with_a_pendant_path(planarity_calls):
@@ -355,7 +365,7 @@ def test_is_planar_on_heawood_with_a_pendant_path(planarity_calls):
     g = Graph(g.n + 3, g.edges() + [(14, 15), (15, 16), (16, 17)])
     assert is_subcubic(g)
     assert is_planar(g) is False
-    assert [h.number_of_nodes() for h in planarity_calls] == [14]
+    assert [n for n, _ in planarity_calls] == [14]
 
 
 def test_is_planar_on_planar_graphs_with_six_three_vertices(planarity_calls):
@@ -364,7 +374,7 @@ def test_is_planar_on_planar_graphs_with_six_three_vertices(planarity_calls):
     for g in graphs:
         assert core_three_vertices(g) >= 6
         assert is_planar(g) is True
-    assert [h.number_of_nodes() for h in planarity_calls] == [12, 12, 20]
+    assert [n for n, _ in planarity_calls] == [12, 12, 20]
 
 
 def test_is_planar_on_a_disjoint_union_with_heawood():
@@ -396,3 +406,81 @@ def test_check_class_messages():
         check_class(k4)
     with pytest.raises(NotInClass, match="^graph is not planar$"):
         check_class(heawood())
+
+
+# --- _embed_kernel: the left-right test against networkx ---
+
+
+def embeds_as_networkx(adj, verdicts):
+    """Embed each component of adj with a vertex of degree >= 3, in
+    breadth-first order, by _embed_kernel and by networkx; assert the same
+    verdict and the same rotations, and count the verdicts."""
+    for comp in adjacency_components(adj):
+        if all(len(adj[v]) < 3 for v in comp):
+            continue
+        ours, theirs = [list(a) for a in adj], [list(a) for a in adj]
+        ok = planar_embed._embed_kernel(ours, comp)
+        assert ok is embed_kernel_nx(theirs, comp)
+        assert [ours[v] for v in comp] == [theirs[v] for v in comp]
+        verdicts[ok] += 1
+
+
+def embeds_kernel_as_networkx(g, verdicts):
+    embeds_as_networkx(planar_embed._kernel(g.adj)[0], verdicts)
+
+
+def test_embed_kernel_matches_networkx_on_subcubic_kernels(monkeypatch, corpus12):
+    verdicts = {True: 0, False: 0}
+    for g in seeded_graphs():
+        embeds_kernel_as_networkx(g, verdicts)
+    for g in corpus12:
+        embeds_kernel_as_networkx(g, verdicts)
+    for seed in range(14):
+        embeds_kernel_as_networkx(generate.random_instance(generate.GeneratorSpec(max_n=150, seed=seed)), verdicts)
+    candidates = []
+
+    def collect(h):
+        candidates.append(h)
+        return is_planar(h)
+
+    monkeypatch.setattr(generate, "is_planar", collect)
+    generate._enumerate_connected(11, 6)
+    for h in candidates:
+        embeds_kernel_as_networkx(h, verdicts)
+    assert len(candidates) > 2000
+    assert verdicts[True] > 2000 and verdicts[False] > 300, verdicts
+
+
+def test_embed_kernel_matches_networkx_on_graphs_of_higher_degree():
+    # is_planar takes any simple graph; the components are embedded as
+    # they are and after the kernel is taken.
+    rng = random.Random(14)
+    graphs = [
+        from_nx(nx.complete_graph(5)),
+        from_nx(nx.complete_bipartite_graph(3, 3)),
+        from_nx(nx.petersen_graph()),
+        heawood(),
+        named("dodecahedron")[0],
+    ]
+    for _ in range(300):
+        n = rng.randint(4, 24)
+        graphs.append(from_nx(nx.gnp_random_graph(n, rng.uniform(0.15, 0.4), seed=rng.randrange(1 << 30))))
+    assert sum(max(map(len, g.adj), default=0) > 3 for g in graphs) > 200
+    verdicts = {True: 0, False: 0}
+    for g in graphs:
+        embeds_as_networkx(g.adj, verdicts)
+        embeds_kernel_as_networkx(g, verdicts)
+    assert verdicts[True] > 150 and verdicts[False] > 200, verdicts
+
+
+def test_embedding_a_large_kernel_needs_no_recursion():
+    g = named("honeycomb-10000")[0]
+    assert sys.getrecursionlimit() < g.n // 2  # about the kernel's size
+    rs = find_planar_embedding(g)
+    assert rs is not None and euler_genus_check(g, rs)
+    # One bridge from a 2-vertex of each: the kernel stays one component.
+    k33 = subdivided_k33()
+    joined = _disjoint_union([g, k33])
+    joined = Graph(joined.n, joined.edges() + [(0, g.n + 6)])
+    assert is_subcubic(joined) and g.degree(0) == 2 and k33.degree(6) == 2
+    assert is_planar(joined) is False

@@ -788,12 +788,12 @@ def test_class_checks_never_run_whole_graph_girth(corpus12, monkeypatch):
 def test_coloring_needs_no_planarity_test(monkeypatch):
     # No subcubic graph of girth >= 6 with at most 10 vertices, and no
     # cycle, has six 3-vertices in its 2-core, so neither the enumeration
-    # nor the class check reaches networkx.
+    # nor the class check reaches the kernel embedder.
     def refuse(*args, **kwargs):
-        raise AssertionError("networkx planarity ran")
+        raise AssertionError("the planarity test ran")
 
     c3000 = named("c3000")[0]  # named() embeds its fixture
-    monkeypatch.setattr("sqcolor.planar_embed.nx.check_planarity", refuse)
+    monkeypatch.setattr("sqcolor.planar_embed._embed_kernel", refuse)
     graphs = list(enumerate_class(GeneratorSpec(max_n=10)))
     assert len(graphs) == 163
     for g in graphs + [c3000]:
