@@ -53,7 +53,6 @@ from .generate import (
 from .graph_core import (
     INF,
     Graph,
-    bfs_distances,
     biconnected_components,
     cut_vertices,
     distance,

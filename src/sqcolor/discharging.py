@@ -13,9 +13,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotInClass
-from .graph_core import Graph, components, cut_vertices, is_connected
+from .graph_core import Graph, components, is_connected
 from .planar_embed import Face, _embed, check_degree_and_girth
-from .reducer import close_two_vertex_pair, find_reducible_config
+from .reducer import (
+    CutTwoVertex,
+    OneVertex,
+    SixCycleTwoVertex,
+    SpacingViolation,
+    close_two_vertex_pair,
+    find_reducible_config,
+    two_vertex_blocks,
+)
 
 
 @dataclass
@@ -107,10 +115,10 @@ def claim3_bound_check(g: Graph, face_list: Sequence[Face]) -> Claim3Report:
     )
     if g.m == g.n - len(components(g)):
         return Claim3Report(checked=False, reason="acyclic", rows=rows)
-    cuts = cut_vertices(g)
-    if any(g.degree(v) == 2 for v in cuts):
+    block_of = two_vertex_blocks(g)
+    if any(g.degree(v) == 2 and v not in block_of for v in range(g.n)):
         return Claim3Report(checked=False, reason="cut 2-vertex present", rows=rows)
-    if close_two_vertex_pair(g) is not None:
+    if close_two_vertex_pair(g, block_of) is not None:
         return Claim3Report(checked=False, reason="close 2-vertices on a cycle", rows=rows)
     return Claim3Report(checked=True, reason="", rows=rows)
 
@@ -216,18 +224,16 @@ def render_audit(report: AuditReport, full: bool = False) -> str:
 
 def describe_config(cfg) -> str:
     """One-line description of a detector witness."""
-    from . import reducer
-
     if cfg is None:
         return "none"
-    if isinstance(cfg, reducer.OneVertex):
+    if isinstance(cfg, OneVertex):
         return f"one_vertex v={cfg.v}"
-    if isinstance(cfg, reducer.CutTwoVertex):
+    if isinstance(cfg, CutTwoVertex):
         return f"cut_two_vertex u={cfg.u} x={cfg.x} y={cfg.y}"
-    if isinstance(cfg, reducer.SixCycleTwoVertex):
+    if isinstance(cfg, SixCycleTwoVertex):
         cyc = ",".join(str(v) for v in cfg.cycle)
         return f"sixcycle_two_vertex cycle={cyc} two_vertex={cfg.cycle[5]}"
-    if isinstance(cfg, reducer.SpacingViolation):
+    if isinstance(cfg, SpacingViolation):
         cyc = ",".join(str(v) for v in cfg.cycle)
         return f"spacing_violation u={cfg.u} w={cfg.w} dist={cfg.dist} cycle={cyc}"
     return repr(cfg)

@@ -136,8 +136,6 @@ def _enumerate_connected(max_n: int, min_girth: float) -> list[list[Graph]]:
         for g in levels[n - 1]:
             for S in _attach_sets(g, min_girth):
                 h = add_vertex(g, S)
-                if not is_subcubic(h):
-                    continue
                 if not is_planar(h):
                     continue
                 code = canonical_code(h)

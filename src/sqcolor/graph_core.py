@@ -6,12 +6,12 @@ objects.  Infinite distances and infinite girth use math.inf, which is
 deliberately distinct from every natural number and compares correctly.
 
 Each primitive has one implementation here: the distance-2
-neighbourhood (square_neighbors), the depth-bounded BFS (ball), the
-component walk (adjacency_components) and the blocks
-(biconnected_components), from which the cut vertices are read off.
-The first three take any adjacency sequence, so the reducer's, the
-sampler's and the planarity test's mutable adjacencies of sets use
-them too.
+neighbourhood (square_neighbors), the depth-bounded BFS (ball, which
+distance runs unbounded), the component walk (adjacency_components) and
+the blocks (biconnected_components), from which the cut vertices and
+the reducer's block map of 2-vertices are read off.  The first three
+take any adjacency sequence, so the reducer's, the sampler's and the
+planarity test's mutable adjacencies of sets use them too.
 """
 
 from __future__ import annotations
@@ -88,24 +88,9 @@ def is_subcubic(g: Graph) -> bool:
     return max_degree(g) <= 3
 
 
-def bfs_distances(g: Graph, source: int) -> list[float]:
-    """Return distances from source by BFS, math.inf when unreachable."""
-    dist = [INF] * g.n
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        for w in g.adj[u]:
-            if dist[w] == INF:
-                dist[w] = du + 1
-                q.append(w)
-    return dist
-
-
 def distance(g: Graph, u: int, v: int) -> float:
     """Return the length of a shortest u-v path, math.inf if none."""
-    return bfs_distances(g, u)[v]
+    return ball(g.adj, u, INF).get(v, INF)
 
 
 def ball(adj: Sequence[Iterable[int]], s: int, radius: int) -> dict[int, int]:

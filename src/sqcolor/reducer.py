@@ -150,16 +150,14 @@ class SpacingViolation:
 
 def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleTwoVertex]:
     """Find a six-cycle through a 2-vertex; requires host girth >= 6."""
-    if not girth_at_least(g, 6):
-        return None
     for v6 in range(g.n):
         if g.degree(v6) != 2:
             continue
         x, y = sorted(g.neighbors(v6))
         # A path x .. y of 4 edges avoiding v6 closes a six-cycle with x-v6-y.
         path = _four_path(g.adj, x, y, v6)
-        if path is not None:
-            return SixCycleTwoVertex(cycle=(*path, v6), host=g)
+        if path is not None:  # with no six-cycle the girth cannot change the answer
+            return SixCycleTwoVertex(cycle=(*path, v6), host=g) if girth_at_least(g, 6) else None
     return None
 
 
@@ -207,17 +205,25 @@ def _cycle_through(g: Graph, block: set, u: int, w: int) -> tuple:
     raise AssertionError("vertices share a 2-connected block, so a common cycle exists")
 
 
-def close_two_vertex_pair(g: Graph) -> Optional[tuple]:
-    """First (u, w, dist, block): 2-vertices u < w at distance <= 3 in a
-    common block of at least 3 vertices (so on a common cycle), or None."""
-    # A 2-vertex that is no cut vertex lies in exactly one block of >= 3
-    # vertices, so two of them share a cycle exactly when they share it.
+def two_vertex_blocks(g: Graph) -> dict:
+    """{v: block} for each 2-vertex v on a cycle: the one block of at least
+    3 vertices that holds v.  A 2-vertex is a cut vertex exactly when it
+    lies on no cycle, so the cut 2-vertices are the ones missing here."""
     block_of = {}
     for b in biconnected_components(g):
         if len(b) >= 3:
             for v in b:
                 if g.degree(v) == 2:
                     block_of[v] = b
+    return block_of
+
+
+def close_two_vertex_pair(g: Graph, block_of: dict) -> Optional[tuple]:
+    """First (u, w, dist, block): 2-vertices u < w at distance <= 3 in a
+    common block of at least 3 vertices (so on a common cycle), or None;
+    block_of is two_vertex_blocks(g)."""
+    # A 2-vertex that is no cut vertex lies in exactly one block of >= 3
+    # vertices, so two of them share a cycle exactly when they share it.
     for u in sorted(block_of):
         near = ball(g.adj, u, 3)
         w = min((w for w in near if w > u and block_of.get(w) is block_of[u]), default=None)
@@ -226,13 +232,18 @@ def close_two_vertex_pair(g: Graph) -> Optional[tuple]:
     return None
 
 
-def find_spacing_violation(g: Graph) -> Optional[SpacingViolation]:
-    """Two 2-vertices at distance <= 3 sharing a cycle, if any."""
-    pair = close_two_vertex_pair(g)
+def _spacing_violation(g: Graph, block_of: dict) -> Optional[SpacingViolation]:
+    """find_spacing_violation, given block_of = two_vertex_blocks(g)."""
+    pair = close_two_vertex_pair(g, block_of)
     if pair is None:
         return None
     u, w, dist, block = pair
     return SpacingViolation(cycle=_cycle_through(g, block, u, w), u=u, w=w, dist=dist)
+
+
+def find_spacing_violation(g: Graph) -> Optional[SpacingViolation]:
+    """Two 2-vertices at distance <= 3 sharing a cycle, if any."""
+    return _spacing_violation(g, two_vertex_blocks(g))
 
 
 def find_reducible_config(g: Graph):
@@ -260,15 +271,15 @@ def find_reducible_config(g: Graph):
     for v in range(g.n):
         if g.degree(v) <= 1:
             return OneVertex(v)
-    cuts = cut_vertices(g)
+    block_of = two_vertex_blocks(g)
     for u in range(g.n):
-        if g.degree(u) == 2 and u in cuts:
+        if g.degree(u) == 2 and u not in block_of:
             x, y = sorted(g.neighbors(u))
             return CutTwoVertex(u, x, y)
     cfg = find_sixcycle_two_vertex(g)
     if cfg is not None:
         return cfg
-    return find_spacing_violation(g)
+    return _spacing_violation(g, block_of)
 
 
 def _free_color(colors: frozenset, f: Sequence[Optional[int]], near: Iterable[int]) -> int:

@@ -1,9 +1,15 @@
 """Tests for the charge ledger, transfer rule, face caps, and the audit."""
 
 import random
+import sys
+from itertools import combinations
 
+import networkx as nx
 import pytest
 
+from oracles import to_nx
+
+from sqcolor import graph_core
 from sqcolor.discharging import (
     apply_r1,
     claim3_bound_check,
@@ -16,7 +22,7 @@ from sqcolor.errors import NotInClass
 from sqcolor.generate import GeneratorSpec, named, random_instance
 from sqcolor.graph_core import Graph
 from sqcolor.planar_embed import RotationSystem, euler_genus_check, faces, find_planar_embedding
-from sqcolor.reducer import CutTwoVertex, OneVertex, SixCycleTwoVertex
+from sqcolor.reducer import CutTwoVertex, OneVertex, SixCycleTwoVertex, find_reducible_config
 
 
 def cycle(k):
@@ -139,6 +145,69 @@ def test_claim3_skip_reasons():
     report = claim3_bound_check(g, faces_of(g))
     assert not report.checked and report.reason == "close 2-vertices on a cycle"
     assert report.passed
+
+
+def test_cut_two_vertex_and_claim3_reason_match_networkx(subcubic9):
+    seen = {"CutTwoVertex": 0, "acyclic": 0, "cut 2-vertex present": 0,
+            "close 2-vertices on a cycle": 0, "": 0}
+    for g in subcubic9:
+        h = to_nx(g)
+        twos = {v for v in range(g.n) if g.degree(v) == 2}
+        cut_twos = sorted(twos & set(nx.articulation_points(h)))
+        close = any(
+            w in nx.single_source_shortest_path_length(h, u, cutoff=3)
+            for b in nx.biconnected_components(h) if len(b) >= 3
+            for u, w in combinations(sorted(b & twos), 2)
+        )
+        cfg = find_reducible_config(g)
+        if min(g.degree(v) for v in range(g.n)) >= 2 and cut_twos:
+            u = cut_twos[0]
+            assert cfg == CutTwoVertex(u, *g.adj[u]), g.edges()
+            seen["CutTwoVertex"] += 1
+        else:
+            assert not isinstance(cfg, CutTwoVertex), g.edges()
+        if nx.is_forest(h):
+            want = "acyclic"
+        elif cut_twos:
+            want = "cut 2-vertex present"
+        else:
+            want = "close 2-vertices on a cycle" if close else ""
+        report = claim3_bound_check(g, [])
+        assert (report.checked, report.reason) == (want == "", want), g.edges()
+        seen[want] += 1
+    assert min(seen.values()) > 10, seen
+
+
+def count_structure_calls(monkeypatch):
+    """Count the calls of the block, girth and cut-vertex passes, wrapped
+    in every sqcolor module that holds them."""
+    calls = {}
+    modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "sqcolor" and m]
+    for name in ("biconnected_components", "girth_at_least", "cut_vertices"):
+        original = getattr(graph_core, name)
+        calls[name] = 0
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_audit_decides_the_blocks_twice_and_the_girth_only_as_needed(monkeypatch):
+    # find_reducible_config and claim3_bound_check each map the 2-vertices
+    # to their blocks once; a six-cycle witness needs a second girth check.
+    calls = count_structure_calls(monkeypatch)
+    for name, want in (("c100", [2, 1, 0]), ("c600", [2, 1, 0]), ("honeycomb-50", [2, 2, 0])):
+        g = named(name)[0]
+        for key in calls:
+            calls[key] = 0
+        discharge_audit(g)
+        assert list(calls.values()) == want, name
 
 
 def spread_twelve_cycle():

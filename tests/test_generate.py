@@ -23,7 +23,7 @@ from sqcolor.generate import (
 )
 from sqcolor.graph_core import (
     Graph,
-    bfs_distances,
+    ball,
     girth,
     is_connected,
     is_subcubic,
@@ -357,13 +357,13 @@ def test_chord_pairs_match_brute_force(monkeypatch):
     assert len(grown) > 100
     for adj in [g.adj for g in graphs] + list(grown):
         g = Graph(len(adj), [(u, v) for u in range(len(adj)) for v in adj[u] if u < v])
-        dist = [bfs_distances(g, u) for u in range(g.n)]
+        dist = [ball(g.adj, u, g.n) for u in range(g.n)]
         for ring in range(3, 9):
             want = [
                 (u, v)
                 for u in range(g.n)
                 for v in range(u + 1, g.n)
-                if g.degree(u) <= 2 and g.degree(v) <= 2 and dist[u][v] >= ring - 1
+                if g.degree(u) <= 2 and g.degree(v) <= 2 and dist[u].get(v, math.inf) >= ring - 1
             ]
             assert _chord_pairs(adj, ring) == want, (g.edges(), ring)
 

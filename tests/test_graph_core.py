@@ -14,7 +14,6 @@ from sqcolor.graph_core import (
     add_vertex,
     ball,
     biconnected_components,
-    bfs_distances,
     components,
     cut_vertices,
     distance,
@@ -72,10 +71,9 @@ def test_degrees_and_subcubic():
     assert not is_subcubic(k5)
 
 
-def test_bfs_distances_on_path():
+def test_distance_on_path():
     g = path(5)
-    dist = bfs_distances(g, 0)
-    assert dist == [0, 1, 2, 3, 4]
+    assert [distance(g, 0, v) for v in range(5)] == [0, 1, 2, 3, 4]
 
 
 def test_ball_is_bounded_by_radius_and_by_reach():
@@ -86,11 +84,10 @@ def test_ball_is_bounded_by_radius_and_by_reach():
     assert ball(g.adj, 0, 10**18) == {v: v for v in range(5)}
 
 
-def test_bfs_distances_disconnected():
+def test_distance_disconnected():
     g = Graph(4, [(0, 1), (2, 3)])
-    dist = bfs_distances(g, 0)
-    assert dist[0] == 0 and dist[1] == 1
-    assert math.isinf(dist[2]) and math.isinf(dist[3])
+    assert distance(g, 0, 0) == 0 and distance(g, 0, 1) == 1
+    assert math.isinf(distance(g, 0, 2)) and math.isinf(distance(g, 3, 1))
     assert not is_connected(g)
     assert components(g) == [[0, 1], [2, 3]]
 
@@ -213,7 +210,7 @@ def test_add_vertex():
 def test_distance_queries():
     g = cycle(8)
     assert distance(g, 0, 4) == 4
-    table = [bfs_distances(g, s) for s in range(8)]
+    table = [ball(g.adj, s, 8) for s in range(8)]
     assert table[0][4] == 4
     assert all(table[v][v] == 0 for v in range(8))
     assert all(table[u][v] == table[v][u] == distance(g, u, v) for u in range(8) for v in range(8))

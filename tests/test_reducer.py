@@ -270,6 +270,11 @@ def test_find_sixcycle_on_subdivided_prism():
 def test_find_sixcycle_respects_girth_gate():
     assert find_sixcycle_two_vertex(named("prism6")[0]) is None
     assert find_sixcycle_two_vertex(cycle(7)) is None
+    # Girth 4 with a six-cycle 0-1-13-7-6-12 through the 2-vertex 12: the
+    # girth check after the path search still rejects it.
+    g = prism_with_subdivided_rungs({0, 1})
+    assert _four_path(g.adj, 0, 6, 12) == (0, 1, 13, 7, 6)
+    assert find_sixcycle_two_vertex(g) is None
 
 
 def first_four_path_by_walks(adj, x, y, avoid):
