@@ -14,10 +14,16 @@ from .coloring import (
 from .discharging import (
     AuditReport,
     ChargeLedger,
+    CutTwoVertex,
+    OneVertex,
+    SixCycleTwoVertex,
+    SpacingViolation,
     apply_r1,
     claim3_bound_check,
     discharge_audit,
+    find_reducible_config,
     initial_charges,
+    reduce_cut_two_vertex,
     render_audit,
 )
 from .errors import (
@@ -37,7 +43,6 @@ from .formats import (
     from_graph6,
     parse_graphs,
     parse_lists,
-    parse_one_graph,
     to_graph6,
     uniform_lists,
     write_coloring,
@@ -67,21 +72,10 @@ from .planar_embed import (
     Face,
     RotationSystem,
     check_class,
-    euler_genus_check,
     faces,
     find_planar_embedding,
     is_planar,
 )
-from .reducer import (
-    CutTwoVertex,
-    OneVertex,
-    SixCycleTwoVertex,
-    SpacingViolation,
-    color_square_7lists,
-    extend_sixcycle,
-    find_reducible_config,
-    reduce_cut_two_vertex,
-    verify_lemma2_tables,
-)
+from .reducer import color_square_7lists, extend_sixcycle, verify_lemma2_tables
 
 __version__ = "0.1.0"

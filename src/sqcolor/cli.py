@@ -23,7 +23,14 @@ from .coloring import (
     NOT_CHOOSABLE,
     is_k_choosable,
 )
-from .discharging import discharge_audit, describe_config, render_audit
+from .discharging import (
+    describe_config,
+    discharge_audit,
+    find_reducible_config,
+    reduce_cut_two_vertex,
+    render_audit,
+    two_vertex_blocks,
+)
 from .errors import (
     BudgetExceeded,
     GenerationFailed,
@@ -39,13 +46,8 @@ from .formats import (
     write_graph_text,
 )
 from .generate import GeneratorSpec, enumerate_class, named, random_instance
-from .graph_core import INF, Graph, cut_vertices, girth, square
-from .reducer import (
-    color_square_7lists,
-    find_reducible_config,
-    reduce_cut_two_vertex,
-    verify_lemma2_tables,
-)
+from .graph_core import INF, Graph, girth, square
+from .reducer import color_square_7lists, verify_lemma2_tables
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -144,7 +146,8 @@ def _run_find_config(g: Graph, args) -> tuple[int, str]:
 def _run_reduce(g: Graph, args) -> tuple[int, str]:
     u = args.vertex
     if u is None:
-        u = min((v for v in cut_vertices(g) if g.degree(v) == 2), default=None)
+        block_of = two_vertex_blocks(g)
+        u = next((v for v in range(g.n) if g.degree(v) == 2 and v not in block_of), None)
         if u is None:
             return EXIT_VIOLATED, "error=no cut 2-vertex found\n"
     H = reduce_cut_two_vertex(g, u)

@@ -1,4 +1,13 @@
-"""Charge bookkeeping on plane graphs and the global audit.
+"""The paper's reducible configurations and the charge audit.
+
+Four configuration types, one per reducible configuration: a vertex of
+degree <= 1 (OneVertex), a cut 2-vertex (CutTwoVertex), a 2-vertex on a
+six-cycle (SixCycleTwoVertex) and two 2-vertices within distance 3 on a
+common cycle (SpacingViolation).  find_reducible_config returns the
+first one present, from the six-cycle detector (find_sixcycle_two_vertex),
+the block map of 2-vertices (two_vertex_blocks, which also answers every
+cut 2-vertex question) and the spacing witness (find_spacing_violation).
+find-config, reduce and the audit use them; coloring needs none of them.
 
 Vertices start at 2d(v) - 6 and faces at d(f) - 6, which sums to -12 on
 any connected plane graph.  The single redistribution rule sends 1 from
@@ -9,21 +18,319 @@ negative final charge somewhere or contains a reducible configuration.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .errors import NotInClass
-from .graph_core import Graph, components, is_connected
-from .planar_embed import Face, _embed, check_degree_and_girth
-from .reducer import (
-    CutTwoVertex,
-    OneVertex,
-    SixCycleTwoVertex,
-    SpacingViolation,
-    close_two_vertex_pair,
-    find_reducible_config,
-    two_vertex_blocks,
+from .errors import NotCutVertex, NotInClass, NotTwoVertex, PreconditionViolated
+from .graph_core import (
+    Graph,
+    _four_path,
+    ball,
+    biconnected_components,
+    components,
+    girth_at_least,
+    is_connected,
 )
+from .planar_embed import Face, _embed, check_degree_and_girth
+
+
+@dataclass(frozen=True)
+class OneVertex:
+    v: int
+
+    def verify(self, g: Graph) -> bool:
+        return 0 <= self.v < g.n and g.degree(self.v) <= 1
+
+
+@dataclass(frozen=True)
+class CutTwoVertex:
+    u: int
+    x: int
+    y: int
+
+    def verify(self, g: Graph) -> bool:
+        if not 0 <= self.u < g.n:
+            return False
+        return (
+            g.degree(self.u) == 2
+            and set(g.neighbors(self.u)) == {self.x, self.y}
+            and self.u not in two_vertex_blocks(g)
+        )
+
+
+@dataclass(frozen=True)
+class SixCycleTwoVertex:
+    """A six-cycle (v1, ..., v6) of host whose last vertex v6 has degree 2.
+
+    The recoloring engine reads the cycle in this order: v1 and v5 are
+    the neighbours of the 2-vertex v6.
+    """
+
+    cycle: tuple
+    host: Graph
+
+    def validate(self) -> None:
+        """Raise PreconditionViolated unless host has girth >= 6 and cycle
+        is a six-cycle of host ending at a 2-vertex."""
+        g = self.host
+        cyc = self.cycle
+        if len(cyc) != 6 or len(set(cyc)) != 6:
+            raise PreconditionViolated("cycle must list six distinct vertices")
+        for i in range(6):
+            u, v = cyc[i], cyc[(i + 1) % 6]
+            if not (0 <= u < g.n) or not (0 <= v < g.n) or not g.has_edge(u, v):
+                raise PreconditionViolated(f"missing cycle edge {u}-{v}")
+        v6 = cyc[5]
+        if g.degree(v6) != 2:
+            raise PreconditionViolated(f"vertex {v6} has degree {g.degree(v6)}, not 2")
+        if not girth_at_least(g, 6):
+            raise PreconditionViolated("host girth is below 6")
+
+    def verify(self, g: Graph) -> bool:
+        if self.host is not g and self.host != g:
+            return False
+        try:
+            self.validate()
+        except PreconditionViolated:
+            return False
+        return True
+
+
+@dataclass(frozen=True)
+class SpacingViolation:
+    """Two 2-vertices on a common cycle at distance at most 3."""
+
+    cycle: tuple
+    u: int
+    w: int
+    dist: int
+
+    def verify(self, g: Graph) -> bool:
+        cyc = self.cycle
+        if len(cyc) < 3 or len(set(cyc)) != len(cyc):
+            return False
+        if not all(0 <= v < g.n for v in cyc):
+            return False
+        if not all(g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))):
+            return False
+        return (
+            self.u in cyc
+            and self.w in cyc
+            and self.u != self.w
+            and g.degree(self.u) == 2
+            and g.degree(self.w) == 2
+            and self.dist <= 3
+            and ball(g.adj, self.u, 3).get(self.w) == self.dist
+        )
+
+
+def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleTwoVertex]:
+    """Find a six-cycle through a 2-vertex; requires host girth >= 6."""
+    for v6 in range(g.n):
+        if g.degree(v6) != 2:
+            continue
+        x, y = sorted(g.neighbors(v6))
+        # A path x .. y of 4 edges avoiding v6 closes a six-cycle with x-v6-y.
+        path = _four_path(g.adj, x, y, v6)
+        if path is not None:  # with no six-cycle the girth cannot change the answer
+            return SixCycleTwoVertex(cycle=(*path, v6), host=g) if girth_at_least(g, 6) else None
+    return None
+
+
+def _cycle_through(g: Graph, block: set, u: int, w: int) -> tuple:
+    """The first cycle inside the block through u and w that a depth-first
+    search over simple paths from u finds, neighbours in adjacency order.
+
+    Plain backtracking can take exponential time to find it.  This search
+    enters a neighbour only when the path can still close into such a
+    cycle, so it never backtracks: O(n) per vertex before w.  While w is
+    off the path, entering y needs two paths from w, one to y and one to
+    u, disjoint but at w and off the path (_two_disjoint_paths); the last
+    candidate needs no test, since some candidate can always go on.  Once
+    w is on the path, _way_back finishes the cycle.
+    """
+    path, on_path = [u], {u}
+    while True:
+        options = [y for y in g.adj[path[-1]] if y in block and y not in on_path]
+        for i, y in enumerate(options):
+            if y == w:
+                cycle = _way_back(g, block, path + [w], u)
+                if cycle is not None:
+                    return cycle
+            elif i == len(options) - 1 or _two_disjoint_paths(g.adj, block, on_path - {u}, w, (y, u)):
+                break
+        else:
+            raise AssertionError("vertices share a 2-connected block, so a common cycle exists")
+        path.append(y)
+        on_path.add(y)
+
+
+def _way_back(g: Graph, block: set, path: list, u: int) -> Optional[tuple]:
+    """path extended by the first way back to its first vertex u that a
+    depth-first search over simple paths, in adjacency order, finds; or
+    None.  No vertex is entered twice: one the search has left can reach
+    u only through the path, so the backtracking search would fail there
+    again.  The explicit stack keeps long cycles off the call stack.
+    """
+    seen = set(path)
+    stack = [iter(g.adj[path[-1]])]
+    while stack:
+        for x in stack[-1]:
+            if x == u and len(path) >= 3:
+                return tuple(path)
+            if x in seen or x not in block:
+                continue
+            path.append(x)
+            seen.add(x)
+            stack.append(iter(g.adj[x]))
+            break
+        else:
+            stack.pop()
+            path.pop()
+    return None
+
+
+def _two_disjoint_paths(adj, block: set, blocked: set, w: int, ends: tuple) -> bool:
+    """Whether two paths inside block and off blocked, disjoint but at w,
+    lead from w to the two vertices of ends.
+
+    Two augmenting paths of a unit flow (Menger) on the graph with each
+    vertex v split into an in-node 2v and an out-node 2v + 1: the source
+    is w's out-node, the sinks are the in-nodes of ends, and every other
+    vertex passes one unit from its in-node to its out-node.
+    """
+    flow = set()  # the arcs that carry a unit
+    sinks = {2 * e for e in ends}
+    for _ in ends:
+        parent = {2 * w + 1: None}
+        queue = deque(parent)
+        hit = None
+        while queue and hit is None:
+            a = queue.popleft()
+            v = a >> 1
+            if a & 1:  # along an edge, or back through v's own unit
+                step = [2 * b for b in adj[v]
+                        if b in block and b not in blocked and b != w and (a, 2 * b) not in flow]
+                step += [a - 1] if (a - 1, a) in flow else []
+            else:  # through v, or back along the unit that entered v
+                step = [a + 1] if v not in ends and (a, a + 1) not in flow else []
+                step += [2 * b + 1 for b in adj[v] if (2 * b + 1, a) in flow]
+            for b in step:
+                if b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+                    if b in sinks:
+                        hit = b
+                        break
+        if hit is None:
+            return False
+        sinks.discard(hit)
+        b = hit
+        while parent[b] is not None:
+            a = parent[b]
+            if (b, a) in flow:
+                flow.discard((b, a))
+            else:
+                flow.add((a, b))
+            b = a
+    return True
+
+
+def two_vertex_blocks(g: Graph) -> dict:
+    """{v: block} for each 2-vertex v on a cycle: the one block of at least
+    3 vertices that holds v.  A 2-vertex is a cut vertex exactly when it
+    lies on no cycle, so the cut 2-vertices are the ones missing here."""
+    block_of = {}
+    for b in biconnected_components(g):
+        if len(b) >= 3:
+            for v in b:
+                if g.degree(v) == 2:
+                    block_of[v] = b
+    return block_of
+
+
+def close_two_vertex_pair(g: Graph, block_of: dict) -> Optional[tuple]:
+    """First (u, w, dist, block): 2-vertices u < w at distance <= 3 in a
+    common block of at least 3 vertices (so on a common cycle), or None;
+    block_of is two_vertex_blocks(g)."""
+    # A 2-vertex that is no cut vertex lies in exactly one block of >= 3
+    # vertices, so two of them share a cycle exactly when they share it.
+    for u in sorted(block_of):
+        near = ball(g.adj, u, 3)
+        w = min((w for w in near if w > u and block_of.get(w) is block_of[u]), default=None)
+        if w is not None:
+            return u, w, near[w], block_of[u]
+    return None
+
+
+def _spacing_violation(g: Graph, block_of: dict) -> Optional[SpacingViolation]:
+    """find_spacing_violation, given block_of = two_vertex_blocks(g)."""
+    pair = close_two_vertex_pair(g, block_of)
+    if pair is None:
+        return None
+    u, w, dist, block = pair
+    return SpacingViolation(cycle=_cycle_through(g, block, u, w), u=u, w=w, dist=dist)
+
+
+def find_spacing_violation(g: Graph) -> Optional[SpacingViolation]:
+    """Two 2-vertices at distance <= 3 sharing a cycle, if any."""
+    return _spacing_violation(g, two_vertex_blocks(g))
+
+
+def find_reducible_config(g: Graph):
+    """The first of the paper's four reducible configurations, or None.
+
+    Checked in this order: a vertex of degree <= 1, a cut 2-vertex, a
+    2-vertex on a six-cycle, two 2-vertices within distance 3 on a
+    common cycle.  None is possible only out of class.
+
+    Proof that an in-class graph G with n >= 1 has one of the four.
+    Suppose it has none.  No vertex has degree <= 1.  Take an end block
+    B of a component: a block with at most one cut vertex c.  B is not
+    a bridge, since its far end would be a leaf, so B is 2-connected and
+    every face of its plane embedding is a cycle of length l >= 6.
+    Every vertex of B other than c has all its edges in B; if c exists,
+    it has degree 2 in B.  Charge each vertex 2 d_B - 6 and each face
+    l - 6; by Euler the total is -12.  Each face pays 1 to every
+    degree-2 vertex of B on it, so degree-2 vertices end at 0.  A face
+    holds at most floor(l/4) of G's 2-vertices, since any two of them
+    are >= 4 apart on a common cycle; it holds none if l = 6 (six-cycle
+    rule), and it holds c at most once.  So every face ends at >= -1,
+    and only the <= 2 faces holding c can be negative: the total is
+    >= -2, not -12.
+    """
+    for v in range(g.n):
+        if g.degree(v) <= 1:
+            return OneVertex(v)
+    block_of = two_vertex_blocks(g)
+    for u in range(g.n):
+        if g.degree(u) == 2 and u not in block_of:
+            x, y = sorted(g.neighbors(u))
+            return CutTwoVertex(u, x, y)
+    cfg = find_sixcycle_two_vertex(g)
+    if cfg is not None:
+        return cfg
+    return _spacing_violation(g, block_of)
+
+
+def reduce_cut_two_vertex(g: Graph, u: int) -> Graph:
+    """Splice out a cut 2-vertex: H joins the two sides by a direct edge.
+
+    ValueError unless 0 <= u < g.n.  The neighbours of a cut 2-vertex lie
+    in different components of g - u, so the new edge is never a double.
+    """
+    if not 0 <= u < g.n:
+        raise ValueError(f"vertex {u} is out of range for n={g.n}")
+    if g.degree(u) != 2:
+        raise NotTwoVertex(f"vertex {u} has degree {g.degree(u)}")
+    if u in two_vertex_blocks(g):
+        raise NotCutVertex(f"vertex {u} does not disconnect the graph")
+    x, y = sorted(g.neighbors(u))
+    new_id = {v: i for i, v in enumerate(v for v in range(g.n) if v != u)}
+    edges = [(new_id[p], new_id[q]) for p, q in g.edges() if p != u and q != u]
+    edges.append((new_id[x], new_id[y]))
+    return Graph(g.n - 1, edges)
 
 
 @dataclass

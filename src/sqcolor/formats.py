@@ -212,13 +212,6 @@ def parse_graphs(text: str, source: str = "<input>") -> list[tuple[Graph, Rotati
     return parse_graphs_text(text, source)
 
 
-def parse_one_graph(text: str, source: str = "<input>") -> tuple[Graph, RotationSystem | None]:
-    items = parse_graphs(text, source)
-    if len(items) != 1:
-        raise ParseError(source, 1, "", f"expected exactly one graph, found {len(items)}")
-    return items[0]
-
-
 # list assignments
 
 

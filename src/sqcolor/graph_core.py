@@ -7,11 +7,13 @@ deliberately distinct from every natural number and compares correctly.
 
 Each primitive has one implementation here: the distance-2
 neighbourhood (square_neighbors), the depth-bounded BFS (ball, which
-distance runs unbounded), the component walk (adjacency_components) and
-the blocks (biconnected_components), from which the cut vertices and
-the reducer's block map of 2-vertices are read off.  The first three
-take any adjacency sequence, so the reducer's, the sampler's and the
-planarity test's mutable adjacencies of sets use them too.
+distance runs unbounded), the component walk (adjacency_components),
+the first path of four edges (_four_path, which closes a six-cycle for
+the peel and the six-cycle detector alike) and the blocks
+(biconnected_components), from which the cut vertices and the audit's
+block map of 2-vertices are read off.  All but the last take any
+adjacency sequence, so the peel's, the sampler's and the planarity
+test's mutable adjacencies of sets use them too.
 """
 
 from __future__ import annotations
@@ -150,6 +152,25 @@ def square_neighbors(adj: Sequence[Iterable[int]], v: int) -> set[int]:
         near.update(adj[u])
     near.discard(v)
     return near
+
+
+def _four_path(adj, x: int, y: int, avoid: int):
+    """First path (x, a, b, c, y) of 4 edges on distinct vertices, none of
+    them avoid, in the order of the adjacency adj (lexicographic for a
+    Graph's sorted adj), or None; avoid is neither x nor y.  When x and y
+    are the neighbours of avoid at girth >= 6, only the tests against
+    going back (b != x, c != a) can fire; the others rule out shorter
+    cycles."""
+    for a in adj[x]:
+        if a == y or a == avoid:
+            continue
+        for b in adj[a]:
+            if b == x or b == y or b == avoid:
+                continue
+            for c in adj[b]:
+                if c != a and c != x and c != avoid and y in adj[c]:
+                    return (x, a, b, c, y)
+    return None
 
 
 def square(g: Graph) -> Graph:

@@ -102,12 +102,6 @@ def _face_walks(verts, order, rot) -> list[tuple[tuple[int, int], ...]]:
     return walks
 
 
-def euler_genus_check(g: Graph, rs: RotationSystem) -> bool:
-    """Return True when n - m + f = 2 for the faces traced from rs."""
-    f = len(faces(g, rs))
-    return g.n - g.m + f == 2
-
-
 def _kernel(adj):
     """The cubic kernel of a graph given by its adjacency.
 

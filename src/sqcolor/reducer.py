@@ -1,12 +1,12 @@
-"""Reducible configurations, the six-cycle recoloring engine, and coloring.
+"""Coloring the square by the proof's three rules, and Lemma 2.
 
-Detects the paper's four reducible configurations, one type each: a
-vertex of degree <= 1 (OneVertex), a cut 2-vertex (CutTwoVertex), a
-2-vertex on a six-cycle (SixCycleTwoVertex), and two 2-vertices within
-distance 3 on a common cycle (SpacingViolation).  find-config and the
-charge audit report them.  Colors the square of an in-class graph by
-the proof's three rules: drop a leaf, splice a 2-vertex, or recolor
-around a six-cycle with a 2-vertex.
+Every subcubic planar graph of girth >= 6 has a vertex of degree <= 2
+(Euler), and the colorer needs nothing else of the configurations:
+color_square_7lists drops a leaf, splices a 2-vertex, or removes a
+2-vertex that lies on a six-cycle, down to nothing (_peel), then puts
+the vertices back in reverse order and colors them (_lift), recoloring
+around the six-cycle by Lemma 2 (_recoloring, RECOLORING_ROWS), and
+certifies the result.  verify_lemma2_tables checks the 12 rows.
 """
 
 from __future__ import annotations
@@ -15,17 +15,21 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .coloring import normalize_lists
-from .errors import ListTooSmall, NotCutVertex, NotTwoVertex, PreconditionViolated
-from .graph_core import (
-    Graph,
-    ball,
-    biconnected_components,
-    cut_vertices,
-    girth_at_least,
-    is_subcubic,
-    square_neighbors,
-)
+from .errors import ListTooSmall, PreconditionViolated
+from .graph_core import Graph, _four_path, is_subcubic, square_neighbors
 from .planar_embed import check_class
+
+# The benchmark's span tracer (perfbench/spans.py) still looks these names
+# up on this module; delete this import once it looks them up on discharging.
+from .discharging import (  # noqa: F401
+    CutTwoVertex,
+    OneVertex,
+    SixCycleTwoVertex,
+    find_reducible_config,
+    find_sixcycle_two_vertex,
+    find_spacing_violation,
+    reduce_cut_two_vertex,
+)
 
 ALPHA = "alpha"
 A = "a"
@@ -56,230 +60,6 @@ RECOLORING_ROWS: dict[tuple[str, str, str], tuple[str, ...]] = {
 
 # Within-cycle pairs that are square-adjacent when the girth is >= 6.
 SQUARE_PAIRS = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3), (2, 4), (0, 4))
-
-
-@dataclass(frozen=True)
-class OneVertex:
-    v: int
-
-    def verify(self, g: Graph) -> bool:
-        return 0 <= self.v < g.n and g.degree(self.v) <= 1
-
-
-@dataclass(frozen=True)
-class CutTwoVertex:
-    u: int
-    x: int
-    y: int
-
-    def verify(self, g: Graph) -> bool:
-        if not 0 <= self.u < g.n:
-            return False
-        return (
-            g.degree(self.u) == 2
-            and set(g.neighbors(self.u)) == {self.x, self.y}
-            and self.u in cut_vertices(g)
-        )
-
-
-@dataclass(frozen=True)
-class SixCycleTwoVertex:
-    """A six-cycle (v1, ..., v6) of host whose last vertex v6 has degree 2.
-
-    The recoloring engine reads the cycle in this order: v1 and v5 are
-    the neighbours of the 2-vertex v6.
-    """
-
-    cycle: tuple
-    host: Graph
-
-    def validate(self) -> None:
-        """Raise PreconditionViolated unless host has girth >= 6 and cycle
-        is a six-cycle of host ending at a 2-vertex."""
-        g = self.host
-        cyc = self.cycle
-        if len(cyc) != 6 or len(set(cyc)) != 6:
-            raise PreconditionViolated("cycle must list six distinct vertices")
-        for i in range(6):
-            u, v = cyc[i], cyc[(i + 1) % 6]
-            if not (0 <= u < g.n) or not (0 <= v < g.n) or not g.has_edge(u, v):
-                raise PreconditionViolated(f"missing cycle edge {u}-{v}")
-        v6 = cyc[5]
-        if g.degree(v6) != 2:
-            raise PreconditionViolated(f"vertex {v6} has degree {g.degree(v6)}, not 2")
-        if not girth_at_least(g, 6):
-            raise PreconditionViolated("host girth is below 6")
-
-    def verify(self, g: Graph) -> bool:
-        if self.host is not g and self.host != g:
-            return False
-        try:
-            self.validate()
-        except PreconditionViolated:
-            return False
-        return True
-
-
-@dataclass(frozen=True)
-class SpacingViolation:
-    """Two 2-vertices on a common cycle at distance at most 3."""
-
-    cycle: tuple
-    u: int
-    w: int
-    dist: int
-
-    def verify(self, g: Graph) -> bool:
-        cyc = self.cycle
-        if len(cyc) < 3 or len(set(cyc)) != len(cyc):
-            return False
-        if not all(0 <= v < g.n for v in cyc):
-            return False
-        if not all(g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))):
-            return False
-        return (
-            self.u in cyc
-            and self.w in cyc
-            and self.u != self.w
-            and g.degree(self.u) == 2
-            and g.degree(self.w) == 2
-            and self.dist <= 3
-            and ball(g.adj, self.u, 3).get(self.w) == self.dist
-        )
-
-
-def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleTwoVertex]:
-    """Find a six-cycle through a 2-vertex; requires host girth >= 6."""
-    for v6 in range(g.n):
-        if g.degree(v6) != 2:
-            continue
-        x, y = sorted(g.neighbors(v6))
-        # A path x .. y of 4 edges avoiding v6 closes a six-cycle with x-v6-y.
-        path = _four_path(g.adj, x, y, v6)
-        if path is not None:  # with no six-cycle the girth cannot change the answer
-            return SixCycleTwoVertex(cycle=(*path, v6), host=g) if girth_at_least(g, 6) else None
-    return None
-
-
-def _four_path(adj, x: int, y: int, avoid: int) -> Optional[tuple]:
-    """First path (x, a, b, c, y) of 4 edges on distinct vertices, none of
-    them avoid, in the order of the adjacency adj (lexicographic for a
-    Graph's sorted adj); avoid is neither x nor y.  When x and y are the
-    neighbours of avoid at girth >= 6, only the tests against going back
-    (b != x, c != a) can fire; the others rule out shorter cycles."""
-    for a in adj[x]:
-        if a == y or a == avoid:
-            continue
-        for b in adj[a]:
-            if b == x or b == y or b == avoid:
-                continue
-            for c in adj[b]:
-                if c != a and c != x and c != avoid and y in adj[c]:
-                    return (x, a, b, c, y)
-    return None
-
-
-def _cycle_through(g: Graph, block: set, u: int, w: int) -> tuple:
-    """Some cycle inside the block containing both u and w.
-
-    Depth-first over simple paths from u, neighbors in adjacency order,
-    until an edge closes a path of at least 3 vertices through w back
-    to u.  The explicit stack keeps long cycles off the call stack.
-    """
-    path = [u]
-    on_path = {u}
-    stack = [iter(g.adj[u])]
-    while stack:
-        for x in stack[-1]:
-            if x == u and len(path) >= 3 and w in on_path:
-                return tuple(path)
-            if x in on_path or x not in block:
-                continue
-            path.append(x)
-            on_path.add(x)
-            stack.append(iter(g.adj[x]))
-            break
-        else:
-            stack.pop()
-            on_path.discard(path.pop())
-    raise AssertionError("vertices share a 2-connected block, so a common cycle exists")
-
-
-def two_vertex_blocks(g: Graph) -> dict:
-    """{v: block} for each 2-vertex v on a cycle: the one block of at least
-    3 vertices that holds v.  A 2-vertex is a cut vertex exactly when it
-    lies on no cycle, so the cut 2-vertices are the ones missing here."""
-    block_of = {}
-    for b in biconnected_components(g):
-        if len(b) >= 3:
-            for v in b:
-                if g.degree(v) == 2:
-                    block_of[v] = b
-    return block_of
-
-
-def close_two_vertex_pair(g: Graph, block_of: dict) -> Optional[tuple]:
-    """First (u, w, dist, block): 2-vertices u < w at distance <= 3 in a
-    common block of at least 3 vertices (so on a common cycle), or None;
-    block_of is two_vertex_blocks(g)."""
-    # A 2-vertex that is no cut vertex lies in exactly one block of >= 3
-    # vertices, so two of them share a cycle exactly when they share it.
-    for u in sorted(block_of):
-        near = ball(g.adj, u, 3)
-        w = min((w for w in near if w > u and block_of.get(w) is block_of[u]), default=None)
-        if w is not None:
-            return u, w, near[w], block_of[u]
-    return None
-
-
-def _spacing_violation(g: Graph, block_of: dict) -> Optional[SpacingViolation]:
-    """find_spacing_violation, given block_of = two_vertex_blocks(g)."""
-    pair = close_two_vertex_pair(g, block_of)
-    if pair is None:
-        return None
-    u, w, dist, block = pair
-    return SpacingViolation(cycle=_cycle_through(g, block, u, w), u=u, w=w, dist=dist)
-
-
-def find_spacing_violation(g: Graph) -> Optional[SpacingViolation]:
-    """Two 2-vertices at distance <= 3 sharing a cycle, if any."""
-    return _spacing_violation(g, two_vertex_blocks(g))
-
-
-def find_reducible_config(g: Graph):
-    """The first of the paper's four reducible configurations, or None.
-
-    Checked in this order: a vertex of degree <= 1, a cut 2-vertex, a
-    2-vertex on a six-cycle, two 2-vertices within distance 3 on a
-    common cycle.  None is possible only out of class.
-
-    Proof that an in-class graph G with n >= 1 has one of the four.
-    Suppose it has none.  No vertex has degree <= 1.  Take an end block
-    B of a component: a block with at most one cut vertex c.  B is not
-    a bridge, since its far end would be a leaf, so B is 2-connected and
-    every face of its plane embedding is a cycle of length l >= 6.
-    Every vertex of B other than c has all its edges in B; if c exists,
-    it has degree 2 in B.  Charge each vertex 2 d_B - 6 and each face
-    l - 6; by Euler the total is -12.  Each face pays 1 to every
-    degree-2 vertex of B on it, so degree-2 vertices end at 0.  A face
-    holds at most floor(l/4) of G's 2-vertices, since any two of them
-    are >= 4 apart on a common cycle; it holds none if l = 6 (six-cycle
-    rule), and it holds c at most once.  So every face ends at >= -1,
-    and only the <= 2 faces holding c can be negative: the total is
-    >= -2, not -12.
-    """
-    for v in range(g.n):
-        if g.degree(v) <= 1:
-            return OneVertex(v)
-    block_of = two_vertex_blocks(g)
-    for u in range(g.n):
-        if g.degree(u) == 2 and u not in block_of:
-            x, y = sorted(g.neighbors(u))
-            return CutTwoVertex(u, x, y)
-    cfg = find_sixcycle_two_vertex(g)
-    if cfg is not None:
-        return cfg
-    return _spacing_violation(g, block_of)
 
 
 def _free_color(colors: frozenset, f: Sequence[Optional[int]], near: Iterable[int]) -> int:
@@ -423,26 +203,6 @@ def extend_sixcycle(cfg: SixCycleTwoVertex, L: Sequence[Iterable[int]], phi: Seq
     f = list(phi)
     _extend_sixcycle(cfg.cycle, lists, f, g.adj)
     return f
-
-
-def reduce_cut_two_vertex(g: Graph, u: int) -> Graph:
-    """Splice out a cut 2-vertex: H joins the two sides by a direct edge.
-
-    ValueError unless 0 <= u < g.n.
-    """
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} is out of range for n={g.n}")
-    if g.degree(u) != 2:
-        raise NotTwoVertex(f"vertex {u} has degree {g.degree(u)}")
-    if u not in cut_vertices(g):
-        raise NotCutVertex(f"vertex {u} does not disconnect the graph")
-    x, y = sorted(g.neighbors(u))
-    if g.has_edge(x, y):
-        raise PreconditionViolated("the neighbors are already adjacent")
-    new_id = {v: i for i, v in enumerate(v for v in range(g.n) if v != u)}
-    edges = [(new_id[p], new_id[q]) for p, q in g.edges() if p != u and q != u]
-    edges.append((new_id[x], new_id[y]))
-    return Graph(g.n - 1, edges)
 
 
 # The proof's three rules, one record per removed vertex.

@@ -5,7 +5,10 @@ from collections import deque
 
 import networkx as nx
 
+from sqcolor.errors import ParseError
+from sqcolor.formats import parse_graphs
 from sqcolor.graph_core import Graph
+from sqcolor.planar_embed import faces
 
 
 def to_nx(g):
@@ -231,3 +234,42 @@ def embed_kernel_nx(rot, comp):
         for v in comp:
             rot[v] = list(emb.neighbors_cw_order(v))
     return ok
+
+
+def euler_genus_check(g, rs):
+    """True when n - m + f = 2 for the faces traced from rs."""
+    return g.n - g.m + len(faces(g, rs)) == 2
+
+
+def parse_one_graph(text, source="<input>"):
+    """The one (graph, rotation) pair in text; ParseError for any other count."""
+    items = parse_graphs(text, source)
+    if len(items) != 1:
+        raise ParseError(source, 1, "", f"expected exactly one graph, found {len(items)}")
+    return items[0]
+
+
+def cycle_through_by_backtracking(g, block, u, w):
+    """Some cycle inside the block containing both u and w.
+
+    Depth-first over simple paths from u, neighbors in adjacency order,
+    until an edge closes a path of at least 3 vertices through w back
+    to u.  It can backtrack for exponentially long.
+    """
+    path = [u]
+    on_path = {u}
+    stack = [iter(g.adj[u])]
+    while stack:
+        for x in stack[-1]:
+            if x == u and len(path) >= 3 and w in on_path:
+                return tuple(path)
+            if x in on_path or x not in block:
+                continue
+            path.append(x)
+            on_path.add(x)
+            stack.append(iter(g.adj[x]))
+            break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+    raise AssertionError("vertices share a 2-connected block, so a common cycle exists")

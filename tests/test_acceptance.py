@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     brute_colorable,
+    euler_genus_check,
     from_nx,
     girth_per_edge,
     naive_choosable,
@@ -22,12 +23,12 @@ from sqcolor.coloring import (
     is_k_choosable,
     is_proper,
 )
-from sqcolor.discharging import discharge_audit
+from sqcolor.discharging import discharge_audit, find_sixcycle_two_vertex
 from sqcolor.formats import write_graph_text
 from sqcolor.generate import named
 from sqcolor.graph_core import Graph, girth, square
-from sqcolor.planar_embed import euler_genus_check, faces, find_planar_embedding
-from sqcolor.reducer import color_square_7lists, extend_sixcycle, find_sixcycle_two_vertex
+from sqcolor.planar_embed import faces, find_planar_embedding
+from sqcolor.reducer import color_square_7lists, extend_sixcycle
 
 TWELVE = -12
 HOSTS_WITH_SIXCYCLE = 470

@@ -8,14 +8,15 @@ from pathlib import Path
 
 import pytest
 
+from oracles import euler_genus_check, parse_one_graph
+
 import sqcolor
 from sqcolor import cli
 from sqcolor.cli import main
 from sqcolor.coloring import is_proper
-from sqcolor.formats import from_graph6, parse_one_graph, to_graph6, write_graph_text
+from sqcolor.formats import from_graph6, to_graph6, write_graph_text
 from sqcolor.generate import named
 from sqcolor.graph_core import Graph, square
-from sqcolor.planar_embed import euler_genus_check
 
 
 def write_fixture(tmp_path, name, text):

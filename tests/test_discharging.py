@@ -1,5 +1,6 @@
 """Tests for the charge ledger, transfer rule, face caps, and the audit."""
 
+import argparse
 import random
 import sys
 from itertools import combinations
@@ -7,22 +8,26 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from oracles import to_nx
+from oracles import euler_genus_check, to_nx
 
-from sqcolor import graph_core
+from sqcolor import cli, graph_core
 from sqcolor.discharging import (
+    CutTwoVertex,
+    OneVertex,
+    SixCycleTwoVertex,
     apply_r1,
     claim3_bound_check,
     describe_config,
     discharge_audit,
+    find_reducible_config,
     initial_charges,
+    reduce_cut_two_vertex,
     render_audit,
 )
-from sqcolor.errors import NotInClass
+from sqcolor.errors import NotCutVertex, NotInClass
 from sqcolor.generate import GeneratorSpec, named, random_instance
 from sqcolor.graph_core import Graph
-from sqcolor.planar_embed import RotationSystem, euler_genus_check, faces, find_planar_embedding
-from sqcolor.reducer import CutTwoVertex, OneVertex, SixCycleTwoVertex, find_reducible_config
+from sqcolor.planar_embed import RotationSystem, faces, find_planar_embedding
 
 
 def cycle(k):
@@ -175,6 +180,18 @@ def test_cut_two_vertex_and_claim3_reason_match_networkx(subcubic9):
         report = claim3_bound_check(g, [])
         assert (report.checked, report.reason) == (want == "", want), g.edges()
         seen[want] += 1
+        # Every other cut 2-vertex question reads the same block map.
+        for u in twos:
+            assert CutTwoVertex(u, *g.adj[u]).verify(g) == (u in cut_twos), (g.edges(), u)
+            try:
+                reduce_cut_two_vertex(g, u)
+            except NotCutVertex:
+                assert u not in cut_twos, (g.edges(), u)
+            else:
+                assert u in cut_twos, (g.edges(), u)
+        _, out = cli._run_reduce(g, argparse.Namespace(vertex=None, structured=True))
+        head = f"removed={cut_twos[0]}" if cut_twos else "error=no cut 2-vertex found"
+        assert out.splitlines()[0] == head, g.edges()
     assert min(seen.values()) > 10, seen
 
 
@@ -321,7 +338,7 @@ def test_audit_needs_no_spacing_witness(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("witness cycle search ran")
 
-    monkeypatch.setattr("sqcolor.reducer._cycle_through", refuse)
+    monkeypatch.setattr("sqcolor.discharging._cycle_through", refuse)
     g = random_instance(GeneratorSpec(max_n=150, seed=13))
     report = discharge_audit(g)
     assert report.initial_total == report.final_total == -12

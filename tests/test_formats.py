@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 import networkx as nx
 
-from oracles import to_nx
+from oracles import parse_one_graph, to_nx
 
 from sqcolor.errors import ParseError
 from sqcolor.formats import (
@@ -14,7 +14,6 @@ from sqcolor.formats import (
     parse_graphs,
     parse_graphs_text,
     parse_lists,
-    parse_one_graph,
     to_graph6,
     uniform_lists,
     write_coloring,

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from sqcolor.discharging import describe_config, discharge_audit, render_audit
+from sqcolor.discharging import describe_config, discharge_audit, find_reducible_config, render_audit
 from sqcolor.formats import from_graph6
 from sqcolor.generate import named
-from sqcolor.reducer import color_square_7lists, find_reducible_config
+from sqcolor.reducer import color_square_7lists
 
 CORPUS12 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "corpus12.g6"
 

@@ -7,7 +7,7 @@ import sys
 import networkx as nx
 import pytest
 
-from oracles import embed_kernel_nx, faces_by_sorted_darts, from_nx, to_nx
+from oracles import embed_kernel_nx, euler_genus_check, faces_by_sorted_darts, from_nx, to_nx
 
 from sqcolor import generate, planar_embed
 from sqcolor.discharging import discharge_audit
@@ -24,7 +24,6 @@ from sqcolor.graph_core import (
 from sqcolor.planar_embed import (
     RotationSystem,
     check_class,
-    euler_genus_check,
     faces,
     find_planar_embedding,
     is_planar,

@@ -1,15 +1,27 @@
 """Tests for configuration detection, recoloring, and the main coloring routine."""
 
 import random
+import signal
 import sys
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from oracles import naive_choosable
+from oracles import cycle_through_by_backtracking, naive_choosable
 
 from sqcolor.coloring import find_L_coloring, is_proper, normalize_lists
-from sqcolor.discharging import discharge_audit
+from sqcolor.discharging import (
+    CutTwoVertex,
+    OneVertex,
+    SixCycleTwoVertex,
+    SpacingViolation,
+    _cycle_through,
+    discharge_audit,
+    find_reducible_config,
+    find_sixcycle_two_vertex,
+    find_spacing_violation,
+    reduce_cut_two_vertex,
+)
 from sqcolor.errors import (
     ListTooSmall,
     NotCutVertex,
@@ -17,7 +29,16 @@ from sqcolor.errors import (
     PreconditionViolated,
 )
 from sqcolor.generate import GeneratorSpec, enumerate_class, named, random_instance
-from sqcolor.graph_core import Graph, girth, girth_at_least, induced_subgraph, square, square_neighbors
+from sqcolor.graph_core import (
+    Graph,
+    _four_path,
+    biconnected_components,
+    girth,
+    girth_at_least,
+    induced_subgraph,
+    square,
+    square_neighbors,
+)
 from sqcolor.planar_embed import check_class
 from sqcolor.reducer import (
     A,
@@ -27,20 +48,11 @@ from sqcolor.reducer import (
     RECOLORING_ROWS,
     SIXCYCLE,
     SPLICE,
-    CutTwoVertex,
-    OneVertex,
-    SixCycleTwoVertex,
-    SpacingViolation,
     check_lemma2_row,
     color_square_7lists,
     extend_sixcycle,
-    find_reducible_config,
-    find_sixcycle_two_vertex,
-    find_spacing_violation,
-    reduce_cut_two_vertex,
     verify_lemma2_tables,
     _available,
-    _four_path,
     _lift,
     _peel,
     _recoloring,
@@ -404,6 +416,40 @@ def test_spacing_witness_on_a_long_cycle():
     got = find_spacing_violation(g)
     assert (got.u, got.w, got.dist) == (0, 1, 1)
     assert got.cycle == tuple(range(3000))
+    assert got.verify(g)
+
+
+def test_spacing_witness_is_the_first_cycle_of_the_backtracking_search(corpus12):
+    # The witness search enters only neighbours from which the path can
+    # still close through w, so it returns the cycle that the plain
+    # backtracking search finds first, for any two vertices of a block.
+    pairs = 0
+    for g in corpus12:
+        for block in biconnected_components(g):
+            if len(block) >= 3:
+                for u, w in permutations(sorted(block), 2):
+                    want = cycle_through_by_backtracking(g, block, u, w)
+                    assert _cycle_through(g, block, u, w) == want, (g.edges(), u, w)
+                    pairs += 1
+    assert pairs == 43_406
+
+
+def test_spacing_witness_within_a_cpu_bound():
+    # n = 395 with the close pair 1, 225 at distance 3: the backtracking
+    # search was still running after 40 s here.
+    g = two_core(random_instance(GeneratorSpec(max_n=400, seed=4)))
+
+    def out_of_time(*args):
+        raise TimeoutError("the spacing witness took more than 5 s of CPU")
+
+    previous = signal.signal(signal.SIGPROF, out_of_time)
+    signal.setitimer(signal.ITIMER_PROF, 5.0)
+    try:
+        got = find_spacing_violation(g)
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+    assert (g.n, got.u, got.w, got.dist, len(got.cycle)) == (395, 1, 225, 3, 66)
     assert got.verify(g)
 
 
