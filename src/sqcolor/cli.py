@@ -24,6 +24,7 @@ from .coloring import (
     is_k_choosable,
 )
 from .discharging import (
+    _splice_cut_two_vertex,
     describe_config,
     discharge_audit,
     find_reducible_config,
@@ -150,7 +151,9 @@ def _run_reduce(g: Graph, args) -> tuple[int, str]:
         u = next((v for v in range(g.n) if g.degree(v) == 2 and v not in block_of), None)
         if u is None:
             return EXIT_VIOLATED, "error=no cut 2-vertex found\n"
-    H = reduce_cut_two_vertex(g, u)
+        H = _splice_cut_two_vertex(g, u, block_of)
+    else:
+        H = reduce_cut_two_vertex(g, u)
     x, y = sorted(g.neighbors(u))
     head = f"removed={u}\nedge={x},{y}\n"
     if args.structured:

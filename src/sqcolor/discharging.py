@@ -324,7 +324,13 @@ def reduce_cut_two_vertex(g: Graph, u: int) -> Graph:
         raise ValueError(f"vertex {u} is out of range for n={g.n}")
     if g.degree(u) != 2:
         raise NotTwoVertex(f"vertex {u} has degree {g.degree(u)}")
-    if u in two_vertex_blocks(g):
+    return _splice_cut_two_vertex(g, u, two_vertex_blocks(g))
+
+
+def _splice_cut_two_vertex(g: Graph, u: int, block_of: dict) -> Graph:
+    """The body of reduce_cut_two_vertex for a 2-vertex u of g, with the
+    caller's block map block_of = two_vertex_blocks(g)."""
+    if u in block_of:
         raise NotCutVertex(f"vertex {u} does not disconnect the graph")
     x, y = sorted(g.neighbors(u))
     new_id = {v: i for i, v in enumerate(v for v in range(g.n) if v != u)}

@@ -1,9 +1,11 @@
 """Parsers and writers for the on-disk formats.
 
 Graph text format: first meaningful line is "n m", then m lines "u v"
-with 0 <= u < v < n.  Blank lines and lines starting with # are ignored.
-A file may hold several graphs back to back.  Optional trailing lines
-"rot v: u1 u2 ... uk" attach a rotation system to the last graph.
+with 0 <= u < v < n; n is at most MAX_VERTICES, checked before anything
+is allocated for the graph.  Blank lines and lines starting with # are
+ignored.  A file may hold several graphs back to back.  Optional
+trailing lines "rot v: u1 u2 ... uk" attach a rotation system to the
+last graph.
 
 graph6 is accepted as an alternate encoding, one graph per line; lines
 are detected as graph6 when they contain no whitespace and do not start
@@ -17,6 +19,11 @@ from __future__ import annotations
 from .errors import ParseError
 from .graph_core import Graph
 from .planar_embed import RotationSystem
+
+# The largest vertex count a text header may declare.  A graph costs one
+# adjacency set per declared vertex, isolated or not, so without a bound
+# the header "1000000000 0" alone would ask for tens of gigabytes.
+MAX_VERTICES = 10**6
 
 
 def _tokens(text: str, source: str):
@@ -50,6 +57,8 @@ def parse_graphs_text(text: str, source: str = "<text>") -> list[tuple[Graph, Ro
         m = _int(mtok, mline, source, "edge count")
         if n < 0 or m < 0:
             raise ParseError(source, lineno, tok, "negative header value")
+        if n > MAX_VERTICES:
+            raise ParseError(source, lineno, tok, f"vertex count exceeds the limit of {MAX_VERTICES}")
         i += 2
         edges = []
         for k in range(m):

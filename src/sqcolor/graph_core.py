@@ -5,6 +5,11 @@ parallel edges) and immutable after construction; derived graphs are new
 objects.  Infinite distances and infinite girth use math.inf, which is
 deliberately distinct from every natural number and compares correctly.
 
+The class checks decide girth >= 6 with girth_at_least, a sphere test
+that looks no further than distance 2 from each vertex at k = 6 and
+for k > n only asks whether g is a forest.  girth, the exact value,
+runs one BFS per vertex and serves only the girth command.
+
 Each primitive has one implementation here: the distance-2
 neighbourhood (square_neighbors), the depth-bounded BFS (ball, which
 distance runs unbounded), the component walk (adjacency_components),
@@ -180,31 +185,78 @@ def square(g: Graph) -> Graph:
 
 
 def girth(g: Graph) -> float:
-    """Return the length of a shortest cycle, math.inf for a forest."""
-    return _shortest_cycle(g, INF)
+    """Return the length of a shortest cycle, math.inf for a forest.
+
+    One BFS per vertex, so up to quadratic time in n; the class checks
+    ask girth_at_least instead.
+    """
+    return _shortest_cycle(g)
 
 
 def girth_at_least(g: Graph, k: float) -> bool:
     """Return True when g has no cycle shorter than k.
 
-    The search stops at depth about k/2 from every vertex, so at bounded
-    degree and small k it takes time linear in n.
+    Sphere test.  A shortest cycle is isometric, so from each of its
+    vertices v it shows up in the spheres S_1 = adj[v], ..., S_r around
+    v, r = (k - 1) // 2: a cycle of length 2d + 1 as an edge inside S_d,
+    one of length 2d + 2 as a vertex of S_{d+1} with two neighbours in
+    S_d.  Conversely each of those closes a walk through v of that
+    length, which holds a cycle no longer.  So the spheres of each v are
+    grown by set unions, and g has a cycle shorter than k exactly when
+      - a new sphere S_{d+1}, d < r, meets S_d (an odd cycle), or
+      - S_{d+1} has fewer vertices than the sum of deg - 1 over S_d (two
+        paths from v meet: an even cycle), or
+      - for even k, the spheres S_r of the two ends of some edge meet
+        (an odd closed walk of length k - 1 through that edge).
+    At bounded degree and fixed k this takes time linear in n.  A graph
+    with a cycle has girth at most n, so for k > n (math.inf included)
+    the answer is whether g is a forest: m = n - #components.
     """
-    return _shortest_cycle(g, k) >= k
+    if k <= 3:
+        return True
+    n = g.n
+    adj = g.adj
+    if k > n:
+        return 2 * (n - len(adjacency_components(adj))) == sum(len(a) for a in adj)
+    k = math.ceil(k)
+    r = (k - 1) // 2
+    outer: list | None = [] if k % 2 == 0 else None
+    for v in range(n):
+        prev, cur = (v,), adj[v]
+        for _ in range(r - 1):
+            nxt = set()
+            want = 0
+            for u in cur:
+                nbrs = adj[u]
+                nxt.update(nbrs)
+                want += len(nbrs) - 1
+            nxt.difference_update(prev)
+            if len(nxt) < want or not nxt.isdisjoint(cur):
+                return False
+            prev, cur = cur, nxt
+            if not cur:
+                break
+        if outer is not None:
+            outer.append(cur if r > 1 else set(cur))
+    if outer is not None:
+        for u in range(n):
+            sphere = outer[u]
+            for w in adj[u]:
+                if u < w and not outer[w].isdisjoint(sphere):
+                    return False
+    return True
 
 
-def _shortest_cycle(g: Graph, cap: float) -> float:
-    """Return min(girth, cap).
+def _shortest_cycle(g: Graph) -> float:
+    """Return the girth.
 
     Per-source BFS: a non-tree edge (u, v) seen while scanning u closes a
     walk of length dist[u] + dist[v] + 1 through the source.  The walk
     contains a cycle no longer than itself, so the minimum over all
     sources and edges is exactly the girth.  A vertex is scanned only
-    while it can still close a walk shorter than the best so far, which
-    starts at cap; per-source state lives in dicts, so a small cap makes
-    each source cost O(1) at bounded degree.
+    while it can still close a walk shorter than the best so far.
     """
-    best = cap
+    best = INF
     for s in range(g.n):
         dist = {s: 0}
         parent = {s: -1}

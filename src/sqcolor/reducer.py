@@ -286,14 +286,17 @@ def color_square_7lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
     adjacency (_peel); the lift puts the vertices back in reverse order and colors them
     (_lift).  No exact search runs.  The result is certified proper on
     the square of g and inside every list; a failed certificate raises
-    AssertionError.
+    AssertionError.  Two vertices at distance <= 2 are adjacent or share
+    a neighbour, so the certificate asks only that every closed
+    neighbourhood N[u] has pairwise distinct colors.
     """
     check_class(g)
     lists = _seven_lists(g, L)
     adj = [set(a) for a in g.adj]
     f = _lift(adj, _peel(adj), lists)
     _invariant(
-        all(_fits(f, lists, v, square_neighbors(g.adj, v)) for v in range(g.n)),
+        all(color in allowed for color, allowed in zip(f, lists))
+        and all(len({f[u], *map(f.__getitem__, nbrs)}) == len(nbrs) + 1 for u, nbrs in enumerate(g.adj)),
         "final certificate: the coloring must be proper on the square and inside the lists",
     )
     return f

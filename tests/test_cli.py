@@ -14,7 +14,7 @@ import sqcolor
 from sqcolor import cli
 from sqcolor.cli import main
 from sqcolor.coloring import is_proper
-from sqcolor.formats import from_graph6, to_graph6, write_graph_text
+from sqcolor.formats import MAX_VERTICES, from_graph6, to_graph6, write_graph_text
 from sqcolor.generate import named
 from sqcolor.graph_core import Graph, square
 
@@ -55,6 +55,18 @@ def test_girth_from_stdin(capsys, monkeypatch):
     code, out = run(capsys, ["girth", "-"])
     assert code == 0
     assert out == "girth=7\n"
+
+
+@pytest.mark.parametrize("n", [1_000_000_000, MAX_VERTICES + 1])
+def test_header_over_the_vertex_limit_is_a_parse_error(tmp_path, capsys, cpu_bound, n):
+    # Refused before one adjacency set per declared vertex is built.
+    path = write_fixture(tmp_path, "huge.txt", f"{n} 0\n")
+    with cpu_bound(1.0, f"the header {n} 0"):
+        code = main(["girth", path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "vertex count exceeds the limit" in err
+    assert "Traceback" not in err
 
 
 def test_square_outputs_parseable_graph(tmp_path, capsys):

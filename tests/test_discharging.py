@@ -227,6 +227,15 @@ def test_audit_decides_the_blocks_twice_and_the_girth_only_as_needed(monkeypatch
         assert list(calls.values()) == want, name
 
 
+def test_reduce_builds_the_block_map_once(monkeypatch):
+    # Picking the least cut 2-vertex and splicing it out share one map.
+    calls = count_structure_calls(monkeypatch)
+    g = named("two-heptagons")[0]
+    got = cli._run_reduce(g, argparse.Namespace(vertex=None, structured=True))
+    assert calls["biconnected_components"] == 1
+    assert got == (0, "removed=14\nedge=0,7\ngraph=MhCKK?@?G?_@?@?O_\n")
+
+
 def spread_twelve_cycle():
     """12-cycle with 2-vertices only at 0, 4, 8; pendants suppress the rest."""
     edges = [(i, (i + 1) % 12) for i in range(12)]

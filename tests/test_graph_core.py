@@ -129,8 +129,12 @@ def test_girth_matches_per_edge_oracle(corpus12):
         assert girth(g) == girth_per_edge(g)
 
 
-def test_girth_at_least_agrees_with_girth():
-    graphs = []
+NAMED_SMALL = ("c3", "c4", "c5", "c6", "c11", "p1", "p7", "q3", "prism6", "petersen",
+               "dodecahedron", "honeycomb-1", "honeycomb-5", "subdivided-prism", "two-heptagons")
+
+
+def test_girth_at_least_agrees_with_girth(corpus12):
+    graphs = list(corpus12) + [named(name)[0] for name in NAMED_SMALL]
     for min_girth in (3, 4, 5, 6):
         spec = GeneratorSpec(max_n=9, min_girth=min_girth, connectivity=False)
         graphs += enumerate_class(spec)
@@ -141,7 +145,7 @@ def test_girth_at_least_agrees_with_girth():
         graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
     for g in graphs:
         value = girth(g)
-        for k in range(3, 9):
+        for k in (*range(3, 12), math.inf):
             assert girth_at_least(g, k) == (value >= k), (g.edges(), k)
 
 
@@ -149,6 +153,21 @@ def test_girth_at_least_on_long_cycles():
     assert girth_at_least(cycle(3000), 6)
     assert not girth_at_least(cycle(5), 6)
     assert girth_at_least(path(3000), 6)
+    # An 11-cycle with a 5-vertex tail: k = 12 <= n, and the cycle shows
+    # up only where the spheres of radius 5 around an edge's ends meet.
+    g = Graph(16, [(i, (i + 1) % 11) for i in range(11)] + [(i, i + 1) for i in range(10, 15)])
+    assert girth_at_least(g, 11) and not girth_at_least(g, 12)
+    # For k > n the test is whether g is a forest.
+    assert girth_at_least(cycle(40), 40) and not girth_at_least(cycle(40), 41)
+
+
+@pytest.mark.parametrize("k", [6, math.inf])
+def test_girth_at_least_within_a_cpu_bound(cpu_bound, k):
+    # Linear at fixed k, and a forest test at k = inf; one BFS per vertex
+    # took 5.8 s on p3000 at k = inf, so p100000 would take hours.
+    for g, want in ((path(100_000), True), (cycle(100_000), k == 6)):
+        with cpu_bound(1.0, f"girth_at_least at n = {g.n}, k = {k}"):
+            assert girth_at_least(g, k) == want
 
 
 def test_cut_vertices_matches_networkx(corpus12):

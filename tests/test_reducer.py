@@ -1,7 +1,6 @@
 """Tests for configuration detection, recoloring, and the main coloring routine."""
 
 import random
-import signal
 import sys
 from itertools import permutations, product
 
@@ -434,21 +433,12 @@ def test_spacing_witness_is_the_first_cycle_of_the_backtracking_search(corpus12)
     assert pairs == 43_406
 
 
-def test_spacing_witness_within_a_cpu_bound():
+def test_spacing_witness_within_a_cpu_bound(cpu_bound):
     # n = 395 with the close pair 1, 225 at distance 3: the backtracking
     # search was still running after 40 s here.
     g = two_core(random_instance(GeneratorSpec(max_n=400, seed=4)))
-
-    def out_of_time(*args):
-        raise TimeoutError("the spacing witness took more than 5 s of CPU")
-
-    previous = signal.signal(signal.SIGPROF, out_of_time)
-    signal.setitimer(signal.ITIMER_PROF, 5.0)
-    try:
+    with cpu_bound(5.0, "the spacing witness"):
         got = find_spacing_violation(g)
-    finally:
-        signal.setitimer(signal.ITIMER_PROF, 0)
-        signal.signal(signal.SIGPROF, previous)
     assert (g.n, got.u, got.w, got.dist, len(got.cycle)) == (395, 1, 225, 3, 66)
     assert got.verify(g)
 
@@ -770,14 +760,15 @@ def test_color_square_rejects_out_of_class():
         color_square_7lists(cycle(6), [list(range(6))] * 6)
 
 
-@pytest.mark.parametrize("v, color", [(2, "clash"), (3, 99)])
+@pytest.mark.parametrize("v, color", [(1, "clash"), (2, "clash"), (3, 99)])
 def test_final_certificate_rejects_a_bad_lift(monkeypatch, v, color):
-    # Vertex 2 takes the color of vertex 0, at distance 2 on c6; or
-    # vertex 3 takes a color outside its list.
+    # On c6 colored 0..5, vertex 1 takes the color of its neighbour 0, or
+    # vertex 2 that of vertex 0 at distance 2, or vertex 3 a color outside
+    # its list; each breaks the certificate in one way only.
     lift = _lift
 
     def bad_lift(adj, records, lists):
-        f = lift(adj, records, lists)
+        f = list(range(len(lift(adj, records, lists))))
         f[v] = f[0] if color == "clash" else color
         return f
 
