@@ -6,12 +6,22 @@ a new vertex to a set S creates cycles of length dist(s, s') + 2 only,
 so requiring pairwise distance >= min_girth - 2 inside S preserves the
 girth bound exactly, and removing any non-cut vertex of an in-class
 graph lands back in the class, which makes the augmentation complete.
-Isomorph rejection uses a canonical adjacency code.
+Isomorph rejection uses a canonical adjacency code, and keeps the first
+child found with each code.  Attach sets that an automorphism of the
+parent maps onto each other give isomorphic children, so each parent
+tries one set per orbit (McKay's orbit pruning): the automorphisms come
+from the tied orders of the parent's own canonical search, and the
+first child of each code, hence the output, is the same as without
+pruning.  At max_n = 11 this codes 1,631 children instead of 2,580.
+
+The sampler grows one adjacency; its chord step draws from the open
+pairs by index, without listing them.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, Iterator, Optional, Sequence
@@ -28,7 +38,12 @@ from .graph_core import (
 )
 from .planar_embed import RotationSystem, _planar, find_planar_embedding, is_planar
 
+# The largest max_n that enumerate_class and random_instance accept;
+# beyond them they raise BudgetExceeded.  CPU on a 2-vCPU Xeon: the
+# enumeration takes 4.8 s at max_n = 13 and 21 s at 14; girth-6 samples
+# of 4,000 vertices take 6-9 s (seeds 0-2), and 5,000 already 10 s.
 ENUMERATION_BUDGET = 14
+SAMPLE_BUDGET = 4000
 
 
 @dataclass(frozen=True)
@@ -56,32 +71,55 @@ def canonical_code(g: Graph) -> tuple:
     is a neighbour of the prefix, or any vertex once the prefix is a
     union of components.
 
-    A prefix is kept as (score, placed, boundary): score[u] has bit
-    n - 1 - i set for each neighbour of u at position i, so at level k
-    the raw scores compare as the level values score[u] >> (n - k);
+    A prefix is kept as (score, placed, boundary, trail): score[u] has
+    bit n - 1 - i set for each neighbour of u at position i, so at level
+    k the raw scores compare as the level values score[u] >> (n - k);
     placed and boundary are bitmasks of the prefix and of its unplaced
-    neighbours.  When the boundary is empty, one vertex per
-    neighbourhood is tried: swapping two unplaced twins is an
-    automorphism fixing the prefix, so an edgeless graph costs O(n^2).
-    The cost still grows with the number of components that are not
-    twins (six disjoint edges tie at every order of the edges), and
-    enumerate_class calls this only on connected graphs.
+    neighbours, and trail links the placed vertices back to the first.
+    When the boundary is empty, one vertex per neighbourhood is tried:
+    swapping two unplaced twins is an automorphism fixing the prefix, so
+    an edgeless graph costs O(n^2).  The cost still grows with the
+    number of components that are not twins (six disjoint edges tie at
+    every order of the edges, and all twelve vertices have degree 1, so
+    the start filter below does not prune them); enumerate_class calls
+    this only on connected graphs.
+
+    Without a triangle the search starts only at vertices of maximum
+    degree.  From a start s of degree d, levels 1..d place neighbours of
+    s: each such row has the most significant bit (adjacency to s), and
+    nothing else, since a neighbour of s adjacent to an earlier
+    neighbour of s would close a triangle.  So every start of degree d'
+    reads "MSB only" at levels 1..d'; at level d' + 1 a start of larger
+    degree still places a neighbour of s, with the MSB set, and the
+    start of degree d' cannot, so it falls behind.  With a triangle the
+    rows can carry more bits (K3 plus K1,3 starts in the triangle), so
+    every vertex is tried.  The triangle test costs O(m) bitmask ANDs.
     """
+    return _frontier_search(g)[0]
+
+
+def _frontier_search(g: Graph) -> tuple[tuple, list[tuple[int, ...]]]:
+    """canonical_code's search: the code, and every placement order
+    (vertex at position 0, 1, ...) that the search ties at the code."""
     n = g.n
     if n == 0:
-        return (0, ())
+        return (0, ()), [()]
     adj = g.adj
     nbmask = [sum(1 << w for w in adj[v]) for v in range(n)]
-    frontier = [([0] * n, 0, 0)]
+    starts: Sequence[int] = range(n)
+    if not any(nbmask[u] & nbmask[w] for u in range(n) for w in adj[u] if u < w):
+        top = max(len(a) for a in adj)
+        starts = [v for v in range(n) if len(adj[v]) == top]
+    frontier = [([0] * n, 0, 0, None)]
     levels: list[int] = []
     for k in range(n):
         best_val = -1
         best: list = []
         for entry in frontier:
-            score, placed, cands = entry
+            score, placed, cands, _ = entry
             if not cands:
                 seen = set()
-                for u in range(n):
+                for u in starts if not placed else range(n):
                     if not placed >> u & 1 and nbmask[u] not in seen:
                         seen.add(nbmask[u])
                         cands |= 1 << u
@@ -101,13 +139,45 @@ def canonical_code(g: Graph) -> tuple:
             break
         bit = 1 << (n - 1 - k)
         frontier = []
-        for (score, placed, boundary), u in best:
+        for (score, placed, boundary, trail), u in best:
             score = score.copy()
             for w in adj[u]:
                 score[w] |= bit
             placed |= 1 << u
-            frontier.append((score, placed, (boundary | nbmask[u]) & ~placed))
-    return (n, tuple(levels))
+            frontier.append((score, placed, (boundary | nbmask[u]) & ~placed, (u, trail)))
+    orders = []
+    for (_, _, _, trail), u in best:
+        order = [u]
+        while trail is not None:
+            v, trail = trail
+            order.append(v)
+        orders.append(tuple(reversed(order)))
+    return (n, tuple(levels)), orders
+
+
+def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Automorphisms sigma of g, as tuples with sigma[v] the image of v.
+
+    Two orders that canonical_code's search ties at the code read the
+    same adjacency bits, so the map from the first order to any other
+    position by position is an automorphism; the identity comes first.
+    Conversely an automorphism carries an optimal order to an optimal
+    order, which the search keeps unless it starts at a twin that the
+    one-per-neighbourhood rule skipped.  For a connected g with n >= 3
+    the optimal starts have degree >= 2 (a leaf start reads 01 at level
+    2, a start of degree >= 2 reads 1x), and two such twins close a
+    4-cycle; so on connected graphs without 4-cycles this is all of
+    Aut(g), and otherwise a subset of it.
+    """
+    _, orders = _frontier_search(g)
+    first = orders[0]
+    maps = []
+    for order in orders:
+        sigma = [0] * g.n
+        for v, w in zip(first, order):
+            sigma[v] = w
+        maps.append(tuple(sigma))
+    return maps
 
 
 def _attach_sets(g: Graph, min_girth: float) -> Iterator[tuple]:
@@ -134,7 +204,16 @@ def _enumerate_connected(max_n: int, min_girth: float) -> list[list[Graph]]:
     for n in range(2, max_n + 1):
         seen = {}
         for g in levels[n - 1]:
+            # Sets in one orbit of Aut(g) give isomorphic children, so
+            # only the first of each orbit is tried: the first child of
+            # each code is found as before, and the output is unchanged.
+            autos = _automorphisms(g)
+            tried = set()
             for S in _attach_sets(g, min_girth):
+                key = min(tuple(sorted(sigma[s] for s in S)) for sigma in autos)
+                if key in tried:
+                    continue
+                tried.add(key)
                 h = add_vertex(g, S)
                 if not is_planar(h):
                     continue
@@ -205,8 +284,12 @@ def random_instance(spec: GeneratorSpec) -> Graph:
     vertices at distance >= girth - 1, found outside the depth-(girth - 2)
     ball in O(1) per vertex, and is rolled back if it breaks planarity.
     The result is checked once more; GenerationFailed if it left the class.
+    BudgetExceeded when max_n exceeds SAMPLE_BUDGET: each chord step
+    reads the whole adjacency, so the cost grows with max_n squared.
     """
     spec.validate()
+    if spec.max_n > SAMPLE_BUDGET:
+        raise BudgetExceeded(spec.max_n, SAMPLE_BUDGET, "random instance")
     rng = random.Random(spec.seed)
     ring = 0 if spec.min_girth == INF else int(spec.min_girth)
     adj: list[set[int]] = [set()]
@@ -282,7 +365,9 @@ def _random_step(adj: list[set[int]], spec: GeneratorSpec, rng: random.Random) -
             u, v = rng.choice(pairs)
             _link(adj, [u, *range(n, n + ring - 2), v])
     else:
-        pairs = _chord_pairs(adj, ring)
+        # adj is connected, so its distances stay below n: no pair lies
+        # ring - 1 apart until ring <= n.
+        pairs = _ChordPairs(adj, ring) if ring <= n else ()
         if pairs:
             u, v = rng.choice(pairs)
             _link(adj, [u, v])
@@ -291,16 +376,48 @@ def _random_step(adj: list[set[int]], spec: GeneratorSpec, rng: random.Random) -
                 adj[v].remove(u)
 
 
-def _chord_pairs(adj: Sequence[Collection[int]], ring: int) -> list[tuple[int, int]]:
-    """Pairs u < v of vertices of degree <= 2 with dist(u, v) >= ring - 1,
+class _ChordPairs:
+    """The pairs u < v of vertices of degree <= 2 with dist(u, v) >= ring - 1,
     in lexicographic order: v qualifies exactly when it lies outside u's
-    ball of radius ring - 2."""
-    open_vertices = [v for v in range(len(adj)) if len(adj[v]) <= 2]
-    pairs = []
-    for i, u in enumerate(open_vertices):
-        near = ball(adj, u, ring - 2)
-        pairs.extend((u, v) for v in open_vertices[i + 1 :] if v not in near)
-    return pairs
+    ball of radius ring - 2.
+
+    The pairs are not listed.  Each open u keeps the running count of
+    pairs that start at u or before it (the open v > u minus those in
+    u's ball), so building costs one small ball per open vertex, and
+    item i bisects those counts and then skips the few open vertices in
+    one ball.  rng.choice draws the same pair as from the list.
+    """
+
+    def __init__(self, adj: Sequence[Collection[int]], ring: int):
+        self._adj = adj
+        self._radius = ring - 2
+        self._open = [v for v in range(len(adj)) if len(adj[v]) <= 2]
+        self._ends: list[int] = []
+        total = 0
+        for i, u in enumerate(self._open):
+            total += len(self._open) - 1 - i - len(self._near(u))
+            self._ends.append(total)
+
+    def _near(self, u: int) -> list[int]:
+        """The open vertices w > u inside u's ball."""
+        adj = self._adj
+        return [w for w in ball(adj, u, self._radius) if w > u and len(adj[w]) <= 2]
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index: int) -> tuple[int, int]:
+        if not 0 <= index < len(self):
+            raise IndexError("chord pair index out of range")
+        i = bisect_right(self._ends, index)
+        u = self._open[i]
+        # The (index - ends[i - 1])-th open vertex after u, skipping u's
+        # ball: each skipped vertex at or before the candidate moves it on.
+        p = i + 1 + index - (self._ends[i - 1] if i else 0)
+        for w in sorted(self._near(u)):
+            if bisect_left(self._open, w) <= p:
+                p += 1
+        return (u, self._open[p])
 
 
 def _path(k: int) -> Graph:

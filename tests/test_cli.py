@@ -342,6 +342,15 @@ def test_generate_random_deterministic(capsys):
     assert g.n <= 10
 
 
+def test_generate_random_beyond_the_budget_exits_3(capsys, cpu_bound):
+    with cpu_bound(2, "generate --random --max-n 100000"):
+        code = main(["generate", "--random", "--max-n", "100000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("budget exhausted: random instance")
+
+
 def test_multiple_graphs_in_one_file(tmp_path, capsys):
     text = write_graph_text(named("c6")[0]) + write_graph_text(named("c7")[0])
     path = write_fixture(tmp_path, "both.txt", text)

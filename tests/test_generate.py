@@ -7,14 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from oracles import canonical_code_by_frontier, from_nx, graphs_in_class, isomorphic, relabel
+from oracles import canonical_code_by_frontier, from_nx, graphs_in_class, isomorphic, relabel, to_nx
 
 from sqcolor import generate
 from sqcolor.errors import BudgetExceeded, GenerationFailed, UnknownName
 from sqcolor.formats import to_graph6
 from sqcolor.generate import (
     GeneratorSpec,
-    _chord_pairs,
+    SAMPLE_BUDGET,
+    _automorphisms,
+    _ChordPairs,
     canonical_code,
     enumerate_class,
     named,
@@ -125,6 +127,87 @@ def test_canonical_code_with_isolated_vertices_matches_oracle():
     for extra in range(4):
         g = Graph(6 + extra, [(i, (i + 1) % 6) for i in range(6)])
         assert canonical_code(g) == canonical_code_by_frontier(g)
+
+
+def random_triangle_free(rng, n, max_deg=4):
+    """Random edges between vertices of degree < max_deg that share no
+    neighbour, so no triangle; often disconnected."""
+    adj = [set() for _ in range(n)]
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        u, v = rng.sample(range(n), 2)
+        if v in adj[u] or adj[u] & adj[v] or max(len(adj[u]), len(adj[v])) >= max_deg:
+            continue
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+
+
+def test_canonical_code_start_filter_matches_oracle_on_triangle_free_graphs():
+    # The search starts only at vertices of maximum degree when there is
+    # no triangle.  At most two isolated vertices: the oracle tries every
+    # tied order of them, which is factorial.
+    rng = random.Random(97)
+    checked = disconnected = 0
+    while checked < 600:
+        g = random_triangle_free(rng, rng.randint(1, 9))
+        if sum(1 for v in range(g.n) if not g.adj[v]) > 2:
+            continue
+        checked += 1
+        disconnected += not is_connected(g)
+        assert canonical_code(g) == canonical_code_by_frontier(g), g.edges()
+    assert 100 < disconnected < 500
+
+
+def test_canonical_code_tries_every_start_when_there_is_a_triangle():
+    # K3 plus K1,3: the triangle's vertices have degree 2 and the star's
+    # centre degree 3, but the best code starts in the triangle (level 2
+    # reads 11 there, 10 from the centre).
+    g = Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (3, 6)])
+    assert canonical_code(g) == canonical_code_by_frontier(g) == (7, (1, 3, 0, 1, 2, 4))
+
+
+def nx_automorphisms(g):
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    h = to_nx(g)
+    return {tuple(m[v] for v in range(g.n)) for m in GraphMatcher(h, h).isomorphisms_iter()}
+
+
+FIXTURES = ("c6", "c7", "p5", "q3", "prism6", "dodecahedron", "petersen", "honeycomb-1",
+            "honeycomb-2", "honeycomb-3", "subdivided-prism", "two-heptagons")
+
+
+def test_automorphisms_match_networkx(corpus12):
+    graphs = corpus12 + [named(name)[0] for name in FIXTURES]
+    for g in graphs:
+        autos = _automorphisms(g)
+        assert autos[0] == tuple(range(g.n))
+        assert len(set(autos)) == len(autos)
+        assert set(autos) == nx_automorphisms(g), g.edges()
+
+
+def test_automorphisms_are_automorphisms_with_four_cycles(subcubic9):
+    # Twins of degree >= 2 (a 4-cycle) and disconnected graphs can hide
+    # some of Aut(g) from the search; every map returned must still be
+    # an automorphism, which is all the orbit pruning needs.
+    for g in subcubic9:
+        edges = set(g.edges())
+        for sigma in _automorphisms(g):
+            assert sorted(sigma) == list(range(g.n))
+            assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in edges} == edges
+
+
+def test_enumeration_codes_one_child_per_orbit(monkeypatch):
+    calls = []
+    code = generate.canonical_code
+
+    def counting(h):
+        calls.append(None)
+        return code(h)
+
+    monkeypatch.setattr(generate, "canonical_code", counting)
+    assert len(list(enumerate_class(GeneratorSpec(max_n=11)))) == 376
+    assert len(calls) == 1631
 
 
 # --- enumeration ---
@@ -365,7 +448,33 @@ def test_chord_pairs_match_brute_force(monkeypatch):
                 for v in range(u + 1, g.n)
                 if g.degree(u) <= 2 and g.degree(v) <= 2 and dist[u].get(v, math.inf) >= ring - 1
             ]
-            assert _chord_pairs(adj, ring) == want, (g.edges(), ring)
+            assert list(_ChordPairs(adj, ring)) == want, (g.edges(), ring)
+
+
+def test_random_instance_draws_chords_within_a_cpu_bound(cpu_bound):
+    # Listing every open pair before each chord draw made this take 9 to
+    # 11 s; counting the pairs per vertex takes under 2 s.
+    with cpu_bound(6, "random_instance(max_n=2000)"):
+        g = random_instance(GeneratorSpec(max_n=2000, seed=0))
+    assert g.n == 2000
+
+
+def test_random_instance_with_a_huge_girth_within_a_cpu_bound(cpu_bound):
+    # No chord fits while the girth exceeds the vertex count; computing
+    # every open vertex's ball, each the whole tree, took 35 s here.
+    with cpu_bound(3, "random_instance(max_n=1000, min_girth=10**8)"):
+        g = random_instance(GeneratorSpec(max_n=1000, min_girth=10**8, seed=0))
+    assert (g.n, g.m) == (1000, 999)
+
+
+def test_random_instance_budget(monkeypatch):
+    assert SAMPLE_BUDGET >= 400
+    with pytest.raises(BudgetExceeded):
+        random_instance(GeneratorSpec(max_n=SAMPLE_BUDGET + 1, seed=0))
+    monkeypatch.setattr(generate, "SAMPLE_BUDGET", 12)
+    assert random_instance(GeneratorSpec(max_n=12, seed=0)).n <= 12
+    with pytest.raises(BudgetExceeded):
+        random_instance(GeneratorSpec(max_n=13, seed=0))
 
 
 # sha256 of to_graph6(random_instance(GeneratorSpec(max_n=150, seed=s)))
@@ -440,11 +549,15 @@ def test_random_instance_builds_a_graph_only_to_test_planarity(monkeypatch):
     assert len(built) == 1
 
 
-# sha256 of the graph6 lines ("<g6>\n" each) of two enumerations, frozen
-# before planarity in the generator moved to the cubic kernel.
+# sha256 of the graph6 lines ("<g6>\n" each) of enumerations; the first
+# two were frozen before planarity in the generator moved to the cubic
+# kernel.
 ENUMERATION_SHA256 = {
     (11, 6, True): (376, "326b3bcd486fc49b0c1b7fdbcab4669c42f18205890a5bcb30d9193c9240fb5a"),
     (9, 4, False): (754, "24506da682876125e649be65cb39fd669e152f55e2c23e37b358f162b736f2e2"),
+    # Frozen before the enumeration tried one attach set per orbit: at
+    # girth 3 the start filter is off and the orbits are largest.
+    (9, 3, True): (813, "39bedbc1969d9334f3cf962751924f2c13342f6c5b1639a1bd648662964bdd0e"),
 }
 
 

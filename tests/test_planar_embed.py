@@ -280,8 +280,8 @@ def test_find_planar_embedding_matches_networkx_on_enumeration_candidates(monkey
         return want
 
     monkeypatch.setattr(generate, "is_planar", compare)
-    generate._enumerate_connected(11, 6)
-    assert len(checked) > 2000 and max(checked) == 11
+    generate._enumerate_connected(12, 6)
+    assert len(checked) > 2000 and max(checked) == 12
 
 
 def test_audits_embed_only_the_kernel(planarity_calls):
@@ -443,7 +443,7 @@ def test_embed_kernel_matches_networkx_on_subcubic_kernels(monkeypatch, corpus12
         return is_planar(h)
 
     monkeypatch.setattr(generate, "is_planar", collect)
-    generate._enumerate_connected(11, 6)
+    generate._enumerate_connected(12, 6)
     for h in candidates:
         embeds_kernel_as_networkx(h, verdicts)
     assert len(candidates) > 2000
