@@ -99,7 +99,9 @@ def _resolve_lists(spec: str, n: int):
         k = int(spec.split(":", 1)[1])
         if k < 1:
             raise ValueError("uniform list size must be positive")
-        return uniform_lists(n, k)
+        # A coloring from sublists is one from the lists, and the proof
+        # needs 7 colors: uniform:K keeps the 7 least, whatever K is.
+        return uniform_lists(n, min(k, 7))
     text, source = _read_input(spec)
     return parse_lists(text, n, source)
 
@@ -287,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_batch("girth", "print the girth of each input graph")
 
     p = add_batch("color", "color the square of each graph from 7-lists")
-    p.add_argument("--lists", default="uniform:7", help="uniform:K or a lists file")
+    p.add_argument("--lists", default="uniform:7", help="uniform:K (colors 1..min(K, 7)) or a lists file")
 
     p = add_batch("choosable", "decide k-choosability of each graph")
     p.add_argument("-k", type=int, required=True, help="list size")

@@ -8,13 +8,16 @@ deliberately distinct from every natural number and compares correctly.
 The class checks decide girth >= 6 with girth_at_least, a sphere test
 that looks no further than distance 2 from each vertex at k = 6 and
 for k > n only asks whether g is a forest.  girth, the exact value,
-runs one BFS per vertex and serves only the girth command.
+serves only the girth command: it reads each cycle component of the
+2-core (core_adjacency) off its length and runs one BFS from each
+vertex of degree >= 3 in the 2-core.
 
 Each primitive has one implementation here: the distance-2
 neighbourhood (square_neighbors), the depth-bounded BFS (ball, which
 distance runs unbounded), the component walk (adjacency_components),
 the first path of four edges (_four_path, which closes a six-cycle for
-the peel and the six-cycle detector alike) and the blocks
+the peel and the six-cycle detector alike), the 2-core (core_adjacency,
+which girth and the planarity kernel strip leaves with) and the blocks
 (biconnected_components), from which the cut vertices and the audit's
 block map of 2-vertices are read off.  All but the last take any
 adjacency sequence, so the peel's, the sampler's and the planarity
@@ -187,10 +190,41 @@ def square(g: Graph) -> Graph:
 def girth(g: Graph) -> float:
     """Return the length of a shortest cycle, math.inf for a forest.
 
-    One BFS per vertex, so up to quadratic time in n; the class checks
-    ask girth_at_least instead.
+    Every cycle lies in the 2-core.  A component of the 2-core whose
+    vertices all have degree 2 there is a cycle, and its length is its
+    girth.  In any other component every cycle passes through a vertex of
+    degree >= 3 in the 2-core, since a cycle of 2-vertices would be a
+    component by itself.  So the pruned BFS of _shortest_cycle runs only
+    from those vertices, within the 2-core, and starts from the shortest
+    cycle component.  A long cycle, or a theta graph, takes linear time;
+    many branch vertices far apart still cost up to quadratic time.
     """
-    return _shortest_cycle(g)
+    core = core_adjacency(g.adj)
+    best = INF
+    sources = []
+    for comp in adjacency_components(core):
+        branch = [v for v in comp if len(core[v]) >= 3]
+        if branch:
+            sources += branch
+        elif len(comp) > 1:
+            best = min(best, len(comp))
+    return _shortest_cycle(core, sources, best)
+
+
+def core_adjacency(adj) -> list[list[int]]:
+    """The 2-core of the graph given by its adjacency: leaves are
+    stripped repeatedly, and core[v] lists v's neighbours in the 2-core,
+    in adj's order, and is empty off it."""
+    core = [list(a) for a in adj]
+    stack = [v for v in range(len(core)) if len(core[v]) <= 1]
+    while stack:
+        v = stack.pop()
+        for u in core[v]:
+            core[u].remove(v)
+            if len(core[u]) == 1:
+                stack.append(u)
+        core[v] = []
+    return core
 
 
 def girth_at_least(g: Graph, k: float) -> bool:
@@ -247,17 +281,18 @@ def girth_at_least(g: Graph, k: float) -> bool:
     return True
 
 
-def _shortest_cycle(g: Graph) -> float:
-    """Return the girth.
+def _shortest_cycle(adj, sources, best) -> float:
+    """Return the least of best and the lengths of the cycles through
+    the sources in the graph adj.
 
     Per-source BFS: a non-tree edge (u, v) seen while scanning u closes a
     walk of length dist[u] + dist[v] + 1 through the source.  The walk
-    contains a cycle no longer than itself, so the minimum over all
-    sources and edges is exactly the girth.  A vertex is scanned only
-    while it can still close a walk shorter than the best so far.
+    contains a cycle no longer than itself, and from a vertex of a
+    shortest cycle the BFS finds that cycle's length.  A vertex is
+    scanned only while it can still close a walk shorter than the best
+    so far.
     """
-    best = INF
-    for s in range(g.n):
+    for s in sources:
         dist = {s: 0}
         parent = {s: -1}
         q = deque([s])
@@ -266,7 +301,7 @@ def _shortest_cycle(g: Graph) -> float:
             du = dist[u]
             if 2 * du >= best - 1:
                 continue
-            for w in g.adj[u]:
+            for w in adj[u]:
                 dw = dist.get(w)
                 if dw is None:
                     dist[w] = du + 1

@@ -7,18 +7,23 @@ counts edge sides, so a bridge contributes 2 to the face containing it.
 Embedding operations reject empty and disconnected graphs; callers embed
 each component separately.
 
-Planarity is decided on the cubic kernel (_kernel): the 2-core with its
-2-paths spliced, homeomorphic to the 2-core and far smaller.  A subcubic
-graph has no K5 subdivision (its branch vertices need degree 4), so by
-Kuratowski it is non-planar exactly when it contains a subdivided K3,3,
-whose six branch vertices have degree 3 in the 2-core.  _embed_kernel
-embeds a kernel component by the left-right planarity test (Brandes
-2009), on explicit stacks, with the rotations networkx's check_planarity
-would give, and _face_walks traces the faces of every Euler check.
-is_planar embeds only kernel components with six such vertices, which
-most class members lack.  find_planar_embedding embeds the kernel, puts
-back the spliced 2-vertices (forced rotations) and pendant trees (any
-angle), and Euler-checks its faces, which the charge audit takes too.
+Planarity is decided on the series-parallel reduction (_reduce): leaves
+are deleted, 2-vertices suppressed, and a 2-vertex whose neighbours are
+adjacent deleted, until every vertex left has degree 0 or >= 3.  Each
+rule keeps planarity both ways, and a graph of treewidth 2, such as a
+honeycomb chain, reduces to nothing (Duffin 1965).  A graph with fewer
+than six vertices of degree >= 3 and fewer than five of degree >= 4 has
+no subdivided K3,3 or K5, so by Kuratowski it is planar.  is_planar
+asks that of the graph, of its reduction and of each component of the
+reduction; _embed_kernel embeds the components that are left by the
+left-right planarity test (Brandes 2009), on explicit stacks, with the
+rotations networkx's check_planarity would give, and _face_walks traces
+the faces of every Euler check.  The embedding for the charge audit is
+taken on the cubic kernel (_kernel): the 2-core with its 2-paths spliced
+in vertex order, homeomorphic to the 2-core.  find_planar_embedding
+embeds the kernel, puts back the spliced 2-vertices (forced rotations)
+and pendant trees (any angle), and Euler-checks its faces, which the
+charge audit takes too; face numbering depends on this kernel.
 check_class is the one membership test for the coloring theorem's class.
 """
 
@@ -30,6 +35,7 @@ from .errors import InconsistentRotation, NotInClass
 from .graph_core import (
     Graph,
     adjacency_components,
+    core_adjacency,
     girth_at_least,
     is_connected,
     is_subcubic,
@@ -113,15 +119,7 @@ def _kernel(adj):
     and a in v's place at b.  core[v] says whether v is in the 2-core.
     splices lists (v, a, b) in splice order, v having joined a and b.
     """
-    kadj = [list(a) for a in adj]
-    stack = [v for v in range(len(kadj)) if len(kadj[v]) <= 1]
-    while stack:
-        v = stack.pop()
-        for u in kadj[v]:
-            kadj[u].remove(v)
-            if len(kadj[u]) == 1:
-                stack.append(u)
-        kadj[v] = []
+    kadj = core_adjacency(adj)
     core = [bool(a) for a in kadj]
     splices = []
     for v in range(len(kadj)):
@@ -506,10 +504,13 @@ def is_planar(g: Graph) -> bool:
     A graph is planar when it has fewer than six vertices of degree >= 3
     and fewer than five of degree >= 4, since a subdivided K3,3 or K5
     needs that many branch vertices; at degree <= 3 this reads "fewer
-    than six 3-vertices", and no planarity test runs.  The same holds for
-    the cubic kernel, which has the 2-core's branch vertices.  Each kernel
-    component that still has enough goes to _embed_kernel, and its
-    rotation is Euler-checked, so every positive answer is checked.
+    than six 3-vertices", and no planarity test runs.  The same is asked
+    of g's series-parallel reduction (_reduce), which is planar exactly
+    when g is, and of each of its components.  These positive answers
+    rest on Kuratowski's theorem and on the reduction rules, and no
+    embedding is built for them.  Each component that is left goes to
+    _embed_kernel, and its rotation is Euler-checked, so every positive
+    answer of the left-right test is checked.
     """
     return _planar(g.adj)
 
@@ -519,18 +520,60 @@ def _planar(adj) -> bool:
     listed in any order: a list of sets will do."""
     if _few_branch_vertices(len(a) for a in adj):
         return True
-    rot, _, _ = _kernel(adj)
-    if _few_branch_vertices(len(a) for a in rot):
+    red = _reduce(adj)
+    if _few_branch_vertices(len(a) for a in red):
         return True
-    for comp in adjacency_components(rot):
-        if _few_branch_vertices(len(rot[v]) for v in comp):
+    for comp in adjacency_components(red):
+        if _few_branch_vertices(len(red[v]) for v in comp):
             continue
-        if not _embed_kernel(rot, comp):
+        if not _embed_kernel(red, comp):
             return False
-        m = sum(len(rot[v]) for v in comp) // 2
-        if len(comp) - m + len(_face_walks(comp, rot, rot)) != 2:
-            raise AssertionError("kernel embedding is a non-planar rotation")
+        m = sum(len(red[v]) for v in comp) // 2
+        if len(comp) - m + len(_face_walks(comp, red, red)) != 2:
+            raise AssertionError("embedding of the reduction is a non-planar rotation")
     return True
+
+
+def _reduce(adj) -> list[set[int]]:
+    """The series-parallel reduction of the graph given by its adjacency:
+    adjacency sets in which every vertex has degree 0 or >= 3.
+
+    A worklist takes the vertices of degree <= 2 and applies, until none
+    is left, the rules below, each of which keeps planarity both ways:
+      - a vertex of degree <= 1 is deleted;
+      - a 2-vertex whose neighbours a and b are not adjacent is
+        suppressed: the edge ab takes its place;
+      - a 2-vertex whose neighbours are adjacent is deleted, which also
+        drops the parallel edge its suppression would make, and a and b
+        go back on the worklist.
+    No rule raises a degree, so each vertex is reduced at most once and
+    the reduction takes time linear in n + m.  A graph of treewidth at
+    most 2, such as a honeycomb chain, reduces to no edge at all.
+    """
+    red = [set(a) for a in adj]
+    stack = [v for v in range(len(red)) if len(red[v]) <= 2]
+    while stack:
+        v = stack.pop()
+        nbrs = red[v]
+        if len(nbrs) == 2:
+            a, b = nbrs
+            ra, rb = red[a], red[b]
+            ra.discard(v)
+            rb.discard(v)
+            if b in ra:
+                stack.append(a)
+                stack.append(b)
+            else:
+                ra.add(b)
+                rb.add(a)
+        elif len(nbrs) == 1:
+            (a,) = nbrs
+            red[a].discard(v)
+            stack.append(a)
+        else:
+            continue
+        nbrs.clear()
+    return red
 
 
 def _few_branch_vertices(degrees) -> bool:

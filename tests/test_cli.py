@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,30 @@ def test_color_rejects_short_lists(tmp_path, capsys):
     code = main(["color", "--lists", "uniform:6", c6_file(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err == "error: vertex 0 has a list of size 6 < 7\n"
+
+
+def test_a_huge_uniform_list_colors_from_its_seven_least_colors(tmp_path):
+    # uniform:K keeps colors 1..7, so K = 10^8 builds no list of K colors
+    # and colors c6 byte for byte as uniform:7 does, in a child limited
+    # to 1 GiB of address space; a frozenset of 10^8 colors needs more.
+    path = c6_file(tmp_path)
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    outputs = []
+    for k in (7, 100_000_000):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqcolor.cli", "color", "--lists", f"uniform:{k}", path],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            preexec_fn=limit_address_space,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 6
 
 
 def test_consecutive_main_calls_share_no_state(tmp_path, capsys):

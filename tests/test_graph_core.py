@@ -119,14 +119,45 @@ def test_girth_fixtures():
     assert girth(named("honeycomb-3")[0]) == 6
 
 
-def test_girth_matches_per_edge_oracle(corpus12):
-    rng = random.Random(11)
-    sample = rng.sample(corpus12, 150)
-    for g in sample:
-        assert girth(g) == girth_per_edge(g)
-    for name in ("q3", "prism6", "petersen", "dodecahedron", "two-heptagons"):
-        g = named(name)[0]
-        assert girth(g) == girth_per_edge(g)
+def theta(lengths):
+    """Paths with the given numbers of edges between vertices 0 and 1."""
+    edges, n = [], 2
+    for k in lengths:
+        path = [0, *range(n, n + k - 1), 1]
+        edges += zip(path, path[1:])
+        n += k - 1
+    return Graph(n, edges)
+
+
+def test_girth_matches_per_edge_oracle(corpus12, subcubic9):
+    q3 = named("q3")[0]
+    graphs = list(corpus12) + list(subcubic9)
+    graphs += [named(name)[0] for name in ("q3", "prism6", "petersen", "dodecahedron", "two-heptagons")]
+    graphs += [
+        # cycle components only
+        Graph(11, cycle(5).edges() + [(5 + u, 5 + v) for u, v in cycle(6).edges()]),
+        # a 9-cycle and a 4-cycle sharing vertex 0, the one branch vertex
+        Graph(12, cycle(9).edges() + [(0, 9), (9, 10), (10, 11), (11, 0)]),
+        # a 7-cycle bridged to a cube, with a pendant path
+        Graph(18, cycle(7).edges() + [(7 + u, 7 + v) for u, v in q3.edges()] + [(0, 7), (3, 15), (15, 16), (16, 17)]),
+        # a theta graph beside a shorter cycle component
+        Graph(22, theta((4, 4, 9)).edges() + [(16 + u, 16 + v) for u, v in cycle(6).edges()]),
+        theta((2, 3, 5)),
+        theta((1, 6, 6)),
+    ]
+    for g in graphs:
+        assert girth(g) == girth_per_edge(g), g.edges()
+
+
+@pytest.mark.parametrize(
+    "lengths", [(50_000, 50_000), (700, 700, 700), (30_000, 40_000, 30_001)], ids=["c100000", "theta-2099", "theta-100000"]
+)
+def test_girth_within_a_cpu_bound(cpu_bound, lengths):
+    # c100000, and theta graphs of 2,099 and 100,000 vertices: one BFS
+    # per vertex took 1.97 s on c2000 and on the smaller theta graph.
+    g = theta(lengths)
+    with cpu_bound(1.0, f"girth at n = {g.n}"):
+        assert girth(g) == sum(sorted(lengths)[:2])
 
 
 NAMED_SMALL = ("c3", "c4", "c5", "c6", "c11", "p1", "p7", "q3", "prism6", "petersen",

@@ -121,13 +121,6 @@ def test_nonplanar_graphs_have_no_embedding():
     assert find_planar_embedding(named("petersen")[0]) is None
 
 
-def heawood():
-    edges = [(i, (i + 1) % 14) for i in range(14)]
-    edges += [(i, (i + (5 if i % 2 == 0 else -5)) % 14) for i in range(14)]
-    dedup = {(min(u, v), max(u, v)) for u, v in edges}
-    return Graph(14, sorted(dedup))
-
-
 def test_heawood_is_nonplanar_and_in_girth_class_otherwise():
     from sqcolor.graph_core import girth, is_subcubic
 
@@ -232,10 +225,10 @@ def seeded_graphs():
     return tuple(graphs)
 
 
-def test_is_planar_matches_networkx_on_random_subcubic_graphs(planarity_calls):
+def test_is_planar_matches_networkx_on_random_subcubic_graphs(planarity_calls, subcubic9):
     answers = {True: 0, False: 0}
     disconnected = 0
-    for g in seeded_graphs():
+    for g in seeded_graphs() + tuple(subcubic9):
         assert is_subcubic(g)
         want = nx.check_planarity(to_nx(g))[0]
         del planarity_calls[:]
@@ -317,9 +310,13 @@ def test_euler_check_rejects_a_mutated_lift(monkeypatch):
         is_planar(g)
 
 
-def test_is_planar_derives_the_kernel_once(monkeypatch, planarity_calls):
-    calls = {"_kernel": 0, "find_planar_embedding": 0}
-    real_kernel = planar_embed._kernel
+def test_is_planar_reduces_once(monkeypatch, planarity_calls):
+    calls = {"_reduce": 0, "_kernel": 0, "find_planar_embedding": 0}
+    real_reduce, real_kernel = planar_embed._reduce, planar_embed._kernel
+
+    def reduce(adj):
+        calls["_reduce"] += 1
+        return real_reduce(adj)
 
     def kernel(adj):
         calls["_kernel"] += 1
@@ -331,10 +328,11 @@ def test_is_planar_derives_the_kernel_once(monkeypatch, planarity_calls):
 
     g = named("subdivided-prism")[0]
     del planarity_calls[:]
+    monkeypatch.setattr(planar_embed, "_reduce", reduce)
     monkeypatch.setattr(planar_embed, "_kernel", kernel)
     monkeypatch.setattr(planar_embed, "find_planar_embedding", embedding)
     assert is_planar(g) is True
-    assert calls == {"_kernel": 1, "find_planar_embedding": 0}
+    assert calls == {"_reduce": 1, "_kernel": 0, "find_planar_embedding": 0}
     assert [n for n, _ in planarity_calls] == [12]
 
 
@@ -385,6 +383,48 @@ def test_is_planar_on_a_disjoint_union_with_heawood():
     with pytest.raises(NotInClass, match="^graph is not planar$"):
         color_square_7lists(g, [list(range(1, 8))] * g.n)
     assert is_planar(_disjoint_union([named("c6")[0], named("subdivided-prism")[0], Graph(1, [])]))
+
+
+def chained(g, k):
+    """g with every edge uv replaced by a chain of k hexagons, u joined to
+    a 2-vertex of the first hexagon and v to one of the last."""
+    hc = generate._honeycomb(k)
+    ends = (0, 3) if k == 1 else (0, hc.n - 1)
+    n, edges = g.n, []
+    for u, v in g.edges():
+        edges += [(n + a, n + b) for a, b in hc.edges()]
+        edges += [(u, n + ends[0]), (n + ends[1], v)]
+        n += hc.n
+    return Graph(n, edges)
+
+
+def test_is_planar_on_graphs_with_every_edge_a_honeycomb_chain(planarity_calls):
+    k33 = Graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    planar = [named(name)[0] for name in ("q3", "prism6", "dodecahedron")]
+    for k in (1, 2, 5):
+        for want, cores in ((False, [k33, heawood()]), (True, planar)):
+            for g in map(functools.partial(chained, k=k), cores):
+                assert is_subcubic(g) and girth(g) == 6
+                del planarity_calls[:]
+                assert is_planar(g) is want is nx.check_planarity(to_nx(g))[0]
+                # The reduction leaves one smaller component to the LR test.
+                assert len(planarity_calls) == 1 and planarity_calls[0][0] < g.n
+    with pytest.raises(NotInClass, match="^graph is not planar$"):
+        check_class(chained(heawood(), 2))
+
+
+def test_honeycomb_chains_reduce_to_nothing(planarity_calls, cpu_bound):
+    graphs = [named(f"honeycomb-{k}")[0] for k in range(1, 61)]
+    del planarity_calls[:]
+    for g in graphs:
+        assert is_planar(g) is True
+        assert not any(planar_embed._reduce(g.adj))
+    assert planarity_calls == []
+    g = generate._honeycomb(25_000)
+    # The left-right test on its kernel, a 100,000-vertex ladder, took 1 s.
+    with cpu_bound(0.5, f"is_planar on honeycomb-25000 (n = {g.n})"):
+        assert is_planar(g) is True
+    assert planarity_calls == []
 
 
 def test_is_planar_on_graphs_of_higher_degree():
