@@ -1,20 +1,31 @@
 """Parsers and writers for the on-disk formats.
 
-Graph text format: first meaningful line is "n m", then m lines "u v"
-with 0 <= u < v < n; n is at most MAX_VERTICES, checked before anything
-is allocated for the graph.  Blank lines and lines starting with # are
-ignored.  A file may hold several graphs back to back.  Optional
-trailing lines "rot v: u1 u2 ... uk" attach a rotation system to the
-last graph.
+Graph text format: a stream of whitespace-separated tokens, in which
+lines matter only to rotation rows.  A graph is the header "n m", then
+2m vertex ids, read in pairs as the edges u v with 0 <= u < v < n
+(written one edge per line), then optional rotation rows
+"rot v: u1 u2 ... uk", each ending at the end of its line, which attach
+a rotation system to that graph.  n is at most MAX_VERTICES and m at
+most n(n-1)/2, both checked at the header, before anything is allocated
+for the graph or any edge is read.  A # starts a comment that runs to
+the end of its line.  A file may hold several graphs back to back.
+The tokens are split once and the edge ids converted and checked in
+bulk; the line and token of an error are worked out only once a
+conversion or check has failed, and the error reported is the first
+in reading order.
 
 graph6 is accepted as an alternate encoding, one graph per line; lines
 are detected as graph6 when they contain no whitespace and do not start
 with a digit (graph6 bytes are all >= 63).
 
-List assignments: lines "v: c1 c2 ... ck".
+List assignments: lines "v: c1 c2 ... ck", one per vertex, in any
+order.  Lines whose list text after the ':' is the same share one
+frozenset.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter, lt
 
 from .errors import ParseError
 from .graph_core import Graph
@@ -26,84 +37,136 @@ from .planar_embed import RotationSystem
 MAX_VERTICES = 10**6
 
 
-def _tokens(text: str, source: str):
-    """Yield (token, lineno) pairs, skipping comments and blanks."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for tok in body.split():
-            yield tok, lineno
+def _lines(text: str) -> list[str]:
+    """The lines of text, each cut at its first #."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return lines
 
 
-def _int(tok: str, lineno: int, source: str, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(source, lineno, tok, f"expected {what}") from None
+class _Tokens:
+    """The tokens of a text stream, split once.
+
+    Every line break is whitespace to str.split, so the tokens of the
+    whole text are those of its lines in turn.  The line of a token is
+    worked out only when asked for: to report an error, or to end a
+    rotation row at the end of its line.
+    """
+
+    def __init__(self, text: str, source: str):
+        self.text = text
+        self.source = source
+        self.toks = ("\n".join(_lines(text)) if "#" in text else text).split()
+        self._lines: list[int] | None = None
+
+    def line(self, i: int) -> int:
+        if self._lines is None:
+            self._lines = [no for no, line in enumerate(_lines(self.text), start=1) for _ in line.split()]
+        return self._lines[i]
+
+    def error(self, i: int, message: str, token: str | None = None) -> ParseError:
+        return ParseError(self.source, self.line(i), self.toks[i] if token is None else token, message)
+
+    def to_int(self, i: int, what: str) -> int:
+        try:
+            return int(self.toks[i])
+        except ValueError:
+            raise self.error(i, f"expected {what}") from None
 
 
 def parse_graphs_text(text: str, source: str = "<text>") -> list[tuple[Graph, RotationSystem | None]]:
-    """Parse a text stream of one or more graphs with optional rotations."""
-    toks = list(_tokens(text, source))
+    """Parse a text stream of one or more graphs with optional rotations.
+
+    Errors are reported in reading order: the first bad token, or the
+    first check to fail, raises a ParseError that names its line.
+    """
+    s = _Tokens(text, source)
+    toks = s.toks
     out: list[tuple[Graph, RotationSystem | None]] = []
     i = 0
     while i < len(toks):
-        tok, lineno = toks[i]
-        if tok == "rot":
-            raise ParseError(source, lineno, tok, "rotation line before any graph")
-        n = _int(tok, lineno, source, "vertex count")
+        if toks[i] == "rot":
+            raise s.error(i, "rotation line before any graph")
+        n = s.to_int(i, "vertex count")
         if i + 1 >= len(toks):
-            raise ParseError(source, lineno, tok, "missing edge count")
-        mtok, mline = toks[i + 1]
-        m = _int(mtok, mline, source, "edge count")
+            raise s.error(i, "missing edge count")
+        m = s.to_int(i + 1, "edge count")
         if n < 0 or m < 0:
-            raise ParseError(source, lineno, tok, "negative header value")
+            raise s.error(i, "negative header value")
         if n > MAX_VERTICES:
-            raise ParseError(source, lineno, tok, f"vertex count exceeds the limit of {MAX_VERTICES}")
-        i += 2
-        edges = []
-        for k in range(m):
-            if i + 1 >= len(toks):
-                raise ParseError(source, toks[-1][1], toks[-1][0], f"expected {m} edges, got {k}")
-            utok, uline = toks[i]
-            vtok, vline = toks[i + 1]
-            u = _int(utok, uline, source, "vertex id")
-            v = _int(vtok, vline, source, "vertex id")
-            if not (0 <= u < v < n):
-                raise ParseError(source, uline, f"{utok} {vtok}", f"edge must satisfy 0 <= u < v < {n}")
-            edges.append((u, v))
-            i += 2
+            raise s.error(i, f"vertex count exceeds the limit of {MAX_VERTICES}")
+        if m > n * (n - 1) // 2:
+            raise s.error(i + 1, f"edge count exceeds n(n-1)/2 = {n * (n - 1) // 2}")
+        edges = _edges(s, i + 2, n, m)
         try:
             g = Graph(n, edges)
         except ValueError as e:
-            raise ParseError(source, lineno, tok, str(e)) from None
-        # optional rotation block
+            raise s.error(i, str(e)) from None
+        header = i
+        i += 2 + 2 * m
         rot = None
-        if i < len(toks) and toks[i][0] == "rot":
-            rows: dict[int, tuple[int, ...]] = {}
-            while i < len(toks) and toks[i][0] == "rot":
-                rline = toks[i][1]
-                i += 1
-                if i >= len(toks):
-                    raise ParseError(source, rline, "rot", "truncated rotation line")
-                vtok, vline = toks[i]
-                if not vtok.endswith(":"):
-                    raise ParseError(source, vline, vtok, "rotation vertex must end with ':'")
-                v = _int(vtok[:-1], vline, source, "vertex id")
-                if not 0 <= v < n:
-                    raise ParseError(source, vline, vtok, "rotation vertex out of range")
-                i += 1
-                nbrs = []
-                while i < len(toks) and toks[i][1] == vline and toks[i][0] != "rot":
-                    ntok, nline = toks[i]
-                    nbrs.append(_int(ntok, nline, source, "neighbor id"))
-                    i += 1
-                rows[v] = tuple(nbrs)
-            missing = [v for v in range(n) if len(g.adj[v]) > 0 and v not in rows]
-            if missing:
-                raise ParseError(source, lineno, "rot", f"rotation missing vertices {missing}")
-            rot = RotationSystem(tuple(rows.get(v, ()) for v in range(n)))
+        if i < len(toks) and toks[i] == "rot":
+            rot, i = _rotation(s, i, g, header)
         out.append((g, rot))
     return out
+
+
+def _edges(s: _Tokens, start: int, n: int, m: int):
+    """The m edges whose 2m ids start at token start.
+
+    All ids are converted by one int() map and checked against
+    0 <= u < v < n in one pass; only if that fails are the edges read
+    one by one, to report the first bad one.
+    """
+    toks = s.toks
+    have = min(m, (len(toks) - start) // 2)
+    stop = start + 2 * have
+    try:
+        ids = list(map(int, toks[start:stop]))
+        us, vs = ids[::2], ids[1::2]
+        if ids and not (min(us) >= 0 and max(vs) < n and all(map(lt, us, vs))):
+            raise ValueError
+    except ValueError:
+        for i in range(start, stop, 2):
+            u, v = s.to_int(i, "vertex id"), s.to_int(i + 1, "vertex id")
+            if not 0 <= u < v < n:
+                raise s.error(i, f"edge must satisfy 0 <= u < v < {n}", f"{toks[i]} {toks[i + 1]}") from None
+    if have < m:
+        raise s.error(len(toks) - 1, f"expected {m} edges, got {have}")
+    return zip(us, vs)
+
+
+def _rotation(s: _Tokens, i: int, g: Graph, header: int) -> tuple[RotationSystem, int]:
+    """The rotation block of g that starts at token i, a "rot", and the
+    index of the token after it.  A row "rot v: u1 ... uk" ends at the
+    end of the line that holds "v:"; header is the index of g's "n"."""
+    toks = s.toks
+    n = g.n
+    rows: dict[int, tuple[int, ...]] = {}
+    while i < len(toks) and toks[i] == "rot":
+        i += 1
+        if i == len(toks):
+            raise s.error(i - 1, "truncated rotation line")
+        vtok = toks[i]
+        if not vtok.endswith(":"):
+            raise s.error(i, "rotation vertex must end with ':'")
+        try:
+            v = int(vtok[:-1])
+        except ValueError:
+            raise s.error(i, "expected vertex id", vtok[:-1]) from None
+        if not 0 <= v < n:
+            raise s.error(i, "rotation vertex out of range")
+        row_line = s.line(i)
+        i += 1
+        first = i
+        while i < len(toks) and s.line(i) == row_line and toks[i] != "rot":
+            i += 1
+        rows[v] = tuple(s.to_int(j, "neighbor id") for j in range(first, i))
+    missing = [v for v in range(n) if g.adj[v] and v not in rows]
+    if missing:
+        raise s.error(header, f"rotation missing vertices {missing}", "rot")
+    return RotationSystem(tuple(rows.get(v, ()) for v in range(n))), i
 
 
 def write_graph_text(g: Graph, rot: RotationSystem | None = None) -> str:
@@ -225,28 +288,67 @@ def parse_graphs(text: str, source: str = "<input>") -> list[tuple[Graph, Rotati
 
 
 def parse_lists(text: str, n: int, source: str = "<lists>") -> list[frozenset[int]]:
-    """Parse 'v: c1 c2 ... ck' lines into per-vertex color sets."""
-    lists: dict[int, frozenset[int]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
+    """Parse 'v: c1 c2 ... ck' lines into per-vertex color sets.
+
+    Each line is cut once at its ':'; the vertex ids are converted by one
+    int() map, and each distinct list text becomes one frozenset, shared
+    by every vertex whose line carries it.  Only if a conversion or check
+    fails are the lines read one by one, to report the first bad one.
+    """
+    lines = _lines(text)
+    rows = [line.partition(":") for line in lines]
+    if not all(map(itemgetter(1), rows)):
+        # Blank lines are skipped; any other line without ':' is refused.
+        rows = [row for row in rows if row[1] or row[0].strip()]
+        if not all(map(itemgetter(1), rows)):
+            raise _list_error(lines, n, source)
+    try:
+        vertices = list(map(int, map(str.strip, map(itemgetter(0), rows))))
+        tails = list(map(itemgetter(2), rows))
+        sets = {tail: frozenset(map(int, tail.split())) for tail in set(tails)}
+        by_vertex = dict(zip(vertices, map(sets.__getitem__, tails)))
+        if not (
+            len(vertices) == len(by_vertex) == n
+            and all(sets.values())
+            and (n == 0 or min(vertices) >= 0 and max(vertices) < n)
+        ):
+            raise ValueError
+    except ValueError:
+        raise _list_error(lines, n, source) from None
+    return list(map(by_vertex.__getitem__, range(n)))
+
+
+def _list_error(lines: list[str], n: int, source: str) -> ParseError:
+    """The error of the first bad line in reading order, or the missing
+    vertices, for lines that parse_lists has refused."""
+    seen = set()
+    for lineno, line in enumerate(lines, start=1):
+        body = line.strip()
         if not body:
             continue
         if ":" not in body:
-            raise ParseError(source, lineno, body.split()[0], "expected 'v: colors' line")
+            return ParseError(source, lineno, body.split()[0], "expected 'v: colors' line")
         head, _, tail = body.partition(":")
-        v = _int(head.strip(), lineno, source, "vertex id")
+        head = head.strip()
+        try:
+            v = int(head)
+        except ValueError:
+            return ParseError(source, lineno, head, "expected vertex id")
         if not 0 <= v < n:
-            raise ParseError(source, lineno, head.strip(), f"vertex out of range for n={n}")
-        if v in lists:
-            raise ParseError(source, lineno, head.strip(), "duplicate vertex line")
-        colors = frozenset(_int(t, lineno, source, "color") for t in tail.split())
+            return ParseError(source, lineno, head, f"vertex out of range for n={n}")
+        if v in seen:
+            return ParseError(source, lineno, head, "duplicate vertex line")
+        colors = tail.split()
+        for t in colors:
+            try:
+                int(t)
+            except ValueError:
+                return ParseError(source, lineno, t, "expected color")
         if not colors:
-            raise ParseError(source, lineno, head.strip(), "empty color list")
-        lists[v] = colors
-    missing = [v for v in range(n) if v not in lists]
-    if missing:
-        raise ParseError(source, len(text.splitlines()) or 1, str(missing[0]), f"missing list for vertices {missing}")
-    return [lists[v] for v in range(n)]
+            return ParseError(source, lineno, head, "empty color list")
+        seen.add(v)
+    missing = [v for v in range(n) if v not in seen]
+    return ParseError(source, len(lines) or 1, str(missing[0]), f"missing list for vertices {missing}")
 
 
 def write_coloring(coloring) -> str:

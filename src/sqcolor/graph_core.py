@@ -8,9 +8,10 @@ deliberately distinct from every natural number and compares correctly.
 The class checks decide girth >= 6 with girth_at_least, a sphere test
 that looks no further than distance 2 from each vertex at k = 6 and
 for k > n only asks whether g is a forest.  girth, the exact value,
-serves only the girth command: it reads each cycle component of the
-2-core (core_adjacency) off its length and runs one BFS from each
-vertex of degree >= 3 in the 2-core.
+reads each cycle component of the 2-core (core_adjacency) off its
+length and runs one BFS from each vertex of degree >= 3 in the 2-core;
+girth_at_least decides 6 < k <= n (the sampler's --min-girth) the same
+way, with the BFS pruned at depth k / 2.
 
 Each primitive has one implementation here: the distance-2
 neighbourhood (square_neighbors), the depth-bounded BFS (ball, which
@@ -199,8 +200,14 @@ def girth(g: Graph) -> float:
     cycle component.  A long cycle, or a theta graph, takes linear time;
     many branch vertices far apart still cost up to quadratic time.
     """
-    core = core_adjacency(g.adj)
-    best = INF
+    return _girth_below(g.adj, INF)
+
+
+def _girth_below(adj, bound) -> float:
+    """The girth of the graph adj if it is less than bound, else bound:
+    girth's 2-core reading, with cycles of length >= bound pruned."""
+    core = core_adjacency(adj)
+    best = bound
     sources = []
     for comp in adjacency_components(core):
         branch = [v for v in comp if len(core[v]) >= 3]
@@ -242,9 +249,13 @@ def girth_at_least(g: Graph, k: float) -> bool:
         paths from v meet: an even cycle), or
       - for even k, the spheres S_r of the two ends of some edge meet
         (an odd closed walk of length k - 1 through that edge).
-    At bounded degree and fixed k this takes time linear in n.  A graph
-    with a cycle has girth at most n, so for k > n (math.inf included)
-    the answer is whether g is a forest: m = n - #components.
+    At bounded degree and k <= 6 this takes time linear in n.  Beyond
+    that the spheres grow with k, up to a whole long cycle from each of
+    its vertices, so for 6 < k <= n girth's 2-core reading decides: a
+    cycle component is read off its length and the pruned BFS runs from
+    the branch vertices only, no deeper than k / 2.  A graph with a
+    cycle has girth at most n, so for k > n (math.inf included) the
+    answer is whether g is a forest: m = n - #components.
     """
     if k <= 3:
         return True
@@ -252,6 +263,8 @@ def girth_at_least(g: Graph, k: float) -> bool:
     adj = g.adj
     if k > n:
         return 2 * (n - len(adjacency_components(adj))) == sum(len(a) for a in adj)
+    if k > 6:
+        return _girth_below(adj, k) >= k
     k = math.ceil(k)
     r = (k - 1) // 2
     outer: list | None = [] if k % 2 == 0 else None

@@ -6,9 +6,9 @@ from collections import deque
 import networkx as nx
 
 from sqcolor.errors import ParseError
-from sqcolor.formats import parse_graphs
+from sqcolor.formats import MAX_VERTICES, parse_graphs
 from sqcolor.graph_core import Graph
-from sqcolor.planar_embed import faces
+from sqcolor.planar_embed import RotationSystem, faces
 
 
 def to_nx(g):
@@ -273,3 +273,112 @@ def cycle_through_by_backtracking(g, block, u, w):
             stack.pop()
             on_path.discard(path.pop())
     raise AssertionError("vertices share a 2-connected block, so a common cycle exists")
+
+
+def _tokens(text):
+    """Yield (token, lineno) pairs, skipping comments and blanks."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0]
+        for tok in body.split():
+            yield tok, lineno
+
+
+def _int(tok, lineno, source, what):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(source, lineno, tok, f"expected {what}") from None
+
+
+def parse_graphs_text_by_tokens(text, source="<text>"):
+    """parse_graphs_text one token at a time: every token is paired with
+    its line and converted on its own, so each error is raised where it
+    is met.  The header's edge count is checked against n(n-1)/2 before
+    any edge is read, as in the package."""
+    toks = list(_tokens(text))
+    out = []
+    i = 0
+    while i < len(toks):
+        tok, lineno = toks[i]
+        if tok == "rot":
+            raise ParseError(source, lineno, tok, "rotation line before any graph")
+        n = _int(tok, lineno, source, "vertex count")
+        if i + 1 >= len(toks):
+            raise ParseError(source, lineno, tok, "missing edge count")
+        mtok, mline = toks[i + 1]
+        m = _int(mtok, mline, source, "edge count")
+        if n < 0 or m < 0:
+            raise ParseError(source, lineno, tok, "negative header value")
+        if n > MAX_VERTICES:
+            raise ParseError(source, lineno, tok, f"vertex count exceeds the limit of {MAX_VERTICES}")
+        if m > n * (n - 1) // 2:
+            raise ParseError(source, mline, mtok, f"edge count exceeds n(n-1)/2 = {n * (n - 1) // 2}")
+        i += 2
+        edges = []
+        for k in range(m):
+            if i + 1 >= len(toks):
+                raise ParseError(source, toks[-1][1], toks[-1][0], f"expected {m} edges, got {k}")
+            utok, uline = toks[i]
+            vtok, vline = toks[i + 1]
+            u = _int(utok, uline, source, "vertex id")
+            v = _int(vtok, vline, source, "vertex id")
+            if not (0 <= u < v < n):
+                raise ParseError(source, uline, f"{utok} {vtok}", f"edge must satisfy 0 <= u < v < {n}")
+            edges.append((u, v))
+            i += 2
+        try:
+            g = Graph(n, edges)
+        except ValueError as e:
+            raise ParseError(source, lineno, tok, str(e)) from None
+        rot = None
+        if i < len(toks) and toks[i][0] == "rot":
+            rows = {}
+            while i < len(toks) and toks[i][0] == "rot":
+                rline = toks[i][1]
+                i += 1
+                if i >= len(toks):
+                    raise ParseError(source, rline, "rot", "truncated rotation line")
+                vtok, vline = toks[i]
+                if not vtok.endswith(":"):
+                    raise ParseError(source, vline, vtok, "rotation vertex must end with ':'")
+                v = _int(vtok[:-1], vline, source, "vertex id")
+                if not 0 <= v < n:
+                    raise ParseError(source, vline, vtok, "rotation vertex out of range")
+                i += 1
+                nbrs = []
+                while i < len(toks) and toks[i][1] == vline and toks[i][0] != "rot":
+                    ntok, nline = toks[i]
+                    nbrs.append(_int(ntok, nline, source, "neighbor id"))
+                    i += 1
+                rows[v] = tuple(nbrs)
+            missing = [v for v in range(n) if len(g.adj[v]) > 0 and v not in rows]
+            if missing:
+                raise ParseError(source, lineno, "rot", f"rotation missing vertices {missing}")
+            rot = RotationSystem(tuple(rows.get(v, ()) for v in range(n)))
+        out.append((g, rot))
+    return out
+
+
+def parse_lists_by_line(text, n, source="<lists>"):
+    """parse_lists one line at a time, with one frozenset per line."""
+    lists = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if ":" not in body:
+            raise ParseError(source, lineno, body.split()[0], "expected 'v: colors' line")
+        head, _, tail = body.partition(":")
+        v = _int(head.strip(), lineno, source, "vertex id")
+        if not 0 <= v < n:
+            raise ParseError(source, lineno, head.strip(), f"vertex out of range for n={n}")
+        if v in lists:
+            raise ParseError(source, lineno, head.strip(), "duplicate vertex line")
+        colors = frozenset(_int(t, lineno, source, "color") for t in tail.split())
+        if not colors:
+            raise ParseError(source, lineno, head.strip(), "empty color list")
+        lists[v] = colors
+    missing = [v for v in range(n) if v not in lists]
+    if missing:
+        raise ParseError(source, len(text.splitlines()) or 1, str(missing[0]), f"missing list for vertices {missing}")
+    return [lists[v] for v in range(n)]

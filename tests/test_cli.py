@@ -70,6 +70,26 @@ def test_header_over_the_vertex_limit_is_a_parse_error(tmp_path, capsys, cpu_bou
     assert "Traceback" not in err
 
 
+def test_header_with_more_edges_than_pairs_is_a_parse_error(tmp_path, capsys, cpu_bound):
+    # Refused at the header line, before any of the 10^12 edges is read.
+    path = write_fixture(tmp_path, "dense.txt", "# dense\n1000 1000000000000\n0 1\n")
+    with cpu_bound(1.0, "the header 1000 1000000000000"):
+        code = main(["color", path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{path}:2: bad token '1000000000000': edge count exceeds n(n-1)/2 = 499500" in err
+    assert "Traceback" not in err
+
+
+def test_random_sample_at_girth_near_n_within_a_cpu_bound(capsys, cpu_bound):
+    # The sampler's final girth check took 4.5 s of CPU here, growing
+    # spheres of radius 1499 from each of the 3,000 vertices.
+    with cpu_bound(1.0, "generate --random --max-n 3000 --min-girth 3000"):
+        code, out = run(capsys, ["generate", "--random", "--max-n", "3000", "--min-girth", "3000", "--count"])
+    assert code == 0
+    assert out == "count=1\n"
+
+
 def test_square_outputs_parseable_graph(tmp_path, capsys):
     code, out = run(capsys, ["square", c6_file(tmp_path)])
     assert code == 0

@@ -5,8 +5,9 @@ import tracemalloc
 
 import pytest
 import networkx as nx
+from hypothesis import given, settings, strategies as st
 
-from oracles import parse_one_graph, to_nx
+from oracles import parse_graphs_text_by_tokens, parse_lists_by_line, parse_one_graph, to_nx
 
 from sqcolor.errors import ParseError
 from sqcolor.formats import (
@@ -167,3 +168,161 @@ def test_uniform_lists():
 
 def test_write_coloring_marks_missing():
     assert write_coloring([2, None, 5]) == "0: 2\n1: -\n2: 5\n"
+
+
+# The parsers against their token-by-token references in tests/oracles.py:
+# on every input both return equal results, or both raise a ParseError
+# with the same source, line, token and message.
+
+
+def outcome(parse, *args):
+    try:
+        return "ok", parse(*args)
+    except ParseError as e:
+        return "error", (e.source, e.line, e.token, e.message)
+
+
+def same_graphs(text):
+    got = outcome(parse_graphs_text, text, "g.txt")
+    assert got == outcome(parse_graphs_text_by_tokens, text, "g.txt"), text
+    return got
+
+
+def same_lists(text, n):
+    got = outcome(parse_lists, text, n, "l.txt")
+    assert got == outcome(parse_lists_by_line, text, n, "l.txt"), (text, n)
+    return got
+
+
+NAMES = ("c6", "p4", "p1", "q3", "prism6", "petersen", "honeycomb-2", "subdivided-prism", "two-heptagons")
+
+
+def with_rotation(g):
+    return write_graph_text(g, find_planar_embedding(g))
+
+
+def variants(text):
+    """text, and the same stream with CRLF, tabs, comments and blank
+    lines, and all on one line."""
+    yield text
+    yield text.replace("\n", "\r\n")
+    yield text.replace(" ", "\t ")
+    yield "# head\n\n" + text.replace("\n", "  # note\n\n")
+    yield text.replace("\n", " ")
+
+
+def test_graph_parser_matches_oracle_on_corpus_and_fixtures(corpus12):
+    graphs = corpus12[::7] + [named(name)[0] for name in NAMES]
+    for g in graphs:
+        for text in (write_graph_text(g), with_rotation(g)):
+            for variant in variants(text):
+                assert same_graphs(variant)[0] == "ok"
+    for g in corpus12:
+        rot = find_planar_embedding(g) if g.m else None
+        assert same_graphs(with_rotation(g)) == ("ok", [(g, rot)])
+
+
+def test_graph_parser_matches_oracle_on_streams_and_one_line_files():
+    texts = [write_graph_text(named(name)[0]) for name in NAMES]
+    stream = "\n".join(texts) + with_rotation(named("q3")[0]) + texts[0]
+    kind, pairs = same_graphs(stream)
+    assert kind == "ok" and len(pairs) == len(NAMES) + 2
+    for text in ("3 2 0 1 1 2", "3 2 0 1 1 2\n", "0 0", "1 0 # one vertex", "", "\n\n# only a comment\n",
+                 "3 2 0 1 1 2 rot 0: 1 rot 1: 0 2 rot 2: 1", "3 2\n0 1\n1 2\nrot 0:\n1\nrot 1: 0 2\nrot 2: 1\n",
+                 "3 2\n0 1 1\n2 rot 1: 0 2\nrot 0: 1 rot 2: 1\n", "3 2\n0 1\n1 2\nrot"):
+        same_graphs(text)
+
+
+def test_header_with_too_many_edges_is_refused_at_the_header():
+    with pytest.raises(ParseError) as e:
+        parse_graphs_text("4 7\n0 1\n", source="dense.txt")
+    assert (e.value.source, e.value.line, e.value.token) == ("dense.txt", 1, "7")
+    assert e.value.message == "edge count exceeds n(n-1)/2 = 6"
+    assert parse_graphs_text(write_graph_text(Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])))
+
+
+BLANKS = st.sampled_from(["", "  ", "# c", "\t"])
+ROT_LINES = st.builds(
+    lambda v, row: f"rot {v}: " + " ".join(map(str, row)), st.integers(-1, 9), st.lists(st.integers(-1, 9), max_size=3)
+)
+
+
+@st.composite
+def mutated(draw, bases, swaps, inserted):
+    """A base text with up to three edits: truncated, one token replaced
+    by one of swaps, a line duplicated or dropped, or a line drawn from
+    inserted put in; its lines are joined by LF, CRLF or " LF"."""
+    lines = draw(st.sampled_from(bases)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["truncate", "token", "duplicate", "drop", "insert"]))
+        if edit == "truncate":
+            text = "\n".join(lines)
+            lines = text[: draw(st.integers(0, len(text)))].splitlines()
+        elif edit == "token":
+            toks = lines[at].split(" ")
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(swaps))
+            lines[at] = " ".join(toks)
+        elif edit == "duplicate":
+            lines.insert(at, lines[at])
+        elif edit == "drop":
+            del lines[at]
+        else:
+            lines.insert(at, draw(inserted))
+    return draw(st.sampled_from(["\n", "\r\n", " \n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+GRAPH_BASES = [write_graph_text(named(name)[0]) for name in ("c6", "p4", "q3", "two-heptagons")] + [
+    with_rotation(named(name)[0]) for name in ("c6", "q3", "p4")
+]
+GRAPH_SWAPS = ["x", "-1", "6", "8", "14", "99", "rot", "0:", "3:", "1.0", "+2", ""]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mutated(GRAPH_BASES, GRAPH_SWAPS, st.one_of(ROT_LINES, BLANKS)))
+def test_graph_parser_matches_oracle_on_mutated_texts(text):
+    same_graphs(text)
+
+
+def lists_text(lists):
+    return "".join(f"{v}: {' '.join(map(str, sorted(L)))}\n" for v, L in enumerate(lists))
+
+
+LIST_BASES = [lists_text([random.Random(seed).sample(range(1, 11), 7) for _ in range(6)]) for seed in range(3)] + [
+    "0: 1 2 3\n1: 2 4\n2: 9\n3: 1 2 3\n4: 5\n5: 2 4\n",
+    "3: 1\n\n# note\n0: 4 5 # tail\n2:\t7 8\n1: 1\n5: 2\n4: 1 2\n",
+]
+
+
+def test_list_parser_matches_oracle_on_fixed_texts():
+    for text in LIST_BASES:
+        for variant in list(variants(text))[:4]:
+            for n in (5, 6, 7):
+                kind, _ = same_lists(variant, n)
+                assert kind == "ok" or n != 6
+    for text in ("", "\n", "0 1 2\n", "0: 1\n0: 2\n", "x: 1\n", "0: 1 y\n", "0:\n", ": 1\n", "0: 1:2\n",
+                 "1: 1\n", "0: 1\nfoo\n", "  \n0: 1\n", "0\x1f: 1\n"):
+        for n in (0, 1, 2):
+            same_lists(text, n)
+
+
+LIST_SWAPS = ["x", "-1", "6", "99", ":", "0:", "1:", "", "+3"]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mutated(LIST_BASES, LIST_SWAPS, BLANKS), st.integers(0, 8))
+def test_list_parser_matches_oracle_on_mutated_texts(text, n):
+    same_lists(text, n)
+
+
+def test_parse_lists_is_bulk_and_shares_one_set_per_list_text(cpu_bound):
+    rng = random.Random(20)
+    n = 100_002
+    text = lists_text([rng.sample(range(1, 11), 7) for _ in range(n)])
+    with cpu_bound(0.25, "parse_lists on 100,002 lines"):
+        lists = parse_lists(text, n)
+    assert len(lists) == n and all(len(L) == 7 for L in lists)
+    # C(10, 7) = 120 different lists, each written in one way.
+    assert len({id(L) for L in lists}) <= 120

@@ -174,9 +174,12 @@ def test_girth_at_least_agrees_with_girth(corpus12):
         n = rng.randint(0, 14)
         p = rng.choice((0.1, 0.2, 0.35, 0.6))
         graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    graphs += [cycle(k) for k in range(3, 14)]
+    graphs += [theta(lengths) for lengths in ((1, 2, 2), (2, 3, 5), (1, 6, 6), (4, 4, 9), (3, 3, 3, 3))]
+    graphs.append(Graph(22, theta((4, 4, 9)).edges() + [(16 + u, 16 + v) for u, v in cycle(6).edges()]))
     for g in graphs:
         value = girth(g)
-        for k in (*range(3, 12), math.inf):
+        for k in (*range(3, 12), g.n, g.n + 1, math.inf):
             assert girth_at_least(g, k) == (value >= k), (g.edges(), k)
 
 
@@ -199,6 +202,17 @@ def test_girth_at_least_within_a_cpu_bound(cpu_bound, k):
     for g, want in ((path(100_000), True), (cycle(100_000), k == 6)):
         with cpu_bound(1.0, f"girth_at_least at n = {g.n}, k = {k}"):
             assert girth_at_least(g, k) == want
+
+
+@pytest.mark.parametrize("lengths", [(1, 2999), (1, 1500, 1500), (700, 700, 700)], ids=["c3000", "theta-3000", "theta-2099"])
+def test_girth_at_least_near_n_within_a_cpu_bound(cpu_bound, lengths):
+    # The spheres of radius k / 2 from every vertex took 2.3 s on c2000
+    # at k = 2000.
+    g = theta(lengths)
+    value = girth(g)
+    with cpu_bound(1.0, f"girth_at_least at n = {g.n}, k near n"):
+        assert girth_at_least(g, value)
+        assert not girth_at_least(g, value + 1)
 
 
 def test_cut_vertices_matches_networkx(corpus12):
