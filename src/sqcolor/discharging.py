@@ -462,8 +462,9 @@ def discharge_audit(g: Graph) -> AuditReport:
     """Full charge audit of one connected in-class graph.
 
     Checks the class: nonempty and connected, then the degree and girth
-    checks that check_class makes, then a plane embedding lifted from one
-    of the cubic kernel (is_planar would only answer yes or no).  Any
+    checks that check_class makes, then a plane embedding taken on the
+    series-parallel reduction that is_planar decides on, with the
+    reduction's log undone (is_planar would only answer yes or no).  Any
     embedding serves, since Euler gives -12 for each; the faces are the
     ones the embedding's Euler check traced.  Totals the charges before
     and after the rule (both must be -12), lists every element left

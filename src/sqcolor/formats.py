@@ -165,7 +165,7 @@ def _rotation(s: _Tokens, i: int, g: Graph, header: int) -> tuple[RotationSystem
         rows[v] = tuple(s.to_int(j, "neighbor id") for j in range(first, i))
     missing = [v for v in range(n) if g.adj[v] and v not in rows]
     if missing:
-        raise s.error(header, f"rotation missing vertices {missing}", "rot")
+        raise s.error(header, f"rotation missing vertices {_first_ten(missing)}", "rot")
     return RotationSystem(tuple(rows.get(v, ()) for v in range(n))), i
 
 
@@ -348,7 +348,16 @@ def _list_error(lines: list[str], n: int, source: str) -> ParseError:
             return ParseError(source, lineno, head, "empty color list")
         seen.add(v)
     missing = [v for v in range(n) if v not in seen]
-    return ParseError(source, len(lines) or 1, str(missing[0]), f"missing list for vertices {missing}")
+    return ParseError(source, len(lines) or 1, str(missing[0]), f"missing list for vertices {_first_ten(missing)}")
+
+
+def _first_ten(vertices: list[int]) -> str:
+    """vertices as a list, cut after the first ten with the count added,
+    so that an error message stays short whatever n is."""
+    if len(vertices) <= 10:
+        return str(vertices)
+    shown = ", ".join(map(str, vertices[:10]))
+    return f"[{shown}, ...] ({len(vertices)} in all)"
 
 
 def write_coloring(coloring) -> str:

@@ -18,11 +18,11 @@ neighbourhood (square_neighbors), the depth-bounded BFS (ball, which
 distance runs unbounded), the component walk (adjacency_components),
 the first path of four edges (_four_path, which closes a six-cycle for
 the peel and the six-cycle detector alike), the 2-core (core_adjacency,
-which girth and the planarity kernel strip leaves with) and the blocks
-(biconnected_components), from which the cut vertices and the audit's
-block map of 2-vertices are read off.  All but the last take any
-adjacency sequence, so the peel's, the sampler's and the planarity
-test's mutable adjacencies of sets use them too.
+which girth strips leaves with) and the blocks (biconnected_components),
+from which the cut vertices and the audit's block map of 2-vertices are
+read off.  All but the last take any adjacency sequence, so the peel's,
+the sampler's and the planarity test's mutable adjacencies of sets use
+them too.
 """
 
 from __future__ import annotations

@@ -7,23 +7,23 @@ counts edge sides, so a bridge contributes 2 to the face containing it.
 Embedding operations reject empty and disconnected graphs; callers embed
 each component separately.
 
-Planarity is decided on the series-parallel reduction (_reduce): leaves
-are deleted, 2-vertices suppressed, and a 2-vertex whose neighbours are
-adjacent deleted, until every vertex left has degree 0 or >= 3.  Each
-rule keeps planarity both ways, and a graph of treewidth 2, such as a
-honeycomb chain, reduces to nothing (Duffin 1965).  A graph with fewer
-than six vertices of degree >= 3 and fewer than five of degree >= 4 has
-no subdivided K3,3 or K5, so by Kuratowski it is planar.  is_planar
-asks that of the graph, of its reduction and of each component of the
-reduction; _embed_kernel embeds the components that are left by the
-left-right planarity test (Brandes 2009), on explicit stacks, with the
-rotations networkx's check_planarity would give, and _face_walks traces
-the faces of every Euler check.  The embedding for the charge audit is
-taken on the cubic kernel (_kernel): the 2-core with its 2-paths spliced
-in vertex order, homeomorphic to the 2-core.  find_planar_embedding
-embeds the kernel, puts back the spliced 2-vertices (forced rotations)
-and pendant trees (any angle), and Euler-checks its faces, which the
-charge audit takes too; face numbering depends on this kernel.
+One reduction serves planarity and the embedding alike: the
+series-parallel reduction (_reduce) deletes leaves, suppresses
+2-vertices, and deletes a 2-vertex whose neighbours are adjacent, until
+every vertex left has degree 0 or >= 3.  Each rule keeps planarity both
+ways, and a graph of treewidth 2, such as a honeycomb chain, reduces to
+nothing (Duffin 1965).  A graph with fewer than six vertices of degree
+>= 3 and fewer than five of degree >= 4 has no subdivided K3,3 or K5,
+so by Kuratowski it is planar.  is_planar asks that of the graph, of
+its reduction and of each component of the reduction; _embed_kernel
+embeds the components that are left by the left-right planarity test
+(Brandes 2009), on explicit stacks, with the rotations networkx's
+check_planarity would give, and _face_walks traces the faces of every
+Euler check.  find_planar_embedding, and the charge audit through
+_embed, embed the reduction the same way and then undo _reduce's log in
+reverse, which puts each deleted or suppressed vertex back into the
+rotation rows with no search; the faces are traced and Euler-checked,
+and the audit numbers faces in the order of that trace.
 check_class is the one membership test for the coloring theorem's class.
 """
 
@@ -35,7 +35,6 @@ from .errors import InconsistentRotation, NotInClass
 from .graph_core import (
     Graph,
     adjacency_components,
-    core_adjacency,
     girth_at_least,
     is_connected,
     is_subcubic,
@@ -108,42 +107,18 @@ def _face_walks(verts, order, rot) -> list[tuple[tuple[int, int], ...]]:
     return walks
 
 
-def _kernel(adj):
-    """The cubic kernel of a graph given by its adjacency.
-
-    Leaves are stripped repeatedly, which leaves the 2-core; then every
-    2-vertex whose two neighbours are not adjacent is spliced out, in
-    vertex order, which leaves a simple graph homeomorphic to the 2-core.
-    Returns (kadj, core, splices).  kadj[v] lists v's kernel neighbours,
-    and is empty off the kernel; splicing v out puts b in v's place at a
-    and a in v's place at b.  core[v] says whether v is in the 2-core.
-    splices lists (v, a, b) in splice order, v having joined a and b.
-    """
-    kadj = core_adjacency(adj)
-    core = [bool(a) for a in kadj]
-    splices = []
-    for v in range(len(kadj)):
-        if len(kadj[v]) == 2:
-            a, b = kadj[v]
-            if b not in kadj[a]:
-                kadj[a][kadj[a].index(v)] = b
-                kadj[b][kadj[b].index(v)] = a
-                kadj[v] = []
-                splices.append((v, a, b))
-    return kadj, core, splices
-
-
 def _embed_kernel(rot, comp) -> bool:
-    """Give connected kernel component comp a plane rotation in rot, in
-    place, or return False.
+    """Give the connected component comp of rot, usually one left by
+    the reduction, a plane rotation in rot, in place, or return False.
 
     This is the left-right planarity test (Brandes 2009) on comp
     relabelled to 0..k-1, and it gives the rotations networkx's
     check_planarity gives on the edges (v, w), v < w, listed by v in comp
     order and w sorted: the rows are sorted first, so that the answer
-    does not depend on the splices.  Three depth-first searches run on
-    explicit stacks: _lr_orient, _lr_sides, and the embedding below,
-    which puts each edge into its ends' rotations by its side.
+    does not depend on the order the reduction left them in.  Three
+    depth-first searches run on explicit stacks: _lr_orient, _lr_sides,
+    and the embedding below, which puts each edge into its ends'
+    rotations by its side.
 
     A rotation is a cyclic list of darts, cw[d] following d; dart 2f
     runs along edge f (oriented src to dst) and dart 2f + 1 against it.
@@ -462,36 +437,49 @@ def _lr_sides(ordered, height, parent, src, dst, low):
 
 
 def _embed(g: Graph) -> tuple[RotationSystem, list[Face]] | None:
-    """Embed g (its caller checks it is connected) by its cubic kernel;
-    return the rotation and its faces, or None when g is not planar.
+    """Embed g (its caller checks it is connected) through its
+    series-parallel reduction; return the rotation and its faces, or None
+    when g is not planar.
 
-    A kernel with no vertex of degree >= 3 is empty or a triangle, its
-    own rotation.  The splices are undone in reverse order (v takes b's
-    place at a and a's place at b), each core vertex gets its pendant-tree
-    neighbours after its core ones, and tree vertices keep their adjacency
-    order.  faces traces the faces once and they are Euler-checked.
+    The reduction of a connected graph has at most one component with
+    edges, and _embed_kernel embeds it.  Then _reduce's log is undone in
+    reverse order, each step putting v back into the rotation rows:
+      - a leaf v goes anywhere in its neighbour a's row;
+      - a suppressed v takes b's place at a and a's place at b;
+      - a deleted v whose neighbours are adjacent goes right after b at a
+        and right before a at b, which closes the face a-v-b.
+    faces traces the faces once and they are Euler-checked.
     """
-    rot, core, splices = _kernel(g.adj)
-    kernel = [v for v in range(g.n) if rot[v]]
-    if any(len(rot[v]) >= 3 for v in kernel) and not _embed_kernel(rot, kernel):
+    red, log = _reduce(g.adj)
+    rot = [list(r) for r in red]
+    comp = [v for v in range(g.n) if rot[v]]
+    if comp and not _embed_kernel(rot, comp):
         return None
-    for v, a, b in reversed(splices):
-        rot[a][rot[a].index(b)] = v
-        rot[b][rot[b].index(a)] = v
+    for v, a, b, rule in reversed(log):
+        ra = rot[a]
+        if rule == "leaf":
+            ra.append(v)
+            rot[v] = [a]
+            continue
+        rb = rot[b]
+        if rule == "suppress":
+            ra[ra.index(b)] = v
+            rb[rb.index(a)] = v
+        else:
+            ra.insert(ra.index(b) + 1, v)
+            rb.insert(rb.index(a), v)
         rot[v] = [a, b]
-    rs = RotationSystem(tuple(
-        tuple(rot[v]) + tuple(w for w in g.adj[v] if not core[w]) if core[v] else g.adj[v]
-        for v in range(g.n)
-    ))
+    rs = RotationSystem(tuple(map(tuple, rot)))
     face_list = faces(g, rs)
     if g.n - g.m + len(face_list) != 2:
-        raise AssertionError("kernel embedding lifted to a non-planar rotation")
+        raise AssertionError("undoing the reduction gave a non-planar rotation")
     return rs, face_list
 
 
 def find_planar_embedding(g: Graph) -> RotationSystem | None:
     """Return a rotation system with n - m + f = 2, or None when none
-    exists, for nonempty connected g.  See _embed."""
+    exists, for nonempty connected g.  It is taken on the same
+    series-parallel reduction that is_planar decides on; see _embed."""
     if g.n == 0 or not is_connected(g):
         raise ValueError("embedding requires a nonempty connected graph")
     found = _embed(g)
@@ -520,7 +508,7 @@ def _planar(adj) -> bool:
     listed in any order: a list of sets will do."""
     if _few_branch_vertices(len(a) for a in adj):
         return True
-    red = _reduce(adj)
+    red, _ = _reduce(adj)
     if _few_branch_vertices(len(a) for a in red):
         return True
     for comp in adjacency_components(red):
@@ -534,23 +522,26 @@ def _planar(adj) -> bool:
     return True
 
 
-def _reduce(adj) -> list[set[int]]:
-    """The series-parallel reduction of the graph given by its adjacency:
-    adjacency sets in which every vertex has degree 0 or >= 3.
+def _reduce(adj) -> tuple[list[set[int]], list[tuple[int, int, int, str]]]:
+    """The series-parallel reduction of the graph given by its adjacency,
+    and its log: adjacency sets in which every vertex has degree 0 or
+    >= 3, and the list of the rules applied, in order.
 
     A worklist takes the vertices of degree <= 2 and applies, until none
-    is left, the rules below, each of which keeps planarity both ways:
-      - a vertex of degree <= 1 is deleted;
-      - a 2-vertex whose neighbours a and b are not adjacent is
-        suppressed: the edge ab takes its place;
-      - a 2-vertex whose neighbours are adjacent is deleted, which also
+    is left, the rules below, each of which keeps planarity both ways and
+    logs one entry (v, a, b, rule):
+      - a vertex v of degree 1 is deleted: (v, a, -1, "leaf");
+      - a 2-vertex v whose neighbours a and b are not adjacent is
+        suppressed, the edge ab taking its place: (v, a, b, "suppress");
+      - a 2-vertex v whose neighbours are adjacent is deleted, which also
         drops the parallel edge its suppression would make, and a and b
-        go back on the worklist.
+        go back on the worklist: (v, a, b, "triangle").
     No rule raises a degree, so each vertex is reduced at most once and
     the reduction takes time linear in n + m.  A graph of treewidth at
     most 2, such as a honeycomb chain, reduces to no edge at all.
     """
     red = [set(a) for a in adj]
+    log = []
     stack = [v for v in range(len(red)) if len(red[v]) <= 2]
     while stack:
         v = stack.pop()
@@ -563,17 +554,20 @@ def _reduce(adj) -> list[set[int]]:
             if b in ra:
                 stack.append(a)
                 stack.append(b)
+                log.append((v, a, b, "triangle"))
             else:
                 ra.add(b)
                 rb.add(a)
+                log.append((v, a, b, "suppress"))
         elif len(nbrs) == 1:
             (a,) = nbrs
             red[a].discard(v)
             stack.append(a)
+            log.append((v, a, -1, "leaf"))
         else:
             continue
         nbrs.clear()
-    return red
+    return red, log
 
 
 def _few_branch_vertices(degrees) -> bool:

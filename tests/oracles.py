@@ -223,11 +223,11 @@ def faces_by_sorted_darts(g, rs):
 
 
 def embed_kernel_nx(rot, comp):
-    """networkx's embedding of a kernel component: give comp a plane
+    """networkx's embedding of a connected component: give comp a plane
     rotation in rot, in place, or return False."""
     nxg = nx.Graph()
     nxg.add_nodes_from(comp)
-    # Sorted, so that networkx's input does not depend on the splices.
+    # Sorted, so that networkx's input does not depend on the row order.
     nxg.add_edges_from([(v, w) for v in comp for w in sorted(rot[v]) if v < w])
     ok, emb = nx.check_planarity(nxg)
     if ok:
@@ -353,7 +353,7 @@ def parse_graphs_text_by_tokens(text, source="<text>"):
                 rows[v] = tuple(nbrs)
             missing = [v for v in range(n) if len(g.adj[v]) > 0 and v not in rows]
             if missing:
-                raise ParseError(source, lineno, "rot", f"rotation missing vertices {missing}")
+                raise ParseError(source, lineno, "rot", f"rotation missing vertices {first_ten(missing)}")
             rot = RotationSystem(tuple(rows.get(v, ()) for v in range(n)))
         out.append((g, rot))
     return out
@@ -380,5 +380,12 @@ def parse_lists_by_line(text, n, source="<lists>"):
         lists[v] = colors
     missing = [v for v in range(n) if v not in lists]
     if missing:
-        raise ParseError(source, len(text.splitlines()) or 1, str(missing[0]), f"missing list for vertices {missing}")
+        raise ParseError(source, len(text.splitlines()) or 1, str(missing[0]), f"missing list for vertices {first_ten(missing)}")
     return [lists[v] for v in range(n)]
+
+
+def first_ten(vertices):
+    """The list of vertices, or its first ten, "..." and the count."""
+    if len(vertices) <= 10:
+        return str(vertices)
+    return "[" + ", ".join(map(str, vertices[:10])) + f", ...] ({len(vertices)} in all)"

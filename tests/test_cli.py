@@ -432,6 +432,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_list_file_missing_most_vertices_gets_a_short_error(tmp_path, capsys):
+    graph = write_fixture(tmp_path, "empty.txt", f"{MAX_VERTICES} 0\n")
+    lists = write_fixture(tmp_path, "one.txt", "0: 1\n")
+    code = main(["color", "--lists", lists, graph])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"{lists}:1: bad token '1': missing list for vertices [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...] (999999 in all)\n"
+
+
 def test_missing_file_exit_code(capsys):
     code, _ = run(capsys, ["girth", "/nonexistent/never.txt"])
     assert code == 2

@@ -308,6 +308,25 @@ def test_list_parser_matches_oracle_on_fixed_texts():
             same_lists(text, n)
 
 
+def test_missing_vertex_messages_name_ten_vertices_and_the_count():
+    # Naming every missing vertex would print 7.9 MB of text for the
+    # one-line list file below at n = 10^6.
+    n = 10**6
+    with pytest.raises(ParseError) as info:
+        parse_lists("0: 1\n", n)
+    assert info.value.message == "missing list for vertices [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...] (999999 in all)"
+    assert len(str(info.value)) < 200
+    path = "1000 999\n" + "".join(f"{v} {v + 1}\n" for v in range(999)) + "rot 0: 1\n"
+    with pytest.raises(ParseError) as info:
+        parse_graphs_text(path)
+    assert info.value.message == "rotation missing vertices [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...] (999 in all)"
+    # Up to ten are all named, and the oracles mirror both messages.
+    with pytest.raises(ParseError, match=r"missing list for vertices \[1, 3, 4, 5, 6, 7, 8, 9, 10, 11\]$"):
+        parse_lists("0: 1\n2: 1\n", 12)
+    assert same_lists("0: 1\n", 1000)[0] == same_lists("0: 1\n2: 1\n", 12)[0] == "error"
+    assert same_graphs(path)[0] == "error"
+
+
 LIST_SWAPS = ["x", "-1", "6", "99", ":", "0:", "1:", "", "+3"]
 
 

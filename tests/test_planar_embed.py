@@ -1,8 +1,10 @@
 """Tests for rotation systems, face tracing, and planar embedding."""
 
 import functools
+import inspect
 import random
 import sys
+import types
 
 import networkx as nx
 import pytest
@@ -157,7 +159,7 @@ def test_embedding_subdivision_of_k5_stays_nonplanar():
     assert find_planar_embedding(g) is None
 
 
-# --- is_planar: the cubic-kernel decision ---
+# --- is_planar: the decision on the series-parallel reduction ---
 
 
 def core_three_vertices(g):
@@ -278,18 +280,22 @@ def test_find_planar_embedding_matches_networkx_on_enumeration_candidates(monkey
 
 
 def test_audits_embed_only_the_kernel(planarity_calls):
-    cycle, honeycomb = named("c3000")[0], named("honeycomb-50")[0]
+    # A cycle and a honeycomb chain reduce to nothing, so their audits
+    # embed by undoing the log alone; the subdivided prism reduces to the
+    # hexagonal prism, the one component the left-right test embeds.
+    cycle, honeycomb, prism = (named(name)[0] for name in ("c3000", "honeycomb-50", "subdivided-prism"))
     del planarity_calls[:]
     assert discharge_audit(cycle).final_total == -12
-    assert planarity_calls == []
     assert discharge_audit(honeycomb).final_total == -12
-    assert [n < honeycomb.n for n, _ in planarity_calls] == [True]
+    assert planarity_calls == []
+    assert discharge_audit(prism).final_total == -12
+    assert planarity_calls == [(12, 18)]
 
 
 def test_euler_check_rejects_a_mutated_lift(monkeypatch):
-    # Reversing one branch vertex of the kernel's rotation (swapping two
+    # Reversing one branch vertex of the reduction's rotation (swapping two
     # of its three neighbours) merges its three faces into one, so the
-    # Euler check on the lifted rotation must fail.
+    # Euler check on the rotation with the log undone must fail.
     g = named("subdivided-prism")[0]
     real = planar_embed._embed_kernel
 
@@ -310,17 +316,70 @@ def test_euler_check_rejects_a_mutated_lift(monkeypatch):
         is_planar(g)
 
 
+# --- _embed: undoing the reduction's log, one rule at a time ---
+
+
+K4_EDGES = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+
+def subdivided_k4():
+    g = Graph(4, K4_EDGES)
+    for u, v in K4_EDGES:
+        g = subdivide_edge(g, u, v)
+    return g
+
+
+UNDO_CASES = {
+    # K4 with a pendant path 0-4-5 and a pendant vertex 6 at 1: all leaves.
+    "leaf": Graph(7, K4_EDGES + [(0, 4), (4, 5), (1, 6)]),
+    # Every edge of K4 subdivided: each subdivision vertex is suppressed.
+    "suppress": subdivided_k4(),
+    # K4 with a vertex 4 on 0 and 1: 4 is deleted, and undone into the face 0-4-1.
+    "triangle": Graph(5, K4_EDGES + [(0, 4), (1, 4)]),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(UNDO_CASES))
+def test_each_undo_rule_gives_a_plane_rotation(rule, planarity_calls):
+    g = UNDO_CASES[rule]
+    red, log = planar_embed._reduce(g.adj)
+    assert {r for *_, r in log} == {rule}
+    assert [sorted(red[v]) for v in range(4)] == [[j for j in range(4) if j != i] for i in range(4)]
+    del planarity_calls[:]
+    rs = find_planar_embedding(g)
+    assert planarity_calls == [(4, 6)]
+    rs.validate(g)
+    assert euler_genus_check(g, rs)
+    assert [f.walk for f in faces(g, rs)] == faces_by_sorted_darts(g, rs)
+    if rule == "triangle":
+        assert [0, 1, 4] in [sorted(f.vertices()) for f in faces(g, rs)]
+
+
+def test_euler_check_catches_a_triangle_vertex_put_before_b(monkeypatch):
+    # A mutant of this module that puts a deleted triangle vertex v just
+    # before b at a, not just after it, opens the face a-v-b; on K4 minus
+    # an edge the Euler check must catch it.
+    source = inspect.getsource(planar_embed)
+    line = "ra.insert(ra.index(b) + 1, v)"
+    assert source.count(line) == 1
+    mutant = types.ModuleType("sqcolor._planar_embed_mutant")
+    mutant.__package__ = "sqcolor"
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)  # for its dataclasses
+    exec(compile(source.replace(line, "ra.insert(ra.index(b), v)"), planar_embed.__file__, "exec"), mutant.__dict__)
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
+    assert "triangle" in {rule for *_, rule in planar_embed._reduce(g.adj)[1]}
+    assert euler_genus_check(g, find_planar_embedding(g))
+    with pytest.raises(AssertionError, match="non-planar rotation"):
+        mutant.find_planar_embedding(g)
+
+
 def test_is_planar_reduces_once(monkeypatch, planarity_calls):
-    calls = {"_reduce": 0, "_kernel": 0, "find_planar_embedding": 0}
-    real_reduce, real_kernel = planar_embed._reduce, planar_embed._kernel
+    calls = {"_reduce": 0, "find_planar_embedding": 0}
+    real_reduce = planar_embed._reduce
 
     def reduce(adj):
         calls["_reduce"] += 1
         return real_reduce(adj)
-
-    def kernel(adj):
-        calls["_kernel"] += 1
-        return real_kernel(adj)
 
     def embedding(g):
         calls["find_planar_embedding"] += 1
@@ -329,11 +388,14 @@ def test_is_planar_reduces_once(monkeypatch, planarity_calls):
     g = named("subdivided-prism")[0]
     del planarity_calls[:]
     monkeypatch.setattr(planar_embed, "_reduce", reduce)
-    monkeypatch.setattr(planar_embed, "_kernel", kernel)
     monkeypatch.setattr(planar_embed, "find_planar_embedding", embedding)
     assert is_planar(g) is True
-    assert calls == {"_reduce": 1, "_kernel": 0, "find_planar_embedding": 0}
+    assert calls == {"_reduce": 1, "find_planar_embedding": 0}
     assert [n for n, _ in planarity_calls] == [12]
+    # The audit's embedding is taken on the same one reduction.
+    calls["_reduce"] = 0
+    assert discharge_audit(g).final_total == -12
+    assert calls == {"_reduce": 1, "find_planar_embedding": 0}
 
 
 def heawood():
@@ -353,7 +415,7 @@ def test_is_planar_on_k33_with_every_edge_subdivided(planarity_calls):
     assert girth(g) == 8
     assert core_three_vertices(g) == 6
     assert is_planar(g) is False
-    # The kernel is K3,3 itself: the splice takes every subdivision out.
+    # The reduction is K3,3 itself: it suppresses every subdivision vertex.
     assert planarity_calls == [(6, 9)]
 
 
@@ -418,7 +480,7 @@ def test_honeycomb_chains_reduce_to_nothing(planarity_calls, cpu_bound):
     del planarity_calls[:]
     for g in graphs:
         assert is_planar(g) is True
-        assert not any(planar_embed._reduce(g.adj))
+        assert not any(planar_embed._reduce(g.adj)[0])
     assert planarity_calls == []
     g = generate._honeycomb(25_000)
     # The left-right test on its kernel, a 100,000-vertex ladder, took 1 s.
@@ -465,12 +527,13 @@ def embeds_as_networkx(adj, verdicts):
 
 
 def embeds_kernel_as_networkx(g, verdicts):
-    embeds_as_networkx(planar_embed._kernel(g.adj)[0], verdicts)
+    embeds_as_networkx(planar_embed._reduce(g.adj)[0], verdicts)
 
 
 def test_embed_kernel_matches_networkx_on_subcubic_kernels(monkeypatch, corpus12):
     verdicts = {True: 0, False: 0}
     for g in seeded_graphs():
+        embeds_as_networkx(g.adj, verdicts)
         embeds_kernel_as_networkx(g, verdicts)
     for g in corpus12:
         embeds_kernel_as_networkx(g, verdicts)
@@ -492,7 +555,7 @@ def test_embed_kernel_matches_networkx_on_subcubic_kernels(monkeypatch, corpus12
 
 def test_embed_kernel_matches_networkx_on_graphs_of_higher_degree():
     # is_planar takes any simple graph; the components are embedded as
-    # they are and after the kernel is taken.
+    # they are and after the reduction is taken.
     rng = random.Random(14)
     graphs = [
         from_nx(nx.complete_graph(5)),
@@ -501,7 +564,7 @@ def test_embed_kernel_matches_networkx_on_graphs_of_higher_degree():
         heawood(),
         named("dodecahedron")[0],
     ]
-    for _ in range(300):
+    for _ in range(330):
         n = rng.randint(4, 24)
         graphs.append(from_nx(nx.gnp_random_graph(n, rng.uniform(0.15, 0.4), seed=rng.randrange(1 << 30))))
     assert sum(max(map(len, g.adj), default=0) > 3 for g in graphs) > 200
@@ -512,14 +575,21 @@ def test_embed_kernel_matches_networkx_on_graphs_of_higher_degree():
     assert verdicts[True] > 150 and verdicts[False] > 200, verdicts
 
 
-def test_embedding_a_large_kernel_needs_no_recursion():
-    g = named("honeycomb-10000")[0]
-    assert sys.getrecursionlimit() < g.n // 2  # about the kernel's size
+def test_embedding_a_large_kernel_needs_no_recursion(planarity_calls):
+    # A prism is cubic and 3-connected: no rule of the reduction applies,
+    # so the left-right test gets all of it.
+    g = generate._prism(5000)
+    del planarity_calls[:]
     rs = find_planar_embedding(g)
     assert rs is not None and euler_genus_check(g, rs)
-    # One bridge from a 2-vertex of each: the kernel stays one component.
+    assert [n for n, _ in planarity_calls] == [g.n]
+    assert g.n > sys.getrecursionlimit()
+    # One bridge from a subdivision vertex of each: the reduction stays one component.
+    h = subdivide_edge(g, 0, 1)
     k33 = subdivided_k33()
-    joined = _disjoint_union([g, k33])
-    joined = Graph(joined.n, joined.edges() + [(0, g.n + 6)])
-    assert is_subcubic(joined) and g.degree(0) == 2 and k33.degree(6) == 2
+    joined = _disjoint_union([h, k33])
+    joined = Graph(joined.n, joined.edges() + [(g.n, h.n + 6)])
+    assert is_subcubic(joined) and h.degree(g.n) == 2 and k33.degree(6) == 2
+    del planarity_calls[:]
     assert is_planar(joined) is False
+    assert [n for n, _ in planarity_calls] == [h.n + 7]
