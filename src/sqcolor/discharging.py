@@ -343,17 +343,9 @@ def _splice_cut_two_vertex(g: Graph, u: int, block_of: dict) -> Graph:
 class ChargeLedger:
     vertex_charge: dict
     face_charge: dict
-    transfers: list
 
     def total(self) -> int:
         return sum(self.vertex_charge.values()) + sum(self.face_charge.values())
-
-    def copy(self) -> "ChargeLedger":
-        return ChargeLedger(
-            vertex_charge=dict(self.vertex_charge),
-            face_charge=dict(self.face_charge),
-            transfers=list(self.transfers),
-        )
 
 
 def initial_charges(g: Graph, face_list: Sequence[Face]) -> ChargeLedger:
@@ -361,7 +353,6 @@ def initial_charges(g: Graph, face_list: Sequence[Face]) -> ChargeLedger:
     return ChargeLedger(
         vertex_charge={v: 2 * g.degree(v) - 6 for v in range(g.n)},
         face_charge={i: f.length - 6 for i, f in enumerate(face_list)},
-        transfers=[],
     )
 
 
@@ -370,16 +361,17 @@ def apply_r1(ledger: ChargeLedger, g: Graph, face_list: Sequence[Face]) -> Charg
 
     Incidences count with multiplicity: a vertex appears once per dart
     it tails, so a 2-vertex on a cut sees the same face twice and is
-    paid twice.  The total charge is unchanged.
+    paid twice.  The total charge is unchanged, and ledger is left as
+    it was.
     """
-    out = ledger.copy()
+    vertex_charge = dict(ledger.vertex_charge)
+    face_charge = dict(ledger.face_charge)
     for i, face in enumerate(face_list):
         for v in face.vertices():
             if g.degree(v) == 2:
-                out.face_charge[i] -= 1
-                out.vertex_charge[v] += 1
-                out.transfers.append((i, v, 1))
-    return out
+                face_charge[i] -= 1
+                vertex_charge[v] += 1
+    return ChargeLedger(vertex_charge, face_charge)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ Isomorph rejection uses a canonical adjacency code, and keeps the first
 child found with each code.  Attach sets that an automorphism of the
 parent maps onto each other give isomorphic children, so each parent
 tries one set per orbit (McKay's orbit pruning): the automorphisms come
-from the tied orders of the parent's own canonical search, and the
+from the tied orders of the parent's own canonical search, composed
+with the swaps of twins that the search skips, and the
 first child of each code, hence the output, is the same as without
 pruning.  At max_n = 11 this codes 1,631 children instead of 2,580.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Collection, Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, GenerationFailed, UnknownName
@@ -162,12 +163,14 @@ def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
     same adjacency bits, so the map from the first order to any other
     position by position is an automorphism; the identity comes first.
     Conversely an automorphism carries an optimal order to an optimal
-    order, which the search keeps unless it starts at a twin that the
-    one-per-neighbourhood rule skipped.  For a connected g with n >= 3
-    the optimal starts have degree >= 2 (a leaf start reads 01 at level
-    2, a start of degree >= 2 reads 1x), and two such twins close a
-    4-cycle; so on connected graphs without 4-cycles this is all of
-    Aut(g), and otherwise a subset of it.
+    order, which the search keeps unless it starts at a twin (a vertex
+    with the same neighbourhood) that the one-per-neighbourhood rule
+    skipped.  For a connected g with n >= 3 the optimal starts have
+    degree >= 2 (a leaf start reads 01 at level 2, a start of degree >=
+    2 reads 1x), and two such twins close a 4-cycle.  Swapping twins is
+    an automorphism, and it carries a skipped start to a tried one; so
+    on connected graphs the maps composed with the permutations inside
+    each class of twins of degree >= 2 are all of Aut(g).
     """
     _, orders = _frontier_search(g)
     first = orders[0]
@@ -177,6 +180,16 @@ def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
         for v, w in zip(first, order):
             sigma[v] = w
         maps.append(tuple(sigma))
+    twins: dict[tuple[int, ...], list[int]] = {}
+    for v in range(g.n):
+        if len(g.adj[v]) >= 2:
+            twins.setdefault(g.adj[v], []).append(v)
+    for cls in twins.values():
+        if len(cls) > 1:
+            swaps = [dict(zip(cls, perm)) for perm in permutations(cls)]
+            maps = list(dict.fromkeys(
+                tuple(swap.get(w, w) for w in sigma) for sigma in maps for swap in swaps
+            ))
     return maps
 
 

@@ -5,13 +5,11 @@ parallel edges) and immutable after construction; derived graphs are new
 objects.  Infinite distances and infinite girth use math.inf, which is
 deliberately distinct from every natural number and compares correctly.
 
-The class checks decide girth >= 6 with girth_at_least, a sphere test
-that looks no further than distance 2 from each vertex at k = 6 and
-for k > n only asks whether g is a forest.  girth, the exact value,
-reads each cycle component of the 2-core (core_adjacency) off its
-length and runs one BFS from each vertex of degree >= 3 in the 2-core;
-girth_at_least decides 6 < k <= n (the sampler's --min-girth) the same
-way, with the BFS pruned at depth k / 2.
+girth and girth_at_least share one kernel, _girth_below: it reads each
+cycle component of the 2-core (core_adjacency) off its length and grows
+spheres from each vertex of degree >= 3 in the 2-core, up to the
+shortest cycle found so far, or up to k for girth_at_least, which for
+k > n only asks whether g is a forest.
 
 Each primitive has one implementation here: the distance-2
 neighbourhood (square_neighbors), the depth-bounded BFS (ball, which
@@ -28,7 +26,6 @@ them too.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Iterable, Sequence
 
 INF = math.inf
@@ -189,23 +186,51 @@ def square(g: Graph) -> Graph:
 
 
 def girth(g: Graph) -> float:
-    """Return the length of a shortest cycle, math.inf for a forest.
-
-    Every cycle lies in the 2-core.  A component of the 2-core whose
-    vertices all have degree 2 there is a cycle, and its length is its
-    girth.  In any other component every cycle passes through a vertex of
-    degree >= 3 in the 2-core, since a cycle of 2-vertices would be a
-    component by itself.  So the pruned BFS of _shortest_cycle runs only
-    from those vertices, within the 2-core, and starts from the shortest
-    cycle component.  A long cycle, or a theta graph, takes linear time;
-    many branch vertices far apart still cost up to quadratic time.
-    """
+    """Return the length of a shortest cycle, math.inf for a forest: the
+    girth kernel _girth_below with no bound."""
     return _girth_below(g.adj, INF)
 
 
+def girth_at_least(g: Graph, k: float) -> bool:
+    """Return True when g has no cycle shorter than k.
+
+    A graph with a cycle has girth at most n, so for k > n (math.inf
+    included) the answer is whether g is a forest: m = n - #components.
+    Otherwise girth's kernel decides, with its spheres cut off at k.
+    """
+    if k <= 3:
+        return True
+    n = g.n
+    adj = g.adj
+    if k > n:
+        return 2 * (n - len(adjacency_components(adj))) == sum(len(a) for a in adj)
+    return _girth_below(adj, k) >= k
+
+
 def _girth_below(adj, bound) -> float:
-    """The girth of the graph adj if it is less than bound, else bound:
-    girth's 2-core reading, with cycles of length >= bound pruned."""
+    """The girth of the graph adj if it is less than bound, else bound.
+
+    Every cycle lies in the 2-core.  A component of the 2-core whose
+    vertices all have degree 2 there is a cycle, read off its length.  In
+    any other component every cycle passes through a branch vertex (one
+    of degree >= 3 in the 2-core), since a cycle of 2-vertices would be a
+    component by itself.  From each branch vertex s the spheres S_1 =
+    core[s], S_2, ... grow by set unions.  A shortest cycle is isometric,
+    so from each of its vertices one of length 2d + 1 shows as an edge
+    inside S_d, and one of length 2d + 2 as a vertex of S_{d+1} reached
+    from two vertices of S_d: |S_{d+1}| < the sum of deg - 1 over S_d.
+    Conversely each of those closes a walk through s of that length,
+    which holds a cycle no longer.  So the first such level from any
+    source bounds the girth from above, and from a vertex of a shortest
+    cycle it gives the girth.  The spheres stop at the level d where
+    2d + 1 reaches the best length so far.
+
+    There is no early exit: a graph with a cycle shorter than bound is
+    still read in full.  That stays linear in n at bounded degree, and
+    only input outside the class (girth < 6) pays for it.  A long cycle,
+    or a theta graph, takes linear time; many branch vertices far apart
+    on long cycles still cost up to quadratic time.
+    """
     core = core_adjacency(adj)
     best = bound
     sources = []
@@ -215,7 +240,26 @@ def _girth_below(adj, bound) -> float:
             sources += branch
         elif len(comp) > 1:
             best = min(best, len(comp))
-    return _shortest_cycle(core, sources, best)
+    for s in sources:
+        prev, cur = {s}, core[s]
+        d = 1
+        while 2 * d + 1 < best:
+            nxt = set()
+            want = 0
+            for u in cur:
+                nbrs = core[u]
+                nxt.update(nbrs)
+                want += len(nbrs) - 1
+            nxt.difference_update(prev)
+            if not nxt.isdisjoint(cur):
+                best = 2 * d + 1
+                break
+            if len(nxt) < want:
+                best = min(best, 2 * d + 2)
+                break
+            prev, cur = cur, nxt
+            d += 1
+    return best
 
 
 def core_adjacency(adj) -> list[list[int]]:
@@ -232,99 +276,6 @@ def core_adjacency(adj) -> list[list[int]]:
                 stack.append(u)
         core[v] = []
     return core
-
-
-def girth_at_least(g: Graph, k: float) -> bool:
-    """Return True when g has no cycle shorter than k.
-
-    Sphere test.  A shortest cycle is isometric, so from each of its
-    vertices v it shows up in the spheres S_1 = adj[v], ..., S_r around
-    v, r = (k - 1) // 2: a cycle of length 2d + 1 as an edge inside S_d,
-    one of length 2d + 2 as a vertex of S_{d+1} with two neighbours in
-    S_d.  Conversely each of those closes a walk through v of that
-    length, which holds a cycle no longer.  So the spheres of each v are
-    grown by set unions, and g has a cycle shorter than k exactly when
-      - a new sphere S_{d+1}, d < r, meets S_d (an odd cycle), or
-      - S_{d+1} has fewer vertices than the sum of deg - 1 over S_d (two
-        paths from v meet: an even cycle), or
-      - for even k, the spheres S_r of the two ends of some edge meet
-        (an odd closed walk of length k - 1 through that edge).
-    At bounded degree and k <= 6 this takes time linear in n.  Beyond
-    that the spheres grow with k, up to a whole long cycle from each of
-    its vertices, so for 6 < k <= n girth's 2-core reading decides: a
-    cycle component is read off its length and the pruned BFS runs from
-    the branch vertices only, no deeper than k / 2.  A graph with a
-    cycle has girth at most n, so for k > n (math.inf included) the
-    answer is whether g is a forest: m = n - #components.
-    """
-    if k <= 3:
-        return True
-    n = g.n
-    adj = g.adj
-    if k > n:
-        return 2 * (n - len(adjacency_components(adj))) == sum(len(a) for a in adj)
-    if k > 6:
-        return _girth_below(adj, k) >= k
-    k = math.ceil(k)
-    r = (k - 1) // 2
-    outer: list | None = [] if k % 2 == 0 else None
-    for v in range(n):
-        prev, cur = (v,), adj[v]
-        for _ in range(r - 1):
-            nxt = set()
-            want = 0
-            for u in cur:
-                nbrs = adj[u]
-                nxt.update(nbrs)
-                want += len(nbrs) - 1
-            nxt.difference_update(prev)
-            if len(nxt) < want or not nxt.isdisjoint(cur):
-                return False
-            prev, cur = cur, nxt
-            if not cur:
-                break
-        if outer is not None:
-            outer.append(cur if r > 1 else set(cur))
-    if outer is not None:
-        for u in range(n):
-            sphere = outer[u]
-            for w in adj[u]:
-                if u < w and not outer[w].isdisjoint(sphere):
-                    return False
-    return True
-
-
-def _shortest_cycle(adj, sources, best) -> float:
-    """Return the least of best and the lengths of the cycles through
-    the sources in the graph adj.
-
-    Per-source BFS: a non-tree edge (u, v) seen while scanning u closes a
-    walk of length dist[u] + dist[v] + 1 through the source.  The walk
-    contains a cycle no longer than itself, and from a vertex of a
-    shortest cycle the BFS finds that cycle's length.  A vertex is
-    scanned only while it can still close a walk shorter than the best
-    so far.
-    """
-    for s in sources:
-        dist = {s: 0}
-        parent = {s: -1}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            du = dist[u]
-            if 2 * du >= best - 1:
-                continue
-            for w in adj[u]:
-                dw = dist.get(w)
-                if dw is None:
-                    dist[w] = du + 1
-                    parent[w] = u
-                    q.append(w)
-                elif parent[u] != w:
-                    cand = du + dw + 1
-                    if cand < best:
-                        best = cand
-    return best
 
 
 def cut_vertices(g: Graph) -> set[int]:

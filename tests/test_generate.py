@@ -187,12 +187,22 @@ def test_automorphisms_match_networkx(corpus12):
 
 
 def test_automorphisms_are_automorphisms_with_four_cycles(subcubic9):
-    # Twins of degree >= 2 (a 4-cycle) and disconnected graphs can hide
-    # some of Aut(g) from the search; every map returned must still be
-    # an automorphism, which is all the orbit pruning needs.
+    # The search tries one start per neighbourhood; composing with the
+    # swaps of twins of degree >= 2 (a 4-cycle) restores the rest of
+    # Aut(g) on connected graphs.  On disconnected ones every map
+    # returned must still be an automorphism, which is all the orbit
+    # pruning needs.
+    assert len(_automorphisms(cycle(4))) == 8
+    assert len(_automorphisms(Graph(5, [(u, w) for u in (0, 1) for w in (2, 3, 4)]))) == 12
     for g in subcubic9:
+        autos = _automorphisms(g)
+        assert autos[0] == tuple(range(g.n))
+        assert len(set(autos)) == len(autos)
+        if is_connected(g):
+            assert set(autos) == nx_automorphisms(g), g.edges()
+            continue
         edges = set(g.edges())
-        for sigma in _automorphisms(g):
+        for sigma in autos:
             assert sorted(sigma) == list(range(g.n))
             assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in edges} == edges
 
@@ -208,6 +218,22 @@ def test_enumeration_codes_one_child_per_orbit(monkeypatch):
     monkeypatch.setattr(generate, "canonical_code", counting)
     assert len(list(enumerate_class(GeneratorSpec(max_n=11)))) == 376
     assert len(calls) == 1631
+
+
+@pytest.mark.parametrize("min_girth, want", [(4, 1429), (3, 3617)])
+def test_enumeration_codes_one_child_per_orbit_with_four_cycles(monkeypatch, min_girth, want):
+    # With the twin swaps the orbits are those of the full groups: the
+    # search's maps alone coded 1,430 and 3,620 children.
+    calls = []
+    code = generate.canonical_code
+
+    def counting(h):
+        calls.append(None)
+        return code(h)
+
+    monkeypatch.setattr(generate, "canonical_code", counting)
+    generate._enumerate_connected(9, min_girth)
+    assert len(calls) == want
 
 
 # --- enumeration ---

@@ -8,7 +8,7 @@ import pytest
 from oracles import girth_per_edge, square_edges_bfs, to_nx
 import networkx as nx
 
-from sqcolor.generate import GeneratorSpec, enumerate_class, named
+from sqcolor.generate import GeneratorSpec, _honeycomb, _prism, enumerate_class, named
 from sqcolor.graph_core import (
     Graph,
     add_vertex,
@@ -165,6 +165,9 @@ NAMED_SMALL = ("c3", "c4", "c5", "c6", "c11", "p1", "p7", "q3", "prism6", "peter
 
 
 def test_girth_at_least_agrees_with_girth(corpus12):
+    # girth and girth_at_least share their kernel, so both are checked
+    # against the per-edge oracle; the 1,000 random graphs are the only
+    # inputs here above degree 3.
     graphs = list(corpus12) + [named(name)[0] for name in NAMED_SMALL]
     for min_girth in (3, 4, 5, 6):
         spec = GeneratorSpec(max_n=9, min_girth=min_girth, connectivity=False)
@@ -178,7 +181,8 @@ def test_girth_at_least_agrees_with_girth(corpus12):
     graphs += [theta(lengths) for lengths in ((1, 2, 2), (2, 3, 5), (1, 6, 6), (4, 4, 9), (3, 3, 3, 3))]
     graphs.append(Graph(22, theta((4, 4, 9)).edges() + [(16 + u, 16 + v) for u, v in cycle(6).edges()]))
     for g in graphs:
-        value = girth(g)
+        value = girth_per_edge(g)
+        assert girth(g) == value, g.edges()
         for k in (*range(3, 12), g.n, g.n + 1, math.inf):
             assert girth_at_least(g, k) == (value >= k), (g.edges(), k)
 
@@ -187,8 +191,8 @@ def test_girth_at_least_on_long_cycles():
     assert girth_at_least(cycle(3000), 6)
     assert not girth_at_least(cycle(5), 6)
     assert girth_at_least(path(3000), 6)
-    # An 11-cycle with a 5-vertex tail: k = 12 <= n, and the cycle shows
-    # up only where the spheres of radius 5 around an edge's ends meet.
+    # An 11-cycle with a 5-vertex tail: k = 12 <= n, and the tail is
+    # stripped with the leaves.
     g = Graph(16, [(i, (i + 1) % 11) for i in range(11)] + [(i, i + 1) for i in range(10, 15)])
     assert girth_at_least(g, 11) and not girth_at_least(g, 12)
     # For k > n the test is whether g is a forest.
@@ -198,8 +202,14 @@ def test_girth_at_least_on_long_cycles():
 @pytest.mark.parametrize("k", [6, math.inf])
 def test_girth_at_least_within_a_cpu_bound(cpu_bound, k):
     # Linear at fixed k, and a forest test at k = inf; one BFS per vertex
-    # took 5.8 s on p3000 at k = inf, so p100000 would take hours.
-    for g, want in ((path(100_000), True), (cycle(100_000), k == 6)):
+    # took 5.8 s on p3000 at k = inf, so p100000 would take hours.  At
+    # k = 6 the spheres grow from every branch vertex of honeycomb-25000
+    # and of the prism on 10,000 vertices, whose girth is 4: the kernel
+    # has no early exit.
+    cases = [(path(100_000), True), (cycle(100_000), k == 6)]
+    if k == 6:
+        cases += [(_honeycomb(25_000), True), (_prism(5000), False)]
+    for g, want in cases:
         with cpu_bound(1.0, f"girth_at_least at n = {g.n}, k = {k}"):
             assert girth_at_least(g, k) == want
 

@@ -6,6 +6,10 @@ colorer, which needs none of them.  So discharging imports nothing from
 reducer, and reducer imports from discharging only the names that the
 benchmark's span tracer (perfbench/spans.py) still looks up on reducer.
 A violation here would be a circular import, or one on its way.
+
+The same reading pins the dead code: the functions and classes that no
+module of the package refers to, which only the span tracer and the
+tests still use.
 """
 
 import ast
@@ -21,6 +25,19 @@ TRACED_ON_REDUCER = {
     "find_sixcycle_two_vertex",
     "find_spacing_violation",
     "reduce_cut_two_vertex",
+}
+
+# Each is traced by perfbench/spans.py, and test_trace_names requires
+# every traced name to exist.
+UNREFERENCED = {
+    "cut_vertices",
+    "distance",
+    "extend_sixcycle",
+    "find_L_coloring",
+    "find_spacing_violation",
+    "greedy_extend",
+    "induced_subgraph",
+    "is_proper",
 }
 
 
@@ -81,3 +98,22 @@ def test_the_reader_sees_relative_and_absolute_imports(tmp_path):
          ("graph_core", None), ("formats", "parse_graphs")],
         key=str,
     )
+
+
+def test_the_unreferenced_names_are_the_traced_ones():
+    # A name counts as referred to where a module other than __init__
+    # loads it or reads it as an attribute; imports do not count, since
+    # an import alone refers to nothing, and neither does a definition.
+    defined, used = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= {node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined - used == UNREFERENCED
