@@ -300,12 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_batch("discharge-audit", "run the charge audit on each graph")
     p.add_argument("--full", action="store_true", help="list all charges, not only negatives")
 
-    p = sub.add_parser("reduce", help="splice out a cut 2-vertex")
-    p.add_argument("paths", nargs=1, metavar="FILE")
+    p = add_batch("reduce", "splice out a cut 2-vertex")
     p.add_argument("--vertex", type=int, default=None, help="the 2-vertex to remove")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--structured", action="store_true")
-    p.set_defaults(func=_batch)
 
     p = sub.add_parser("generate", help="enumerate or sample class members")
     p.add_argument("--max-n", type=int, default=6, dest="max_n")

@@ -6,7 +6,9 @@ six-cycle (SixCycleTwoVertex) and two 2-vertices within distance 3 on a
 common cycle (SpacingViolation).  find_reducible_config returns the
 first one present, from the six-cycle detector (find_sixcycle_two_vertex),
 the block map of 2-vertices (two_vertex_blocks, which also answers every
-cut 2-vertex question) and the spacing witness (find_spacing_violation).
+cut 2-vertex question) and the spacing witness (find_spacing_violation):
+the common cycle, read off the block itself when the block is a cycle
+and otherwise off a unit flow of value 2 between the two 2-vertices.
 find-config, reduce and the audit use them; coloring needs none of them.
 
 Vertices start at 2d(v) - 6 and faces at d(f) - 6, which sums to -12 on
@@ -31,6 +33,7 @@ from .graph_core import (
     components,
     girth_at_least,
     is_connected,
+    is_subcubic,
 )
 from .planar_embed import Face, _embed, check_degree_and_girth
 
@@ -139,94 +142,40 @@ def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleTwoVertex]:
 
 
 def _cycle_through(g: Graph, block: set, u: int, w: int) -> tuple:
-    """The first cycle inside the block through u and w that a depth-first
-    search over simple paths from u finds, neighbours in adjacency order.
+    """A cycle inside the 2-connected block through its vertices u and w,
+    as a tuple that starts at u.
 
-    Plain backtracking can take exponential time to find it.  This search
-    enters a neighbour only when the path can still close into such a
-    cycle, so it never backtracks: O(n) per vertex before w.  While w is
-    off the path, entering y needs two paths from w, one to y and one to
-    u, disjoint but at w and off the path (_two_disjoint_paths); the last
-    candidate needs no test, since some candidate can always go on.  Once
-    w is on the path, _way_back finishes the cycle.
+    A block whose vertices all have two neighbours in it is a cycle, read
+    from u by u's first neighbour in it (_ring).  In any other block,
+    Menger gives two u-w paths that share only their ends: a unit flow of
+    value 2 on the block with each vertex v split into an in-node 2v and
+    an out-node 2v + 1, from u's out-node to w's in-node, found by two
+    breadth-first augmenting paths.  The cycle is the path that leaves u
+    by the earlier neighbour in g.adj[u], then the other path back to u.
+    O(n + m) either way.
     """
-    path, on_path = [u], {u}
-    while True:
-        options = [y for y in g.adj[path[-1]] if y in block and y not in on_path]
-        for i, y in enumerate(options):
-            if y == w:
-                cycle = _way_back(g, block, path + [w], u)
-                if cycle is not None:
-                    return cycle
-            elif i == len(options) - 1 or _two_disjoint_paths(g.adj, block, on_path - {u}, w, (y, u)):
-                break
-        else:
-            raise AssertionError("vertices share a 2-connected block, so a common cycle exists")
-        path.append(y)
-        on_path.add(y)
-
-
-def _way_back(g: Graph, block: set, path: list, u: int) -> Optional[tuple]:
-    """path extended by the first way back to its first vertex u that a
-    depth-first search over simple paths, in adjacency order, finds; or
-    None.  No vertex is entered twice: one the search has left can reach
-    u only through the path, so the backtracking search would fail there
-    again.  The explicit stack keeps long cycles off the call stack.
-    """
-    seen = set(path)
-    stack = [iter(g.adj[path[-1]])]
-    while stack:
-        for x in stack[-1]:
-            if x == u and len(path) >= 3:
-                return tuple(path)
-            if x in seen or x not in block:
-                continue
-            path.append(x)
-            seen.add(x)
-            stack.append(iter(g.adj[x]))
-            break
-        else:
-            stack.pop()
-            path.pop()
-    return None
-
-
-def _two_disjoint_paths(adj, block: set, blocked: set, w: int, ends: tuple) -> bool:
-    """Whether two paths inside block and off blocked, disjoint but at w,
-    lead from w to the two vertices of ends.
-
-    Two augmenting paths of a unit flow (Menger) on the graph with each
-    vertex v split into an in-node 2v and an out-node 2v + 1: the source
-    is w's out-node, the sinks are the in-nodes of ends, and every other
-    vertex passes one unit from its in-node to its out-node.
-    """
+    ring = _ring(g, block, u)
+    if ring is not None:
+        return ring
     flow = set()  # the arcs that carry a unit
-    sinks = {2 * e for e in ends}
-    for _ in ends:
-        parent = {2 * w + 1: None}
+    source, sink = 2 * u + 1, 2 * w
+    for _ in range(2):
+        parent = {source: None}
         queue = deque(parent)
-        hit = None
-        while queue and hit is None:
+        while sink not in parent:
             a = queue.popleft()
             v = a >> 1
             if a & 1:  # along an edge, or back through v's own unit
-                step = [2 * b for b in adj[v]
-                        if b in block and b not in blocked and b != w and (a, 2 * b) not in flow]
+                step = [2 * b for b in g.adj[v] if b in block and b != u and (a, 2 * b) not in flow]
                 step += [a - 1] if (a - 1, a) in flow else []
             else:  # through v, or back along the unit that entered v
-                step = [a + 1] if v not in ends and (a, a + 1) not in flow else []
-                step += [2 * b + 1 for b in adj[v] if (2 * b + 1, a) in flow]
+                step = [a + 1] if (a, a + 1) not in flow else []
+                step += [2 * b + 1 for b in g.adj[v] if (2 * b + 1, a) in flow]
             for b in step:
                 if b not in parent:
                     parent[b] = a
                     queue.append(b)
-                    if b in sinks:
-                        hit = b
-                        break
-        if hit is None:
-            return False
-        sinks.discard(hit)
-        b = hit
+        b = sink
         while parent[b] is not None:
             a = parent[b]
             if (b, a) in flow:
@@ -234,7 +183,33 @@ def _two_disjoint_paths(adj, block: set, blocked: set, w: int, ends: tuple) -> b
             else:
                 flow.add((a, b))
             b = a
-    return True
+    # Each vertex but u sends at most one unit on, so the units out of u
+    # trace the two paths; a unit that goes round a closed loop is skipped.
+    after = {a >> 1: b >> 1 for a, b in flow if a & 1 and a != source}
+    there, back = ([x] for x in g.adj[u] if (source, 2 * x) in flow)
+    for path in (there, back):
+        while path[-1] != w:
+            path.append(after[path[-1]])
+    return (u, *there, *reversed(back[:-1]))
+
+
+def _ring(g: Graph, block: set, u: int) -> Optional[tuple]:
+    """The block read as a cycle from u by u's first neighbour in it, or
+    None once a vertex on the way has a third neighbour in the block.  A
+    walk that gets back to u is the whole block, since the block is
+    2-connected."""
+    cycle = [u]
+    prev, v = u, next(x for x in g.adj[u] if x in block)
+    while v != u:
+        cycle.append(v)
+        ahead = None
+        for x in g.adj[v]:
+            if x != prev and x in block:
+                if ahead is not None:
+                    return None
+                ahead = x
+        prev, v = v, ahead
+    return tuple(cycle)
 
 
 def two_vertex_blocks(g: Graph) -> dict:
@@ -274,7 +249,8 @@ def _spacing_violation(g: Graph, block_of: dict) -> Optional[SpacingViolation]:
 
 
 def find_spacing_violation(g: Graph) -> Optional[SpacingViolation]:
-    """Two 2-vertices at distance <= 3 sharing a cycle, if any."""
+    """Two 2-vertices at distance <= 3 sharing a cycle, if any, with the
+    cycle that _cycle_through reads off their block."""
     return _spacing_violation(g, two_vertex_blocks(g))
 
 
@@ -283,7 +259,10 @@ def find_reducible_config(g: Graph):
 
     Checked in this order: a vertex of degree <= 1, a cut 2-vertex, a
     2-vertex on a six-cycle, two 2-vertices within distance 3 on a
-    common cycle.  None is possible only out of class.
+    common cycle.  None is possible only out of class.  The
+    configurations are defined on subcubic graphs, so a vertex of degree
+    above 3 raises NotInClass; the detectors would scan such a hub's row
+    once for each of its neighbours.
 
     Proof that an in-class graph G with n >= 1 has one of the four.
     Suppose it has none.  No vertex has degree <= 1.  Take an end block
@@ -300,6 +279,8 @@ def find_reducible_config(g: Graph):
     and only the <= 2 faces holding c can be negative: the total is
     >= -2, not -12.
     """
+    if not is_subcubic(g):
+        raise NotInClass("graph has a vertex of degree above 3")
     for v in range(g.n):
         if g.degree(v) <= 1:
             return OneVertex(v)

@@ -4,10 +4,11 @@ Graph text format: a stream of whitespace-separated tokens, in which
 lines matter only to rotation rows.  A graph is the header "n m", then
 2m vertex ids, read in pairs as the edges u v with 0 <= u < v < n
 (written one edge per line), then optional rotation rows
-"rot v: u1 u2 ... uk", each ending at the end of its line, which attach
-a rotation system to that graph.  n is at most MAX_VERTICES and m at
-most n(n-1)/2, both checked at the header, before anything is allocated
-for the graph or any edge is read.  A # starts a comment that runs to
+"rot v: u1 u2 ... uk", each ending at the end of its line and listing
+the neighbours of v in some order, which attach a rotation system to
+that graph.  n is at most MAX_VERTICES and m at most n(n-1)/2, both
+checked at the header, before anything is allocated for the graph or
+any edge is read.  A # starts a comment that runs to
 the end of its line.  A file may hold several graphs back to back.
 The tokens are split once and the edge ids converted and checked in
 bulk; the line and token of an error are worked out only once a
@@ -140,7 +141,8 @@ def _edges(s: _Tokens, start: int, n: int, m: int):
 def _rotation(s: _Tokens, i: int, g: Graph, header: int) -> tuple[RotationSystem, int]:
     """The rotation block of g that starts at token i, a "rot", and the
     index of the token after it.  A row "rot v: u1 ... uk" ends at the
-    end of the line that holds "v:"; header is the index of g's "n"."""
+    end of the line that holds "v:", and must list v's neighbours in
+    some order; header is the index of g's "n"."""
     toks = s.toks
     n = g.n
     rows: dict[int, tuple[int, ...]] = {}
@@ -163,6 +165,8 @@ def _rotation(s: _Tokens, i: int, g: Graph, header: int) -> tuple[RotationSystem
         while i < len(toks) and s.line(i) == row_line and toks[i] != "rot":
             i += 1
         rows[v] = tuple(s.to_int(j, "neighbor id") for j in range(first, i))
+        if tuple(sorted(rows[v])) != g.adj[v]:  # the test of RotationSystem.validate
+            raise s.error(first - 1, f"rotation at vertex {v} does not match adjacency")
     missing = [v for v in range(n) if g.adj[v] and v not in rows]
     if missing:
         raise s.error(header, f"rotation missing vertices {_first_ten(missing)}", "rot")

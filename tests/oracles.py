@@ -249,32 +249,6 @@ def parse_one_graph(text, source="<input>"):
     return items[0]
 
 
-def cycle_through_by_backtracking(g, block, u, w):
-    """Some cycle inside the block containing both u and w.
-
-    Depth-first over simple paths from u, neighbors in adjacency order,
-    until an edge closes a path of at least 3 vertices through w back
-    to u.  It can backtrack for exponentially long.
-    """
-    path = [u]
-    on_path = {u}
-    stack = [iter(g.adj[u])]
-    while stack:
-        for x in stack[-1]:
-            if x == u and len(path) >= 3 and w in on_path:
-                return tuple(path)
-            if x in on_path or x not in block:
-                continue
-            path.append(x)
-            on_path.add(x)
-            stack.append(iter(g.adj[x]))
-            break
-        else:
-            stack.pop()
-            on_path.discard(path.pop())
-    raise AssertionError("vertices share a 2-connected block, so a common cycle exists")
-
-
 def _tokens(text):
     """Yield (token, lineno) pairs, skipping comments and blanks."""
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -350,6 +324,8 @@ def parse_graphs_text_by_tokens(text, source="<text>"):
                     ntok, nline = toks[i]
                     nbrs.append(_int(ntok, nline, source, "neighbor id"))
                     i += 1
+                if sorted(nbrs) != sorted(g.adj[v]):
+                    raise ParseError(source, vline, vtok, f"rotation at vertex {v} does not match adjacency")
                 rows[v] = tuple(nbrs)
             missing = [v for v in range(n) if len(g.adj[v]) > 0 and v not in rows]
             if missing:

@@ -244,6 +244,31 @@ def test_find_config(tmp_path, capsys):
     assert out == "config=none\n"
 
 
+def test_find_config_refuses_a_vertex_of_degree_above_3_within_a_cpu_bound(tmp_path, capsys, cpu_bound):
+    # K2,100000: two hubs joined by 100,000 2-vertices.  The configurations
+    # are the paper's, on subcubic graphs; the search behind them scanned a
+    # hub's row for every 2-vertex and ran for minutes here.
+    n = 100_000
+    edges = "".join(f"{h} {v}\n" for v in range(2, n + 2) for h in (0, 1))
+    path = write_fixture(tmp_path, "k2n.txt", f"{n + 2} {2 * n}\n{edges}")
+    with cpu_bound(2.0, "find-config on K2,100000"):
+        code = main(["find-config", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: graph has a vertex of degree above 3\n"
+
+
+def test_rotation_row_that_is_not_the_neighbours_is_a_parse_error(tmp_path, capsys):
+    # Vertex 0's row names 2, which is not a neighbour of 0.
+    path = write_fixture(tmp_path, "rot.txt", "3 2\n0 1\n1 2\nrot 0: 2\nrot 1: 0 2\nrot 2: 1\n")
+    code = main(["discharge-audit", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"{path}:4: bad token '0:': rotation at vertex 0 does not match adjacency\n"
+
+
 def test_reduce(tmp_path, capsys):
     path = write_fixture(
         tmp_path, "hept.txt", write_graph_text(named("two-heptagons")[0])
@@ -281,6 +306,15 @@ def test_reduce_finds_cut_two_vertex_beside_a_leaf(tmp_path, capsys):
     assert lines[:2] == ["removed=1", "edge=0,2"]
     got, _ = parse_one_graph("\n".join(lines[2:]) + "\n")
     assert got == Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def test_reduce_is_a_batch_command(tmp_path, capsys):
+    # Several files, each reported as when it is reduced alone.
+    paths = [write_fixture(tmp_path, f"{name}.txt", write_graph_text(named(name)[0])) for name in ("two-heptagons", "p5")]
+    alone = [run(capsys, ["reduce", path])[1] for path in paths]
+    code, out = run(capsys, ["reduce", "--jobs", "2", *paths])
+    assert code == 0
+    assert out == "".join(f"file={path}\n{text}" for path, text in zip(paths, alone))
 
 
 def test_reduce_requires_cut_two_vertex(tmp_path, capsys):

@@ -82,6 +82,13 @@ def test_rotation_parse_errors():
         parse_graphs_text(base + "rot 5: 1\n")
     with pytest.raises(ParseError):
         parse_graphs_text(base + "rot 0: 1\n")
+    # Each row must be an ordering of its vertex's neighbours.
+    for rows in ("rot 0: 2\nrot 1: 0 2\nrot 2: 1\n", "rot 0: 1\nrot 1: 0 0\nrot 2: 1\n",
+                 "rot 0: 1\nrot 1: 2\nrot 2: 1\n", "rot 0: 1\nrot 1: 0 2 2\nrot 2: 1\n"):
+        with pytest.raises(ParseError, match="does not match adjacency$") as e:
+            parse_graphs_text(base + rows)
+        assert e.value.line == (4 if rows.startswith("rot 0: 2") else 5)
+    assert parse_graphs_text(base + "rot 0: 1\nrot 1: 2 0\nrot 2: 1\n")[0][1].rot == ((1,), (2, 0), (1,))
 
 
 def test_graph6_round_trip_small(corpus8):

@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from oracles import cycle_through_by_backtracking, naive_choosable
+from oracles import naive_choosable
 
 from sqcolor.coloring import find_L_coloring, is_proper, normalize_lists
 from sqcolor.discharging import (
@@ -418,28 +418,42 @@ def test_spacing_witness_on_a_long_cycle():
     assert got.verify(g)
 
 
-def test_spacing_witness_is_the_first_cycle_of_the_backtracking_search(corpus12):
-    # The witness search enters only neighbours from which the path can
-    # still close through w, so it returns the cycle that the plain
-    # backtracking search finds first, for any two vertices of a block.
-    pairs = 0
-    for g in corpus12:
-        for block in biconnected_components(g):
-            if len(block) >= 3:
-                for u, w in permutations(sorted(block), 2):
-                    want = cycle_through_by_backtracking(g, block, u, w)
-                    assert _cycle_through(g, block, u, w) == want, (g.edges(), u, w)
-                    pairs += 1
-    assert pairs == 43_406
+@pytest.mark.parametrize("n", [7, 8, 9, 10, 11, 12, 3000])
+def test_spacing_witness_on_a_cycle_is_the_cycle_from_u(n):
+    # A cycle block is read from u by u's first neighbour, never by the flow.
+    g = cycle(n)
+    block = set(range(n))
+    for w in range(1, n):
+        assert _cycle_through(g, block, 0, w) == tuple(range(n))
+
+
+def test_spacing_witness_is_a_cycle_through_both_vertices(corpus12, subcubic9):
+    # Any two vertices of a block of at least 3 vertices share a cycle,
+    # and the witness is one: inside the block, from u, through w.
+    def pairs_checked(graphs):
+        pairs = 0
+        for g in graphs:
+            for block in biconnected_components(g):
+                if len(block) >= 3:
+                    for u, w in permutations(sorted(block), 2):
+                        got = _cycle_through(g, block, u, w)
+                        assert got[0] == u and w in got and set(got) <= block, (g.edges(), u, w)
+                        assert len(set(got)) == len(got) >= 3, (g.edges(), u, w)
+                        assert all(g.has_edge(got[i - 1], got[i]) for i in range(len(got))), (g.edges(), u, w)
+                        pairs += 1
+        return pairs
+
+    assert pairs_checked(corpus12) == 43_406
+    assert pairs_checked(subcubic9) == 45_728
 
 
 def test_spacing_witness_within_a_cpu_bound(cpu_bound):
-    # n = 395 with the close pair 1, 225 at distance 3: the backtracking
-    # search was still running after 40 s here.
+    # n = 395 with the close pair 1, 225 at distance 3: the plain
+    # backtracking search was still running after 40 s here.
     g = two_core(random_instance(GeneratorSpec(max_n=400, seed=4)))
     with cpu_bound(5.0, "the spacing witness"):
         got = find_spacing_violation(g)
-    assert (g.n, got.u, got.w, got.dist, len(got.cycle)) == (395, 1, 225, 3, 66)
+    assert (g.n, got.u, got.w, got.dist, len(got.cycle)) == (395, 1, 225, 3, 18)
     assert got.verify(g)
 
 
