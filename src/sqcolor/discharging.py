@@ -129,7 +129,13 @@ class SpacingViolation:
 
 
 def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleTwoVertex]:
-    """Find a six-cycle through a 2-vertex; requires host girth >= 6."""
+    """Find a six-cycle through a 2-vertex; requires host girth >= 6.
+
+    NotInClass on a vertex of degree above 3, as find_reducible_config:
+    each 2-vertex's path search would scan such a hub's row.
+    """
+    if not is_subcubic(g):
+        raise NotInClass("graph has a vertex of degree above 3")
     for v6 in range(g.n):
         if g.degree(v6) != 2:
             continue

@@ -269,23 +269,18 @@ def _looks_like_graph6(line: str) -> bool:
 
 
 def parse_graphs(text: str, source: str = "<input>") -> list[tuple[Graph, RotationSystem | None]]:
-    """Parse graphs from text, auto-detecting the encoding."""
-    meaningful = None
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if body:
-            meaningful = body
-            break
-    if meaningful is None:
+    """Parse graphs from text; the first non-blank line decides the encoding."""
+    # Cut comments only up to the first line with content: _lines would
+    # cut them all, and parse_graphs_text cuts them again.
+    first = next(
+        (body for line in text.splitlines() if (body := line.split("#", 1)[0].strip())), ""
+    )
+    if not first:
         return []
-    if _looks_like_graph6(meaningful):
-        out = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0].strip()
-            if body:
-                out.append((from_graph6(body, source, lineno), None))
-        return out
-    return parse_graphs_text(text, source)
+    if not _looks_like_graph6(first):
+        return parse_graphs_text(text, source)
+    bodies = ((no, line.strip()) for no, line in enumerate(_lines(text), start=1))
+    return [(from_graph6(body, source, no), None) for no, body in bodies if body]
 
 
 # list assignments

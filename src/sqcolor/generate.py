@@ -9,23 +9,23 @@ graph lands back in the class, which makes the augmentation complete.
 Isomorph rejection uses a canonical adjacency code, and keeps the first
 child found with each code.  Attach sets that an automorphism of the
 parent maps onto each other give isomorphic children, so each parent
-tries one set per orbit (McKay's orbit pruning): the automorphisms come
-from the tied orders of the parent's own canonical search, composed
-with the swaps of twins that the search skips, and the
-first child of each code, hence the output, is the same as without
-pruning.  At max_n = 11 this codes 1,631 children instead of 2,580.
+tries one set per orbit (McKay's orbit pruning), under the maps read
+off the tied orders of its own canonical search.  These need not be
+all of Aut(g), but two sets with the same least image under them are
+images of each other under a composition of them, so the output is the
+same as without pruning.  At max_n = 11 this codes 1,631 children
+instead of 2,580.
 
-The sampler grows one adjacency; its chord step draws from the open
-pairs by index, without listing them.
+The sampler grows one adjacency; its chord step counts the open pairs
+per vertex and lists only the drawn vertex's row.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Collection, Iterator, Optional, Sequence
+from itertools import combinations
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, GenerationFailed, UnknownName
 from .graph_core import (
@@ -161,16 +161,11 @@ def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
 
     Two orders that canonical_code's search ties at the code read the
     same adjacency bits, so the map from the first order to any other
-    position by position is an automorphism; the identity comes first.
-    Conversely an automorphism carries an optimal order to an optimal
-    order, which the search keeps unless it starts at a twin (a vertex
-    with the same neighbourhood) that the one-per-neighbourhood rule
-    skipped.  For a connected g with n >= 3 the optimal starts have
-    degree >= 2 (a leaf start reads 01 at level 2, a start of degree >=
-    2 reads 1x), and two such twins close a 4-cycle.  Swapping twins is
-    an automorphism, and it carries a skipped start to a tried one; so
-    on connected graphs the maps composed with the permutations inside
-    each class of twins of degree >= 2 are all of Aut(g).
+    position by position is an automorphism; the identity comes first,
+    and distinct orders give distinct maps.  The search skips a start
+    with the same neighbourhood as one it tried, so these need not be
+    all of Aut(g) (on C4 they are 4 of 8); orbit pruning needs only
+    some automorphisms.
     """
     _, orders = _frontier_search(g)
     first = orders[0]
@@ -180,16 +175,6 @@ def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
         for v, w in zip(first, order):
             sigma[v] = w
         maps.append(tuple(sigma))
-    twins: dict[tuple[int, ...], list[int]] = {}
-    for v in range(g.n):
-        if len(g.adj[v]) >= 2:
-            twins.setdefault(g.adj[v], []).append(v)
-    for cls in twins.values():
-        if len(cls) > 1:
-            swaps = [dict(zip(cls, perm)) for perm in permutations(cls)]
-            maps = list(dict.fromkeys(
-                tuple(swap.get(w, w) for w in sigma) for sigma in maps for swap in swaps
-            ))
     return maps
 
 
@@ -294,8 +279,8 @@ def random_instance(spec: GeneratorSpec) -> Graph:
     Every step keeps the class by construction: attachments go to
     vertices of degree <= 2 (<= 1 for a cycle at a vertex), new cycles
     have exactly the girth, no step passes max_n, and a chord joins two
-    vertices at distance >= girth - 1, found outside the depth-(girth - 2)
-    ball in O(1) per vertex, and is rolled back if it breaks planarity.
+    vertices at distance >= girth - 1 (_draw_chord), and is rolled back
+    if it breaks planarity.
     The result is checked once more; GenerationFailed if it left the class.
     BudgetExceeded when max_n exceeds SAMPLE_BUDGET: each chord step
     reads the whole adjacency, so the cost grows with max_n squared.
@@ -359,8 +344,6 @@ def _random_step(adj: list[set[int]], spec: GeneratorSpec, rng: random.Random) -
         ops.append("fuse_cycle")
     if ring:
         ops.append("chord")
-    if not ops:
-        return
     op = rng.choice(ops)
     if op == "pendant":
         _link(adj, [rng.choice(open_vertices), n])
@@ -380,57 +363,38 @@ def _random_step(adj: list[set[int]], spec: GeneratorSpec, rng: random.Random) -
     else:
         # adj is connected, so its distances stay below n: no pair lies
         # ring - 1 apart until ring <= n.
-        pairs = _ChordPairs(adj, ring) if ring <= n else ()
-        if pairs:
-            u, v = rng.choice(pairs)
+        pair = _draw_chord(adj, ring, rng) if ring <= n else None
+        if pair:
+            u, v = pair
             _link(adj, [u, v])
             if not _planar(adj):
                 adj[u].remove(v)
                 adj[v].remove(u)
 
 
-class _ChordPairs:
-    """The pairs u < v of vertices of degree <= 2 with dist(u, v) >= ring - 1,
-    in lexicographic order: v qualifies exactly when it lies outside u's
-    ball of radius ring - 2.
-
-    The pairs are not listed.  Each open u keeps the running count of
-    pairs that start at u or before it (the open v > u minus those in
-    u's ball), so building costs one small ball per open vertex, and
-    item i bisects those counts and then skips the few open vertices in
-    one ball.  rng.choice draws the same pair as from the list.
+def _draw_chord(adj: list[set[int]], ring: int, rng: random.Random) -> Optional[tuple[int, int]]:
+    """The pair u < v of vertices of degree <= 2 with dist(u, v) >= ring - 1
+    that rng.choice draws from the lexicographic list of all of them, or
+    None if there is none.  v qualifies when it lies outside u's ball of
+    radius ring - 2, so each open u counts its pairs (the open v > u not
+    in the ball) from one small ball; only the drawn u's row is listed.
     """
-
-    def __init__(self, adj: Sequence[Collection[int]], ring: int):
-        self._adj = adj
-        self._radius = ring - 2
-        self._open = [v for v in range(len(adj)) if len(adj[v]) <= 2]
-        self._ends: list[int] = []
-        total = 0
-        for i, u in enumerate(self._open):
-            total += len(self._open) - 1 - i - len(self._near(u))
-            self._ends.append(total)
-
-    def _near(self, u: int) -> list[int]:
-        """The open vertices w > u inside u's ball."""
-        adj = self._adj
-        return [w for w in ball(adj, u, self._radius) if w > u and len(adj[w]) <= 2]
-
-    def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, index: int) -> tuple[int, int]:
-        if not 0 <= index < len(self):
-            raise IndexError("chord pair index out of range")
-        i = bisect_right(self._ends, index)
-        u = self._open[i]
-        # The (index - ends[i - 1])-th open vertex after u, skipping u's
-        # ball: each skipped vertex at or before the candidate moves it on.
-        p = i + 1 + index - (self._ends[i - 1] if i else 0)
-        for w in sorted(self._near(u)):
-            if bisect_left(self._open, w) <= p:
-                p += 1
-        return (u, self._open[p])
+    open_vertices = [v for v in range(len(adj)) if len(adj[v]) <= 2]
+    counts = []
+    for i, u in enumerate(open_vertices):
+        near = [w for w in ball(adj, u, ring - 2) if w > u and len(adj[w]) <= 2]
+        counts.append(len(open_vertices) - 1 - i - len(near))
+    total = sum(counts)
+    if not total:
+        return None
+    index = rng.choice(range(total))
+    i = 0
+    while index >= counts[i]:
+        index -= counts[i]
+        i += 1
+    u = open_vertices[i]
+    near = ball(adj, u, ring - 2)
+    return u, [v for v in open_vertices[i + 1:] if v not in near][index]
 
 
 def _path(k: int) -> Graph:

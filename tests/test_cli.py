@@ -226,6 +226,10 @@ def test_choosable_env_budget(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SQCOLOR_BUDGET", "0")
     code, _ = run(capsys, ["choosable", "-k", "2", c6_file(tmp_path)])
     assert code == 2
+    monkeypatch.setenv("SQCOLOR_BUDGET", "abc")
+    code = main(["choosable", "-k", "2", c6_file(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "SQCOLOR_BUDGET:1: bad token 'abc': budget must be an integer\n"
 
 
 def test_find_config(tmp_path, capsys):
@@ -355,6 +359,38 @@ def test_discharge_audit_c6_golden(tmp_path, capsys):
     )
 
 
+def test_discharge_audit_p3_golden(tmp_path, capsys):
+    # A tree: negative vertices as well as the face, and claim 3 skipped.
+    path = write_fixture(tmp_path, "p3.txt", "3 2\n0 1\n1 2\n")
+    code, out = run(capsys, ["discharge-audit", path])
+    assert code == 0
+    assert out == (
+        "vertices=3\n"
+        "edges=2\n"
+        "faces=1\n"
+        "initial_total=-12\n"
+        "final_total=-12\n"
+        "negative_vertex v=0 charge=-4\n"
+        "negative_vertex v=2 charge=-4\n"
+        "negative_face face=0 length=4 charge=-4\n"
+        "config=one_vertex v=0\n"
+        "claim3=skipped reason=acyclic\n"
+        "dichotomy=ok\n"
+    )
+
+
+def test_discharge_audit_prints_claim3_violations(tmp_path, capsys, monkeypatch):
+    from sqcolor.discharging import Claim3Face, Claim3Report
+
+    def violated(g, faces):
+        return Claim3Report(checked=True, reason="", rows=(Claim3Face(0, 7, 2, 1),))
+
+    monkeypatch.setattr("sqcolor.discharging.claim3_bound_check", violated)
+    code, out = run(capsys, ["discharge-audit", c6_file(tmp_path)])
+    assert code == 1
+    assert "claim3_violation face=0 length=7 two_vertices=2 bound=1" in out.splitlines()
+
+
 def test_discharge_audit_rejects_low_girth(tmp_path, capsys):
     path = write_fixture(tmp_path, "q3.txt", write_graph_text(named("q3")[0]))
     code, _ = run(capsys, ["discharge-audit", path])
@@ -365,6 +401,13 @@ def test_generate_count(capsys):
     code, out = run(capsys, ["generate", "--max-n", "6", "--count"])
     assert code == 0
     assert out == "count=12\n"
+
+
+def test_generate_count_of_trees(capsys):
+    # The subcubic trees on 1..5 vertices: 1, 1, 1, 2 and 2.
+    code, out = run(capsys, ["generate", "--min-girth", "inf", "--max-n", "5", "--count"])
+    assert code == 0
+    assert out == "count=7\n"
 
 
 def test_generate_count_with_a_huge_girth_bound(capsys):
@@ -458,6 +501,40 @@ def test_worst_exit_code_wins_across_files(tmp_path, capsys):
     bad = write_fixture(tmp_path, "c5.txt", write_graph_text(named("c5")[0]))
     code, out = run(capsys, ["discharge-audit", ok, bad])
     assert code == 1
+
+
+@pytest.mark.parametrize("name, text, line, token, message", [
+    ("empty.txt", "", 1, "", "no graphs in input"),
+    ("trunc.g6", "~AB\n", 1, "~AB", "truncated graph6 header"),
+    ("big.g6", "~~ABCDEFGH\n", 1, "~~ABCDEFGH", "graph6 n > 258047 unsupported"),
+    ("neg.txt", "-3 0\n", 1, "-3", "negative header value"),
+    ("rot.txt", "3 2\n0 1\n1 2\nrot x: 1\n", 4, "x", "expected vertex id"),
+])
+def test_parse_errors_name_the_file_line_and_token(tmp_path, capsys, name, text, line, token, message):
+    path = write_fixture(tmp_path, name, text)
+    code = main(["girth", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"{path}:{line}: bad token '{token}': {message}\n"
+
+
+def test_graph6_with_its_header_prefix(tmp_path, capsys):
+    path = write_fixture(tmp_path, "c5.g6", ">>graph6<<Dhc\n")
+    code, out = run(capsys, ["girth", path])
+    assert code == 0
+    assert out == "girth=5\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["choosable", "-k", "2", "--budget", "0"], "error: budget must be positive\n"),
+    (["color", "--lists", "uniform:0"], "error: uniform list size must be positive\n"),
+])
+def test_nonpositive_sizes_are_usage_errors(tmp_path, capsys, argv, err):
+    code = main([*argv, c6_file(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -24,6 +24,7 @@ from sqcolor.discharging import (
 from sqcolor.errors import (
     ListTooSmall,
     NotCutVertex,
+    NotInClass,
     NotTwoVertex,
     PreconditionViolated,
 )
@@ -286,6 +287,16 @@ def test_find_sixcycle_respects_girth_gate():
     g = prism_with_subdivided_rungs({0, 1})
     assert _four_path(g.adj, 0, 6, 12) == (0, 1, 13, 7, 6)
     assert find_sixcycle_two_vertex(g) is None
+
+
+def test_find_sixcycle_refuses_a_vertex_of_degree_above_3_within_a_cpu_bound(cpu_bound):
+    # K2,4000: each 2-vertex's path search scanned a hub's row, about 1 s
+    # here before returning None.
+    n = 4000
+    g = Graph(n + 2, [(h, v) for v in range(2, n + 2) for h in (0, 1)])
+    with cpu_bound(0.5, "find_sixcycle_two_vertex on K2,4000"):
+        with pytest.raises(NotInClass, match="degree above 3"):
+            find_sixcycle_two_vertex(g)
 
 
 def first_four_path_by_walks(adj, x, y, avoid):
