@@ -69,7 +69,7 @@ def _load(path: str):
     text, source = _read_input(path)
     items = parse_graphs(text, source)
     if not items:
-        raise ParseError(source, 1, "", "no graphs in input")
+        raise ParseError(source, None, None, "no graphs in input")
     return items
 
 
@@ -83,9 +83,9 @@ def _budget(args) -> Optional[int]:
         try:
             value = int(env)
         except ValueError:
-            raise ParseError("SQCOLOR_BUDGET", 1, env, "budget must be an integer")
+            raise ParseError("SQCOLOR_BUDGET", None, env, "budget must be an integer")
         if value <= 0:
-            raise ParseError("SQCOLOR_BUDGET", 1, env, "budget must be positive")
+            raise ParseError("SQCOLOR_BUDGET", None, env, "budget must be positive")
         return value
     return DEFAULT_CHOOSABILITY_BUDGET
 

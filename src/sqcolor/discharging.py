@@ -16,6 +16,14 @@ any connected plane graph.  The single redistribution rule sends 1 from
 a face to each incidence of a 2-vertex on its boundary walk.  The audit
 certifies the engine dichotomy: every in-class graph either keeps a
 negative final charge somewhere or contains a reducible configuration.
+
+The audit makes one structural pass: one component walk, one degree
+row, one girth check, one embedding with its faces and one block map,
+handed to the private bodies _reducible_config (with
+_sixcycle_two_vertex, which then skips its girth check) and _claim3.
+find_reducible_config, find_sixcycle_two_vertex and claim3_bound_check
+are thin wrappers that build those inputs themselves and call the same
+bodies.
 """
 
 from __future__ import annotations
@@ -28,14 +36,13 @@ from .errors import NotCutVertex, NotInClass, NotTwoVertex, PreconditionViolated
 from .graph_core import (
     Graph,
     _four_path,
+    adjacency_components,
     ball,
     biconnected_components,
     components,
     girth_at_least,
-    is_connected,
-    is_subcubic,
 )
-from .planar_embed import Face, _embed, check_degree_and_girth
+from .planar_embed import Face, _embed
 
 
 @dataclass(frozen=True)
@@ -134,16 +141,29 @@ def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleTwoVertex]:
     NotInClass on a vertex of degree above 3, as find_reducible_config:
     each 2-vertex's path search would scan such a hub's row.
     """
-    if not is_subcubic(g):
+    return _sixcycle_two_vertex(g, _subcubic_degrees(g), False)
+
+
+def _subcubic_degrees(g: Graph) -> list:
+    """The degree row of g; NotInClass on a vertex of degree above 3."""
+    deg = [len(a) for a in g.adj]
+    if max(deg, default=0) > 3:
         raise NotInClass("graph has a vertex of degree above 3")
-    for v6 in range(g.n):
-        if g.degree(v6) != 2:
+    return deg
+
+
+def _sixcycle_two_vertex(g: Graph, deg: list, girth6: bool) -> Optional[SixCycleTwoVertex]:
+    """find_sixcycle_two_vertex on subcubic g with degree row deg.  The
+    girth is checked only once a six-cycle path is found, and not at all
+    when girth6 says the caller has decided girth >= 6."""
+    for v6, d in enumerate(deg):
+        if d != 2:
             continue
-        x, y = sorted(g.neighbors(v6))
+        x, y = g.adj[v6]
         # A path x .. y of 4 edges avoiding v6 closes a six-cycle with x-v6-y.
         path = _four_path(g.adj, x, y, v6)
         if path is not None:  # with no six-cycle the girth cannot change the answer
-            return SixCycleTwoVertex(cycle=(*path, v6), host=g) if girth_at_least(g, 6) else None
+            return SixCycleTwoVertex(cycle=(*path, v6), host=g) if girth6 or girth_at_least(g, 6) else None
     return None
 
 
@@ -222,11 +242,12 @@ def two_vertex_blocks(g: Graph) -> dict:
     """{v: block} for each 2-vertex v on a cycle: the one block of at least
     3 vertices that holds v.  A 2-vertex is a cut vertex exactly when it
     lies on no cycle, so the cut 2-vertices are the ones missing here."""
+    adj = g.adj
     block_of = {}
     for b in biconnected_components(g):
         if len(b) >= 3:
             for v in b:
-                if g.degree(v) == 2:
+                if len(adj[v]) == 2:
                     block_of[v] = b
     return block_of
 
@@ -285,17 +306,20 @@ def find_reducible_config(g: Graph):
     and only the <= 2 faces holding c can be negative: the total is
     >= -2, not -12.
     """
-    if not is_subcubic(g):
-        raise NotInClass("graph has a vertex of degree above 3")
-    for v in range(g.n):
-        if g.degree(v) <= 1:
+    return _reducible_config(g, _subcubic_degrees(g), two_vertex_blocks(g), False)
+
+
+def _reducible_config(g: Graph, deg: list, block_of: dict, girth6: bool):
+    """find_reducible_config on subcubic g, given its degree row deg, its
+    block_of = two_vertex_blocks(g) and girth6 as _sixcycle_two_vertex
+    takes it."""
+    for v, d in enumerate(deg):
+        if d <= 1:
             return OneVertex(v)
-    block_of = two_vertex_blocks(g)
-    for u in range(g.n):
-        if g.degree(u) == 2 and u not in block_of:
-            x, y = sorted(g.neighbors(u))
-            return CutTwoVertex(u, x, y)
-    cfg = find_sixcycle_two_vertex(g)
+    for u, d in enumerate(deg):
+        if d == 2 and u not in block_of:
+            return CutTwoVertex(u, *g.adj[u])
+    cfg = _sixcycle_two_vertex(g, deg, girth6)
     if cfg is not None:
         return cfg
     return _spacing_violation(g, block_of)
@@ -338,7 +362,7 @@ class ChargeLedger:
 def initial_charges(g: Graph, face_list: Sequence[Face]) -> ChargeLedger:
     """Starting charges: 2d(v) - 6 per vertex, length - 6 per face."""
     return ChargeLedger(
-        vertex_charge={v: 2 * g.degree(v) - 6 for v in range(g.n)},
+        vertex_charge={v: 2 * len(a) - 6 for v, a in enumerate(g.adj)},
         face_charge={i: f.length - 6 for i, f in enumerate(face_list)},
     )
 
@@ -351,11 +375,12 @@ def apply_r1(ledger: ChargeLedger, g: Graph, face_list: Sequence[Face]) -> Charg
     paid twice.  The total charge is unchanged, and ledger is left as
     it was.
     """
+    adj = g.adj
     vertex_charge = dict(ledger.vertex_charge)
     face_charge = dict(ledger.face_charge)
     for i, face in enumerate(face_list):
-        for v in face.vertices():
-            if g.degree(v) == 2:
+        for v, _ in face.walk:
+            if len(adj[v]) == 2:
                 face_charge[i] -= 1
                 vertex_charge[v] += 1
     return ChargeLedger(vertex_charge, face_charge)
@@ -396,19 +421,26 @@ def claim3_bound_check(g: Graph, face_list: Sequence[Face]) -> Claim3Report:
     asserted only when those hypotheses hold; otherwise the report just
     records them.
     """
+    acyclic = g.m == g.n - len(components(g))
+    block_of = {} if acyclic else two_vertex_blocks(g)
+    return _claim3(g, [len(a) for a in g.adj], face_list, block_of, acyclic)
+
+
+def _claim3(g: Graph, deg: list, face_list: Sequence[Face], block_of: dict, acyclic: bool) -> Claim3Report:
+    """claim3_bound_check given g's degree row deg, its block_of =
+    two_vertex_blocks(g) and whether g is acyclic."""
     rows = tuple(
         Claim3Face(
             face=i,
             length=face.length,
-            two_vertices=len({v for v in face.vertices() if g.degree(v) == 2}),
+            two_vertices=len({v for v, _ in face.walk if deg[v] == 2}),
             bound=face.length // 4,
         )
         for i, face in enumerate(face_list)
     )
-    if g.m == g.n - len(components(g)):
+    if acyclic:
         return Claim3Report(checked=False, reason="acyclic", rows=rows)
-    block_of = two_vertex_blocks(g)
-    if any(g.degree(v) == 2 and v not in block_of for v in range(g.n)):
+    if any(d == 2 and v not in block_of for v, d in enumerate(deg)):
         return Claim3Report(checked=False, reason="cut 2-vertex present", rows=rows)
     if close_two_vertex_pair(g, block_of) is not None:
         return Claim3Report(checked=False, reason="close 2-vertices on a cycle", rows=rows)
@@ -438,27 +470,37 @@ class AuditReport:
 
 
 def discharge_audit(g: Graph) -> AuditReport:
-    """Full charge audit of one connected in-class graph.
+    """Full charge audit of one connected in-class graph, in one
+    structural pass.
 
-    Checks the class: nonempty and connected, then the degree and girth
-    checks that check_class makes, then a plane embedding taken on the
-    series-parallel reduction that is_planar decides on, with the
-    reduction's log undone (is_planar would only answer yes or no).  Any
-    embedding serves, since Euler gives -12 for each; the faces are the
-    ones the embedding's Euler check traced.  Totals the charges before
-    and after the rule (both must be -12), lists every element left
-    negative, and runs the configuration detectors.  At least one side
-    of the dichotomy must come back nonempty.
+    Checks the class: nonempty and connected (one component walk, which
+    also makes g acyclic exactly when m = n - 1), subcubic (one degree
+    row, which then serves the detectors and claim3), girth >= 6 (one
+    girth check), then a plane embedding taken on the series-parallel
+    reduction that is_planar decides on, with the reduction's log undone
+    (is_planar would only answer yes or no).  Any embedding serves,
+    since Euler gives -12 for each; the faces are the ones the
+    embedding's Euler check traced, and R1 and claim3 read their walks.
+    Totals the charges before and after the rule (both must be -12),
+    lists every element left negative, and runs the configuration
+    detectors and claim3 on one block map.  At least one side of the
+    dichotomy must come back nonempty.
     """
     if g.n == 0:
         raise NotInClass("empty graph")
-    if not is_connected(g):
+    if len(adjacency_components(g.adj)) > 1:
         raise NotInClass("graph is disconnected")
-    check_degree_and_girth(g)
+    deg = _subcubic_degrees(g)
+    if not girth_at_least(g, 6):
+        raise NotInClass("girth is below 6")
     embedded = _embed(g)
     if embedded is None:
         raise NotInClass("graph is not planar")
     _, face_list = embedded
+    m = g.m
+    acyclic = m == g.n - 1
+    # A tree has no block of 3 or more vertices.
+    block_of = {} if acyclic else two_vertex_blocks(g)
     before = initial_charges(g, face_list)
     after = apply_r1(before, g, face_list)
     negative_vertices = tuple(
@@ -469,15 +511,15 @@ def discharge_audit(g: Graph) -> AuditReport:
     )
     return AuditReport(
         n=g.n,
-        m=g.m,
+        m=m,
         face_count=len(face_list),
         initial_total=before.total(),
         final_total=after.total(),
         ledger=after,
         negative_vertices=negative_vertices,
         negative_faces=negative_faces,
-        config=find_reducible_config(g),
-        claim3=claim3_bound_check(g, face_list),
+        config=_reducible_config(g, deg, block_of, True),
+        claim3=_claim3(g, deg, face_list, block_of, acyclic),
     )
 
 

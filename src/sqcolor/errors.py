@@ -5,7 +5,8 @@ class ParseError(ValueError):
     """Raised when an input file cannot be parsed.
 
     Carries the source name, 1-based line number, and the offending token
-    so command line reports can point at the exact spot.
+    so command line reports can point at the exact spot.  An error of a
+    whole source has line None, and token None or the value at fault.
     """
 
     def __init__(self, source, line, token, message):
@@ -13,7 +14,13 @@ class ParseError(ValueError):
         self.line = line
         self.token = token
         self.message = message
-        super().__init__(f"{source}:{line}: bad token {token!r}: {message}")
+        if line is not None:
+            text = f"{source}:{line}: bad token {token!r}: {message}"
+        elif token is not None:
+            text = f"{source}: {message}, got {token!r}"
+        else:
+            text = f"{source}: {message}"
+        super().__init__(text)
 
 
 class BudgetExceeded(RuntimeError):

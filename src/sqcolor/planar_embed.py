@@ -595,7 +595,8 @@ def check_class(g: Graph) -> None:
 
     g may be disconnected.  Planarity is decided by is_planar, so most
     class members pass without any embedding being built; the charge
-    audit, which needs the faces, calls check_degree_and_girth and _embed.
+    audit, which needs the faces, makes the same degree and girth checks
+    on its own degree row and calls _embed.
     """
     check_degree_and_girth(g)
     if not is_planar(g):

@@ -224,12 +224,13 @@ def test_choosable_env_budget(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, ["choosable", "-k", "2", c6_file(tmp_path)])
     assert code == 3
     monkeypatch.setenv("SQCOLOR_BUDGET", "0")
-    code, _ = run(capsys, ["choosable", "-k", "2", c6_file(tmp_path)])
+    code = main(["choosable", "-k", "2", c6_file(tmp_path)])
     assert code == 2
+    assert capsys.readouterr().err == "SQCOLOR_BUDGET: budget must be positive, got '0'\n"
     monkeypatch.setenv("SQCOLOR_BUDGET", "abc")
     code = main(["choosable", "-k", "2", c6_file(tmp_path)])
     assert code == 2
-    assert capsys.readouterr().err == "SQCOLOR_BUDGET:1: bad token 'abc': budget must be an integer\n"
+    assert capsys.readouterr().err == "SQCOLOR_BUDGET: budget must be an integer, got 'abc'\n"
 
 
 def test_find_config(tmp_path, capsys):
@@ -382,10 +383,10 @@ def test_discharge_audit_p3_golden(tmp_path, capsys):
 def test_discharge_audit_prints_claim3_violations(tmp_path, capsys, monkeypatch):
     from sqcolor.discharging import Claim3Face, Claim3Report
 
-    def violated(g, faces):
+    def violated(*args):
         return Claim3Report(checked=True, reason="", rows=(Claim3Face(0, 7, 2, 1),))
 
-    monkeypatch.setattr("sqcolor.discharging.claim3_bound_check", violated)
+    monkeypatch.setattr("sqcolor.discharging._claim3", violated)
     code, out = run(capsys, ["discharge-audit", c6_file(tmp_path)])
     assert code == 1
     assert "claim3_violation face=0 length=7 two_vertices=2 bound=1" in out.splitlines()
@@ -504,7 +505,6 @@ def test_worst_exit_code_wins_across_files(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, text, line, token, message", [
-    ("empty.txt", "", 1, "", "no graphs in input"),
     ("trunc.g6", "~AB\n", 1, "~AB", "truncated graph6 header"),
     ("big.g6", "~~ABCDEFGH\n", 1, "~~ABCDEFGH", "graph6 n > 258047 unsupported"),
     ("neg.txt", "-3 0\n", 1, "-3", "negative header value"),
@@ -517,6 +517,16 @@ def test_parse_errors_name_the_file_line_and_token(tmp_path, capsys, name, text,
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"{path}:{line}: bad token '{token}': {message}\n"
+
+
+def test_an_empty_input_names_the_file(tmp_path, capsys):
+    # No line and no token is at fault, so the message names only the file.
+    path = write_fixture(tmp_path, "empty.txt", "")
+    code = main(["girth", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"{path}: no graphs in input\n"
 
 
 def test_graph6_with_its_header_prefix(tmp_path, capsys):

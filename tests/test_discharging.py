@@ -26,8 +26,8 @@ from sqcolor.discharging import (
 )
 from sqcolor.errors import NotCutVertex, NotInClass
 from sqcolor.generate import GeneratorSpec, named, random_instance
-from sqcolor.graph_core import Graph
-from sqcolor.planar_embed import RotationSystem, faces, find_planar_embedding
+from sqcolor.graph_core import Graph, is_connected
+from sqcolor.planar_embed import RotationSystem, _embed, check_class, faces, find_planar_embedding
 
 
 def cycle(k):
@@ -222,11 +222,11 @@ def count_structure_calls(monkeypatch):
     return calls
 
 
-def test_audit_decides_the_blocks_twice_and_the_girth_only_as_needed(monkeypatch):
-    # find_reducible_config and claim3_bound_check each map the 2-vertices
-    # to their blocks once; a six-cycle witness needs a second girth check.
+def test_audit_decides_the_blocks_and_the_girth_once(monkeypatch):
+    # One structural pass: the configuration detectors and claim3 share
+    # one block map, and a six-cycle witness needs no second girth check.
     calls = count_structure_calls(monkeypatch)
-    for name, want in (("c100", [2, 1, 0]), ("c600", [2, 1, 0]), ("honeycomb-50", [2, 2, 0])):
+    for name, want in (("c100", [1, 1, 0]), ("c600", [1, 1, 0]), ("honeycomb-50", [1, 1, 0])):
         g = named(name)[0]
         for key in calls:
             calls[key] = 0
@@ -346,6 +346,31 @@ def test_audit_keeps_the_class_messages_and_the_full_embedding():
     # The faces come from the embedding find_planar_embedding returns.
     g = named("subdivided-prism")[0]
     assert discharge_audit(g).face_count == len(faces_of(g))
+
+
+IN_CLASS_NAMED = ("p1", "p5", "c6", "c7", "c100", "c600", "c900", "honeycomb-1",
+                  "honeycomb-25", "honeycomb-50", "subdivided-prism", "two-heptagons")
+
+
+def in_class(g):
+    try:
+        check_class(g)
+    except NotInClass:
+        return False
+    return True
+
+
+def test_one_pass_audit_matches_the_public_entry_points(corpus12, subcubic9):
+    # The audit hands its one structural pass to the detector and claim3
+    # bodies; the public entry points build their own inputs.
+    graphs = list(corpus12)
+    graphs += [g for g in subcubic9 if g.n and is_connected(g) and in_class(g)]
+    graphs += [named(name)[0] for name in IN_CLASS_NAMED]
+    graphs += [random_instance(GeneratorSpec(max_n=150, seed=seed)) for seed in range(14)]
+    for g in graphs:
+        report = discharge_audit(g)
+        assert report.config == find_reducible_config(g), g.edges()
+        assert report.claim3 == claim3_bound_check(g, _embed(g)[1]), g.edges()
 
 
 def test_audit_needs_no_spacing_witness(monkeypatch):

@@ -30,10 +30,12 @@ TRACED_ON_REDUCER = {
 # Each is traced by perfbench/spans.py, and test_trace_names requires
 # every traced name to exist.
 UNREFERENCED = {
+    "claim3_bound_check",
     "cut_vertices",
     "distance",
     "extend_sixcycle",
     "find_L_coloring",
+    "find_sixcycle_two_vertex",
     "find_spacing_violation",
     "greedy_extend",
     "induced_subgraph",
