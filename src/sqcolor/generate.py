@@ -6,15 +6,19 @@ a new vertex to a set S creates cycles of length dist(s, s') + 2 only,
 so requiring pairwise distance >= min_girth - 2 inside S preserves the
 girth bound exactly, and removing any non-cut vertex of an in-class
 graph lands back in the class, which makes the augmentation complete.
-Isomorph rejection uses a canonical adjacency code, and keeps the first
-child found with each code.  Attach sets that an automorphism of the
-parent maps onto each other give isomorphic children, so each parent
-tries one set per orbit (McKay's orbit pruning), under the maps read
-off the tied orders of its own canonical search.  These need not be
-all of Aut(g), but two sets with the same least image under them are
-images of each other under a composition of them, so the output is the
-same as without pruning.  At max_n = 11 this codes 1,631 children
-instead of 2,580.
+Isomorph rejection keeps the first child found with each ranked code:
+canonical_code's search with each vertex's degree profile
+(_degree_rank) compared ahead of its adjacency bits.  That code is a
+complete invariant too, so it keeps the same children, with far fewer
+tied orders to carry; canonical_code runs once per kept graph, to sort
+each level.  Attach sets that an automorphism of the parent maps onto
+each other give isomorphic children, so each parent tries one set per
+orbit (McKay's orbit pruning), under the maps read off the tied orders
+of the ranked search that found the parent.  These need not be all of
+Aut(g), but two sets with the same least image under them are images
+of each other under a composition of them, so the output is the same
+as without pruning.  At max_n = 11 this searches 1,631 children instead
+of 2,580, and codes only the 375 kept.
 
 The sampler grows one adjacency; its chord step counts the open pairs
 per vertex and lists only the drawn vertex's row.
@@ -24,16 +28,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, Optional, Sequence
 
-from .errors import BudgetExceeded, GenerationFailed, UnknownName
+from .errors import BudgetExceeded, GenerationFailed, ParseError, UnknownName
+from .formats import MAX_VERTICES
 from .graph_core import (
     INF,
     Graph,
     add_vertex,
+    adjacency_components,
     ball,
     girth_at_least,
+    induced_subgraph,
     is_connected,
     is_subcubic,
 )
@@ -41,7 +48,7 @@ from .planar_embed import RotationSystem, _planar, find_planar_embedding, is_pla
 
 # The largest max_n that enumerate_class and random_instance accept;
 # beyond them they raise BudgetExceeded.  CPU on a 2-vCPU Xeon: the
-# enumeration takes 4.8 s at max_n = 13 and 21 s at 14; girth-6 samples
+# enumeration takes 1.2 s at max_n = 13 and 4.8 s at 14; girth-6 samples
 # of 4,000 vertices take 6-9 s (seeds 0-2), and 5,000 already 10 s.
 ENUMERATION_BUDGET = 14
 SAMPLE_BUDGET = 4000
@@ -78,12 +85,18 @@ def canonical_code(g: Graph) -> tuple:
     placed and boundary are bitmasks of the prefix and of its unplaced
     neighbours, and trail links the placed vertices back to the first.
     When the boundary is empty, one vertex per neighbourhood is tried:
-    swapping two unplaced twins is an automorphism fixing the prefix, so
-    an edgeless graph costs O(n^2).  The cost still grows with the
-    number of components that are not twins (six disjoint edges tie at
-    every order of the edges, and all twelve vertices have degree 1, so
-    the start filter below does not prune them); enumerate_class calls
-    this only on connected graphs.
+    swapping two unplaced twins is an automorphism fixing the prefix.
+
+    A disconnected graph is coded one component at a time.  The search
+    places each component whole, so a level holds bits of its own
+    component only, as in that component's own code; the first vertex of
+    each later component reads 0, and every other level is nonzero,
+    since each vertex has a neighbour placed before it.  So each
+    component adds its own code's levels and a final 0, a block that no
+    other block is a prefix of; the greatest concatenation takes the
+    blocks in decreasing order, and the code is that concatenation
+    without its last 0.  Six disjoint edges, which tie at every order of
+    the edges in one search, cost six searches of one edge.
 
     Without a triangle the search starts only at vertices of maximum
     degree.  From a start s of degree d, levels 1..d place neighbours of
@@ -96,12 +109,23 @@ def canonical_code(g: Graph) -> tuple:
     rows can carry more bits (K3 plus K1,3 starts in the triangle), so
     every vertex is tried.  The triangle test costs O(m) bitmask ANDs.
     """
-    return _frontier_search(g)[0]
+    comps = adjacency_components(g.adj)
+    if len(comps) < 2:
+        return _frontier_search(g)[0]
+    parts = (induced_subgraph(g, comp)[0] for comp in comps)
+    blocks = sorted((_frontier_search(part)[0][1] + (0,) for part in parts), reverse=True)
+    return (g.n, tuple(chain.from_iterable(blocks))[:-1])
 
 
-def _frontier_search(g: Graph) -> tuple[tuple, list[tuple[int, ...]]]:
+def _frontier_search(g: Graph, rank: Optional[list[int]] = None) -> tuple[tuple, list[tuple[int, ...]]]:
     """canonical_code's search: the code, and every placement order
-    (vertex at position 0, 1, ...) that the search ties at the code."""
+    (vertex at position 0, 1, ...) that the search ties at the code.
+
+    With rank, an isomorphism invariant of the vertices (_degree_rank),
+    each score starts at rank[v] << n instead of 0, so candidates
+    compare by rank first and by adjacency bits second.  The code read
+    that way is again a complete invariant, with far fewer ties.
+    """
     n = g.n
     if n == 0:
         return (0, ()), [()]
@@ -111,7 +135,8 @@ def _frontier_search(g: Graph) -> tuple[tuple, list[tuple[int, ...]]]:
     if not any(nbmask[u] & nbmask[w] for u in range(n) for w in adj[u] if u < w):
         top = max(len(a) for a in adj)
         starts = [v for v in range(n) if len(adj[v]) == top]
-    frontier = [([0] * n, 0, 0, None)]
+    root = [r << n for r in rank] if rank is not None else [0] * n
+    frontier = [(root, 0, 0, None)]
     levels: list[int] = []
     for k in range(n):
         best_val = -1
@@ -156,22 +181,30 @@ def _frontier_search(g: Graph) -> tuple[tuple, list[tuple[int, ...]]]:
     return (n, tuple(levels)), orders
 
 
-def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """Automorphisms sigma of g, as tuples with sigma[v] the image of v.
+def _degree_rank(g: Graph) -> list[int]:
+    """Per vertex, its degree and the multiset of its neighbours'
+    degrees packed into one int: deg(v) << 8 plus 1 << 2 deg(w) for each
+    neighbour w.  On a subcubic graph each degree count is at most 3 and
+    fits its two bits, so equal ranks mean equal degree profiles."""
+    adj = g.adj
+    return [len(a) << 8 | sum(1 << 2 * len(adj[w]) for w in a) for a in adj]
 
-    Two orders that canonical_code's search ties at the code read the
-    same adjacency bits, so the map from the first order to any other
-    position by position is an automorphism; the identity comes first,
-    and distinct orders give distinct maps.  The search skips a start
-    with the same neighbourhood as one it tried, so these need not be
-    all of Aut(g) (on C4 they are 4 of 8); orbit pruning needs only
-    some automorphisms.
+
+def _automorphisms(orders: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Automorphisms sigma of a graph, as tuples with sigma[v] the image
+    of v, from the placement orders its search ties at its code.
+
+    Two tied orders read the same ranks and adjacency bits, so the map
+    from the first order to any other position by position is an
+    automorphism; the identity comes first, and distinct orders give
+    distinct maps.  The search skips a start with the same neighbourhood
+    as one it tried, so these need not be all of Aut(g) (on C4 they are
+    4 of 8); orbit pruning needs only some automorphisms.
     """
-    _, orders = _frontier_search(g)
     first = orders[0]
     maps = []
     for order in orders:
-        sigma = [0] * g.n
+        sigma = [0] * len(first)
         for v, w in zip(first, order):
             sigma[v] = w
         maps.append(tuple(sigma))
@@ -197,15 +230,18 @@ def _attach_sets(g: Graph, min_girth: float) -> Iterator[tuple]:
 def _enumerate_connected(max_n: int, min_girth: float) -> list[list[Graph]]:
     """Connected class members grouped by vertex count, deduped, sorted."""
     levels: list[list[Graph]] = [[] for _ in range(max_n + 1)]
-    if max_n >= 1:
-        levels[1] = [Graph(1, [])]
+    if max_n < 1:
+        return levels
+    # Each kept graph with the orders its ranked search tied.
+    kept = [(Graph(1, []), [(0,)])]
+    levels[1] = [kept[0][0]]
     for n in range(2, max_n + 1):
         seen = {}
-        for g in levels[n - 1]:
+        for g, orders in kept:
             # Sets in one orbit of Aut(g) give isomorphic children, so
             # only the first of each orbit is tried: the first child of
             # each code is found as before, and the output is unchanged.
-            autos = _automorphisms(g)
+            autos = _automorphisms(orders)
             tried = set()
             for S in _attach_sets(g, min_girth):
                 key = min(tuple(sorted(sigma[s] for s in S)) for sigma in autos)
@@ -215,10 +251,13 @@ def _enumerate_connected(max_n: int, min_girth: float) -> list[list[Graph]]:
                 h = add_vertex(g, S)
                 if not is_planar(h):
                     continue
-                code = canonical_code(h)
+                # The ranked code is a complete invariant, so the first
+                # child per ranked code is the first per canonical_code.
+                code, h_orders = _frontier_search(h, _degree_rank(h))
                 if code not in seen:
-                    seen[code] = h
-        levels[n] = [seen[code] for code in sorted(seen)]
+                    seen[code] = (h, h_orders)
+        kept = sorted(seen.values(), key=lambda item: canonical_code(item[0]))
+        levels[n] = [h for h, _ in kept]
     return levels
 
 
@@ -458,13 +497,22 @@ def _two_heptagons() -> Graph:
     return Graph(15, edges)
 
 
+def _check_size(name: str, n: int) -> None:
+    """Before a fixture of n vertices is built: above MAX_VERTICES, raise
+    the ParseError that a text header declaring n vertices raises."""
+    if n > MAX_VERTICES:
+        raise ParseError(name, None, None, f"vertex count exceeds the limit of {MAX_VERTICES}")
+
+
 def named(name: str) -> tuple[Graph, Optional[RotationSystem]]:
     """Catalog fixture by name, with a rotation system when planar."""
     key = name.strip().lower()
     g: Optional[Graph] = None
     if key.startswith("c") and key[1:].isdigit() and int(key[1:]) >= 3:
+        _check_size(name, int(key[1:]))
         g = _cycle(int(key[1:]))
     elif key.startswith("p") and key[1:].isdigit() and int(key[1:]) >= 1:
+        _check_size(name, int(key[1:]))
         g = _path(int(key[1:]))
     elif key in ("q3", "cube"):
         g = Graph(8, _CUBE_EDGES)
@@ -475,6 +523,7 @@ def named(name: str) -> tuple[Graph, Optional[RotationSystem]]:
     elif key == "petersen":
         g = _petersen()
     elif key.startswith("honeycomb-") and key[10:].isdigit() and int(key[10:]) >= 1:
+        _check_size(name, 4 * int(key[10:]) + 2)  # k hexagons have 4k + 2 vertices
         g = _honeycomb(int(key[10:]))
     elif key == "subdivided-prism":
         g = _subdivided_prism()

@@ -32,9 +32,10 @@ INF = math.inf
 
 
 class Graph:
-    """Undirected simple graph with sorted adjacency."""
+    """Undirected simple graph with sorted adjacency; m, the edge count,
+    is counted once at construction."""
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -51,10 +52,7 @@ class Graph:
             adjsets[v].add(u)
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in adjsets)
-
-    @property
-    def m(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        self.m = sum(map(len, adjsets)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

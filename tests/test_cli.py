@@ -456,6 +456,36 @@ def test_generate_unknown_name(capsys):
     )
 
 
+def test_generate_refuses_a_named_fixture_over_the_vertex_limit(capsys, cpu_bound):
+    # honeycomb-k has 4k + 2 vertices: 1,000,002 here, refused with the
+    # readers' wording before anything is built.
+    with cpu_bound(1.0, "generate --name honeycomb-250000"):
+        code = main(["generate", "--name", "honeycomb-250000", "--count"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "honeycomb-250000: vertex count exceeds the limit of 1000000\n"
+
+
+@pytest.mark.parametrize("name, bigger, n", [
+    ("honeycomb-250", "honeycomb-251", 1002), ("c1002", "c1003", 1002), ("p1002", "p1003", 1002),
+])
+def test_generate_named_fixtures_up_to_the_vertex_limit(monkeypatch, capsys, name, bigger, n):
+    # The limit is lowered to n, the fixture's own size, so the members
+    # on either side of it are cheap (honeycomb-249999, the largest real
+    # one, takes seconds and about 1 GB to build).
+    from sqcolor import generate
+
+    monkeypatch.setattr(generate, "MAX_VERTICES", n)
+    code, out = run(capsys, ["generate", "--name", name, "--g6"])
+    assert code == 0
+    assert from_graph6(out.strip()).n == n
+    assert main(["generate", "--name", bigger, "--count"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{bigger}: vertex count exceeds the limit of {n}\n"
+    assert "Traceback" not in captured.err
+
+
 def test_generate_random_deterministic(capsys):
     code, out1 = run(capsys, ["generate", "--random", "--max-n", "10", "--seed", "3", "--g6"])
     assert code == 0

@@ -16,7 +16,9 @@ from sqcolor.generate import (
     GeneratorSpec,
     SAMPLE_BUDGET,
     _automorphisms,
+    _degree_rank,
     _draw_chord,
+    _frontier_search,
     canonical_code,
     enumerate_class,
     named,
@@ -129,6 +131,53 @@ def test_canonical_code_with_isolated_vertices_matches_oracle():
         assert canonical_code(g) == canonical_code_by_frontier(g)
 
 
+def random_disconnected(rng, n):
+    """A random relabelled disjoint union of random connected subcubic
+    graphs with n vertices in all; isolated vertices are components."""
+    edges, offset = [], 0
+    while offset < n:
+        part = random_connected_subcubic(rng, rng.randint(1, n - offset))
+        edges += [(u + offset, v + offset) for u, v in part.edges()]
+        offset += part.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(Graph(n, edges), perm)
+
+
+def test_canonical_code_of_disconnected_graphs_matches_oracle():
+    # The oracle ties every order of twin components, so each case keeps
+    # at most three isolated vertices; edgeless graphs up to 6 vertices.
+    rng = random.Random(89)
+    checked = 0
+    while checked < 400:
+        g = random_disconnected(rng, rng.randint(2, 10))
+        if sum(1 for a in g.adj if not a) > 3:
+            continue
+        checked += 1
+        assert canonical_code(g) == canonical_code_by_frontier(g), g.edges()
+    for n in range(7):
+        assert canonical_code(Graph(n, [])) == canonical_code_by_frontier(Graph(n, []))
+
+
+def test_canonical_code_of_many_components_within_a_cpu_bound(cpu_bound):
+    # 40 disjoint edges and paths of 3, 4 and 5 vertices: one search tied
+    # every order of the edges, factorial in their number.
+    rng = random.Random(7)
+    edges = [(2 * i, 2 * i + 1) for i in range(40)]
+    edges += [(80, 81), (81, 82), (83, 84), (84, 85), (85, 86), (87, 88), (88, 89), (89, 90), (90, 91)]
+    g = Graph(92, edges)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    with cpu_bound(1.0, "canonical_code of 40 disjoint edges and three paths"):
+        code = canonical_code(g)
+        assert canonical_code(relabel(g, perm)) == code
+    # Blocks in decreasing order: P5, P4, P3, then 40 edges; the last 0
+    # is dropped.
+    blocks = [canonical_code(named(f"p{k}")[0])[1] + (0,) for k in (5, 4, 3)]
+    assert blocks == sorted(blocks, reverse=True)
+    assert code == (92, sum(blocks, ()) + (1, 0) * 39 + (1,))
+
+
 def random_triangle_free(rng, n, max_deg=4):
     """Random edges between vertices of degree < max_deg that share no
     neighbour, so no triangle; often disconnected."""
@@ -177,10 +226,15 @@ FIXTURES = ("c6", "c7", "p5", "q3", "prism6", "dodecahedron", "petersen", "honey
             "honeycomb-2", "honeycomb-3", "subdivided-prism", "two-heptagons")
 
 
+def ranked_automorphisms(g):
+    """The maps the enumeration reads off g's ranked search."""
+    return _automorphisms(_frontier_search(g, _degree_rank(g))[1])
+
+
 def test_automorphisms_match_networkx(corpus12):
     graphs = corpus12 + [named(name)[0] for name in FIXTURES]
     for g in graphs:
-        autos = _automorphisms(g)
+        autos = ranked_automorphisms(g)
         assert autos[0] == tuple(range(g.n))
         assert len(set(autos)) == len(autos)
         assert set(autos) == nx_automorphisms(g), g.edges()
@@ -192,7 +246,7 @@ def test_automorphisms_are_automorphisms_with_four_cycles(subcubic9):
     # returned must still be an automorphism, which is all the orbit
     # pruning needs.
     for g in subcubic9:
-        autos = _automorphisms(g)
+        autos = ranked_automorphisms(g)
         assert autos[0] == tuple(range(g.n))
         assert len(set(autos)) == len(autos)
         edges = set(g.edges())
@@ -203,33 +257,79 @@ def test_automorphisms_are_automorphisms_with_four_cycles(subcubic9):
             assert set(autos) <= nx_automorphisms(g), g.edges()
 
 
+def ranked_code(g):
+    return _frontier_search(g, _degree_rank(g))[0]
+
+
+def test_ranked_code_is_invariant_under_relabeling(corpus12, subcubic9):
+    rng = random.Random(31)
+    for g in corpus12 + subcubic9:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert ranked_code(relabel(g, perm)) == ranked_code(g), g.edges()
+
+
+@pytest.mark.parametrize("min_girth", [3, 4, 6])
+def test_ranked_code_separates_exactly_as_canonical_code(monkeypatch, min_girth):
+    # Over every child the enumeration tries, the ranked code and
+    # canonical_code cut the children into the same classes.
+    children = []
+    search = generate._frontier_search
+
+    def record(g, rank=None):
+        result = search(g, rank)
+        if rank is not None:
+            children.append((g, result[0]))
+        return result
+
+    monkeypatch.setattr(generate, "_frontier_search", record)
+    generate._enumerate_connected(10, min_girth)
+    monkeypatch.undo()
+    pairs = {(ranked, canonical_code(g)) for g, ranked in children}
+    assert len(children) > len(pairs)
+    assert len({ranked for ranked, _ in pairs}) == len({code for _, code in pairs}) == len(pairs)
+
+
+def count_searches(monkeypatch):
+    """Patch the enumeration to count its ranked searches and its
+    canonical_code calls; returns the two lists the calls append to."""
+    ranked, coded = [], []
+    search, code = generate._frontier_search, generate.canonical_code
+
+    def counting_search(g, rank=None):
+        if rank is not None:
+            ranked.append(None)
+        return search(g, rank)
+
+    def counting_code(g):
+        coded.append(None)
+        return code(g)
+
+    monkeypatch.setattr(generate, "_frontier_search", counting_search)
+    monkeypatch.setattr(generate, "canonical_code", counting_code)
+    return ranked, coded
+
+
 def test_enumeration_codes_one_child_per_orbit(monkeypatch):
-    calls = []
-    code = generate.canonical_code
-
-    def counting(h):
-        calls.append(None)
-        return code(h)
-
-    monkeypatch.setattr(generate, "canonical_code", counting)
+    # One ranked search per child tried; canonical_code runs only on the
+    # 375 graphs kept (all but the single vertex), to sort them.
+    ranked, coded = count_searches(monkeypatch)
     assert len(list(enumerate_class(GeneratorSpec(max_n=11)))) == 376
-    assert len(calls) == 1631
+    assert len(ranked) == 1631
+    assert len(coded) == 375
 
 
-@pytest.mark.parametrize("min_girth, want", [(4, 1430), (3, 3620)])
-def test_enumeration_codes_one_child_per_orbit_with_four_cycles(monkeypatch, min_girth, want):
+@pytest.mark.parametrize("min_girth, tried, kept", [
+    pytest.param(4, 1430, 338, id="4-1430"),
+    pytest.param(3, 3620, 812, id="3-3620"),
+])
+def test_enumeration_codes_one_child_per_orbit_with_four_cycles(monkeypatch, min_girth, tried, kept):
     # The search's maps miss the swaps of twins it skips, so at girth <= 4
-    # a few children in one orbit of the full group are each coded.
-    calls = []
-    code = generate.canonical_code
-
-    def counting(h):
-        calls.append(None)
-        return code(h)
-
-    monkeypatch.setattr(generate, "canonical_code", counting)
-    generate._enumerate_connected(9, min_girth)
-    assert len(calls) == want
+    # a few children in one orbit of the full group are each searched.
+    ranked, coded = count_searches(monkeypatch)
+    levels = generate._enumerate_connected(9, min_girth)
+    assert len(ranked) == tried
+    assert len(coded) == kept == sum(map(len, levels[2:]))
 
 
 # --- enumeration ---

@@ -44,6 +44,17 @@ def test_graph_construction_normalizes():
     assert not g.has_edge(0, 2)
 
 
+NAMED = ("c6", "c7", "p1", "p5", "q3", "prism6", "dodecahedron", "petersen", "honeycomb-1",
+         "honeycomb-50", "subdivided-prism", "two-heptagons")
+
+
+def test_edge_count_is_the_number_of_edges(corpus12):
+    graphs = corpus12 + [named(name)[0] for name in NAMED] + [Graph(0), Graph(4)]
+    for g in graphs:
+        assert g.m == len(g.edges()), g.edges()
+    assert repr(named("c6")[0]) == "Graph(n=6, m=6)"
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(2, [(0, 0)])

@@ -38,7 +38,6 @@ UNREFERENCED = {
     "find_sixcycle_two_vertex",
     "find_spacing_violation",
     "greedy_extend",
-    "induced_subgraph",
     "is_proper",
 }
 
