@@ -12,7 +12,7 @@ import pytest
 from oracles import euler_genus_check, parse_one_graph
 
 import sqcolor
-from sqcolor import cli
+from sqcolor import cli, generate
 from sqcolor.cli import main
 from sqcolor.coloring import is_proper
 from sqcolor.formats import MAX_VERTICES, from_graph6, to_graph6, write_graph_text
@@ -474,8 +474,6 @@ def test_generate_named_fixtures_up_to_the_vertex_limit(monkeypatch, capsys, nam
     # The limit is lowered to n, the fixture's own size, so the members
     # on either side of it are cheap (honeycomb-249999, the largest real
     # one, takes seconds and about 1 GB to build).
-    from sqcolor import generate
-
     monkeypatch.setattr(generate, "MAX_VERTICES", n)
     code, out = run(capsys, ["generate", "--name", name, "--g6"])
     assert code == 0
