@@ -24,13 +24,12 @@ from .coloring import (
     is_k_choosable,
 )
 from .discharging import (
-    _splice_cut_two_vertex,
     describe_config,
     discharge_audit,
     find_reducible_config,
+    least_cut_two_vertex,
     reduce_cut_two_vertex,
     render_audit,
-    two_vertex_blocks,
 )
 from .errors import (
     BudgetExceeded,
@@ -149,13 +148,10 @@ def _run_find_config(g: Graph, args) -> tuple[int, str]:
 def _run_reduce(g: Graph, args) -> tuple[int, str]:
     u = args.vertex
     if u is None:
-        block_of = two_vertex_blocks(g)
-        u = next((v for v in range(g.n) if g.degree(v) == 2 and v not in block_of), None)
+        u = least_cut_two_vertex(g)
         if u is None:
             return EXIT_VIOLATED, "error=no cut 2-vertex found\n"
-        H = _splice_cut_two_vertex(g, u, block_of)
-    else:
-        H = reduce_cut_two_vertex(g, u)
+    H = reduce_cut_two_vertex(g, u)
     x, y = sorted(g.neighbors(u))
     head = f"removed={u}\nedge={x},{y}\n"
     if args.structured:
@@ -194,6 +190,7 @@ def _run_file(task) -> tuple[int, str]:
     worst = EXIT_OK
     items = _load(path)
     for i, (g, _) in enumerate(items):
+        items[i] = None  # a graph, and the facts kept on it, go once it is done
         if len(items) > 1:
             out.append(f"graph={i}\n")
         code, text = runner(g, args)

@@ -17,13 +17,11 @@ a face to each incidence of a 2-vertex on its boundary walk.  The audit
 certifies the engine dichotomy: every in-class graph either keeps a
 negative final charge somewhere or contains a reducible configuration.
 
-The audit makes one structural pass: one component walk, one degree
-row, one girth check, one embedding with its faces and one block map,
-handed to the private bodies _reducible_config (with
-_sixcycle_two_vertex, which then skips its girth check) and _claim3.
-find_reducible_config, find_sixcycle_two_vertex and claim3_bound_check
-are thin wrappers that build those inputs themselves and call the same
-bodies.
+The audit calls the public detectors and claim3_bound_check.  The
+facts they share are kept on the graph (graph_core.derived): the
+component count, the degree and girth verdicts, the block map of
+2-vertices and the close pair (close_two_vertex_pair).  So one audit
+makes one pass for each, and a detector called alone makes its own.
 """
 
 from __future__ import annotations
@@ -36,13 +34,14 @@ from .errors import NotCutVertex, NotInClass, NotTwoVertex, PreconditionViolated
 from .graph_core import (
     Graph,
     _four_path,
-    adjacency_components,
     ball,
     biconnected_components,
-    components,
+    component_count,
+    derived,
     girth_at_least,
+    is_connected,
 )
-from .planar_embed import Face, _embed
+from .planar_embed import Face, _embed, check_degree_and_girth, check_subcubic
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class CutTwoVertex:
         return (
             g.degree(self.u) == 2
             and set(g.neighbors(self.u)) == {self.x, self.y}
-            and self.u not in two_vertex_blocks(g)
+            and self.u not in derived(g, two_vertex_blocks)
         )
 
 
@@ -94,7 +93,7 @@ class SixCycleTwoVertex:
         v6 = cyc[5]
         if g.degree(v6) != 2:
             raise PreconditionViolated(f"vertex {v6} has degree {g.degree(v6)}, not 2")
-        if not girth_at_least(g, 6):
+        if not derived(g, girth_at_least, 6):
             raise PreconditionViolated("host girth is below 6")
 
     def verify(self, g: Graph) -> bool:
@@ -139,31 +138,20 @@ def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleTwoVertex]:
     """Find a six-cycle through a 2-vertex; requires host girth >= 6.
 
     NotInClass on a vertex of degree above 3, as find_reducible_config:
-    each 2-vertex's path search would scan such a hub's row.
+    each 2-vertex's path search would scan such a hub's row.  The girth
+    is asked only once a six-cycle path is found, and read from g's memo
+    when the caller has decided it.
     """
-    return _sixcycle_two_vertex(g, _subcubic_degrees(g), False)
-
-
-def _subcubic_degrees(g: Graph) -> list:
-    """The degree row of g; NotInClass on a vertex of degree above 3."""
-    deg = [len(a) for a in g.adj]
-    if max(deg, default=0) > 3:
-        raise NotInClass("graph has a vertex of degree above 3")
-    return deg
-
-
-def _sixcycle_two_vertex(g: Graph, deg: list, girth6: bool) -> Optional[SixCycleTwoVertex]:
-    """find_sixcycle_two_vertex on subcubic g with degree row deg.  The
-    girth is checked only once a six-cycle path is found, and not at all
-    when girth6 says the caller has decided girth >= 6."""
-    for v6, d in enumerate(deg):
-        if d != 2:
+    check_subcubic(g)
+    adj = g.adj
+    for v6, a in enumerate(adj):
+        if len(a) != 2:
             continue
-        x, y = g.adj[v6]
+        x, y = a
         # A path x .. y of 4 edges avoiding v6 closes a six-cycle with x-v6-y.
-        path = _four_path(g.adj, x, y, v6)
+        path = _four_path(adj, x, y, v6)
         if path is not None:  # with no six-cycle the girth cannot change the answer
-            return SixCycleTwoVertex(cycle=(*path, v6), host=g) if girth6 or girth_at_least(g, 6) else None
+            return SixCycleTwoVertex(cycle=(*path, v6), host=g) if derived(g, girth_at_least, 6) else None
     return None
 
 
@@ -252,12 +240,19 @@ def two_vertex_blocks(g: Graph) -> dict:
     return block_of
 
 
-def close_two_vertex_pair(g: Graph, block_of: dict) -> Optional[tuple]:
+def least_cut_two_vertex(g: Graph) -> Optional[int]:
+    """The least 2-vertex of g that lies on no cycle, so a cut vertex, or
+    None."""
+    block_of = derived(g, two_vertex_blocks)
+    return next((v for v, a in enumerate(g.adj) if len(a) == 2 and v not in block_of), None)
+
+
+def close_two_vertex_pair(g: Graph) -> Optional[tuple]:
     """First (u, w, dist, block): 2-vertices u < w at distance <= 3 in a
-    common block of at least 3 vertices (so on a common cycle), or None;
-    block_of is two_vertex_blocks(g)."""
+    common block of at least 3 vertices (so on a common cycle), or None."""
     # A 2-vertex that is no cut vertex lies in exactly one block of >= 3
     # vertices, so two of them share a cycle exactly when they share it.
+    block_of = derived(g, two_vertex_blocks)
     for u in sorted(block_of):
         near = ball(g.adj, u, 3)
         w = min((w for w in near if w > u and block_of.get(w) is block_of[u]), default=None)
@@ -266,19 +261,14 @@ def close_two_vertex_pair(g: Graph, block_of: dict) -> Optional[tuple]:
     return None
 
 
-def _spacing_violation(g: Graph, block_of: dict) -> Optional[SpacingViolation]:
-    """find_spacing_violation, given block_of = two_vertex_blocks(g)."""
-    pair = close_two_vertex_pair(g, block_of)
+def find_spacing_violation(g: Graph) -> Optional[SpacingViolation]:
+    """Two 2-vertices at distance <= 3 sharing a cycle, if any, with the
+    cycle that _cycle_through reads off their block."""
+    pair = derived(g, close_two_vertex_pair)
     if pair is None:
         return None
     u, w, dist, block = pair
     return SpacingViolation(cycle=_cycle_through(g, block, u, w), u=u, w=w, dist=dist)
-
-
-def find_spacing_violation(g: Graph) -> Optional[SpacingViolation]:
-    """Two 2-vertices at distance <= 3 sharing a cycle, if any, with the
-    cycle that _cycle_through reads off their block."""
-    return _spacing_violation(g, two_vertex_blocks(g))
 
 
 def find_reducible_config(g: Graph):
@@ -306,23 +296,17 @@ def find_reducible_config(g: Graph):
     and only the <= 2 faces holding c can be negative: the total is
     >= -2, not -12.
     """
-    return _reducible_config(g, _subcubic_degrees(g), two_vertex_blocks(g), False)
-
-
-def _reducible_config(g: Graph, deg: list, block_of: dict, girth6: bool):
-    """find_reducible_config on subcubic g, given its degree row deg, its
-    block_of = two_vertex_blocks(g) and girth6 as _sixcycle_two_vertex
-    takes it."""
-    for v, d in enumerate(deg):
-        if d <= 1:
+    check_subcubic(g)
+    for v, a in enumerate(g.adj):
+        if len(a) <= 1:
             return OneVertex(v)
-    for u, d in enumerate(deg):
-        if d == 2 and u not in block_of:
-            return CutTwoVertex(u, *g.adj[u])
-    cfg = _sixcycle_two_vertex(g, deg, girth6)
+    u = least_cut_two_vertex(g)
+    if u is not None:
+        return CutTwoVertex(u, *g.adj[u])
+    cfg = find_sixcycle_two_vertex(g)
     if cfg is not None:
         return cfg
-    return _spacing_violation(g, block_of)
+    return find_spacing_violation(g)
 
 
 def reduce_cut_two_vertex(g: Graph, u: int) -> Graph:
@@ -335,13 +319,7 @@ def reduce_cut_two_vertex(g: Graph, u: int) -> Graph:
         raise ValueError(f"vertex {u} is out of range for n={g.n}")
     if g.degree(u) != 2:
         raise NotTwoVertex(f"vertex {u} has degree {g.degree(u)}")
-    return _splice_cut_two_vertex(g, u, two_vertex_blocks(g))
-
-
-def _splice_cut_two_vertex(g: Graph, u: int, block_of: dict) -> Graph:
-    """The body of reduce_cut_two_vertex for a 2-vertex u of g, with the
-    caller's block map block_of = two_vertex_blocks(g)."""
-    if u in block_of:
+    if u in derived(g, two_vertex_blocks):
         raise NotCutVertex(f"vertex {u} does not disconnect the graph")
     x, y = sorted(g.neighbors(u))
     new_id = {v: i for i, v in enumerate(v for v in range(g.n) if v != u)}
@@ -421,28 +399,21 @@ def claim3_bound_check(g: Graph, face_list: Sequence[Face]) -> Claim3Report:
     asserted only when those hypotheses hold; otherwise the report just
     records them.
     """
-    acyclic = g.m == g.n - len(components(g))
-    block_of = {} if acyclic else two_vertex_blocks(g)
-    return _claim3(g, [len(a) for a in g.adj], face_list, block_of, acyclic)
-
-
-def _claim3(g: Graph, deg: list, face_list: Sequence[Face], block_of: dict, acyclic: bool) -> Claim3Report:
-    """claim3_bound_check given g's degree row deg, its block_of =
-    two_vertex_blocks(g) and whether g is acyclic."""
+    adj = g.adj
     rows = tuple(
         Claim3Face(
             face=i,
             length=face.length,
-            two_vertices=len({v for v, _ in face.walk if deg[v] == 2}),
+            two_vertices=len({v for v, _ in face.walk if len(adj[v]) == 2}),
             bound=face.length // 4,
         )
         for i, face in enumerate(face_list)
     )
-    if acyclic:
+    if g.m == g.n - derived(g, component_count):
         return Claim3Report(checked=False, reason="acyclic", rows=rows)
-    if any(d == 2 and v not in block_of for v, d in enumerate(deg)):
+    if least_cut_two_vertex(g) is not None:
         return Claim3Report(checked=False, reason="cut 2-vertex present", rows=rows)
-    if close_two_vertex_pair(g, block_of) is not None:
+    if derived(g, close_two_vertex_pair) is not None:
         return Claim3Report(checked=False, reason="close 2-vertices on a cycle", rows=rows)
     return Claim3Report(checked=True, reason="", rows=rows)
 
@@ -470,37 +441,30 @@ class AuditReport:
 
 
 def discharge_audit(g: Graph) -> AuditReport:
-    """Full charge audit of one connected in-class graph, in one
-    structural pass.
+    """Full charge audit of one connected in-class graph.
 
-    Checks the class: nonempty and connected (one component walk, which
-    also makes g acyclic exactly when m = n - 1), subcubic (one degree
-    row, which then serves the detectors and claim3), girth >= 6 (one
-    girth check), then a plane embedding taken on the series-parallel
-    reduction that is_planar decides on, with the reduction's log undone
-    (is_planar would only answer yes or no).  Any embedding serves,
-    since Euler gives -12 for each; the faces are the ones the
-    embedding's Euler check traced, and R1 and claim3 read their walks.
-    Totals the charges before and after the rule (both must be -12),
-    lists every element left negative, and runs the configuration
-    detectors and claim3 on one block map.  At least one side of the
-    dichotomy must come back nonempty.
+    Checks the class: nonempty and connected (the component count),
+    subcubic and girth >= 6 (check_degree_and_girth), then a plane
+    embedding taken on the series-parallel reduction that is_planar
+    decides on, with the reduction's log undone (is_planar would only
+    answer yes or no).  Any embedding serves, since Euler gives -12 for
+    each; the faces are the ones the embedding's Euler check traced, and
+    R1 and claim3 read their walks.  Totals the charges before and after
+    the rule (both must be -12), lists every element left negative, and
+    runs find_reducible_config and claim3_bound_check, which read the
+    facts the class check left on g and share one block map and one
+    close-pair search.  At least one side of the dichotomy must come
+    back nonempty.
     """
     if g.n == 0:
         raise NotInClass("empty graph")
-    if len(adjacency_components(g.adj)) > 1:
+    if not is_connected(g):
         raise NotInClass("graph is disconnected")
-    deg = _subcubic_degrees(g)
-    if not girth_at_least(g, 6):
-        raise NotInClass("girth is below 6")
+    check_degree_and_girth(g)
     embedded = _embed(g)
     if embedded is None:
         raise NotInClass("graph is not planar")
     _, face_list = embedded
-    m = g.m
-    acyclic = m == g.n - 1
-    # A tree has no block of 3 or more vertices.
-    block_of = {} if acyclic else two_vertex_blocks(g)
     before = initial_charges(g, face_list)
     after = apply_r1(before, g, face_list)
     negative_vertices = tuple(
@@ -511,15 +475,15 @@ def discharge_audit(g: Graph) -> AuditReport:
     )
     return AuditReport(
         n=g.n,
-        m=m,
+        m=g.m,
         face_count=len(face_list),
         initial_total=before.total(),
         final_total=after.total(),
         ledger=after,
         negative_vertices=negative_vertices,
         negative_faces=negative_faces,
-        config=_reducible_config(g, deg, block_of, True),
-        claim3=_claim3(g, deg, face_list, block_of, acyclic),
+        config=find_reducible_config(g),
+        claim3=claim3_bound_check(g, face_list),
     )
 
 

@@ -504,16 +504,29 @@ def _check_size(name: str, n: int) -> None:
         raise ParseError(name, None, None, f"vertex count exceeds the limit of {MAX_VERTICES}")
 
 
+def _family_index(key: str, prefix: str) -> int:
+    """k for a family member's name prefix + k, with k in ASCII decimal
+    digits, else -1.  A k with more digits than MAX_VERTICES, leading
+    zeros aside, is not converted (int refuses over 4,300 digits) but read
+    as MAX_VERTICES + 1, which _check_size refuses as too many vertices."""
+    digits = key[len(prefix):]
+    if not (key.startswith(prefix) and digits.isascii() and digits.isdigit()):
+        return -1
+    if len(digits.lstrip("0")) > len(str(MAX_VERTICES)):
+        return MAX_VERTICES + 1
+    return int(digits)
+
+
 def named(name: str) -> tuple[Graph, Optional[RotationSystem]]:
     """Catalog fixture by name, with a rotation system when planar."""
     key = name.strip().lower()
     g: Optional[Graph] = None
-    if key.startswith("c") and key[1:].isdigit() and int(key[1:]) >= 3:
-        _check_size(name, int(key[1:]))
-        g = _cycle(int(key[1:]))
-    elif key.startswith("p") and key[1:].isdigit() and int(key[1:]) >= 1:
-        _check_size(name, int(key[1:]))
-        g = _path(int(key[1:]))
+    if (k := _family_index(key, "c")) >= 3:
+        _check_size(name, k)
+        g = _cycle(k)
+    elif (k := _family_index(key, "p")) >= 1:
+        _check_size(name, k)
+        g = _path(k)
     elif key in ("q3", "cube"):
         g = Graph(8, _CUBE_EDGES)
     elif key in ("prism6", "6-prism"):
@@ -522,9 +535,9 @@ def named(name: str) -> tuple[Graph, Optional[RotationSystem]]:
         g = Graph(20, _DODECAHEDRON_EDGES)
     elif key == "petersen":
         g = _petersen()
-    elif key.startswith("honeycomb-") and key[10:].isdigit() and int(key[10:]) >= 1:
-        _check_size(name, 4 * int(key[10:]) + 2)  # k hexagons have 4k + 2 vertices
-        g = _honeycomb(int(key[10:]))
+    elif (k := _family_index(key, "honeycomb-")) >= 1:
+        _check_size(name, 4 * k + 2)  # k hexagons have 4k + 2 vertices
+        g = _honeycomb(k)
     elif key == "subdivided-prism":
         g = _subdivided_prism()
     elif key in ("two-heptagons", "two-heptagons-sharing-a-2-vertex"):

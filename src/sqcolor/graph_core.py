@@ -21,6 +21,14 @@ from which the cut vertices and the audit's block map of 2-vertices are
 read off.  All but the last take any adjacency sequence, so the peel's,
 the sampler's and the planarity test's mutable adjacencies of sets use
 them too.
+
+A fact that several functions read about one graph (its component
+count, maximum degree, girth verdict, block map) is kept on the graph:
+derived(g, fact, *args) computes fact(g, *args) once, keyed by fact and
+args, in g's private memo.  That is sound because a Graph is never
+changed after __init__: its rows are tuples, and nothing writes n, adj
+or m again.  No value kept refers back to g, so a graph and its memo are
+freed together by reference counting.
 """
 
 from __future__ import annotations
@@ -33,9 +41,9 @@ INF = math.inf
 
 class Graph:
     """Undirected simple graph with sorted adjacency; m, the edge count,
-    is counted once at construction."""
+    is counted once at construction, and derived fills the memo _facts."""
 
-    __slots__ = ("n", "adj", "m")
+    __slots__ = ("n", "adj", "m", "_facts")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -53,6 +61,7 @@ class Graph:
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in adjsets)
         self.m = sum(map(len, adjsets)) // 2
+        self._facts = {}
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -84,6 +93,16 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def derived(g: Graph, fact, *args):
+    """fact(g, *args), computed on the first request and then read from
+    g's memo; fact must be pure, and its value must not refer to g."""
+    key = (fact, *args)
+    facts = g._facts
+    if key not in facts:
+        facts[key] = fact(g, *args)
+    return facts[key]
+
+
 def max_degree(g: Graph) -> int:
     """Return the maximum vertex degree, 0 for an edgeless graph."""
     return max((len(a) for a in g.adj), default=0)
@@ -91,7 +110,7 @@ def max_degree(g: Graph) -> int:
 
 def is_subcubic(g: Graph) -> bool:
     """Return True when every vertex has degree at most 3."""
-    return max_degree(g) <= 3
+    return derived(g, max_degree) <= 3
 
 
 def distance(g: Graph, u: int, v: int) -> float:
@@ -138,14 +157,14 @@ def adjacency_components(adj: Sequence[Iterable[int]]) -> list[list[int]]:
     return out
 
 
+def component_count(g: Graph) -> int:
+    """Return the number of connected components."""
+    return len(adjacency_components(g.adj))
+
+
 def is_connected(g: Graph) -> bool:
     """Return True when the graph has one component (true for n <= 1)."""
-    return len(adjacency_components(g.adj)) <= 1
-
-
-def components(g: Graph) -> list[list[int]]:
-    """Return the vertex sets of the connected components, sorted."""
-    return [sorted(comp) for comp in adjacency_components(g.adj)]
+    return derived(g, component_count) <= 1
 
 
 def square_neighbors(adj: Sequence[Iterable[int]], v: int) -> set[int]:

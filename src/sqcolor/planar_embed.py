@@ -35,6 +35,7 @@ from .errors import InconsistentRotation, NotInClass
 from .graph_core import (
     Graph,
     adjacency_components,
+    derived,
     girth_at_least,
     is_connected,
     is_subcubic,
@@ -582,11 +583,16 @@ def _few_branch_vertices(degrees) -> bool:
     return deg3 < 6 and deg4 < 5
 
 
-def check_degree_and_girth(g: Graph) -> None:
-    """Raise NotInClass unless g is subcubic with girth at least 6."""
+def check_subcubic(g: Graph) -> None:
+    """Raise NotInClass unless every vertex of g has degree at most 3."""
     if not is_subcubic(g):
         raise NotInClass("graph has a vertex of degree above 3")
-    if not girth_at_least(g, 6):
+
+
+def check_degree_and_girth(g: Graph) -> None:
+    """Raise NotInClass unless g is subcubic with girth at least 6."""
+    check_subcubic(g)
+    if not derived(g, girth_at_least, 6):
         raise NotInClass("girth is below 6")
 
 
@@ -596,7 +602,7 @@ def check_class(g: Graph) -> None:
     g may be disconnected.  Planarity is decided by is_planar, so most
     class members pass without any embedding being built; the charge
     audit, which needs the faces, makes the same degree and girth checks
-    on its own degree row and calls _embed.
+    through check_degree_and_girth and then calls _embed.
     """
     check_degree_and_girth(g)
     if not is_planar(g):

@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import gc
 import hashlib
 import os
 import resource
@@ -386,7 +387,7 @@ def test_discharge_audit_prints_claim3_violations(tmp_path, capsys, monkeypatch)
     def violated(*args):
         return Claim3Report(checked=True, reason="", rows=(Claim3Face(0, 7, 2, 1),))
 
-    monkeypatch.setattr("sqcolor.discharging._claim3", violated)
+    monkeypatch.setattr("sqcolor.discharging.claim3_bound_check", violated)
     code, out = run(capsys, ["discharge-audit", c6_file(tmp_path)])
     assert code == 1
     assert "claim3_violation face=0 length=7 two_vertices=2 bound=1" in out.splitlines()
@@ -467,6 +468,36 @@ def test_generate_refuses_a_named_fixture_over_the_vertex_limit(capsys, cpu_boun
     assert captured.err == "honeycomb-250000: vertex count exceeds the limit of 1000000\n"
 
 
+@pytest.mark.parametrize("family", ["c", "p", "honeycomb-"])
+def test_generate_refuses_a_name_with_thousands_of_digits(capsys, family):
+    # Python's int refuses a string of more than 4,300 digits; the name
+    # is refused for its size before any conversion.
+    name = family + "9" * 4400
+    code = main(["generate", "--name", name, "--count"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"{name}: vertex count exceeds the limit of 1000000\n"
+
+
+@pytest.mark.parametrize("name", ["c\u00b2", "p\u00b3", "honeycomb-\u00b9", "c\u0663", "c0\uff16"])
+def test_generate_takes_only_ascii_digits_in_a_name(capsys, name):
+    # str.isdigit accepts superscripts, which int refuses, and int
+    # accepts other scripts' digits; a name is read in ASCII digits only.
+    code = main(["generate", "--name", name])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unknown fixture '{name}'; try c<k>,")
+    assert "Traceback" not in captured.err
+
+
+def test_generate_reads_leading_zeros_in_a_name(capsys):
+    code, out = run(capsys, ["generate", "--name", "c" + "0" * 20 + "6", "--g6"])
+    assert code == 0
+    assert from_graph6(out.strip()) == named("c6")[0]
+
+
 @pytest.mark.parametrize("name, bigger, n", [
     ("honeycomb-250", "honeycomb-251", 1002), ("c1002", "c1003", 1002), ("p1002", "p1003", 1002),
 ])
@@ -508,6 +539,25 @@ def test_multiple_graphs_in_one_file(tmp_path, capsys):
     code, out = run(capsys, ["girth", path])
     assert code == 0
     assert out == "graph=0\ngirth=6\ngraph=1\ngirth=7\n"
+
+
+def test_a_file_of_graphs_lets_go_of_each_graph_once_it_is_done(tmp_path, capsys, monkeypatch):
+    # Each graph keeps the facts derived from it (graph_core.derived), so
+    # a file of many graphs must not hold the ones already done.
+    sizes = (1001, 1002, 1003)
+    path = write_fixture(tmp_path, "three.txt", "".join(write_graph_text(named(f"c{n}")[0]) for n in sizes))
+    find_config = cli._RUNNERS["find-config"]
+    alive = []
+
+    def runner(g, args):
+        alive.append(sorted(o.n for o in gc.get_objects() if isinstance(o, Graph) and o.n in sizes))
+        return find_config(g, args)
+
+    monkeypatch.setitem(cli._RUNNERS, "find-config", runner)
+    code, out = run(capsys, ["find-config", path])
+    assert code == 0
+    assert out.count("config=spacing_violation") == 3
+    assert alive == [[1001, 1002, 1003], [1002, 1003], [1003]]
 
 
 def test_jobs_parallel_preserves_order(tmp_path, capsys):

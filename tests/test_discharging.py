@@ -1,6 +1,7 @@
 """Tests for the charge ledger, transfer rule, face caps, and the audit."""
 
 import argparse
+import gc
 import random
 import sys
 from itertools import combinations
@@ -10,7 +11,7 @@ import pytest
 
 from oracles import euler_genus_check, to_nx
 
-from sqcolor import cli, graph_core
+from sqcolor import cli, discharging, graph_core
 from sqcolor.discharging import (
     CutTwoVertex,
     OneVertex,
@@ -202,13 +203,14 @@ def test_cut_two_vertex_and_claim3_reason_match_networkx(subcubic9):
     assert min(seen.values()) > 10, seen
 
 
-def count_structure_calls(monkeypatch):
-    """Count the calls of the block, girth and cut-vertex passes, wrapped
-    in every sqcolor module that holds them."""
+def count_structure_calls(monkeypatch, names=("biconnected_components", "girth_at_least", "cut_vertices")):
+    """Count the calls of the named passes (by default the block, girth
+    and cut-vertex passes), wrapped in every sqcolor module that holds
+    them.  A name is looked up on graph_core, else on discharging."""
     calls = {}
     modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "sqcolor" and m]
-    for name in ("biconnected_components", "girth_at_least", "cut_vertices"):
-        original = getattr(graph_core, name)
+    for name in names:
+        original = getattr(graph_core, name, None) or getattr(discharging, name)
         calls[name] = 0
 
         def counted(*args, name=name, original=original):
@@ -232,6 +234,18 @@ def test_audit_decides_the_blocks_and_the_girth_once(monkeypatch):
             calls[key] = 0
         discharge_audit(g)
         assert list(calls.values()) == want, name
+
+
+def test_audit_searches_for_a_close_pair_once(monkeypatch):
+    # The spacing detector and claim3 read one close-pair search, also
+    # when the configuration found is a spacing violation.
+    calls = count_structure_calls(monkeypatch, ("close_two_vertex_pair",))
+    for name in ("c100", "c600", "c900"):
+        g = named(name)[0]
+        calls["close_two_vertex_pair"] = 0
+        report = discharge_audit(g)
+        assert describe_config(report.config).startswith("spacing_violation"), name
+        assert calls["close_two_vertex_pair"] == 1, name
 
 
 def test_reduce_builds_the_block_map_once(monkeypatch):
@@ -360,17 +374,37 @@ def in_class(g):
     return True
 
 
-def test_one_pass_audit_matches_the_public_entry_points(corpus12, subcubic9):
-    # The audit hands its one structural pass to the detector and claim3
-    # bodies; the public entry points build their own inputs.
+def audit_hosts(corpus12, subcubic9):
     graphs = list(corpus12)
     graphs += [g for g in subcubic9 if g.n and is_connected(g) and in_class(g)]
     graphs += [named(name)[0] for name in IN_CLASS_NAMED]
     graphs += [random_instance(GeneratorSpec(max_n=150, seed=seed)) for seed in range(14)]
-    for g in graphs:
+    return graphs
+
+
+def test_one_pass_audit_matches_the_public_entry_points(corpus12, subcubic9):
+    # The audit reads the facts that its class check left on g; the
+    # public entry points, run on a fresh copy of g, compute their own.
+    for g in audit_hosts(corpus12, subcubic9):
         report = discharge_audit(g)
-        assert report.config == find_reducible_config(g), g.edges()
-        assert report.claim3 == claim3_bound_check(g, _embed(g)[1]), g.edges()
+        fresh = Graph(g.n, g.edges())
+        assert report.config == find_reducible_config(fresh), g.edges()
+        fresh = Graph(g.n, g.edges())
+        assert report.claim3 == claim3_bound_check(fresh, _embed(fresh)[1]), g.edges()
+
+
+def test_no_fact_kept_on_an_audited_graph_refers_to_it(corpus12, subcubic9):
+    # Then a graph and its memo are freed by reference counting alone.
+    for g in audit_hosts(corpus12, subcubic9):
+        discharge_audit(g)
+        assert g._facts
+        seen, todo = set(), list(g._facts.values())
+        while todo:
+            value = todo.pop()
+            assert value is not g, g.edges()
+            if id(value) not in seen:
+                seen.add(id(value))
+                todo += gc.get_referents(value)
 
 
 def test_audit_needs_no_spacing_witness(monkeypatch):

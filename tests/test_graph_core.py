@@ -14,7 +14,8 @@ from sqcolor.graph_core import (
     add_vertex,
     ball,
     biconnected_components,
-    components,
+    adjacency_components,
+    component_count,
     cut_vertices,
     distance,
     girth,
@@ -100,7 +101,7 @@ def test_distance_disconnected():
     assert distance(g, 0, 0) == 0 and distance(g, 0, 1) == 1
     assert math.isinf(distance(g, 0, 2)) and math.isinf(distance(g, 3, 1))
     assert not is_connected(g)
-    assert components(g) == [[0, 1], [2, 3]]
+    assert component_count(g) == 2
 
 
 def test_square_of_small_fixtures():
@@ -262,7 +263,8 @@ def test_blocks_and_components_match_networkx_on_disconnected_input(subcubic9):
         h = to_nx(g)
         assert cut_vertices(g) == set(nx.articulation_points(h))
         assert sorted(map(sorted, biconnected_components(g))) == sorted(map(sorted, nx.biconnected_components(h)))
-        assert components(g) == sorted(sorted(c) for c in nx.connected_components(h))
+        assert sorted(map(sorted, adjacency_components(g.adj))) == sorted(sorted(c) for c in nx.connected_components(h))
+        assert component_count(g) == nx.number_connected_components(h)
         assert is_connected(g) == (nx.number_connected_components(h) <= 1)
 
 

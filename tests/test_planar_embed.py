@@ -18,7 +18,6 @@ from sqcolor.generate import _disjoint_union, named, subdivide_edge
 from sqcolor.graph_core import (
     Graph,
     adjacency_components,
-    components,
     girth,
     induced_subgraph,
     is_subcubic,
@@ -247,7 +246,7 @@ def test_is_planar_matches_networkx_on_random_subcubic_graphs(planarity_calls, s
 def test_find_planar_embedding_matches_networkx_on_each_component():
     answers = {True: 0, False: 0}
     for g in seeded_graphs():
-        for comp in components(g):
+        for comp in adjacency_components(g.adj):
             h = induced_subgraph(g, comp)[0]
             want = nx.check_planarity(to_nx(h))[0]
             rs = find_planar_embedding(h)
