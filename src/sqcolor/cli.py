@@ -14,7 +14,6 @@ import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
 
 from .coloring import (
     CHOOSABLE,
@@ -72,7 +71,7 @@ def _load(path: str):
     return items
 
 
-def _budget(args) -> Optional[int]:
+def _budget(args) -> int:
     if getattr(args, "budget", None) is not None:
         if args.budget <= 0:
             raise ValueError("budget must be positive")

@@ -44,7 +44,7 @@ def is_proper(g: Graph, coloring: Sequence[Optional[int]]) -> bool:
     return True
 
 
-def _search(g: Graph, lists, budget: Optional[int]) -> tuple[Optional[list], int]:
+def _search(g: Graph, lists, budget: int) -> tuple[Optional[list], int]:
     """Exact list-coloring backtracking; returns (coloring or None, nodes)."""
     n = g.n
     avail = [set(L) for L in lists]
@@ -52,25 +52,15 @@ def _search(g: Graph, lists, budget: Optional[int]) -> tuple[Optional[list], int
     uncolored = set(range(n))
     nodes = 0
 
-    def pick() -> Optional[int]:
-        best = None
-        best_key = None
-        for v in uncolored:
-            key = (len(avail[v]), -len(g.adj[v]), v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = v
-        return best
-
     def dfs() -> bool:
         nonlocal nodes
         if not uncolored:
             return True
-        v = pick()
+        v = min(uncolored, key=lambda u: (len(avail[u]), -len(g.adj[u]), u))
         uncolored.discard(v)
         for c in sorted(avail[v]):
             nodes += 1
-            if budget is not None and nodes > budget:
+            if nodes > budget:
                 raise BudgetExceeded(nodes, budget, "list-coloring")
             color[v] = c
             removed = []
@@ -93,12 +83,14 @@ def _search(g: Graph, lists, budget: Optional[int]) -> tuple[Optional[list], int
     return (list(color) if found else None), nodes
 
 
-def find_L_coloring(g: Graph, lists: Sequence[Iterable[int]], max_nodes: Optional[int] = None) -> Optional[list]:
+def find_L_coloring(
+    g: Graph, lists: Sequence[Iterable[int]], max_nodes: int = DEFAULT_CHOOSABILITY_BUDGET
+) -> Optional[list]:
     """Return a proper coloring with each color drawn from its vertex list.
 
     Exact backtracking, most constrained vertex first; returns None only
-    when no such coloring exists.  max_nodes, when given, bounds the
-    search and raises BudgetExceeded on exhaustion.
+    when no such coloring exists.  max_nodes bounds the search, which
+    raises BudgetExceeded on exhaustion.
     """
     norm = normalize_lists(g, lists)
     found, _ = _search(g, norm, max_nodes)
@@ -144,7 +136,6 @@ class ChoosabilityResult:
     verdict: str
     witness: Optional[list]
     nodes_used: int
-    budget: Optional[int] = None
 
 
 def _canonical_assignments(n: int, k: int):
@@ -172,37 +163,36 @@ def _canonical_assignments(n: int, k: int):
     yield from rec(0, 0)
 
 
-def is_k_choosable(
-    g: Graph,
-    k: int,
-    max_nodes: Optional[int] = DEFAULT_CHOOSABILITY_BUDGET,
-    use_degeneracy_shortcut: bool = True,
-) -> ChoosabilityResult:
+def is_k_choosable(g: Graph, k: int, max_nodes: int = DEFAULT_CHOOSABILITY_BUDGET) -> ChoosabilityResult:
     """Decide whether every assignment of k-color lists admits a coloring.
 
     Degeneracy at most k-1 certifies the positive answer outright.
     Otherwise enumerate canonical assignments (first-use color labels)
     and run the exact solver on each; a failing assignment is returned
     as the witness.  The node budget covers both the enumeration and the
-    solver; running out yields an inconclusive verdict, never a guess.
+    solver; running out yields an inconclusive verdict, never a guess,
+    with nodes_used max_nodes + 1: the node that ran out.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if use_degeneracy_shortcut:
-        d, _ = degeneracy(g)
-        if d <= k - 1:
-            return ChoosabilityResult(CHOOSABLE, None, 0, max_nodes)
+    d, _ = degeneracy(g)
+    if d <= k - 1:
+        return ChoosabilityResult(CHOOSABLE, None, 0)
+    return _choosable_by_search(g, k, max_nodes)
+
+
+def _choosable_by_search(g: Graph, k: int, max_nodes: int) -> ChoosabilityResult:
+    """is_k_choosable without the degeneracy shortcut."""
     nodes = 0
     try:
         for assignment in _canonical_assignments(g.n, k):
             nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
+            if nodes > max_nodes:
                 raise BudgetExceeded(nodes, max_nodes, "choosability")
-            remaining = None if max_nodes is None else max_nodes - nodes
-            found, used = _search(g, assignment, remaining)
+            found, used = _search(g, assignment, max_nodes - nodes)
             nodes += used
             if found is None:
-                return ChoosabilityResult(NOT_CHOOSABLE, assignment, nodes, max_nodes)
+                return ChoosabilityResult(NOT_CHOOSABLE, assignment, nodes)
     except BudgetExceeded:
-        return ChoosabilityResult(INCONCLUSIVE, None, nodes, max_nodes)
-    return ChoosabilityResult(CHOOSABLE, None, nodes, max_nodes)
+        return ChoosabilityResult(INCONCLUSIVE, None, max_nodes + 1)
+    return ChoosabilityResult(CHOOSABLE, None, nodes)

@@ -367,7 +367,6 @@ def write_coloring(coloring) -> str:
     return "\n".join(lines) + "\n"
 
 
-def uniform_lists(n: int, k: int, start: int = 1) -> list[frozenset[int]]:
-    """Return n identical lists {start..start+k-1}."""
-    base = frozenset(range(start, start + k))
-    return [base] * n
+def uniform_lists(n: int, k: int) -> list[frozenset[int]]:
+    """Return n identical lists {1..k}."""
+    return [frozenset(range(1, k + 1))] * n

@@ -50,6 +50,7 @@ from .planar_embed import RotationSystem, _planar, find_planar_embedding, is_pla
 # beyond them they raise BudgetExceeded.  CPU on a 2-vCPU Xeon: the
 # enumeration takes 1.2 s at max_n = 13 and 4.8 s at 14; girth-6 samples
 # of 4,000 vertices take 6-9 s (seeds 0-2), and 5,000 already 10 s.
+# Above girth 6 the sampler's budget shrinks (_sample_budget).
 ENUMERATION_BUDGET = 14
 SAMPLE_BUDGET = 4000
 
@@ -58,7 +59,6 @@ SAMPLE_BUDGET = 4000
 class GeneratorSpec:
     max_n: int
     min_girth: float = 6
-    connectivity: bool = True
     seed: int = 0
 
     def validate(self) -> None:
@@ -262,44 +262,14 @@ def _enumerate_connected(max_n: int, min_girth: float) -> list[list[Graph]]:
 
 
 def enumerate_class(spec: GeneratorSpec) -> Iterator[Graph]:
-    """All subcubic planar graphs with girth >= min_girth, up to max_n
-    vertices, exactly once up to isomorphism, connected first by size.
-
-    With connectivity waived, disjoint unions of class members are
-    appended after the connected stream, again without repeats.
-    """
+    """All connected subcubic planar graphs with girth >= min_girth, up
+    to max_n vertices, exactly once up to isomorphism, by size."""
     spec.validate()
     if spec.max_n > ENUMERATION_BUDGET:
         raise BudgetExceeded(spec.max_n, ENUMERATION_BUDGET, "class enumeration")
     levels = _enumerate_connected(spec.max_n, spec.min_girth)
     for n in range(1, spec.max_n + 1):
         yield from levels[n]
-    if spec.connectivity:
-        return
-    # A disconnected graph is a multiset of connected components, so
-    # nondecreasing component choices enumerate each exactly once.
-    pool = [(n, i, g) for n in range(1, spec.max_n + 1) for i, g in enumerate(levels[n])]
-
-    def unions(start: int, remaining: int, parts: list) -> Iterator[Graph]:
-        for idx in range(start, len(pool)):
-            n, _, g = pool[idx]
-            if n > remaining:
-                continue
-            chosen = parts + [g]
-            if len(chosen) >= 2:
-                yield _disjoint_union(chosen)
-            yield from unions(idx, remaining - n, chosen)
-
-    yield from unions(0, spec.max_n, [])
-
-
-def _disjoint_union(parts: list) -> Graph:
-    edges = []
-    offset = 0
-    for g in parts:
-        edges.extend((u + offset, v + offset) for u, v in g.edges())
-        offset += g.n
-    return Graph(offset, edges)
 
 
 def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
@@ -321,12 +291,14 @@ def random_instance(spec: GeneratorSpec) -> Graph:
     vertices at distance >= girth - 1 (_draw_chord), and is rolled back
     if it breaks planarity.
     The result is checked once more; GenerationFailed if it left the class.
-    BudgetExceeded when max_n exceeds SAMPLE_BUDGET: each chord step
-    reads the whole adjacency, so the cost grows with max_n squared.
+    BudgetExceeded when max_n exceeds _sample_budget(min_girth): each
+    chord step reads the whole adjacency, so the cost grows with max_n
+    squared.
     """
     spec.validate()
-    if spec.max_n > SAMPLE_BUDGET:
-        raise BudgetExceeded(spec.max_n, SAMPLE_BUDGET, "random instance")
+    budget = _sample_budget(spec.min_girth)
+    if spec.max_n > budget:
+        raise BudgetExceeded(spec.max_n, budget, "random instance")
     rng = random.Random(spec.seed)
     ring = 0 if spec.min_girth == INF else int(spec.min_girth)
     adj: list[set[int]] = [set()]
@@ -346,6 +318,25 @@ def random_instance(spec: GeneratorSpec) -> Graph:
     ):
         raise GenerationFailed(f"random instance for {spec} left the class")
     return g
+
+
+def _sample_budget(min_girth: float) -> int:
+    """The largest max_n that random_instance accepts at min_girth:
+    SAMPLE_BUDGET up to girth 6 and at infinite girth, else
+    SAMPLE_BUDGET * 6 // min_girth, or min_girth if that is larger:
+    up to min_girth vertices the sample is a tree or one cycle, with no
+    chord drawn (a tree of 4,000 vertices takes half the CPU of girth 6).
+
+    A chord step reads a ball of radius min_girth - 2 around each open
+    vertex, so a larger girth reads larger balls: at 4,000 vertices
+    (seed 0) girth 10 takes 1.2 times the CPU of girth 6, and girth 30
+    2.7 times.  With max_n scaled as 1 / min_girth, seeds 0-2 at girths
+    7 to 200 took at most 0.87 times the cheapest of girth 6 at 4,000.
+    """
+    if min_girth == INF or min_girth <= 6:
+        return SAMPLE_BUDGET
+    girth = int(min_girth)
+    return min(SAMPLE_BUDGET, max(SAMPLE_BUDGET * 6 // girth, girth))
 
 
 def _cycle(k: int) -> Graph:

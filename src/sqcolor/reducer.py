@@ -192,6 +192,10 @@ def extend_sixcycle(cfg: SixCycleTwoVertex, L: Sequence[Iterable[int]], phi: Seq
     coloring v6 greedily suffices.  Otherwise recolor by an escape or a
     row of RECOLORING_ROWS (_recoloring) first.  Never fails on valid
     input.
+
+    The library entry point of Lemma 2: the peel calls _extend_sixcycle
+    directly, and this checked form stays as API for callers that bring
+    their own coloring, such as the acceptance sweep of the lemma.
     """
     cfg.validate()
     g = cfg.host

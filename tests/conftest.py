@@ -5,6 +5,7 @@ import signal
 
 import pytest
 
+from oracles import with_disjoint_unions
 from sqcolor.generate import GeneratorSpec, enumerate_class
 
 
@@ -24,7 +25,7 @@ def corpus8():
 def subcubic9():
     """Every subcubic planar graph of girth >= 3 with at most 9 vertices,
     connected or not."""
-    return list(enumerate_class(GeneratorSpec(max_n=9, min_girth=3, connectivity=False)))
+    return list(with_disjoint_unions(GeneratorSpec(max_n=9, min_girth=3)))
 
 
 @contextlib.contextmanager

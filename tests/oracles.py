@@ -7,6 +7,7 @@ import networkx as nx
 
 from sqcolor.errors import ParseError
 from sqcolor.formats import MAX_VERTICES, parse_graphs
+from sqcolor.generate import enumerate_class
 from sqcolor.graph_core import Graph
 from sqcolor.planar_embed import RotationSystem, faces
 
@@ -121,6 +122,39 @@ def graphs_in_class(max_n, min_girth=6):
             continue
         out.append(g)
     return out
+
+
+def with_disjoint_unions(spec):
+    """enumerate_class(spec), then every disjoint union of two or more of
+    its graphs with at most spec.max_n vertices in all, each once.
+
+    A disconnected graph is a multiset of connected components, so
+    nondecreasing component choices enumerate each exactly once.
+    """
+    pool = list(enumerate_class(spec))
+    yield from pool
+
+    def unions(start, remaining, parts):
+        for idx in range(start, len(pool)):
+            g = pool[idx]
+            if g.n > remaining:
+                continue
+            chosen = parts + [g]
+            if len(chosen) >= 2:
+                yield disjoint_union(chosen)
+            yield from unions(idx, remaining - g.n, chosen)
+
+    yield from unions(0, spec.max_n, [])
+
+
+def disjoint_union(parts):
+    """The graphs of parts side by side, each shifted past the ones before."""
+    edges = []
+    offset = 0
+    for g in parts:
+        edges.extend((u + offset, v + offset) for u, v in g.edges())
+        offset += g.n
+    return Graph(offset, edges)
 
 
 def isomorphic(g, h):

@@ -17,7 +17,9 @@ from oracles import (
 from sqcolor.cli import main
 from sqcolor.coloring import (
     CHOOSABLE,
+    DEFAULT_CHOOSABILITY_BUDGET,
     NOT_CHOOSABLE,
+    _choosable_by_search,
     degeneracy,
     find_L_coloring,
     is_k_choosable,
@@ -240,13 +242,13 @@ def test_criterion_6_cross_oracles(corpus12, capsys):
     for g in all_connected_small(4):
         for k in (1, 2):
             want, _ = naive_choosable(g, k)
-            got = is_k_choosable(g, k, use_degeneracy_shortcut=False)
+            got = _choosable_by_search(g, k, DEFAULT_CHOOSABILITY_BUDGET)
             if got.verdict != (CHOOSABLE if want else NOT_CHOOSABLE):
                 choose_ok = False
     for g in all_connected_small(5):
         if g.n == 5:
             want, _ = naive_choosable(g, 1)
-            got = is_k_choosable(g, 1, use_degeneracy_shortcut=False)
+            got = _choosable_by_search(g, 1, DEFAULT_CHOOSABILITY_BUDGET)
             if got.verdict != (CHOOSABLE if want else NOT_CHOOSABLE):
                 choose_ok = False
     want_c5, _ = naive_choosable(cycle(5), 2)

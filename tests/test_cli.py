@@ -217,7 +217,7 @@ def test_choosable_odd_cycle_witness(tmp_path, capsys):
 def test_choosable_budget_exhaustion(tmp_path, capsys):
     code, out = run(capsys, ["choosable", "-k", "2", "--budget", "1", c6_file(tmp_path)])
     assert code == 3
-    assert out.splitlines()[0] == "verdict=inconclusive"
+    assert out == "verdict=inconclusive\nnodes=2\n"
 
 
 def test_choosable_env_budget(tmp_path, capsys, monkeypatch):
@@ -531,6 +531,18 @@ def test_generate_random_beyond_the_budget_exits_3(capsys, cpu_bound):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("budget exhausted: random instance")
+
+
+def test_generate_random_beyond_the_girth_30_budget_exits_3(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sampled past the budget")
+
+    monkeypatch.setattr("sqcolor.generate._random_step", refuse)
+    code = main(["generate", "--random", "--max-n", "4000", "--min-girth", "30"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "budget exhausted: random instance exceeded node budget (4000 > 800)\n"
 
 
 def test_multiple_graphs_in_one_file(tmp_path, capsys):

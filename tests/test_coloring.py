@@ -9,8 +9,10 @@ from oracles import brute_colorable, degeneracy_by_scan, graphs_in_class, naive_
 
 from sqcolor.coloring import (
     CHOOSABLE,
+    DEFAULT_CHOOSABILITY_BUDGET,
     INCONCLUSIVE,
     NOT_CHOOSABLE,
+    _choosable_by_search,
     degeneracy,
     find_L_coloring,
     greedy_extend,
@@ -130,7 +132,7 @@ def test_choosability_of_even_cycles():
     got = is_k_choosable(cycle(6), 2)
     assert got.verdict == CHOOSABLE
     assert got.witness is None
-    got4 = is_k_choosable(cycle(4), 2, use_degeneracy_shortcut=False)
+    got4 = _choosable_by_search(cycle(4), 2, DEFAULT_CHOOSABILITY_BUDGET)
     assert got4.verdict == CHOOSABLE
 
 
@@ -152,16 +154,26 @@ def test_k4_not_3_choosable_with_witness():
 
 
 def test_choosability_budget_inconclusive():
-    got = is_k_choosable(cycle(6), 2, max_nodes=1, use_degeneracy_shortcut=False)
+    got = _choosable_by_search(cycle(6), 2, 1)
     assert got.verdict == INCONCLUSIVE
-    assert got.nodes_used >= 1
+    assert got.nodes_used == 2
+
+
+def test_inconclusive_reports_the_node_that_ran_out():
+    # The budget runs out in the enumeration (5) or inside a search (the
+    # others); either way the count is that of the node that ran out, as
+    # BudgetExceeded counts it, where the searches' own nodes were dropped.
+    sq = square(named("c9")[0])
+    for budget in (5, 50, 500, 50_000):
+        got = is_k_choosable(sq, 3, budget)
+        assert (got.verdict, got.nodes_used) == (INCONCLUSIVE, budget + 1)
 
 
 def test_degeneracy_shortcut_agrees_with_search():
     # Pairs where the shortcut fires; the exhaustive route must agree.
     for g, k in [(named("p5")[0], 2), (cycle(4), 3)]:
         fast = is_k_choosable(g, k)
-        slow = is_k_choosable(g, k, use_degeneracy_shortcut=False)
+        slow = _choosable_by_search(g, k, DEFAULT_CHOOSABILITY_BUDGET)
         assert fast.verdict == slow.verdict == CHOOSABLE
         assert fast.nodes_used == 0
         assert slow.nodes_used > 0
@@ -183,7 +195,7 @@ def test_choosability_matches_naive_oracle_up_to_n4():
     for g in all_connected_small(4):
         for k in (1, 2):
             want, want_witness = naive_choosable(g, k)
-            got = is_k_choosable(g, k, use_degeneracy_shortcut=False)
+            got = _choosable_by_search(g, k, DEFAULT_CHOOSABILITY_BUDGET)
             assert got.verdict == (CHOOSABLE if want else NOT_CHOOSABLE)
             if not want:
                 assert got.witness is not None

@@ -170,7 +170,6 @@ def test_parse_lists_requires_every_vertex():
 def test_uniform_lists():
     lists = uniform_lists(3, 7)
     assert lists == [frozenset(range(1, 8))] * 3
-    assert uniform_lists(2, 2, start=0) == [frozenset({0, 1})] * 2
 
 
 def test_write_coloring_marks_missing():

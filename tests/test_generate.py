@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from oracles import canonical_code_by_frontier, from_nx, graphs_in_class, isomorphic, relabel, to_nx
+from oracles import (
+    canonical_code_by_frontier,
+    from_nx,
+    graphs_in_class,
+    isomorphic,
+    relabel,
+    to_nx,
+    with_disjoint_unions,
+)
 
 from sqcolor import generate
 from sqcolor.errors import BudgetExceeded, GenerationFailed, UnknownName
@@ -405,7 +413,7 @@ def test_enumerate_budget():
 
 
 def test_enumerate_disconnected_unions():
-    got = list(enumerate_class(GeneratorSpec(max_n=3, min_girth=6, connectivity=False)))
+    got = list(with_disjoint_unions(GeneratorSpec(max_n=3, min_girth=6)))
     # connected: p1, p2, p3; unions: p1+p1, p1+p2, p1+p1+p1
     assert len(got) == 6
     sizes = sorted(g.n for g in got)
@@ -557,8 +565,7 @@ class _Pick:
         return seq[self.i]
 
 
-def test_chord_pairs_match_brute_force(monkeypatch):
-    graphs = list(enumerate_class(GeneratorSpec(max_n=9, min_girth=3, connectivity=False)))
+def test_chord_pairs_match_brute_force(subcubic9, monkeypatch):
     grown = {}
     step = generate._random_step
 
@@ -570,7 +577,7 @@ def test_chord_pairs_match_brute_force(monkeypatch):
     for seed, min_girth in ((0, 6), (1, 6), (13, 6), (2, 4), (3, 5), (4, 8)):
         random_instance(GeneratorSpec(max_n=60, min_girth=min_girth, seed=seed))
     assert len(grown) > 100
-    for adj in [g.adj for g in graphs] + list(grown):
+    for adj in [g.adj for g in subcubic9] + list(grown):
         g = Graph(len(adj), [(u, v) for u in range(len(adj)) for v in adj[u] if u < v])
         dist = [ball(g.adj, u, g.n) for u in range(g.n)]
         for ring in range(3, 9):
@@ -600,6 +607,18 @@ def test_random_instance_with_a_huge_girth_within_a_cpu_bound(cpu_bound):
     with cpu_bound(3, "random_instance(max_n=1000, min_girth=10**8)"):
         g = random_instance(GeneratorSpec(max_n=1000, min_girth=10**8, seed=0))
     assert (g.n, g.m) == (1000, 999)
+
+
+def test_random_instance_at_girth_30_within_a_cpu_bound(cpu_bound):
+    # The budget shrinks with the girth: girth 30 at 4,000 vertices took
+    # 2.7 times the CPU of girth 6 there; at its budget it takes 0.3 s.
+    max_n = generate._sample_budget(30)
+    assert max_n == 800
+    with cpu_bound(3, f"random_instance(max_n={max_n}, min_girth=30)"):
+        g = random_instance(GeneratorSpec(max_n=max_n, min_girth=30, seed=0))
+    assert g.n == max_n
+    with pytest.raises(BudgetExceeded):
+        random_instance(GeneratorSpec(max_n=max_n + 1, min_girth=30, seed=0))
 
 
 def test_random_instance_budget(monkeypatch):
@@ -684,21 +703,26 @@ def test_random_instance_builds_a_graph_only_to_test_planarity(monkeypatch):
     assert len(built) == 1
 
 
-# sha256 of the graph6 lines ("<g6>\n" each) of enumerations; the first
-# two were frozen before planarity in the generator moved to the cubic
-# kernel.
+# sha256 of the graph6 lines ("<g6>\n" each) of enumerations, keyed by
+# (max_n, min_girth, with the disjoint unions of the oracle appended);
+# the first two were frozen before planarity in the generator moved to
+# the cubic kernel, and the two with unions while enumerate_class still
+# appended them itself.
 ENUMERATION_SHA256 = {
-    (11, 6, True): (376, "326b3bcd486fc49b0c1b7fdbcab4669c42f18205890a5bcb30d9193c9240fb5a"),
-    (9, 4, False): (754, "24506da682876125e649be65cb39fd669e152f55e2c23e37b358f162b736f2e2"),
+    (11, 6, False): (376, "326b3bcd486fc49b0c1b7fdbcab4669c42f18205890a5bcb30d9193c9240fb5a"),
+    (9, 4, True): (754, "24506da682876125e649be65cb39fd669e152f55e2c23e37b358f162b736f2e2"),
     # Frozen before the enumeration tried one attach set per orbit: at
     # girth 3 the start filter is off and the orbits are largest.
-    (9, 3, True): (813, "39bedbc1969d9334f3cf962751924f2c13342f6c5b1639a1bd648662964bdd0e"),
+    (9, 3, False): (813, "39bedbc1969d9334f3cf962751924f2c13342f6c5b1639a1bd648662964bdd0e"),
+    # The subcubic9 fixture.
+    (9, 3, True): (1801, "c407af0a588700b5fc26f9948dfc3977c5687a2896726d2152c63eee3fa88e8f"),
 }
 
 
 def test_enumeration_outputs_are_frozen():
-    for (max_n, min_girth, connectivity), (count, want) in ENUMERATION_SHA256.items():
-        spec = GeneratorSpec(max_n=max_n, min_girth=min_girth, connectivity=connectivity)
-        lines = [to_graph6(g) + "\n" for g in enumerate_class(spec)]
+    for (max_n, min_girth, unions), (count, want) in ENUMERATION_SHA256.items():
+        spec = GeneratorSpec(max_n=max_n, min_girth=min_girth)
+        graphs = with_disjoint_unions(spec) if unions else enumerate_class(spec)
+        lines = [to_graph6(g) + "\n" for g in graphs]
         assert len(lines) == count
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == want, spec

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from oracles import girth_per_edge, square_edges_bfs, to_nx
+from oracles import girth_per_edge, square_edges_bfs, to_nx, with_disjoint_unions
 import networkx as nx
 
-from sqcolor.generate import GeneratorSpec, _honeycomb, _prism, enumerate_class, named
+from sqcolor.generate import GeneratorSpec, _honeycomb, _prism, named
 from sqcolor.graph_core import (
     Graph,
     add_vertex,
@@ -182,8 +182,7 @@ def test_girth_at_least_agrees_with_girth(corpus12):
     # inputs here above degree 3.
     graphs = list(corpus12) + [named(name)[0] for name in NAMED_SMALL]
     for min_girth in (3, 4, 5, 6):
-        spec = GeneratorSpec(max_n=9, min_girth=min_girth, connectivity=False)
-        graphs += enumerate_class(spec)
+        graphs += with_disjoint_unions(GeneratorSpec(max_n=9, min_girth=min_girth))
     rng = random.Random(23)
     for _ in range(1000):
         n = rng.randint(0, 14)

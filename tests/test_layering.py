@@ -32,11 +32,14 @@ TRACED_ON_REDUCER = {
 UNREFERENCED = {
     "cut_vertices",
     "distance",
-    "extend_sixcycle",
     "find_L_coloring",
     "greedy_extend",
     "is_proper",
 }
+
+# Unreferenced too, but kept as API: the library entry point of Lemma 2,
+# through which the acceptance sweep runs the six-cycle engine.
+LEMMA2_ENTRY_POINT = "extend_sixcycle"
 
 
 def sqcolor_imports(path):
@@ -114,4 +117,4 @@ def test_the_unreferenced_names_are_the_traced_ones():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    assert defined - used == UNREFERENCED
+    assert defined - used == UNREFERENCED | {LEMMA2_ENTRY_POINT}

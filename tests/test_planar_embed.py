@@ -9,12 +9,19 @@ import types
 import networkx as nx
 import pytest
 
-from oracles import embed_kernel_nx, euler_genus_check, faces_by_sorted_darts, from_nx, to_nx
+from oracles import (
+    disjoint_union,
+    embed_kernel_nx,
+    euler_genus_check,
+    faces_by_sorted_darts,
+    from_nx,
+    to_nx,
+)
 
 from sqcolor import generate, planar_embed
 from sqcolor.discharging import discharge_audit
 from sqcolor.errors import InconsistentRotation, NotInClass
-from sqcolor.generate import _disjoint_union, named, subdivide_edge
+from sqcolor.generate import named, subdivide_edge
 from sqcolor.graph_core import (
     Graph,
     adjacency_components,
@@ -103,7 +110,7 @@ def test_empty_graph_has_no_embedding_but_is_planar():
     assert is_planar(g) is True
     k5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
     with pytest.raises(ValueError, match="connected"):
-        find_planar_embedding(_disjoint_union([k5, named("c6")[0]]))
+        find_planar_embedding(disjoint_union([k5, named("c6")[0]]))
 
 
 def test_face_lengths_sum_to_twice_edges(corpus12):
@@ -222,7 +229,7 @@ def seeded_graphs():
             k = rng.randint(1, 16)
             m = rng.randint(0, 3 * k // 2) if rng.random() < 0.5 else 3 * k // 2
             parts.append(decorate(rng, random_subcubic(rng, k, m)))
-        graphs.append(_disjoint_union(parts))
+        graphs.append(disjoint_union(parts))
     return tuple(graphs)
 
 
@@ -436,14 +443,14 @@ def test_is_planar_on_planar_graphs_with_six_three_vertices(planarity_calls):
 
 
 def test_is_planar_on_a_disjoint_union_with_heawood():
-    g = _disjoint_union([named("c6")[0], heawood()])
+    g = disjoint_union([named("c6")[0], heawood()])
     assert girth(g) == 6
     assert is_planar(g) is False
     with pytest.raises(NotInClass, match="^graph is not planar$"):
         check_class(g)
     with pytest.raises(NotInClass, match="^graph is not planar$"):
         color_square_7lists(g, [list(range(1, 8))] * g.n)
-    assert is_planar(_disjoint_union([named("c6")[0], named("subdivided-prism")[0], Graph(1, [])]))
+    assert is_planar(disjoint_union([named("c6")[0], named("subdivided-prism")[0], Graph(1, [])]))
 
 
 def chained(g, k):
@@ -492,7 +499,7 @@ def test_is_planar_on_graphs_of_higher_degree():
     k5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
     wheel = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
     assert is_planar(k5) is False
-    assert is_planar(_disjoint_union([k5, named("c6")[0]])) is False
+    assert is_planar(disjoint_union([k5, named("c6")[0]])) is False
     assert is_planar(wheel) is True
     assert is_planar(Graph(0, [])) is True
 
@@ -586,7 +593,7 @@ def test_embedding_a_large_kernel_needs_no_recursion(planarity_calls):
     # One bridge from a subdivision vertex of each: the reduction stays one component.
     h = subdivide_edge(g, 0, 1)
     k33 = subdivided_k33()
-    joined = _disjoint_union([h, k33])
+    joined = disjoint_union([h, k33])
     joined = Graph(joined.n, joined.edges() + [(g.n, h.n + 6)])
     assert is_subcubic(joined) and h.degree(g.n) == 2 and k33.degree(6) == 2
     del planarity_calls[:]
