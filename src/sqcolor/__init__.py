@@ -13,7 +13,6 @@ from .coloring import (
 )
 from .discharging import (
     AuditReport,
-    ChargeLedger,
     CutTwoVertex,
     OneVertex,
     SixCycleTwoVertex,
@@ -22,7 +21,6 @@ from .discharging import (
     claim3_bound_check,
     discharge_audit,
     find_reducible_config,
-    initial_charges,
     reduce_cut_two_vertex,
     render_audit,
 )

@@ -13,9 +13,11 @@ find-config, reduce and the audit use them; coloring needs none of them.
 
 Vertices start at 2d(v) - 6 and faces at d(f) - 6, which sums to -12 on
 any connected plane graph.  The single redistribution rule sends 1 from
-a face to each incidence of a 2-vertex on its boundary walk.  The audit
-certifies the engine dichotomy: every in-class graph either keeps a
-negative final charge somewhere or contains a reducible configuration.
+a face to each incidence of a 2-vertex on its boundary walk; apply_r1
+gives the final charges as two plain lists, one indexed by vertex and
+one by face.  The audit certifies the engine dichotomy: every in-class
+graph either keeps a negative final charge somewhere or contains a
+reducible configuration.
 
 The audit calls the public detectors and claim3_bound_check.  The
 facts they share are kept on the graph (graph_core.derived): the
@@ -328,40 +330,27 @@ def reduce_cut_two_vertex(g: Graph, u: int) -> Graph:
     return Graph(g.n - 1, edges)
 
 
-@dataclass
-class ChargeLedger:
-    vertex_charge: dict
-    face_charge: dict
+def apply_r1(g: Graph, face_list: Sequence[Face]) -> tuple[list, list]:
+    """The final charges of g's vertices and of the faces in face_list,
+    as one list for each, indexed by vertex and by face number.
 
-    def total(self) -> int:
-        return sum(self.vertex_charge.values()) + sum(self.face_charge.values())
-
-
-def initial_charges(g: Graph, face_list: Sequence[Face]) -> ChargeLedger:
-    """Starting charges: 2d(v) - 6 per vertex, length - 6 per face."""
-    return ChargeLedger(
-        vertex_charge={v: 2 * len(a) - 6 for v, a in enumerate(g.adj)},
-        face_charge={i: f.length - 6 for i, f in enumerate(face_list)},
-    )
-
-
-def apply_r1(ledger: ChargeLedger, g: Graph, face_list: Sequence[Face]) -> ChargeLedger:
-    """Each face gives 1 to every 2-vertex incidence on its boundary walk.
-
-    Incidences count with multiplicity: a vertex appears once per dart
-    it tails, so a 2-vertex on a cut sees the same face twice and is
-    paid twice.  The total charge is unchanged, and ledger is left as
-    it was.
+    Each vertex starts at 2d(v) - 6 and each face at its length - 6.
+    The rule R1 then moves 1 from a face to each 2-vertex incidence on
+    its boundary walk.  Incidences count with multiplicity: a vertex
+    appears once per dart it tails, so a 2-vertex on a cut sees the same
+    face twice and is paid twice.  The rule keeps the total.
     """
     adj = g.adj
-    vertex_charge = dict(ledger.vertex_charge)
-    face_charge = dict(ledger.face_charge)
-    for i, face in enumerate(face_list):
+    vertex_charge = [2 * len(a) - 6 for a in adj]
+    face_charge = []
+    for face in face_list:
+        q = face.length - 6
         for v, _ in face.walk:
             if len(adj[v]) == 2:
-                face_charge[i] -= 1
+                q -= 1
                 vertex_charge[v] += 1
-    return ChargeLedger(vertex_charge, face_charge)
+        face_charge.append(q)
+    return vertex_charge, face_charge
 
 
 @dataclass(frozen=True)
@@ -425,7 +414,8 @@ class AuditReport:
     face_count: int
     initial_total: int
     final_total: int
-    ledger: ChargeLedger
+    vertex_charge: list
+    face_charge: list
     negative_vertices: tuple
     negative_faces: tuple
     config: object
@@ -448,13 +438,14 @@ def discharge_audit(g: Graph) -> AuditReport:
     embedding taken on the series-parallel reduction that is_planar
     decides on, with the reduction's log undone (is_planar would only
     answer yes or no).  Any embedding serves, since Euler gives -12 for
-    each; the faces are the ones the embedding's Euler check traced, and
-    R1 and claim3 read their walks.  Totals the charges before and after
-    the rule (both must be -12), lists every element left negative, and
-    runs find_reducible_config and claim3_bound_check, which read the
-    facts the class check left on g and share one block map and one
-    close-pair search.  At least one side of the dichotomy must come
-    back nonempty.
+    each; the faces are the ones _embed traced once for its Euler check,
+    and apply_r1 and claim3 read their walks.  Totals the charges before
+    the rule from the degrees and face lengths and after it from
+    apply_r1's two lists (both must be -12), lists every element left
+    negative, and runs find_reducible_config and claim3_bound_check,
+    which read the facts the class check left on g and share one block
+    map and one close-pair search.  At least one side of the dichotomy
+    must come back nonempty.
     """
     if g.n == 0:
         raise NotInClass("empty graph")
@@ -465,23 +456,19 @@ def discharge_audit(g: Graph) -> AuditReport:
     if embedded is None:
         raise NotInClass("graph is not planar")
     _, face_list = embedded
-    before = initial_charges(g, face_list)
-    after = apply_r1(before, g, face_list)
-    negative_vertices = tuple(
-        (v, q) for v, q in sorted(after.vertex_charge.items()) if q < 0
-    )
-    negative_faces = tuple(
-        (i, face_list[i].length, q) for i, q in sorted(after.face_charge.items()) if q < 0
-    )
+    vertex_charge, face_charge = apply_r1(g, face_list)
     return AuditReport(
         n=g.n,
         m=g.m,
         face_count=len(face_list),
-        initial_total=before.total(),
-        final_total=after.total(),
-        ledger=after,
-        negative_vertices=negative_vertices,
-        negative_faces=negative_faces,
+        initial_total=sum(2 * len(a) - 6 for a in g.adj) + sum(f.length - 6 for f in face_list),
+        final_total=sum(vertex_charge) + sum(face_charge),
+        vertex_charge=vertex_charge,
+        face_charge=face_charge,
+        negative_vertices=tuple((v, q) for v, q in enumerate(vertex_charge) if q < 0),
+        negative_faces=tuple(
+            (i, face_list[i].length, q) for i, q in enumerate(face_charge) if q < 0
+        ),
         config=find_reducible_config(g),
         claim3=claim3_bound_check(g, face_list),
     )
@@ -497,9 +484,9 @@ def render_audit(report: AuditReport, full: bool = False) -> str:
         f"final_total={report.final_total}",
     ]
     if full:
-        for v, q in sorted(report.ledger.vertex_charge.items()):
+        for v, q in enumerate(report.vertex_charge):
             lines.append(f"vertex_charge v={v} charge={q}")
-        for i, q in sorted(report.ledger.face_charge.items()):
+        for i, q in enumerate(report.face_charge):
             lines.append(f"face_charge face={i} charge={q}")
     else:
         for v, q in report.negative_vertices:

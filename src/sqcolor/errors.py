@@ -24,12 +24,13 @@ class ParseError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """A node-count budget ran out before the search finished."""
+    """A budget ran out: the nodes of an exact search, or the vertices
+    asked of a generator.  unit names which, in the message."""
 
-    def __init__(self, nodes, budget, what="search"):
+    def __init__(self, nodes, budget, what="search", unit="node"):
         self.nodes = nodes
         self.budget = budget
-        super().__init__(f"{what} exceeded node budget ({nodes} > {budget})")
+        super().__init__(f"{what} exceeded {unit} budget ({nodes} > {budget})")
 
 
 class PreconditionViolated(ValueError):

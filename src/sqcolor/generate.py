@@ -266,7 +266,7 @@ def enumerate_class(spec: GeneratorSpec) -> Iterator[Graph]:
     to max_n vertices, exactly once up to isomorphism, by size."""
     spec.validate()
     if spec.max_n > ENUMERATION_BUDGET:
-        raise BudgetExceeded(spec.max_n, ENUMERATION_BUDGET, "class enumeration")
+        raise BudgetExceeded(spec.max_n, ENUMERATION_BUDGET, "class enumeration", "vertex")
     levels = _enumerate_connected(spec.max_n, spec.min_girth)
     for n in range(1, spec.max_n + 1):
         yield from levels[n]
@@ -298,7 +298,7 @@ def random_instance(spec: GeneratorSpec) -> Graph:
     spec.validate()
     budget = _sample_budget(spec.min_girth)
     if spec.max_n > budget:
-        raise BudgetExceeded(spec.max_n, budget, "random instance")
+        raise BudgetExceeded(spec.max_n, budget, "random instance", "vertex")
     rng = random.Random(spec.seed)
     ring = 0 if spec.min_girth == INF else int(spec.min_girth)
     adj: list[set[int]] = [set()]

@@ -75,22 +75,25 @@ def faces(g: Graph, rs: RotationSystem) -> list[Face]:
     """Trace all faces of the embedding given by rs on nonempty connected g.
 
     Face i starts at the i-th least dart (u, v) that no earlier face
-    holds; the charge audit numbers faces by this index.
+    holds; the charge audit numbers faces by the same index.  This is
+    the checked entry point for a rotation that a caller brings: it
+    raises ValueError on an empty or disconnected g and
+    InconsistentRotation when rs does not match g.  _embed traces the
+    rotation it has built itself with _face_walks.
     """
     if g.n == 0:
         raise ValueError("face tracing requires a nonempty graph")
     if not is_connected(g):
         raise ValueError("face tracing requires a connected graph")
     rs.validate(g)
-    if g.m == 0:
-        return [Face(())]  # a single vertex in the plane bounds one face
     return [Face(walk) for walk in _face_walks(range(g.n), g.adj, rs.rot)]
 
 
 def _face_walks(verts, order, rot) -> list[tuple[tuple[int, int], ...]]:
     """The face walks of the rotation rows rot on verts, each started at
     the first unwalked dart (u, v) for u in verts and v in order[u].  A
-    dart (s, t) is marked walked at t's position in rot[s]."""
+    dart (s, t) is marked walked at t's position in rot[s].  With no
+    dart at all, a single vertex in the plane, there is one empty walk."""
     seen = {v: [False] * len(rot[v]) for v in verts}
     walks = []
     for u in verts:
@@ -105,7 +108,7 @@ def _face_walks(verts, order, rot) -> list[tuple[tuple[int, int], ...]]:
                 s, t = t, row[i]
             if walk:
                 walks.append(tuple(walk))
-    return walks
+    return walks or [()]
 
 
 def _embed_kernel(rot, comp) -> bool:
@@ -449,7 +452,9 @@ def _embed(g: Graph) -> tuple[RotationSystem, list[Face]] | None:
       - a suppressed v takes b's place at a and a's place at b;
       - a deleted v whose neighbours are adjacent goes right after b at a
         and right before a at b, which closes the face a-v-b.
-    faces traces the faces once and they are Euler-checked.
+    The rotation is built here, so it is not validated again: its faces
+    come straight from _face_walks, in the order faces would number
+    them, and are Euler-checked.
     """
     red, log = _reduce(g.adj)
     rot = [list(r) for r in red]
@@ -470,11 +475,10 @@ def _embed(g: Graph) -> tuple[RotationSystem, list[Face]] | None:
             ra.insert(ra.index(b) + 1, v)
             rb.insert(rb.index(a), v)
         rot[v] = [a, b]
-    rs = RotationSystem(tuple(map(tuple, rot)))
-    face_list = faces(g, rs)
-    if g.n - g.m + len(face_list) != 2:
+    walks = _face_walks(range(g.n), g.adj, rot)
+    if g.n - g.m + len(walks) != 2:
         raise AssertionError("undoing the reduction gave a non-planar rotation")
-    return rs, face_list
+    return RotationSystem(tuple(map(tuple, rot))), [Face(walk) for walk in walks]
 
 
 def find_planar_embedding(g: Graph) -> RotationSystem | None:

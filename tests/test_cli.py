@@ -542,7 +542,19 @@ def test_generate_random_beyond_the_girth_30_budget_exits_3(capsys, monkeypatch)
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err == "budget exhausted: random instance exceeded node budget (4000 > 800)\n"
+    assert captured.err == "budget exhausted: random instance exceeded vertex budget (4000 > 800)\n"
+
+
+def test_generate_beyond_the_enumeration_budget_exits_3(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated past the budget")
+
+    monkeypatch.setattr("sqcolor.generate._enumerate_connected", refuse)
+    code = main(["generate", "--max-n", "15"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "budget exhausted: class enumeration exceeded vertex budget (15 > 14)\n"
 
 
 def test_multiple_graphs_in_one_file(tmp_path, capsys):

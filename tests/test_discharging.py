@@ -1,4 +1,4 @@
-"""Tests for the charge ledger, transfer rule, face caps, and the audit."""
+"""Tests for the charges and their transfer rule, face caps, and the audit."""
 
 import argparse
 import gc
@@ -11,7 +11,7 @@ import pytest
 
 from oracles import euler_genus_check, to_nx
 
-from sqcolor import cli, discharging, graph_core
+from sqcolor import cli, discharging, graph_core, planar_embed
 from sqcolor.discharging import (
     CutTwoVertex,
     OneVertex,
@@ -21,11 +21,10 @@ from sqcolor.discharging import (
     describe_config,
     discharge_audit,
     find_reducible_config,
-    initial_charges,
     reduce_cut_two_vertex,
     render_audit,
 )
-from sqcolor.errors import NotCutVertex, NotInClass
+from sqcolor.errors import InconsistentRotation, NotCutVertex, NotInClass
 from sqcolor.generate import GeneratorSpec, named, random_instance
 from sqcolor.graph_core import Graph, is_connected
 from sqcolor.planar_embed import RotationSystem, _embed, check_class, faces, find_planar_embedding
@@ -66,37 +65,47 @@ def pendant_seven_cycle():
     return Graph(13, edges)
 
 
+def starting_charges(g, fs):
+    """The charges before R1, read back off apply_r1's final lists by
+    undoing each unit payment that r1_payments lists."""
+    vertex_charge, face_charge = apply_r1(g, fs)
+    for i, v in r1_payments(g, fs):
+        vertex_charge[v] -= 1
+        face_charge[i] += 1
+    return vertex_charge, face_charge
+
+
 def test_initial_charges_cube():
     g = named("q3")[0]
-    ledger = initial_charges(g, faces_of(g))
-    assert all(c == 0 for c in ledger.vertex_charge.values())
-    assert all(c == -2 for c in ledger.face_charge.values())
-    assert ledger.total() == -12
+    vertex_charge, face_charge = starting_charges(g, faces_of(g))
+    assert all(c == 0 for c in vertex_charge)
+    assert all(c == -2 for c in face_charge)
+    assert sum(vertex_charge) + sum(face_charge) == -12
 
 
 def test_initial_charges_prism():
     g = named("prism6")[0]
-    ledger = initial_charges(g, faces_of(g))
-    assert all(c == 0 for c in ledger.vertex_charge.values())
-    assert sorted(ledger.face_charge.values()) == [-2] * 6 + [0, 0]
-    assert ledger.total() == -12
+    vertex_charge, face_charge = starting_charges(g, faces_of(g))
+    assert all(c == 0 for c in vertex_charge)
+    assert sorted(face_charge) == [-2] * 6 + [0, 0]
+    assert sum(vertex_charge) + sum(face_charge) == -12
 
 
 def test_initial_charges_c6():
     g = cycle(6)
-    ledger = initial_charges(g, faces_of(g))
-    assert all(c == -2 for c in ledger.vertex_charge.values())
-    assert all(c == 0 for c in ledger.face_charge.values())
-    assert ledger.total() == -12
+    vertex_charge, face_charge = starting_charges(g, faces_of(g))
+    assert all(c == -2 for c in vertex_charge)
+    assert all(c == 0 for c in face_charge)
+    assert sum(vertex_charge) + sum(face_charge) == -12
 
 
 def test_r1_on_c6_moves_face_charge_to_vertices():
     g = cycle(6)
     fs = faces_of(g)
-    after = apply_r1(initial_charges(g, fs), g, fs)
-    assert all(c == 0 for c in after.vertex_charge.values())
-    assert all(c == -6 for c in after.face_charge.values())
-    assert after.total() == -12
+    vertex_charge, face_charge = apply_r1(g, fs)
+    assert vertex_charge == [0] * 6
+    assert face_charge == [-6, -6]
+    assert sum(vertex_charge) + sum(face_charge) == -12
     assert len(r1_payments(g, fs)) == 12
 
 
@@ -104,20 +113,11 @@ def test_r1_is_conservative_on_classics():
     for name in ("q3", "prism6", "dodecahedron", "honeycomb-3", "subdivided-prism"):
         g = named(name)[0]
         fs = faces_of(g)
-        before = initial_charges(g, fs)
-        after = apply_r1(before, g, fs)
-        assert after.total() == before.total() == -12
-        charges = [*after.vertex_charge.values(), *after.face_charge.values(), after.total()]
-        assert all(type(q) is int for q in charges)
-
-
-def test_r1_does_not_mutate_input_ledger():
-    g = cycle(6)
-    fs = faces_of(g)
-    before = initial_charges(g, fs)
-    apply_r1(before, g, fs)
-    assert all(c == -2 for c in before.vertex_charge.values())
-    assert all(c == 0 for c in before.face_charge.values())
+        vertex_charge, face_charge = apply_r1(g, fs)
+        before = starting_charges(g, fs)
+        assert sum(vertex_charge) + sum(face_charge) == sum(map(sum, before)) == -12
+        assert (len(vertex_charge), len(face_charge)) == (g.n, len(fs))
+        assert all(type(q) is int for q in [*vertex_charge, *face_charge])
 
 
 def test_r1_pays_once_per_incidence():
@@ -125,13 +125,13 @@ def test_r1_pays_once_per_incidence():
     # The bare 7-face and the outer face each pay vertex 0 exactly once.
     g = pendant_seven_cycle()
     fs = faces_with_pendants_outside(g, 7)
-    after = apply_r1(initial_charges(g, fs), g, fs)
+    vertex_charge, face_charge = apply_r1(g, fs)
     pure = [i for i, f in enumerate(fs) if f.length == 7]
     assert len(pure) == 1
     paid = r1_payments(g, fs)
     assert [t for t in paid if t[0] == pure[0]] == [(pure[0], 0)]
-    assert after.face_charge[pure[0]] == 7 - 6 - 1
-    assert after.vertex_charge[0] == -2 + 2
+    assert face_charge[pure[0]] == 7 - 6 - 1
+    assert vertex_charge[0] == -2 + 2
     assert len([t for t in paid if t[1] == 0]) == 2
 
 
@@ -141,9 +141,9 @@ def test_r1_pays_cut_two_vertex_twice_from_one_face():
     g = named("p3")[0]
     fs = faces_of(g)
     assert len(fs) == 1
-    after = apply_r1(initial_charges(g, fs), g, fs)
-    assert after.vertex_charge[1] == -2 + 2
-    assert after.face_charge[0] == 4 - 6 - 2
+    vertex_charge, face_charge = apply_r1(g, fs)
+    assert vertex_charge[1] == -2 + 2
+    assert face_charge == [4 - 6 - 2]
     assert [t for t in r1_payments(g, fs) if t[1] == 1] == [(0, 1)] * 2
 
 
@@ -246,6 +246,39 @@ def test_audit_searches_for_a_close_pair_once(monkeypatch):
         report = discharge_audit(g)
         assert describe_config(report.config).startswith("spacing_violation"), name
         assert calls["close_two_vertex_pair"] == 1, name
+
+
+def test_audit_traces_its_faces_once_and_faces_keeps_its_checks(monkeypatch):
+    # _embed traces the rotation it has built once and does not validate
+    # it; the public faces and find_planar_embedding keep their checks.
+    calls = {"walks": 0, "validate": 0}
+    trace, validate = planar_embed._face_walks, RotationSystem.validate
+
+    def counted_trace(*args):
+        calls["walks"] += 1
+        return trace(*args)
+
+    def counted_validate(*args):
+        calls["validate"] += 1
+        return validate(*args)
+
+    monkeypatch.setattr(planar_embed, "_face_walks", counted_trace)
+    monkeypatch.setattr(RotationSystem, "validate", counted_validate)
+    for name in ("c100", "c600", "honeycomb-50"):
+        g = named(name)[0]
+        calls["walks"] = calls["validate"] = 0
+        report = discharge_audit(g)
+        assert calls == {"walks": 1, "validate": 0}, name
+        assert report.final_total == -12
+    g = cycle(6)
+    bad = RotationSystem(((1, 5), (0, 2), (1, 3), (2, 4), (3, 5), (4, 1)))
+    with pytest.raises(InconsistentRotation):
+        faces(g, bad)
+    two = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    with pytest.raises(ValueError):
+        faces(two, RotationSystem(((1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4))))
+    with pytest.raises(ValueError):
+        find_planar_embedding(two)
 
 
 def test_reduce_builds_the_block_map_once(monkeypatch):
