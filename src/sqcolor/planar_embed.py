@@ -78,8 +78,9 @@ def faces(g: Graph, rs: RotationSystem) -> list[Face]:
     holds; the charge audit numbers faces by the same index.  This is
     the checked entry point for a rotation that a caller brings: it
     raises ValueError on an empty or disconnected g and
-    InconsistentRotation when rs does not match g.  _embed traces the
-    rotation it has built itself with _face_walks.
+    InconsistentRotation when rs does not match g.  No module calls it:
+    _embed traces the rotation it has built itself with _face_walks.  It
+    stays as API, and perfbench/spans.py traces it.
     """
     if g.n == 0:
         raise ValueError("face tracing requires a nonempty graph")
