@@ -67,9 +67,8 @@ from .graph_core import (
     square,
 )
 from .planar_embed import (
-    Face,
-    RotationSystem,
     check_class,
+    check_rotation,
     faces,
     find_planar_embedding,
     is_planar,

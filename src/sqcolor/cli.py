@@ -45,7 +45,7 @@ from .formats import (
     write_graph_text,
 )
 from .generate import GeneratorSpec, enumerate_class, named, random_instance
-from .graph_core import INF, Graph, girth, square
+from .graph_core import INF, Graph, derived, girth, square
 from .reducer import color_square_7lists, verify_lemma2_tables
 
 EXIT_OK = 0
@@ -147,7 +147,7 @@ def _run_find_config(g: Graph, args) -> tuple[int, str]:
 def _run_reduce(g: Graph, args) -> tuple[int, str]:
     u = args.vertex
     if u is None:
-        u = least_cut_two_vertex(g)
+        u = derived(g, least_cut_two_vertex)
         if u is None:
             return EXIT_VIOLATED, "error=no cut 2-vertex found\n"
     H = reduce_cut_two_vertex(g, u)

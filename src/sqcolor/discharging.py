@@ -22,8 +22,9 @@ reducible configuration.
 The audit calls the public detectors and claim3_bound_check.  The
 facts they share are kept on the graph (graph_core.derived): the
 component count, the degree and girth verdicts, the block map of
-2-vertices and the close pair (close_two_vertex_pair).  So one audit
-makes one pass for each, and a detector called alone makes its own.
+2-vertices, the least cut 2-vertex (least_cut_two_vertex) and the close
+pair (close_two_vertex_pair).  So one audit makes one pass for each,
+and a detector called alone makes its own.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .graph_core import (
     girth_at_least,
     is_connected,
 )
-from .planar_embed import Face, _embed, check_degree_and_girth, check_subcubic
+from .planar_embed import _embed, check_degree_and_girth, check_subcubic
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,7 @@ def two_vertex_blocks(g: Graph) -> dict:
 
 def least_cut_two_vertex(g: Graph) -> Optional[int]:
     """The least 2-vertex of g that lies on no cycle, so a cut vertex, or
-    None."""
+    None.  Its callers read it through derived, so an audit scans once."""
     block_of = derived(g, two_vertex_blocks)
     return next((v for v, a in enumerate(g.adj) if len(a) == 2 and v not in block_of), None)
 
@@ -302,7 +303,7 @@ def find_reducible_config(g: Graph):
     for v, a in enumerate(g.adj):
         if len(a) <= 1:
             return OneVertex(v)
-    u = least_cut_two_vertex(g)
+    u = derived(g, least_cut_two_vertex)
     if u is not None:
         return CutTwoVertex(u, *g.adj[u])
     cfg = find_sixcycle_two_vertex(g)
@@ -330,9 +331,10 @@ def reduce_cut_two_vertex(g: Graph, u: int) -> Graph:
     return Graph(g.n - 1, edges)
 
 
-def apply_r1(g: Graph, face_list: Sequence[Face]) -> tuple[list, list]:
+def apply_r1(g: Graph, face_list: Sequence[tuple]) -> tuple[list, list]:
     """The final charges of g's vertices and of the faces in face_list,
-    as one list for each, indexed by vertex and by face number.
+    as one list for each, indexed by vertex and by face number.  Each
+    face is the tuple of darts of its boundary walk.
 
     Each vertex starts at 2d(v) - 6 and each face at its length - 6.
     The rule R1 then moves 1 from a face to each 2-vertex incidence on
@@ -343,9 +345,9 @@ def apply_r1(g: Graph, face_list: Sequence[Face]) -> tuple[list, list]:
     adj = g.adj
     vertex_charge = [2 * len(a) - 6 for a in adj]
     face_charge = []
-    for face in face_list:
-        q = face.length - 6
-        for v, _ in face.walk:
+    for walk in face_list:
+        q = len(walk) - 6
+        for v, _ in walk:
             if len(adj[v]) == 2:
                 q -= 1
                 vertex_charge[v] += 1
@@ -380,8 +382,9 @@ class Claim3Report:
         return tuple(row for row in self.rows if not row.ok) if self.checked else ()
 
 
-def claim3_bound_check(g: Graph, face_list: Sequence[Face]) -> Claim3Report:
-    """Per-face cap on 2-vertices: at most length/4, rounded down.
+def claim3_bound_check(g: Graph, face_list: Sequence[tuple]) -> Claim3Report:
+    """Per-face cap on 2-vertices: at most length/4, rounded down, for
+    each face of face_list, given as the tuple of darts of its walk.
 
     The cap only holds for graphs with no cut 2-vertex and no two
     2-vertices within distance 3 on a common cycle, so the counts are
@@ -392,15 +395,15 @@ def claim3_bound_check(g: Graph, face_list: Sequence[Face]) -> Claim3Report:
     rows = tuple(
         Claim3Face(
             face=i,
-            length=face.length,
-            two_vertices=len({v for v, _ in face.walk if len(adj[v]) == 2}),
-            bound=face.length // 4,
+            length=len(walk),
+            two_vertices=len({v for v, _ in walk if len(adj[v]) == 2}),
+            bound=len(walk) // 4,
         )
-        for i, face in enumerate(face_list)
+        for i, walk in enumerate(face_list)
     )
     if g.m == g.n - derived(g, component_count):
         return Claim3Report(checked=False, reason="acyclic", rows=rows)
-    if least_cut_two_vertex(g) is not None:
+    if derived(g, least_cut_two_vertex) is not None:
         return Claim3Report(checked=False, reason="cut 2-vertex present", rows=rows)
     if derived(g, close_two_vertex_pair) is not None:
         return Claim3Report(checked=False, reason="close 2-vertices on a cycle", rows=rows)
@@ -444,8 +447,8 @@ def discharge_audit(g: Graph) -> AuditReport:
     apply_r1's two lists (both must be -12), lists every element left
     negative, and runs find_reducible_config and claim3_bound_check,
     which read the facts the class check left on g and share one block
-    map and one close-pair search.  At least one side of the dichotomy
-    must come back nonempty.
+    map, one cut 2-vertex scan and one close-pair search.  At least one
+    side of the dichotomy must come back nonempty.
     """
     if g.n == 0:
         raise NotInClass("empty graph")
@@ -461,13 +464,13 @@ def discharge_audit(g: Graph) -> AuditReport:
         n=g.n,
         m=g.m,
         face_count=len(face_list),
-        initial_total=sum(2 * len(a) - 6 for a in g.adj) + sum(f.length - 6 for f in face_list),
+        initial_total=sum(2 * len(a) - 6 for a in g.adj) + sum(len(w) - 6 for w in face_list),
         final_total=sum(vertex_charge) + sum(face_charge),
         vertex_charge=vertex_charge,
         face_charge=face_charge,
         negative_vertices=tuple((v, q) for v, q in enumerate(vertex_charge) if q < 0),
         negative_faces=tuple(
-            (i, face_list[i].length, q) for i, q in enumerate(face_charge) if q < 0
+            (i, len(face_list[i]), q) for i, q in enumerate(face_charge) if q < 0
         ),
         config=find_reducible_config(g),
         claim3=claim3_bound_check(g, face_list),

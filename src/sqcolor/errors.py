@@ -70,7 +70,7 @@ class PartialColoring(ValueError):
 
 
 class InconsistentRotation(ValueError):
-    """A rotation system does not match the graph's adjacency."""
+    """A rotation does not match the graph's adjacency."""
 
 
 class UnknownName(PreconditionViolated):

@@ -5,11 +5,12 @@ lines matter only to rotation rows.  A graph is the header "n m", then
 2m vertex ids, read in pairs as the edges u v with 0 <= u < v < n
 (written one edge per line), then optional rotation rows
 "rot v: u1 u2 ... uk", each ending at the end of its line and listing
-the neighbours of v in some order, which attach a rotation system to
-that graph.  n is at most MAX_VERTICES and m at most n(n-1)/2, both
-checked at the header, before anything is allocated for the graph or
-any edge is read.  A # starts a comment that runs to
-the end of its line.  A file may hold several graphs back to back.
+the neighbours of v in some order, which attach a rotation to that
+graph: a tuple of rows, row v the tuple (u1, ..., uk), and () for an
+isolated vertex.  n is at most MAX_VERTICES and m at most n(n-1)/2,
+both checked at the header, before anything is allocated for the graph
+or any edge is read.  A # starts a comment that runs to the end of its
+line.  A file may hold several graphs back to back.
 The tokens are split once and the edge ids converted and checked in
 bulk; the line and token of an error are worked out only once a
 conversion or check has failed, and the error reported is the first
@@ -30,7 +31,6 @@ from operator import itemgetter, lt
 
 from .errors import ParseError
 from .graph_core import Graph
-from .planar_embed import RotationSystem
 
 # The largest vertex count a text header may declare.  A graph costs one
 # adjacency set per declared vertex, isolated or not, so without a bound
@@ -76,7 +76,7 @@ class _Tokens:
             raise self.error(i, f"expected {what}") from None
 
 
-def parse_graphs_text(text: str, source: str = "<text>") -> list[tuple[Graph, RotationSystem | None]]:
+def parse_graphs_text(text: str, source: str = "<text>") -> list[tuple[Graph, tuple | None]]:
     """Parse a text stream of one or more graphs with optional rotations.
 
     Errors are reported in reading order: the first bad token, or the
@@ -84,7 +84,7 @@ def parse_graphs_text(text: str, source: str = "<text>") -> list[tuple[Graph, Ro
     """
     s = _Tokens(text, source)
     toks = s.toks
-    out: list[tuple[Graph, RotationSystem | None]] = []
+    out: list[tuple[Graph, tuple | None]] = []
     i = 0
     while i < len(toks):
         if toks[i] == "rot":
@@ -138,11 +138,11 @@ def _edges(s: _Tokens, start: int, n: int, m: int):
     return zip(us, vs)
 
 
-def _rotation(s: _Tokens, i: int, g: Graph, header: int) -> tuple[RotationSystem, int]:
-    """The rotation block of g that starts at token i, a "rot", and the
-    index of the token after it.  A row "rot v: u1 ... uk" ends at the
-    end of the line that holds "v:", and must list v's neighbours in
-    some order; header is the index of g's "n"."""
+def _rotation(s: _Tokens, i: int, g: Graph, header: int) -> tuple[tuple, int]:
+    """The rotation rows of the block of g that starts at token i, a
+    "rot", and the index of the token after it.  A row "rot v: u1 ... uk"
+    ends at the end of the line that holds "v:", and must list v's
+    neighbours in some order; header is the index of g's "n"."""
     toks = s.toks
     n = g.n
     rows: dict[int, tuple[int, ...]] = {}
@@ -165,23 +165,23 @@ def _rotation(s: _Tokens, i: int, g: Graph, header: int) -> tuple[RotationSystem
         while i < len(toks) and s.line(i) == row_line and toks[i] != "rot":
             i += 1
         rows[v] = tuple(s.to_int(j, "neighbor id") for j in range(first, i))
-        if tuple(sorted(rows[v])) != g.adj[v]:  # the test of RotationSystem.validate
+        if tuple(sorted(rows[v])) != g.adj[v]:  # the test of planar_embed.check_rotation
             raise s.error(first - 1, f"rotation at vertex {v} does not match adjacency")
     missing = [v for v in range(n) if g.adj[v] and v not in rows]
     if missing:
         raise s.error(header, f"rotation missing vertices {_first_ten(missing)}", "rot")
-    return RotationSystem(tuple(rows.get(v, ()) for v in range(n))), i
+    return tuple(rows.get(v, ()) for v in range(n)), i
 
 
-def write_graph_text(g: Graph, rot: RotationSystem | None = None) -> str:
-    """Serialize one graph (optionally with rotation lines)."""
+def write_graph_text(g: Graph, rot: tuple | None = None) -> str:
+    """Serialize one graph, and the rows of rot, if given, as rotation lines."""
     lines = [f"{g.n} {g.m}"]
     for u, v in g.edges():
         lines.append(f"{u} {v}")
     if rot is not None:
         for v in range(g.n):
-            if rot.rot[v]:
-                lines.append(f"rot {v}: " + " ".join(str(u) for u in rot.rot[v]))
+            if rot[v]:
+                lines.append(f"rot {v}: " + " ".join(str(u) for u in rot[v]))
     return "\n".join(lines) + "\n"
 
 
@@ -268,7 +268,7 @@ def _looks_like_graph6(line: str) -> bool:
     return bool(s) and " " not in s and "\t" not in s and not s[0].isdigit()
 
 
-def parse_graphs(text: str, source: str = "<input>") -> list[tuple[Graph, RotationSystem | None]]:
+def parse_graphs(text: str, source: str = "<input>") -> list[tuple[Graph, tuple | None]]:
     """Parse graphs from text; the first non-blank line decides the encoding."""
     # Cut comments only up to the first line with content: _lines would
     # cut them all, and parse_graphs_text cuts them again.

@@ -44,7 +44,7 @@ from .graph_core import (
     is_connected,
     is_subcubic,
 )
-from .planar_embed import RotationSystem, _planar, find_planar_embedding, is_planar
+from .planar_embed import _planar, find_planar_embedding, is_planar
 
 # The largest max_n that enumerate_class and random_instance accept;
 # beyond them they raise BudgetExceeded.  CPU on a 2-vCPU Xeon: the
@@ -508,8 +508,9 @@ def _family_index(key: str, prefix: str) -> int:
     return int(digits)
 
 
-def named(name: str) -> tuple[Graph, Optional[RotationSystem]]:
-    """Catalog fixture by name, with a rotation system when planar."""
+def named(name: str) -> tuple[Graph, Optional[tuple]]:
+    """Catalog fixture by name, and its rotation rows
+    (find_planar_embedding) when it is planar, else None."""
     key = name.strip().lower()
     g: Optional[Graph] = None
     if (k := _family_index(key, "c")) >= 3:

@@ -23,7 +23,8 @@ the sampler's and the planarity test's mutable adjacencies of sets use
 them too.
 
 A fact that several functions read about one graph (its component
-count, maximum degree, girth verdict, block map) is kept on the graph:
+count, maximum degree, girth verdict, block map of 2-vertices, least
+cut 2-vertex, close pair of 2-vertices) is kept on the graph:
 derived(g, fact, *args) computes fact(g, *args) once, keyed by fact and
 args, in g's private memo.  That is sound because a Graph is never
 changed after __init__: its rows are tuples, and nothing writes n, adj

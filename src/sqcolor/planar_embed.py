@@ -1,9 +1,11 @@
-"""Combinatorial plane embeddings: rotation systems and face tracing.
+"""Combinatorial plane embeddings: rotations and face tracing.
 
-A rotation system stores, for each vertex, the cyclic order of its
-neighbors.  Faces are closed walks of directed edges; the successor of
-(u, v) is (v, w) where w follows u in the rotation at v.  Face length
-counts edge sides, so a bridge contributes 2 to the face containing it.
+A rotation is a tuple of rows, row v listing v's neighbours in cyclic
+order; check_rotation checks it against a graph.  A face is the tuple of
+darts (directed edges) of its boundary walk; the successor of (u, v) is
+(v, w) where w follows u in the row of v.  A face's length is the
+length of its tuple, which counts edge sides, so a bridge contributes 2
+to the face containing it.
 Embedding operations reject empty and disconnected graphs; callers embed
 each component separately.
 
@@ -29,8 +31,6 @@ check_class is the one membership test for the coloring theorem's class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InconsistentRotation, NotInClass
 from .graph_core import (
     Graph,
@@ -42,60 +42,45 @@ from .graph_core import (
 )
 
 
-@dataclass(frozen=True)
-class RotationSystem:
-    """Cyclic neighbor order per vertex."""
-
-    rot: tuple[tuple[int, ...], ...]
-
-    def validate(self, g: Graph) -> None:
-        if len(self.rot) != g.n:
-            raise InconsistentRotation(f"rotation has {len(self.rot)} rows for n={g.n}")
-        for v in range(g.n):
-            if tuple(sorted(self.rot[v])) != g.adj[v]:
-                raise InconsistentRotation(f"rotation at vertex {v} does not match adjacency")
+def check_rotation(g: Graph, rot) -> None:
+    """Raise InconsistentRotation unless rot has one row per vertex of g
+    and row v lists v's neighbours in some order."""
+    if len(rot) != g.n:
+        raise InconsistentRotation(f"rotation has {len(rot)} rows for n={g.n}")
+    for v in range(g.n):
+        if tuple(sorted(rot[v])) != g.adj[v]:
+            raise InconsistentRotation(f"rotation at vertex {v} does not match adjacency")
 
 
-@dataclass(frozen=True)
-class Face:
-    """One face boundary walk, as a tuple of directed edges."""
-
-    walk: tuple[tuple[int, int], ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.walk)
-
-    def vertices(self) -> tuple[int, ...]:
-        """Vertices visited by the walk, with repetition."""
-        return tuple(u for u, _ in self.walk)
-
-
-def faces(g: Graph, rs: RotationSystem) -> list[Face]:
-    """Trace all faces of the embedding given by rs on nonempty connected g.
+def faces(g: Graph, rot) -> list[tuple[tuple[int, int], ...]]:
+    """The face walks of the rotation rows rot on nonempty connected g,
+    each a tuple of darts (u, v).
 
     Face i starts at the i-th least dart (u, v) that no earlier face
     holds; the charge audit numbers faces by the same index.  This is
     the checked entry point for a rotation that a caller brings: it
     raises ValueError on an empty or disconnected g and
-    InconsistentRotation when rs does not match g.  No module calls it:
-    _embed traces the rotation it has built itself with _face_walks.  It
-    stays as API, and perfbench/spans.py traces it.
+    InconsistentRotation when rot does not match g (check_rotation).  No
+    module calls it: _embed traces the rotation it has built itself with
+    _face_walks.  It stays as API, and perfbench/spans.py traces it.
     """
     if g.n == 0:
         raise ValueError("face tracing requires a nonempty graph")
     if not is_connected(g):
         raise ValueError("face tracing requires a connected graph")
-    rs.validate(g)
-    return [Face(walk) for walk in _face_walks(range(g.n), g.adj, rs.rot)]
+    check_rotation(g, rot)
+    return _face_walks(range(g.n), g.adj, rot)
 
 
 def _face_walks(verts, order, rot) -> list[tuple[tuple[int, int], ...]]:
     """The face walks of the rotation rows rot on verts, each started at
     the first unwalked dart (u, v) for u in verts and v in order[u].  A
-    dart (s, t) is marked walked at t's position in rot[s].  With no
-    dart at all, a single vertex in the plane, there is one empty walk."""
-    seen = {v: [False] * len(rot[v]) for v in verts}
+    dart (s, t) is marked walked at t's position in rot[s], in a table
+    with a row for each vertex of verts.  With no dart at all, a single
+    vertex in the plane, there is one empty walk."""
+    seen = [None] * len(rot)
+    for v in verts:
+        seen[v] = [False] * len(rot[v])
     walks = []
     for u in verts:
         for v in order[u]:
@@ -441,10 +426,10 @@ def _lr_sides(ordered, height, parent, src, dst, low):
     return side
 
 
-def _embed(g: Graph) -> tuple[RotationSystem, list[Face]] | None:
+def _embed(g: Graph) -> tuple[tuple, list] | None:
     """Embed g (its caller checks it is connected) through its
-    series-parallel reduction; return the rotation and its faces, or None
-    when g is not planar.
+    series-parallel reduction; return the rotation rows and the face
+    walks, or None when g is not planar.
 
     The reduction of a connected graph has at most one component with
     edges, and _embed_kernel embeds it.  Then _reduce's log is undone in
@@ -453,9 +438,9 @@ def _embed(g: Graph) -> tuple[RotationSystem, list[Face]] | None:
       - a suppressed v takes b's place at a and a's place at b;
       - a deleted v whose neighbours are adjacent goes right after b at a
         and right before a at b, which closes the face a-v-b.
-    The rotation is built here, so it is not validated again: its faces
-    come straight from _face_walks, in the order faces would number
-    them, and are Euler-checked.
+    The rotation is built here, so check_rotation does not run on it:
+    its faces come straight from _face_walks, in the order faces would
+    number them, and are Euler-checked.
     """
     red, log = _reduce(g.adj)
     rot = [list(r) for r in red]
@@ -479,13 +464,13 @@ def _embed(g: Graph) -> tuple[RotationSystem, list[Face]] | None:
     walks = _face_walks(range(g.n), g.adj, rot)
     if g.n - g.m + len(walks) != 2:
         raise AssertionError("undoing the reduction gave a non-planar rotation")
-    return RotationSystem(tuple(map(tuple, rot))), [Face(walk) for walk in walks]
+    return tuple(map(tuple, rot)), walks
 
 
-def find_planar_embedding(g: Graph) -> RotationSystem | None:
-    """Return a rotation system with n - m + f = 2, or None when none
-    exists, for nonempty connected g.  It is taken on the same
-    series-parallel reduction that is_planar decides on; see _embed."""
+def find_planar_embedding(g: Graph) -> tuple[tuple[int, ...], ...] | None:
+    """Return rotation rows, one tuple per vertex, with n - m + f = 2, or
+    None when none exists, for nonempty connected g.  It is taken on the
+    same series-parallel reduction that is_planar decides on; see _embed."""
     if g.n == 0 or not is_connected(g):
         raise ValueError("embedding requires a nonempty connected graph")
     found = _embed(g)

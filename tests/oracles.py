@@ -9,7 +9,7 @@ from sqcolor.errors import ParseError
 from sqcolor.formats import MAX_VERTICES, parse_graphs
 from sqcolor.generate import enumerate_class
 from sqcolor.graph_core import Graph
-from sqcolor.planar_embed import RotationSystem, faces
+from sqcolor.planar_embed import faces
 
 
 def to_nx(g):
@@ -228,19 +228,19 @@ def canonical_code_by_frontier(g):
     return (n, tuple(levels))
 
 
-def faces_by_sorted_darts(g, rs):
-    """Face walks of the rotation rs on connected g, numbered by sorting
+def faces_by_sorted_darts(g, rot):
+    """Face walks of the rotation rows rot on connected g, numbered by sorting
     all darts: each walk starts at the least dart that no earlier walk
     holds.  A single vertex bounds one empty walk."""
     if g.n == 1 and g.m == 0:
         return [()]
     pos = {}
     for v in range(g.n):
-        for i, u in enumerate(rs.rot[v]):
+        for i, u in enumerate(rot[v]):
             pos[(u, v)] = i
     seen = set()
     out = []
-    darts = [(u, v) for u in range(g.n) for v in rs.rot[u]]
+    darts = [(u, v) for u in range(g.n) for v in rot[u]]
     for start in sorted(darts):
         if start in seen:
             continue
@@ -250,7 +250,7 @@ def faces_by_sorted_darts(g, rs):
             seen.add(cur)
             walk.append(cur)
             u, v = cur
-            w = rs.rot[v][(pos[(u, v)] + 1) % len(rs.rot[v])]
+            w = rot[v][(pos[(u, v)] + 1) % len(rot[v])]
             cur = (v, w)
         out.append(tuple(walk))
     return out
@@ -364,7 +364,7 @@ def parse_graphs_text_by_tokens(text, source="<text>"):
             missing = [v for v in range(n) if len(g.adj[v]) > 0 and v not in rows]
             if missing:
                 raise ParseError(source, lineno, "rot", f"rotation missing vertices {first_ten(missing)}")
-            rot = RotationSystem(tuple(rows.get(v, ()) for v in range(n)))
+            rot = tuple(rows.get(v, ()) for v in range(n))
         out.append((g, rot))
     return out
 

@@ -442,7 +442,7 @@ def test_generate_named(capsys):
         # p1 has no edge, so no rotation line; petersen has no rotation.
         assert (rot is not None) is (got.m > 0 and name != "petersen"), name
         if rot is not None:
-            rot.validate(got)
+            sqcolor.check_rotation(got, rot)
             assert euler_genus_check(got, rot), name
 
 

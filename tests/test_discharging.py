@@ -27,7 +27,7 @@ from sqcolor.discharging import (
 from sqcolor.errors import InconsistentRotation, NotCutVertex, NotInClass
 from sqcolor.generate import GeneratorSpec, named, random_instance
 from sqcolor.graph_core import Graph, is_connected
-from sqcolor.planar_embed import RotationSystem, _embed, check_class, faces, find_planar_embedding
+from sqcolor.planar_embed import _embed, check_class, faces, find_planar_embedding
 
 
 def cycle(k):
@@ -47,15 +47,15 @@ def faces_with_pendants_outside(g, k):
     successor, then its pendant, so the face walk that arrives from the
     predecessor leaves to the successor."""
     rot = [((v - 1) % k, (v + 1) % k) + tuple(w for w in g.adj[v] if w >= k) for v in range(k)]
-    rs = RotationSystem(tuple(rot) + g.adj[k:])
-    assert euler_genus_check(g, rs)
-    return faces(g, rs)
+    rot = tuple(rot) + g.adj[k:]
+    assert euler_genus_check(g, rot)
+    return faces(g, rot)
 
 
 def r1_payments(g, fs):
     """(face, vertex) once for each time a 2-vertex tails a dart of the
     face's boundary walk: the unit payments that R1 makes."""
-    return [(i, v) for i, f in enumerate(fs) for v in f.vertices() if g.degree(v) == 2]
+    return [(i, v) for i, f in enumerate(fs) for v, _ in f if g.degree(v) == 2]
 
 
 def pendant_seven_cycle():
@@ -126,7 +126,7 @@ def test_r1_pays_once_per_incidence():
     g = pendant_seven_cycle()
     fs = faces_with_pendants_outside(g, 7)
     vertex_charge, face_charge = apply_r1(g, fs)
-    pure = [i for i, f in enumerate(fs) if f.length == 7]
+    pure = [i for i, f in enumerate(fs) if len(f) == 7]
     assert len(pure) == 1
     paid = r1_payments(g, fs)
     assert [t for t in paid if t[0] == pure[0]] == [(pure[0], 0)]
@@ -248,11 +248,22 @@ def test_audit_searches_for_a_close_pair_once(monkeypatch):
         assert calls["close_two_vertex_pair"] == 1, name
 
 
+def test_audit_scans_for_a_cut_two_vertex_once(monkeypatch):
+    # find_reducible_config and claim3 read one scan for the least cut
+    # 2-vertex, also when the configuration found is a cut 2-vertex.
+    calls = count_structure_calls(monkeypatch, ("least_cut_two_vertex",))
+    for name in ("c100", "c600", "honeycomb-50", "subdivided-prism", "two-heptagons"):
+        g = named(name)[0]
+        calls["least_cut_two_vertex"] = 0
+        discharge_audit(g)
+        assert calls["least_cut_two_vertex"] == 1, name
+
+
 def test_audit_traces_its_faces_once_and_faces_keeps_its_checks(monkeypatch):
-    # _embed traces the rotation it has built once and does not validate
+    # _embed traces the rotation it has built once and does not check
     # it; the public faces and find_planar_embedding keep their checks.
     calls = {"walks": 0, "validate": 0}
-    trace, validate = planar_embed._face_walks, RotationSystem.validate
+    trace, validate = planar_embed._face_walks, planar_embed.check_rotation
 
     def counted_trace(*args):
         calls["walks"] += 1
@@ -263,7 +274,7 @@ def test_audit_traces_its_faces_once_and_faces_keeps_its_checks(monkeypatch):
         return validate(*args)
 
     monkeypatch.setattr(planar_embed, "_face_walks", counted_trace)
-    monkeypatch.setattr(RotationSystem, "validate", counted_validate)
+    monkeypatch.setattr(planar_embed, "check_rotation", counted_validate)
     for name in ("c100", "c600", "honeycomb-50"):
         g = named(name)[0]
         calls["walks"] = calls["validate"] = 0
@@ -271,12 +282,13 @@ def test_audit_traces_its_faces_once_and_faces_keeps_its_checks(monkeypatch):
         assert calls == {"walks": 1, "validate": 0}, name
         assert report.final_total == -12
     g = cycle(6)
-    bad = RotationSystem(((1, 5), (0, 2), (1, 3), (2, 4), (3, 5), (4, 1)))
+    bad = ((1, 5), (0, 2), (1, 3), (2, 4), (3, 5), (4, 1))
     with pytest.raises(InconsistentRotation):
         faces(g, bad)
+    assert calls["validate"] == 1
     two = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     with pytest.raises(ValueError):
-        faces(two, RotationSystem(((1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4))))
+        faces(two, ((1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4)))
     with pytest.raises(ValueError):
         find_planar_embedding(two)
 

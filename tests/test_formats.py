@@ -41,7 +41,7 @@ def test_text_round_trip_with_rotation():
     back, rot_back = parse_one_graph(text)
     assert back == g
     assert rot_back is not None
-    assert rot_back.rot == rot.rot
+    assert rot_back == rot
 
 
 def test_multiple_graphs_in_one_stream():
@@ -88,7 +88,7 @@ def test_rotation_parse_errors():
         with pytest.raises(ParseError, match="does not match adjacency$") as e:
             parse_graphs_text(base + rows)
         assert e.value.line == (4 if rows.startswith("rot 0: 2") else 5)
-    assert parse_graphs_text(base + "rot 0: 1\nrot 1: 2 0\nrot 2: 1\n")[0][1].rot == ((1,), (2, 0), (1,))
+    assert parse_graphs_text(base + "rot 0: 1\nrot 1: 2 0\nrot 2: 1\n")[0][1] == ((1,), (2, 0), (1,))
 
 
 def test_graph6_round_trip_small(corpus8):

@@ -41,7 +41,7 @@ from sqcolor.graph_core import (
     is_subcubic,
     max_degree,
 )
-from sqcolor.planar_embed import find_planar_embedding
+from sqcolor.planar_embed import check_rotation, find_planar_embedding
 
 
 def cycle(k):
@@ -455,7 +455,7 @@ def test_named_catalog_properties():
         assert girth(g) == want_girth, name
         assert is_subcubic(g), name
         if rot is not None:
-            rot.validate(g)
+            check_rotation(g, rot)
 
 
 def test_named_rotation_present_iff_planar():

@@ -1,4 +1,4 @@
-"""Tests for rotation systems, face tracing, and planar embedding."""
+"""Tests for rotations, face tracing, and planar embedding."""
 
 import functools
 import inspect
@@ -18,9 +18,11 @@ from oracles import (
     to_nx,
 )
 
+import sqcolor
 from sqcolor import generate, planar_embed
 from sqcolor.discharging import discharge_audit
 from sqcolor.errors import InconsistentRotation, NotInClass
+from sqcolor.formats import parse_graphs
 from sqcolor.generate import named, subdivide_edge
 from sqcolor.graph_core import (
     Graph,
@@ -30,7 +32,6 @@ from sqcolor.graph_core import (
     is_subcubic,
 )
 from sqcolor.planar_embed import (
-    RotationSystem,
     check_class,
     faces,
     find_planar_embedding,
@@ -46,27 +47,38 @@ def embed(g):
 
 
 def face_lengths(g):
-    return sorted(f.length for f in faces(g, embed(g)))
+    return sorted(len(f) for f in faces(g, embed(g)))
 
 
-def test_rotation_validate_catches_mismatch():
-    g = Graph(3, [(0, 1), (1, 2)])
-    good = RotationSystem(((1,), (0, 2), (1,)))
-    good.validate(g)
-    with pytest.raises(InconsistentRotation):
-        RotationSystem(((1,), (2, 0), (2,))).validate(g)
-    with pytest.raises(InconsistentRotation):
-        RotationSystem(((1,), (0,), (1,))).validate(g)
-    with pytest.raises(InconsistentRotation):
-        RotationSystem(((1,), (0, 2, 0), (1,))).validate(g)
+def test_rotations_and_faces_are_plain_tuples():
+    g = named("c6")[0]
+    parsed = parse_graphs("3 2\n0 1\n1 2\nrot 0: 1\nrot 1: 2 0\nrot 2: 1\n")[0][1]
+    assert parsed == ((1,), (2, 0), (1,))
+    for rot in (find_planar_embedding(g), named("c6")[1], parsed):
+        assert type(rot) is tuple and all(type(row) is tuple for row in rot)
+    rot, walks = planar_embed._embed(g)
+    assert rot == find_planar_embedding(g)
+    fs = faces(g, rot)
+    assert type(fs) is list and fs == walks
+    assert all(type(f) is tuple and all(type(d) is tuple and len(d) == 2 for d in f) for f in fs)
+    assert sqcolor.check_rotation is planar_embed.check_rotation
+    assert not hasattr(sqcolor, "Face") and not hasattr(sqcolor, "RotationSystem")
+
+    path = Graph(3, [(0, 1), (1, 2)])
+    planar_embed.check_rotation(path, ((1,), (0, 2), (1,)))
+    with pytest.raises(InconsistentRotation, match="rotation has 2 rows for n=3"):
+        planar_embed.check_rotation(path, ((1,), (0, 2)))
+    for bad in (((1,), (2, 0), (2,)), ((1,), (0,), (1,)), ((1,), (0, 2, 0), (1,))):
+        with pytest.raises(InconsistentRotation, match="rotation at vertex [12] does not match adjacency"):
+            planar_embed.check_rotation(path, bad)
 
 
 def test_faces_of_cycle():
     g = named("c6")[0]
     fs = faces(g, embed(g))
     assert len(fs) == 2
-    assert all(f.length == 6 for f in fs)
-    assert all(sorted(f.vertices()) == list(range(6)) for f in fs)
+    assert all(len(f) == 6 for f in fs)
+    assert all(sorted(u for u, _ in f) == list(range(6)) for f in fs)
 
 
 def test_faces_of_cube():
@@ -85,20 +97,20 @@ def test_faces_of_tree_single_face():
     g = Graph(4, [(0, 1), (1, 2), (1, 3)])
     fs = faces(g, embed(g))
     assert len(fs) == 1
-    assert fs[0].length == 6
+    assert len(fs[0]) == 6
 
 
 def test_faces_of_single_vertex():
     g = Graph(1, [])
     fs = faces(g, embed(g))
     assert len(fs) == 1
-    assert fs[0].length == 0
+    assert len(fs[0]) == 0
 
 
 def test_faces_match_the_sorted_dart_reference_on_corpus12(corpus12):
     for g in corpus12:
         rs = embed(g)
-        assert [f.walk for f in faces(g, rs)] == faces_by_sorted_darts(g, rs)
+        assert faces(g, rs) == faces_by_sorted_darts(g, rs)
 
 
 def test_empty_graph_has_no_embedding_but_is_planar():
@@ -106,7 +118,7 @@ def test_empty_graph_has_no_embedding_but_is_planar():
     with pytest.raises(ValueError, match="nonempty"):
         find_planar_embedding(g)
     with pytest.raises(ValueError, match="nonempty"):
-        faces(g, RotationSystem(()))
+        faces(g, ())
     assert is_planar(g) is True
     k5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
     with pytest.raises(ValueError, match="connected"):
@@ -117,7 +129,7 @@ def test_face_lengths_sum_to_twice_edges(corpus12):
     rng = random.Random(13)
     for g in rng.sample(corpus12, 150):
         fs = faces(g, embed(g))
-        assert sum(f.length for f in fs) == 2 * g.m
+        assert sum(map(len, fs)) == 2 * g.m
         assert euler_genus_check(g, embed(g))
 
 
@@ -260,9 +272,9 @@ def test_find_planar_embedding_matches_networkx_on_each_component():
             assert (rs is not None) is want
             answers[want] += 1
             if rs is not None:
-                rs.validate(h)
-                assert sum(f.length for f in faces(h, rs)) == 2 * h.m
-                assert [f.walk for f in faces(h, rs)] == faces_by_sorted_darts(h, rs)
+                planar_embed.check_rotation(h, rs)
+                assert sum(map(len, faces(h, rs))) == 2 * h.m
+                assert faces(h, rs) == faces_by_sorted_darts(h, rs)
                 assert euler_genus_check(h, rs)
     assert answers[True] > 2000 and answers[False] > 300, answers
 
@@ -312,7 +324,7 @@ def test_euler_check_rejects_a_mutated_lift(monkeypatch):
         return ok
 
     rs = find_planar_embedding(g)
-    assert len(rs.rot[0]) == 3 and any(g.degree(w) == 2 for w in rs.rot[0])
+    assert len(rs[0]) == 3 and any(g.degree(w) == 2 for w in rs[0])
     monkeypatch.setattr(planar_embed, "_embed_kernel", mutant)
     with pytest.raises(AssertionError, match="non-planar rotation"):
         find_planar_embedding(g)
@@ -354,11 +366,11 @@ def test_each_undo_rule_gives_a_plane_rotation(rule, planarity_calls):
     del planarity_calls[:]
     rs = find_planar_embedding(g)
     assert planarity_calls == [(4, 6)]
-    rs.validate(g)
+    planar_embed.check_rotation(g, rs)
     assert euler_genus_check(g, rs)
-    assert [f.walk for f in faces(g, rs)] == faces_by_sorted_darts(g, rs)
+    assert faces(g, rs) == faces_by_sorted_darts(g, rs)
     if rule == "triangle":
-        assert [0, 1, 4] in [sorted(f.vertices()) for f in faces(g, rs)]
+        assert [0, 1, 4] in [sorted(u for u, _ in f) for f in faces(g, rs)]
 
 
 def test_euler_check_catches_a_triangle_vertex_put_before_b(monkeypatch):
