@@ -262,30 +262,30 @@ def test_audit_scans_for_a_cut_two_vertex_once(monkeypatch):
 def test_audit_traces_its_faces_once_and_faces_keeps_its_checks(monkeypatch):
     # _embed traces the rotation it has built once and does not check
     # it; the public faces and find_planar_embedding keep their checks.
-    calls = {"walks": 0, "validate": 0}
-    trace, validate = planar_embed._face_walks, planar_embed.check_rotation
+    calls = {"walks": 0, "check": 0}
+    trace, check = planar_embed._face_walks, planar_embed.check_rotation
 
     def counted_trace(*args):
         calls["walks"] += 1
         return trace(*args)
 
-    def counted_validate(*args):
-        calls["validate"] += 1
-        return validate(*args)
+    def counted_check(*args):
+        calls["check"] += 1
+        return check(*args)
 
     monkeypatch.setattr(planar_embed, "_face_walks", counted_trace)
-    monkeypatch.setattr(planar_embed, "check_rotation", counted_validate)
+    monkeypatch.setattr(planar_embed, "check_rotation", counted_check)
     for name in ("c100", "c600", "honeycomb-50"):
         g = named(name)[0]
-        calls["walks"] = calls["validate"] = 0
+        calls["walks"] = calls["check"] = 0
         report = discharge_audit(g)
-        assert calls == {"walks": 1, "validate": 0}, name
+        assert calls == {"walks": 1, "check": 0}, name
         assert report.final_total == -12
     g = cycle(6)
     bad = ((1, 5), (0, 2), (1, 3), (2, 4), (3, 5), (4, 1))
     with pytest.raises(InconsistentRotation):
         faces(g, bad)
-    assert calls["validate"] == 1
+    assert calls["check"] == 1
     two = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     with pytest.raises(ValueError):
         faces(two, ((1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4)))
