@@ -426,10 +426,10 @@ def _lr_sides(ordered, height, parent, src, dst, low):
     return side
 
 
-def _embed(g: Graph) -> tuple[tuple, list] | None:
+def _embed(g: Graph) -> tuple[list, list] | None:
     """Embed g (its caller checks it is connected) through its
-    series-parallel reduction; return the rotation rows and the face
-    walks, or None when g is not planar.
+    series-parallel reduction; return the rotation rows, as lists, and
+    the face walks, or None when g is not planar.
 
     The reduction of a connected graph has at most one component with
     edges, and _embed_kernel embeds it.  Then _reduce's log is undone in
@@ -464,7 +464,7 @@ def _embed(g: Graph) -> tuple[tuple, list] | None:
     walks = _face_walks(range(g.n), g.adj, rot)
     if g.n - g.m + len(walks) != 2:
         raise AssertionError("undoing the reduction gave a non-planar rotation")
-    return tuple(map(tuple, rot)), walks
+    return rot, walks
 
 
 def find_planar_embedding(g: Graph) -> tuple[tuple[int, ...], ...] | None:
@@ -474,7 +474,7 @@ def find_planar_embedding(g: Graph) -> tuple[tuple[int, ...], ...] | None:
     if g.n == 0 or not is_connected(g):
         raise ValueError("embedding requires a nonempty connected graph")
     found = _embed(g)
-    return None if found is None else found[0]
+    return None if found is None else tuple(map(tuple, found[0]))
 
 
 def is_planar(g: Graph) -> bool:

@@ -7,6 +7,11 @@ color_square_7lists drops a leaf, splices a 2-vertex, or removes a
 the vertices back in reverse order and colors them (_lift), recoloring
 around the six-cycle by Lemma 2 (_recoloring, RECOLORING_ROWS), and
 certifies the result.  verify_lemma2_tables checks the 12 rows.
+
+The peel records each removed vertex's square-neighbourhood (for a
+six-cycle, those of all six cycle vertices) while the vertex is still
+attached.  The lift colors that vertex in the same graph, so it reads
+the records alone and never rebuilds the adjacency.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ SQUARE_PAIRS = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3), (2, 4), (0, 4))
 
 def _free_color(colors: frozenset, f: Sequence[Optional[int]], near: Iterable[int]) -> int:
     """Smallest color of `colors` that no vertex of `near` wears in f."""
-    free = colors - {f[u] for u in near}
+    free = colors.difference(map(f.__getitem__, near))
     _invariant(bool(free), "a vertex with at most 6 square-neighbors has a free color")
     return min(free)
 
@@ -72,7 +77,7 @@ def _free_color(colors: frozenset, f: Sequence[Optional[int]], near: Iterable[in
 def _fits(f: Sequence[Optional[int]], lists, v: int, near: Iterable[int]) -> bool:
     """f[v] lies in the list of v and differs from f[u] for every u in near."""
     color = f[v]
-    return color in lists[v] and all(f[u] != color for u in near)
+    return color in lists[v] and color not in map(f.__getitem__, near)
 
 
 def _available(cyc: tuple, lists, f: Sequence[Optional[int]], near: dict) -> dict:
@@ -129,15 +134,16 @@ def _recoloring(cyc: tuple, Cv: dict, f: Sequence[Optional[int]]) -> dict:
     return new
 
 
-def _extend_sixcycle(cyc: tuple, lists, f: list, adj) -> None:
+def _extend_sixcycle(cyc: tuple, lists, f: list, near: dict) -> None:
     """Color the 2-vertex v6 of the six-cycle cyc = (v1, ..., v6) in f.
 
     f colors the host minus v6 properly in its square, except that v1
-    and v5 may share a color; adj is the host adjacency.  If v1 and v5
+    and v5 may share a color; near maps each cycle vertex to its
+    square-neighbourhood in the host (the peel's record, or
+    square_neighbors on the host for extend_sixcycle).  If v1 and v5
     differ in color, v6 is colored greedily; otherwise v1..v5 are
     recolored first (_recoloring).
     """
-    near = {v: square_neighbors(adj, v) for v in cyc}
     v1, v5, v6 = cyc[0], cyc[4], cyc[5]
     if f[v1] == f[v5]:
         for v, color in _recoloring(cyc, _available(cyc, lists, f, near), f).items():
@@ -205,7 +211,7 @@ def extend_sixcycle(cfg: SixCycleTwoVertex, L: Sequence[Iterable[int]], phi: Seq
     v1, _, _, _, v5, v6 = cfg.cycle
     _check_phi(g, lists, phi, v1, v5, v6)
     f = list(phi)
-    _extend_sixcycle(cfg.cycle, lists, f, g.adj)
+    _extend_sixcycle(cfg.cycle, lists, f, {v: square_neighbors(g.adj, v) for v in cfg.cycle})
     return f
 
 
@@ -216,11 +222,11 @@ SIXCYCLE = "six-cycle"
 
 
 def _peel(adj: list) -> list:
-    """Remove every vertex of an in-class graph; return (rule, v, nbrs, cycle) records.
+    """Remove every vertex of an in-class graph; return (rule, v, nbrs, cycle, near) records.
 
-    adj is a list of neighbor sets and is emptied.  Every subcubic planar
-    graph of girth >= 6 has a vertex of degree <= 2, and each rule keeps
-    the graph in the class:
+    adj is a list of neighbor sets; each removed vertex's row becomes ().
+    Every subcubic planar graph of girth >= 6 has a vertex of degree <= 2,
+    and each rule keeps the graph in the class:
       leaf      deg v <= 1: delete v.
       six-cycle v lies on a six-cycle (v's neighbors x, y are joined by a
                 path of 4 edges avoiding v): delete v; cycle is
@@ -228,6 +234,13 @@ def _peel(adj: list) -> list:
       splice    otherwise: delete v and join x to y.  Every cycle
                 through v has length >= 7 (or v is a cut vertex), so the
                 girth stays >= 6.
+    near holds what the lift needs, read in the graph G from which v is
+    removed: for a leaf or a splice, v's square-neighbours (u, *N(u)) or
+    (x, y, *N(x), *N(y)) without v; for a six-cycle, one tuple of
+    square-neighbours per cycle vertex, aligned with cycle.  The lift
+    undoes the later records first, so it colors v in this same G, and
+    these are the neighbourhoods it would read there.  Tuples, not sets:
+    the records outlive the peel, and sets cost memory and GC time.
     """
     gone = [False] * len(adj)
     work = [v for v in range(len(adj)) if len(adj[v]) <= 2]
@@ -238,46 +251,44 @@ def _peel(adj: list) -> list:
             continue
         gone[v] = True
         nbrs = tuple(sorted(adj[v]))
-        adj[v] = set()
+        path = _four_path(adj, *nbrs, v) if len(nbrs) == 2 else None
+        if path is not None:
+            # v is still attached: this is the graph the lift colors v in.
+            cycle = (*path, v)
+            record = (SIXCYCLE, v, nbrs, cycle, tuple([tuple(square_neighbors(adj, u)) for u in cycle]))
+        adj[v] = ()
         for u in nbrs:
             adj[u].discard(v)
-        rule, cycle = LEAF, None
-        if len(nbrs) == 2:
-            x, y = nbrs
-            path = _four_path(adj, x, y, v)
-            if path is None:
-                _invariant(y not in adj[x], "a splice never doubles an edge at girth >= 6")
-                adj[x].add(y)
-                adj[y].add(x)
-                records.append((SPLICE, v, nbrs, None))
+        if path is None:
+            if len(nbrs) == 2:
+                x, y = nbrs
+                ax, ay = adj[x], adj[y]
+                _invariant(y not in ax, "a splice never doubles an edge at girth >= 6")
+                records.append((SPLICE, v, nbrs, None, (x, y, *ax, *ay)))
+                ax.add(y)
+                ay.add(x)
                 continue  # x and y keep their degrees
-            rule, cycle = SIXCYCLE, (*path, v)
-        records.append((rule, v, nbrs, cycle))
-        work.extend(u for u in nbrs if len(adj[u]) <= 2)
+            record = (LEAF, v, nbrs, None, (nbrs[0], *adj[nbrs[0]]) if nbrs else ())
+        records.append(record)
+        work.extend(nbrs)  # each lost v, so has degree <= 2 in a subcubic graph
     _invariant(all(gone), "every in-class graph has a vertex of degree at most 2")
     return records
 
 
-def _lift(adj: list, records: list, lists) -> list:
+def _lift(n: int, records: list, lists) -> list:
     """Undo the peel records in reverse, coloring each vertex as it returns.
 
-    adj starts empty and ends as the original graph.  A leaf or spliced
-    vertex has at most 6 square-neighbors and takes a free color; a
-    six-cycle vertex goes through the recoloring engine.
+    n is the vertex count.  No adjacency is read: each record carries the
+    square-neighbourhoods of the graph the vertex returns to (see _peel).
+    A leaf or spliced vertex has at most 6 square-neighbors and takes a
+    free color; a six-cycle vertex goes through the recoloring engine.
     """
-    f: list = [None] * len(adj)
-    for rule, v, nbrs, cycle in reversed(records):
-        if rule == SPLICE:
-            x, y = nbrs
-            adj[x].discard(y)
-            adj[y].discard(x)
-        adj[v] = set(nbrs)
-        for u in nbrs:
-            adj[u].add(v)
+    f: list = [None] * n
+    for rule, v, _, cycle, near in reversed(records):
         if rule == SIXCYCLE:
-            _extend_sixcycle(cycle, lists, f, adj)
+            _extend_sixcycle(cycle, lists, f, dict(zip(cycle, near)))
         else:
-            f[v] = _free_color(lists[v], f, square_neighbors(adj, v))
+            f[v] = _free_color(lists[v], f, near)
     return f
 
 
@@ -287,8 +298,8 @@ def color_square_7lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
     g must be subcubic and planar with girth >= 6, else NotInClass (a
     PreconditionViolated) from check_class.  The proof's three rules
     (leaf, splice, six-cycle) peel g down to nothing on one mutable
-    adjacency (_peel); the lift puts the vertices back in reverse order and colors them
-    (_lift).  No exact search runs.  The result is certified proper on
+    adjacency (_peel); the lift puts the vertices back in reverse order
+    and colors them from the peel's records alone (_lift).  No exact search runs.  The result is certified proper on
     the square of g and inside every list; a failed certificate raises
     AssertionError.  Two vertices at distance <= 2 are adjacent or share
     a neighbour, so the certificate asks only that every closed
@@ -296,8 +307,7 @@ def color_square_7lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
     """
     check_class(g)
     lists = _seven_lists(g, L)
-    adj = [set(a) for a in g.adj]
-    f = _lift(adj, _peel(adj), lists)
+    f = _lift(g.n, _peel([set(a) for a in g.adj]), lists)
     _invariant(
         all(color in allowed for color, allowed in zip(f, lists))
         and all(len({f[u], *map(f.__getitem__, nbrs)}) == len(nbrs) + 1 for u, nbrs in enumerate(g.adj)),

@@ -8,8 +8,9 @@ import networkx as nx
 from sqcolor.errors import ParseError
 from sqcolor.formats import MAX_VERTICES, parse_graphs
 from sqcolor.generate import enumerate_class
-from sqcolor.graph_core import Graph
+from sqcolor.graph_core import Graph, square_neighbors
 from sqcolor.planar_embed import faces
+from sqcolor.reducer import SIXCYCLE, SPLICE, _extend_sixcycle, _free_color
 
 
 def to_nx(g):
@@ -392,6 +393,32 @@ def parse_lists_by_line(text, n, source="<lists>"):
     if missing:
         raise ParseError(source, len(text.splitlines()) or 1, str(missing[0]), f"missing list for vertices {first_ten(missing)}")
     return [lists[v] for v in range(n)]
+
+
+def lift_by_adjacency(adj, records, lists):
+    """The lift that puts the adjacency back: undo the peel records in
+    reverse on adj (the rows the peel emptied, which end as the original
+    graph) and read every square-neighbourhood off the restored graph.
+    At each step it asserts that the record's near holds exactly those
+    neighbourhoods, then colors from its own as the lift does."""
+    f = [None] * len(adj)
+    for rule, v, nbrs, cycle, near in reversed(records):
+        if rule == SPLICE:
+            x, y = nbrs
+            adj[x].discard(y)
+            adj[y].discard(x)
+        adj[v] = set(nbrs)
+        for u in nbrs:
+            adj[u].add(v)
+        if rule == SIXCYCLE:
+            restored = {u: square_neighbors(adj, u) for u in cycle}
+            assert [set(t) for t in near] == [restored[u] for u in cycle], (rule, v)
+            _extend_sixcycle(cycle, lists, f, restored)
+        else:
+            restored = square_neighbors(adj, v)
+            assert sorted(near) == sorted(restored), (rule, v)
+            f[v] = _free_color(lists[v], f, restored)
+    return f
 
 
 def first_ten(vertices):
