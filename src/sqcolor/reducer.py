@@ -299,11 +299,12 @@ def color_square_7lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
     PreconditionViolated) from check_class.  The proof's three rules
     (leaf, splice, six-cycle) peel g down to nothing on one mutable
     adjacency (_peel); the lift puts the vertices back in reverse order
-    and colors them from the peel's records alone (_lift).  No exact search runs.  The result is certified proper on
-    the square of g and inside every list; a failed certificate raises
-    AssertionError.  Two vertices at distance <= 2 are adjacent or share
-    a neighbour, so the certificate asks only that every closed
-    neighbourhood N[u] has pairwise distinct colors.
+    and colors them from the peel's records alone (_lift).  No exact
+    search runs.  The result is certified proper on the square of g and
+    inside every list; a failed certificate raises AssertionError.  Two
+    vertices at distance <= 2 are adjacent or share a neighbour, so the
+    certificate asks only that every closed neighbourhood N[u] has
+    pairwise distinct colors.
     """
     check_class(g)
     lists = _seven_lists(g, L)
