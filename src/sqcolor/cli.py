@@ -76,15 +76,6 @@ def _budget(args) -> int:
         if args.budget <= 0:
             raise ValueError("budget must be positive")
         return args.budget
-    env = os.environ.get("SQCOLOR_BUDGET")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ParseError("SQCOLOR_BUDGET", None, env, "budget must be an integer")
-        if value <= 0:
-            raise ParseError("SQCOLOR_BUDGET", None, env, "budget must be positive")
-        return value
     return DEFAULT_CHOOSABILITY_BUDGET
 
 

@@ -10,6 +10,9 @@ cut 2-vertex question) and the spacing witness (find_spacing_violation):
 the common cycle, read off the block itself when the block is a cycle
 and otherwise off a unit flow of value 2 between the two 2-vertices.
 find-config, reduce and the audit use them; coloring needs none of them.
+Each type is a plain record of its witness's vertices and holds no
+graph; the tests check a witness against the definition with their own
+oracle, not with these detectors.
 
 Vertices start at 2d(v) - 6 and faces at d(f) - 6, which sums to -12 on
 any connected plane graph.  The single redistribution rule sends 1 from
@@ -33,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import NotCutVertex, NotInClass, NotTwoVertex, PreconditionViolated
+from .errors import NotCutVertex, NotInClass, NotTwoVertex
 from .graph_core import (
     Graph,
     _four_path,
@@ -51,9 +54,6 @@ from .planar_embed import _embed, check_degree_and_girth, check_subcubic
 class OneVertex:
     v: int
 
-    def verify(self, g: Graph) -> bool:
-        return 0 <= self.v < g.n and g.degree(self.v) <= 1
-
 
 @dataclass(frozen=True)
 class CutTwoVertex:
@@ -61,52 +61,16 @@ class CutTwoVertex:
     x: int
     y: int
 
-    def verify(self, g: Graph) -> bool:
-        if not 0 <= self.u < g.n:
-            return False
-        return (
-            g.degree(self.u) == 2
-            and set(g.neighbors(self.u)) == {self.x, self.y}
-            and self.u not in derived(g, two_vertex_blocks)
-        )
-
 
 @dataclass(frozen=True)
 class SixCycleTwoVertex:
-    """A six-cycle (v1, ..., v6) of host whose last vertex v6 has degree 2.
+    """A six-cycle (v1, ..., v6) whose last vertex v6 has degree 2.
 
     The recoloring engine reads the cycle in this order: v1 and v5 are
     the neighbours of the 2-vertex v6.
     """
 
     cycle: tuple
-    host: Graph
-
-    def validate(self) -> None:
-        """Raise PreconditionViolated unless host has girth >= 6 and cycle
-        is a six-cycle of host ending at a 2-vertex."""
-        g = self.host
-        cyc = self.cycle
-        if len(cyc) != 6 or len(set(cyc)) != 6:
-            raise PreconditionViolated("cycle must list six distinct vertices")
-        for i in range(6):
-            u, v = cyc[i], cyc[(i + 1) % 6]
-            if not (0 <= u < g.n) or not (0 <= v < g.n) or not g.has_edge(u, v):
-                raise PreconditionViolated(f"missing cycle edge {u}-{v}")
-        v6 = cyc[5]
-        if g.degree(v6) != 2:
-            raise PreconditionViolated(f"vertex {v6} has degree {g.degree(v6)}, not 2")
-        if not derived(g, girth_at_least, 6):
-            raise PreconditionViolated("host girth is below 6")
-
-    def verify(self, g: Graph) -> bool:
-        if self.host is not g and self.host != g:
-            return False
-        try:
-            self.validate()
-        except PreconditionViolated:
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -118,27 +82,9 @@ class SpacingViolation:
     w: int
     dist: int
 
-    def verify(self, g: Graph) -> bool:
-        cyc = self.cycle
-        if len(cyc) < 3 or len(set(cyc)) != len(cyc):
-            return False
-        if not all(0 <= v < g.n for v in cyc):
-            return False
-        if not all(g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))):
-            return False
-        return (
-            self.u in cyc
-            and self.w in cyc
-            and self.u != self.w
-            and g.degree(self.u) == 2
-            and g.degree(self.w) == 2
-            and self.dist <= 3
-            and ball(g.adj, self.u, 3).get(self.w) == self.dist
-        )
-
 
 def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleTwoVertex]:
-    """Find a six-cycle through a 2-vertex; requires host girth >= 6.
+    """Find a six-cycle through a 2-vertex; requires girth >= 6.
 
     NotInClass on a vertex of degree above 3, as find_reducible_config:
     each 2-vertex's path search would scan such a hub's row.  The girth
@@ -154,7 +100,7 @@ def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleTwoVertex]:
         # A path x .. y of 4 edges avoiding v6 closes a six-cycle with x-v6-y.
         path = _four_path(adj, x, y, v6)
         if path is not None:  # with no six-cycle the girth cannot change the answer
-            return SixCycleTwoVertex(cycle=(*path, v6), host=g) if derived(g, girth_at_least, 6) else None
+            return SixCycleTwoVertex((*path, v6)) if derived(g, girth_at_least, 6) else None
     return None
 
 

@@ -6,7 +6,7 @@ class ParseError(ValueError):
 
     Carries the source name, 1-based line number, and the offending token
     so command line reports can point at the exact spot.  An error of a
-    whole source has line None, and token None or the value at fault.
+    whole source has line and token None.
     """
 
     def __init__(self, source, line, token, message):
@@ -16,8 +16,6 @@ class ParseError(ValueError):
         self.message = message
         if line is not None:
             text = f"{source}:{line}: bad token {token!r}: {message}"
-        elif token is not None:
-            text = f"{source}: {message}, got {token!r}"
         else:
             text = f"{source}: {message}"
         super().__init__(text)

@@ -18,7 +18,9 @@ in reading order.
 
 graph6 is accepted as an alternate encoding, one graph per line; lines
 are detected as graph6 when they contain no whitespace and do not start
-with a digit (graph6 bytes are all >= 63).
+with a digit (graph6 bytes are all >= 63).  n is at most 258047, the
+most that the 4-byte header holds (the 8-byte form is refused), and the
+body length is checked against n before any edge is decoded.
 
 List assignments: lines "v: c1 c2 ... ck", one per vertex, in any
 order.  Lines whose list text after the ':' is the same share one

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from .coloring import normalize_lists
 from .errors import ListTooSmall, PreconditionViolated
-from .graph_core import Graph, _four_path, is_subcubic, square_neighbors
+from .graph_core import Graph, _four_path, derived, girth_at_least, is_subcubic, square_neighbors
 from .planar_embed import check_class
 
 # The benchmark's span tracer (perfbench/spans.py) still looks these names
@@ -167,8 +167,38 @@ def _invariant(cond: bool, msg: str) -> None:
         raise AssertionError(f"recoloring invariant failed: {msg}")
 
 
-def _check_phi(g: Graph, lists, phi, v1: int, v5: int, v6: int) -> None:
-    """phi must be a proper list coloring of the square of g minus v6."""
+def extend_sixcycle(
+    g: Graph, cycle: tuple, L: Sequence[Iterable[int]], phi: Sequence[Optional[int]]
+) -> list:
+    """Extend a square coloring of g minus the 2-vertex v6 to the square of g.
+
+    cycle = (v1, ..., v6) is a six-cycle of g ending at the 2-vertex, so
+    v1 and v5 are its neighbours.  g must be subcubic with girth >= 6,
+    every list must hold >= 7 colors (ListTooSmall), and phi must be a
+    proper coloring of the square of g minus v6 from the lists, with
+    phi[v6] None.  Any other input raises PreconditionViolated naming the
+    first fault.  If v1 and v5 differ in color, coloring v6 greedily
+    suffices.  Otherwise recolor by an escape or a row of
+    RECOLORING_ROWS (_recoloring) first.  Never fails on valid input.
+
+    The library entry point of Lemma 2: the peel calls _extend_sixcycle
+    directly, and this checked form stays as API for callers that bring
+    their own coloring, such as the acceptance sweep of the lemma.
+    """
+    if len(cycle) != 6 or len(set(cycle)) != 6:
+        raise PreconditionViolated("cycle must list six distinct vertices")
+    for i in range(6):
+        u, v = cycle[i], cycle[(i + 1) % 6]
+        if not (0 <= u < g.n) or not (0 <= v < g.n) or not g.has_edge(u, v):
+            raise PreconditionViolated(f"missing cycle edge {u}-{v}")
+    v1, _, _, _, v5, v6 = cycle
+    if g.degree(v6) != 2:
+        raise PreconditionViolated(f"vertex {v6} has degree {g.degree(v6)}, not 2")
+    if not derived(g, girth_at_least, 6):
+        raise PreconditionViolated("host girth is below 6")
+    if not is_subcubic(g):
+        raise PreconditionViolated("host must be subcubic")
+    lists = _seven_lists(g, L)
     if len(phi) != g.n:
         raise PreconditionViolated("coloring length does not match host")
     if phi[v6] is not None:
@@ -186,32 +216,8 @@ def _check_phi(g: Graph, lists, phi, v1: int, v5: int, v6: int) -> None:
             raise PreconditionViolated(
                 f"vertex {v} wears a color outside its list or shared with a square-neighbor"
             )
-
-
-def extend_sixcycle(cfg: SixCycleTwoVertex, L: Sequence[Iterable[int]], phi: Sequence[Optional[int]]) -> list:
-    """Extend a square coloring of host minus the 2-vertex v6 to the host square.
-
-    cfg.cycle = (v1, ..., v6) ends at the 2-vertex, so v1 and v5 are its
-    neighbours.  phi must be a proper coloring of the square of host
-    minus v6 from the lists, with phi[v6] None, else PreconditionViolated
-    naming the first offending vertex.  If v1 and v5 differ in color,
-    coloring v6 greedily suffices.  Otherwise recolor by an escape or a
-    row of RECOLORING_ROWS (_recoloring) first.  Never fails on valid
-    input.
-
-    The library entry point of Lemma 2: the peel calls _extend_sixcycle
-    directly, and this checked form stays as API for callers that bring
-    their own coloring, such as the acceptance sweep of the lemma.
-    """
-    cfg.validate()
-    g = cfg.host
-    if not is_subcubic(g):
-        raise PreconditionViolated("host must be subcubic")
-    lists = _seven_lists(g, L)
-    v1, _, _, _, v5, v6 = cfg.cycle
-    _check_phi(g, lists, phi, v1, v5, v6)
     f = list(phi)
-    _extend_sixcycle(cfg.cycle, lists, f, {v: square_neighbors(g.adj, v) for v in cfg.cycle})
+    _extend_sixcycle(cycle, lists, f, {v: square_neighbors(g.adj, v) for v in cycle})
     return f
 
 

@@ -421,6 +421,40 @@ def lift_by_adjacency(adj, records, lists):
     return f
 
 
+def config_holds(g, cfg):
+    """Whether cfg witnesses its reducible configuration in g, read off
+    the definition with networkx and girth_per_edge alone, so that no
+    detector of the package checks its own answer.  The four types are
+    told apart by class name:
+      OneVertex(v)                a vertex of degree <= 1;
+      CutTwoVertex(u, x, y)       a 2-vertex with neighbours x and y that
+                                  is a cut vertex (so on no cycle);
+      SixCycleTwoVertex(cycle)    a six-cycle of a graph of girth >= 6
+                                  whose last vertex has degree 2;
+      SpacingViolation(cycle, u, w, dist)
+                                  two 2-vertices u != w on the cycle
+                                  at distance dist <= 3.
+    """
+    h = to_nx(g)
+    kind = type(cfg).__name__
+    if kind == "OneVertex":
+        return cfg.v in h and h.degree(cfg.v) <= 1
+    if kind == "CutTwoVertex":
+        u = cfg.u
+        return (u in h and h.degree(u) == 2 and set(h[u]) == {cfg.x, cfg.y}
+                and u in set(nx.articulation_points(h)))
+    cyc = cfg.cycle
+    if not (len(set(cyc)) == len(cyc) >= 3 and all(h.has_edge(cyc[i - 1], cyc[i]) for i in range(len(cyc)))):
+        return False
+    if kind == "SixCycleTwoVertex":
+        return len(cyc) == 6 and h.degree(cyc[5]) == 2 and girth_per_edge(g) >= 6
+    if kind == "SpacingViolation":
+        u, w = cfg.u, cfg.w
+        return (u != w and u in cyc and w in cyc and h.degree(u) == 2 == h.degree(w)
+                and cfg.dist <= 3 and nx.shortest_path_length(h, u, w) == cfg.dist)
+    raise TypeError(f"not a reducible configuration: {cfg!r}")
+
+
 def first_ten(vertices):
     """The list of vertices, or its first ten, "..." and the count."""
     if len(vertices) <= 10:

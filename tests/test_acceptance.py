@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     brute_colorable,
+    config_holds,
     euler_genus_check,
     from_nx,
     girth_per_edge,
@@ -109,7 +110,7 @@ def test_criterion_2_recoloring_sweep(corpus12, capsys):
             if phi[v1] == phi[v5]:
                 branch_two += 1
             trials += 1
-            f = extend_sixcycle(cfg, lists, phi)
+            f = extend_sixcycle(g, cfg.cycle, lists, phi)
             total = all(c is not None for c in f)
             respects = total and all(f[v] in lists[v] for v in range(g.n))
             proper = total and is_proper(sq_g, f)
@@ -139,7 +140,7 @@ def test_criterion_3_discharging_dichotomy(corpus12, capsys):
         audit = discharge_audit(g)
         if audit.initial_total != TWELVE or audit.final_total != TWELVE:
             bad.append((idx, "total", audit.initial_total, audit.final_total))
-        if audit.config is None or not audit.config.verify(g):
+        if audit.config is None or not config_holds(g, audit.config):
             bad.append((idx, "config"))
         if not audit.dichotomy_holds:
             bad.append((idx, "dichotomy"))

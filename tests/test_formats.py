@@ -133,13 +133,17 @@ def test_graph6_round_trip_large_square():
     assert peak < 8 * 2**20
 
 
-def test_graph6_rejects_bad_input():
+def test_graph6_rejects_bad_input(cpu_bound):
     with pytest.raises(ParseError):
         from_graph6("")
     with pytest.raises(ParseError):
         from_graph6("B\x7f")
     with pytest.raises(ParseError):
         from_graph6("Bw~~~")
+    # n = 258047, the largest the 4-byte header holds, with no body: the
+    # length check refuses it before any edge is decoded.
+    with cpu_bound(1.0, "the graph6 length check"), pytest.raises(ParseError, match="mismatch for n=258047$"):
+        from_graph6("~}~~")
 
 
 def test_autodetect_graph6_and_text():

@@ -9,7 +9,8 @@ A violation here would be a circular import, or one on its way.
 
 The same reading pins the dead code: the functions and classes that no
 module of the package refers to, which only the span tracer and the
-tests still use.
+tests still use, and the methods that no module calls, of which there
+should be none.
 """
 
 import ast
@@ -106,15 +107,23 @@ def test_the_reader_sees_relative_and_absolute_imports(tmp_path):
     )
 
 
-def test_the_unreferenced_names_are_the_traced_ones():
-    # A name counts as referred to where a module other than __init__
-    # loads it or reads it as an attribute; imports do not count, since
-    # an import alone refers to nothing, and neither does a definition.
-    defined, used = set(), set()
+def definitions_and_uses():
+    """(names, methods, used): the top-level functions and classes of the
+    package, its (class, method) pairs other than dunders, and the names
+    its modules refer to.  A name counts as referred to where a module
+    other than __init__ loads it or reads it as an attribute; imports do
+    not count, since an import alone refers to nothing, and neither does
+    a definition."""
+    names, methods, used = set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined |= {node.name for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                methods |= {(node.name, item.name) for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("__")}
         if path.stem == "__init__":
             continue
         for node in ast.walk(tree):
@@ -122,4 +131,16 @@ def test_the_unreferenced_names_are_the_traced_ones():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    assert defined - used == UNREFERENCED | {LEMMA2_ENTRY_POINT, CHECKED_FACES_ENTRY_POINT}
+    return names, methods, used
+
+
+def test_the_unreferenced_names_are_the_traced_ones():
+    names, _, used = definitions_and_uses()
+    assert names - used == UNREFERENCED | {LEMMA2_ENTRY_POINT, CHECKED_FACES_ENTRY_POINT}
+
+
+def test_every_method_is_referred_to():
+    # A method is referred to by its name read as an attribute anywhere in
+    # the package, whatever the object; the tests' oracles are no callers.
+    _, methods, used = definitions_and_uses()
+    assert sorted(f"{cls}.{name}" for cls, name in methods if name not in used) == []

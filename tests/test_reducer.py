@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from oracles import lift_by_adjacency, naive_choosable
+from oracles import config_holds, lift_by_adjacency, naive_choosable
 
 from sqcolor.coloring import find_L_coloring, is_proper, normalize_lists
 from sqcolor.discharging import (
@@ -64,6 +64,9 @@ def cycle(k):
 
 
 FULL = [list(range(7))]
+
+# The six-cycle 0..5 with its 2-vertex last, as extend_sixcycle reads it.
+HEXAGON = (0, 1, 2, 3, 4, 5)
 
 
 def hexagon_config(g):
@@ -255,27 +258,28 @@ def test_recoloring_is_correct_on_every_collapsed_situation():
 # --- six-cycle configuration plumbing ---
 
 
-def test_sixcycle_config_validate_errors():
+def test_extend_sixcycle_rejects_a_bad_cycle():
     g = cycle(6)
-    with pytest.raises(PreconditionViolated):
-        SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 4), host=g).validate()
-    with pytest.raises(PreconditionViolated):
-        SixCycleTwoVertex(cycle=(0, 1, 2, 3, 5, 4), host=g).validate()
-    small = cycle(5)
-    with pytest.raises(PreconditionViolated):
-        SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 0), host=small).validate()
+    phi = [1, 2, 3, 4, 1, None]
+    with pytest.raises(PreconditionViolated, match=r"^cycle must list six distinct vertices$"):
+        extend_sixcycle(g, (0, 1, 2, 3, 4, 4), FULL * 6, phi)
+    with pytest.raises(PreconditionViolated, match=r"^missing cycle edge 3-5$"):
+        extend_sixcycle(g, (0, 1, 2, 3, 5, 4), FULL * 6, phi)
+    with pytest.raises(PreconditionViolated, match=r"^cycle must list six distinct vertices$"):
+        extend_sixcycle(cycle(5), (0, 1, 2, 3, 4, 0), FULL * 5, phi[:5])
 
 
 def test_find_sixcycle_on_c6():
-    cfg = hexagon_config(cycle(6))
-    assert cfg.cycle == (1, 2, 3, 4, 5, 0)
-    cfg.validate()
+    g = cycle(6)
+    cfg = hexagon_config(g)
+    assert cfg == SixCycleTwoVertex((1, 2, 3, 4, 5, 0))
+    assert config_holds(g, cfg)
 
 
 def test_find_sixcycle_on_subdivided_prism():
     g = named("subdivided-prism")[0]
     cfg = hexagon_config(g)
-    cfg.validate()
+    assert config_holds(g, cfg)
     assert g.degree(cfg.cycle[5]) == 2
 
 
@@ -349,15 +353,15 @@ def test_find_config_cut_two_vertex():
     g = named("two-heptagons")[0]
     got = find_reducible_config(g)
     assert got == CutTwoVertex(14, 0, 7)
-    assert got.verify(g)
-    assert not got.verify(cycle(6))
+    assert config_holds(g, got)
+    assert not config_holds(cycle(6), got)
 
 
 def test_find_config_sixcycle():
     g = cycle(6)
     got = find_reducible_config(g)
     assert isinstance(got, SixCycleTwoVertex)
-    assert got.verify(g)
+    assert config_holds(g, got)
 
 
 def test_find_config_spacing_violation_on_c7():
@@ -365,7 +369,7 @@ def test_find_config_spacing_violation_on_c7():
     got = find_reducible_config(g)
     assert isinstance(got, SpacingViolation)
     assert got.dist <= 3
-    assert got.verify(g)
+    assert config_holds(g, got)
     assert sorted(got.cycle) == list(range(7))
 
 
@@ -402,7 +406,7 @@ def test_find_config_spacing_on_adjacent_subdivisions():
     assert isinstance(got, SpacingViolation)
     assert {got.u, got.w} == {12, 13}
     assert got.dist == 3
-    assert got.verify(g)
+    assert config_holds(g, got)
 
 
 def test_spacing_needs_common_cycle():
@@ -426,7 +430,7 @@ def test_spacing_witness_on_a_long_cycle():
     got = find_spacing_violation(g)
     assert (got.u, got.w, got.dist) == (0, 1, 1)
     assert got.cycle == tuple(range(3000))
-    assert got.verify(g)
+    assert config_holds(g, got)
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 10, 11, 12, 3000])
@@ -465,7 +469,7 @@ def test_spacing_witness_within_a_cpu_bound(cpu_bound):
     with cpu_bound(5.0, "the spacing witness"):
         got = find_spacing_violation(g)
     assert (g.n, got.u, got.w, got.dist, len(got.cycle)) == (395, 1, 225, 3, 18)
-    assert got.verify(g)
+    assert config_holds(g, got)
 
 
 def test_config_detection_matches_frozen_corpus_profile(corpus12):
@@ -475,7 +479,7 @@ def test_config_detection_matches_frozen_corpus_profile(corpus12):
         got = find_reducible_config(g)
         counts[type(got).__name__ if got is not None else "none"] += 1
         if got is not None:
-            assert got.verify(g)
+            assert config_holds(g, got)
     assert counts == {
         "OneVertex": 916,
         "CutTwoVertex": 0,
@@ -517,7 +521,7 @@ def test_every_in_class_graph_has_one_of_the_four_configs(corpus12):
     for g in graphs:
         got = find_reducible_config(g)
         assert isinstance(got, (OneVertex, CutTwoVertex, SixCycleTwoVertex, SpacingViolation)), g.edges()
-        assert got.verify(g)
+        assert config_holds(g, got)
         seen.add(type(got))
     assert seen == {OneVertex, CutTwoVertex, SixCycleTwoVertex, SpacingViolation}
 
@@ -525,9 +529,9 @@ def test_every_in_class_graph_has_one_of_the_four_configs(corpus12):
 # --- available lists ---
 
 
-def available(cfg, L, phi):
-    near = {v: square_neighbors(cfg.host.adj, v) for v in cfg.cycle}
-    return _available(cfg.cycle, normalize_lists(cfg.host, L), phi, near)
+def available(g, cyc, L, phi):
+    near = {v: square_neighbors(g.adj, v) for v in cyc}
+    return _available(cyc, normalize_lists(g, L), phi, near)
 
 
 def test_available_lists_with_no_externals_is_whole_list():
@@ -536,7 +540,7 @@ def test_available_lists_with_no_externals_is_whole_list():
     phi = [None] * 6
     v1, v2, v3, v4, v5, v6 = cfg.cycle
     phi[v1], phi[v2], phi[v3], phi[v4], phi[v5] = 1, 2, 3, 4, 1
-    avail = available(cfg, FULL * 6, phi)
+    avail = available(g, cfg.cycle, FULL * 6, phi)
     assert all(avail[v] == frozenset(range(7)) for v in cfg.cycle)
 
 
@@ -569,10 +573,8 @@ def fixture_config(g):
 
 def run_fixture(externals):
     g = pendant_hexagon()
-    cfg = SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 5), host=g)
-    cfg.validate()
     phi = pendant_phi(externals)
-    f = extend_sixcycle(cfg, FULL * 21, phi)
+    f = extend_sixcycle(g, HEXAGON, FULL * 21, phi)
     assert is_proper(square(g), f)
     assert all(f[v] in range(7) for v in range(21))
     assert f[6:] == phi[6:]
@@ -598,8 +600,7 @@ def test_table_fixture_variant_b():
 
 def test_fixture_available_lists_variant_a():
     g = pendant_hexagon()
-    cfg = SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 5), host=g)
-    avail = available(cfg, FULL * 21, pendant_phi(VARIANT_A))
+    avail = available(g, HEXAGON, FULL * 21, pendant_phi(VARIANT_A))
     assert avail[0] == frozenset({0, 1, 2})
     assert avail[1] == frozenset({1, 2})
     assert avail[2] == frozenset({0, 2})
@@ -646,9 +647,8 @@ def test_escape_at_v4_recolors_v5_to_c():
 
 def test_branch_one_keeps_coloring():
     g = cycle(6)
-    cfg = SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 5), host=g)
     phi = [1, 2, 3, 1, 2, None]
-    f = extend_sixcycle(cfg, FULL * 6, phi)
+    f = extend_sixcycle(g, HEXAGON, FULL * 6, phi)
     assert f[:5] == [1, 2, 3, 1, 2]
     assert f[5] == 0
     assert is_proper(square(g), f)
@@ -656,31 +656,28 @@ def test_branch_one_keeps_coloring():
 
 def test_bare_hexagon_escape():
     g = cycle(6)
-    cfg = SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 5), host=g)
     phi = [1, 2, 3, 4, 1, None]
-    f = extend_sixcycle(cfg, FULL * 6, phi)
+    f = extend_sixcycle(g, HEXAGON, FULL * 6, phi)
     assert f == [0, 2, 3, 4, 1, 3]
     assert is_proper(square(g), f)
 
 
 def test_extend_rejects_improper_phi():
     g = cycle(6)
-    cfg = SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 5), host=g)
     with pytest.raises(PreconditionViolated):
-        extend_sixcycle(cfg, FULL * 6, [1, 1, 3, 4, 1, None])
+        extend_sixcycle(g, HEXAGON, FULL * 6, [1, 1, 3, 4, 1, None])
     with pytest.raises(PreconditionViolated):
-        extend_sixcycle(cfg, FULL * 6, [1, 2, 3, 4, 1, 5])
+        extend_sixcycle(g, HEXAGON, FULL * 6, [1, 2, 3, 4, 1, 5])
     with pytest.raises(PreconditionViolated):
-        extend_sixcycle(cfg, FULL * 6, [1, 2, None, 4, 1, None])
+        extend_sixcycle(g, HEXAGON, FULL * 6, [1, 2, None, 4, 1, None])
     with pytest.raises(PreconditionViolated):
-        extend_sixcycle(cfg, FULL * 6, [1, 2, 3, 4, 9, None])
+        extend_sixcycle(g, HEXAGON, FULL * 6, [1, 2, 3, 4, 9, None])
 
 
 def test_extend_rejects_small_lists():
     g = cycle(6)
-    cfg = SixCycleTwoVertex(cycle=(0, 1, 2, 3, 4, 5), host=g)
     with pytest.raises(ListTooSmall, match=r"^vertex 0 has a list of size 6 < 7$"):
-        extend_sixcycle(cfg, [list(range(6))] * 6, [1, 2, 3, 4, 1, None])
+        extend_sixcycle(g, HEXAGON, [list(range(6))] * 6, [1, 2, 3, 4, 1, None])
     assert issubclass(ListTooSmall, PreconditionViolated)
 
 
@@ -703,7 +700,7 @@ def test_extend_sweep_on_sixcycle_hosts(corpus12):
             if phi is None:
                 continue
             phi[v6] = None
-            f = extend_sixcycle(cfg, lists, phi)
+            f = extend_sixcycle(g, cfg.cycle, lists, phi)
             assert is_proper(sq, f)
             assert all(f[v] in set(lists[v]) for v in range(g.n))
 
