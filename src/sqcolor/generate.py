@@ -20,13 +20,16 @@ of each other under a composition of them, so the output is the same
 as without pruning.  At max_n = 11 this searches 1,631 children instead
 of 2,580, and codes only the 375 kept.
 
-The sampler grows one adjacency; its chord step counts the open pairs
-per vertex and lists only the drawn vertex's row.
+The sampler grows one adjacency and keeps its open vertices, edges and
+low-degree count beside it, so no step rescans it; its chord step grows
+every vertex's ball as a bitmask, counts the open pairs per vertex with
+one popcount each and reads the drawn vertex's row off its ball.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterator, Optional, Sequence
@@ -49,7 +52,7 @@ from .planar_embed import _planar, find_planar_embedding, is_planar
 # The largest max_n that enumerate_class and random_instance accept;
 # beyond them they raise BudgetExceeded.  CPU on a 2-vCPU Xeon: the
 # enumeration takes 1.2 s at max_n = 13 and 4.8 s at 14; girth-6 samples
-# of 4,000 vertices take 6-9 s (seeds 0-2), and 5,000 already 10 s.
+# of 4,000 vertices take 2.3-2.4 s (seeds 0-2), and 5,000 3.6 s (seed 0).
 # Above girth 6 the sampler's budget shrinks (_sample_budget).
 ENUMERATION_BUDGET = 14
 SAMPLE_BUDGET = 4000
@@ -273,7 +276,10 @@ def enumerate_class(spec: GeneratorSpec) -> Iterator[Graph]:
 
 
 def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
-    """Replace edge uv by a path through a fresh vertex."""
+    """Replace edge uv by a path through a fresh vertex; ValueError if uv
+    is not an edge of g."""
+    if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
+        raise ValueError(f"({u},{v}) is not an edge")
     edges = [e for e in g.edges() if e != (min(u, v), max(u, v))]
     w = g.n
     edges.extend([(u, w), (v, w)])
@@ -283,17 +289,17 @@ def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
 def random_instance(spec: GeneratorSpec) -> Graph:
     """Randomly grown class member, deterministic under the seed.
 
-    Grows one adjacency, a list of sets, in place from a min_girth-cycle
-    (one vertex if the girth is infinite or the cycle does not fit).
+    Grows one _Sample in place from a min_girth-cycle (one vertex if the
+    girth is infinite or the cycle does not fit).
     Every step keeps the class by construction: attachments go to
     vertices of degree <= 2 (<= 1 for a cycle at a vertex), new cycles
     have exactly the girth, no step passes max_n, and a chord joins two
-    vertices at distance >= girth - 1 (_draw_chord), and is rolled back
-    if it breaks planarity.
+    vertices at distance >= girth - 1 (_draw_chord), and is dropped if
+    it breaks planarity.
     The result is checked once more; GenerationFailed if it left the class.
     BudgetExceeded when max_n exceeds _sample_budget(min_girth): each
-    chord step reads the whole adjacency, so the cost grows with max_n
-    squared.
+    chord step ORs one bitmask ball per vertex and decides planarity on
+    the whole graph, so the cost grows with max_n squared.
     """
     spec.validate()
     budget = _sample_budget(spec.min_girth)
@@ -301,14 +307,14 @@ def random_instance(spec: GeneratorSpec) -> Graph:
         raise BudgetExceeded(spec.max_n, budget, "random instance", "vertex")
     rng = random.Random(spec.seed)
     ring = 0 if spec.min_girth == INF else int(spec.min_girth)
-    adj: list[set[int]] = [set()]
+    sample = _Sample()
     if ring and spec.max_n >= ring:
-        adj = [{(i - 1) % ring, (i + 1) % ring} for i in range(ring)]
+        sample.link([*range(ring), 0])
     for _ in range(4 * spec.max_n):
-        if len(adj) >= spec.max_n:
+        if len(sample.adj) >= spec.max_n:
             break
-        _random_step(adj, spec, rng)
-    g = Graph(len(adj), _edges(adj))
+        _random_step(sample, spec, rng)
+    g = Graph(len(sample.adj), sample.edges)
     if not (
         g.n <= spec.max_n
         and is_subcubic(g)
@@ -325,13 +331,15 @@ def _sample_budget(min_girth: float) -> int:
     SAMPLE_BUDGET up to girth 6 and at infinite girth, else
     SAMPLE_BUDGET * 6 // min_girth, or min_girth if that is larger:
     up to min_girth vertices the sample is a tree or one cycle, with no
-    chord drawn (a tree of 4,000 vertices takes half the CPU of girth 6).
+    chord drawn (a tree of 4,000 vertices takes 1 % of the CPU of girth 6).
 
-    A chord step reads a ball of radius min_girth - 2 around each open
-    vertex, so a larger girth reads larger balls: at 4,000 vertices
-    (seed 0) girth 10 takes 1.2 times the CPU of girth 6, and girth 30
-    2.7 times.  With max_n scaled as 1 / min_girth, seeds 0-2 at girths
-    7 to 200 took at most 0.87 times the cheapest of girth 6 at 4,000.
+    The scaling dates from when a chord step read one dict ball per open
+    vertex, so that a larger girth read larger balls.  Now the balls are
+    bitmasks whose rounds stop once they cover the graph, and a larger
+    girth costs less: at 4,000 vertices (seed 0) girth 10 takes 0.77
+    times the CPU of girth 6, and girth 30 0.54 times.  With max_n
+    scaled as 1 / min_girth, seeds 0-2 at girths 7 to 200 took at most
+    0.72 times the cheapest of girth 6 at 4,000.
     """
     if min_girth == INF or min_girth <= 6:
         return SAMPLE_BUDGET
@@ -343,32 +351,62 @@ def _cycle(k: int) -> Graph:
     return Graph(k, [(i, (i + 1) % k) for i in range(k)])
 
 
-def _edges(adj: list[set[int]]) -> list[tuple[int, int]]:
-    """The edges u < v of adj in lexicographic order, as Graph.edges."""
-    return [(u, v) for u in range(len(adj)) for v in sorted(adj[u]) if u < v]
+class _Sample:
+    """The growing sample: its adjacency, a list of sets, and what the
+    growth steps draw from, kept in step by link and unlink so that no
+    step rescans adj: the ascending list of open vertices (degree <= 2),
+    the edges u < v in lexicographic order, as Graph.edges, and the
+    number of vertices of degree <= 1.  It starts as one vertex."""
+
+    __slots__ = ("adj", "open", "edges", "low")
+
+    def __init__(self) -> None:
+        self.adj: list[set[int]] = [set()]
+        self.open = [0]
+        self.edges: list[tuple[int, int]] = []
+        self.low = 1
+
+    def link(self, path: list[int]) -> None:
+        """Add the edges of path, appending its fresh vertices first."""
+        fresh = range(len(self.adj), max(path) + 1)
+        self.adj.extend(set() for _ in fresh)
+        self.open.extend(fresh)
+        self.low += len(fresh)
+        for u, v in zip(path, path[1:]):
+            for x, y in ((u, v), (v, u)):
+                degree = len(self.adj[x])
+                self.adj[x].add(y)
+                if degree == 1:
+                    self.low -= 1
+                elif degree == 2:
+                    del self.open[bisect_left(self.open, x)]
+            insort(self.edges, (min(u, v), max(u, v)))
+
+    def unlink(self, u: int, v: int) -> None:
+        """Remove the edge uv."""
+        for x, y in ((u, v), (v, u)):
+            self.adj[x].remove(y)
+            degree = len(self.adj[x])
+            if degree == 1:
+                self.low += 1
+            elif degree == 2:
+                insort(self.open, x)
+        del self.edges[bisect_left(self.edges, (min(u, v), max(u, v)))]
 
 
-def _link(adj: list[set[int]], path: list[int]) -> None:
-    """Add the edges of path to adj, appending its fresh vertices first."""
-    adj.extend(set() for _ in range(max(path) + 1 - len(adj)))
-    for u, v in zip(path, path[1:]):
-        adj[u].add(v)
-        adj[v].add(u)
-
-
-def _random_step(adj: list[set[int]], spec: GeneratorSpec, rng: random.Random) -> None:
-    """Apply one random growth step to adj in place; a step without
+def _random_step(sample: _Sample, spec: GeneratorSpec, rng: random.Random) -> None:
+    """Apply one random growth step to sample in place; a step without
     candidates, or a chord that breaks planarity, leaves it unchanged."""
+    adj = sample.adj
     n = len(adj)
     room = spec.max_n - n
     ring = 0 if spec.min_girth == INF else int(spec.min_girth)
     ops = []
-    open_vertices = [v for v in range(n) if len(adj[v]) < 3]
-    if open_vertices:
+    if sample.open:
         ops.append("pendant")
-    if any(adj) and ring:
+    if sample.edges and ring:
         ops.append("subdivide")
-    if ring and room >= ring - 1 and any(len(a) <= 1 for a in adj):
+    if ring and room >= ring - 1 and sample.low:
         ops.append("cycle_at_vertex")
     if ring and room >= ring - 2:
         ops.append("fuse_cycle")
@@ -376,44 +414,64 @@ def _random_step(adj: list[set[int]], spec: GeneratorSpec, rng: random.Random) -
         ops.append("chord")
     op = rng.choice(ops)
     if op == "pendant":
-        _link(adj, [rng.choice(open_vertices), n])
+        sample.link([rng.choice(sample.open), n])
     elif op == "subdivide":
-        u, v = rng.choice(_edges(adj))
-        adj[u].remove(v)
-        adj[v].remove(u)
-        _link(adj, [u, n, v])
+        u, v = rng.choice(sample.edges)
+        sample.unlink(u, v)
+        sample.link([u, n, v])
     elif op == "cycle_at_vertex":
-        v = rng.choice([v for v in range(n) if len(adj[v]) <= 1])
-        _link(adj, [v, *range(n, n + ring - 1), v])
+        v = rng.choice([v for v in sample.open if len(adj[v]) <= 1])
+        sample.link([v, *range(n, n + ring - 1), v])
     elif op == "fuse_cycle":
-        pairs = [(u, v) for u, v in _edges(adj) if len(adj[u]) <= 2 and len(adj[v]) <= 2]
+        pairs = [(u, v) for u, v in sample.edges if len(adj[u]) <= 2 and len(adj[v]) <= 2]
         if pairs:
             u, v = rng.choice(pairs)
-            _link(adj, [u, *range(n, n + ring - 2), v])
+            sample.link([u, *range(n, n + ring - 2), v])
     else:
         # adj is connected, so its distances stay below n: no pair lies
         # ring - 1 apart until ring <= n.
-        pair = _draw_chord(adj, ring, rng) if ring <= n else None
+        pair = _draw_chord(adj, sample.open, ring, rng) if ring <= n else None
         if pair:
             u, v = pair
-            _link(adj, [u, v])
-            if not _planar(adj):
-                adj[u].remove(v)
-                adj[v].remove(u)
+            adj[u].add(v)
+            adj[v].add(u)
+            planar = _planar(adj)
+            adj[u].remove(v)
+            adj[v].remove(u)
+            if planar:
+                sample.link([u, v])
 
 
-def _draw_chord(adj: list[set[int]], ring: int, rng: random.Random) -> Optional[tuple[int, int]]:
-    """The pair u < v of vertices of degree <= 2 with dist(u, v) >= ring - 1
-    that rng.choice draws from the lexicographic list of all of them, or
-    None if there is none.  v qualifies when it lies outside u's ball of
-    radius ring - 2, so each open u counts its pairs (the open v > u not
-    in the ball) from one small ball; only the drawn u's row is listed.
+def _draw_chord(
+    adj: list[set[int]], open_vertices: list[int], ring: int, rng: random.Random
+) -> Optional[tuple[int, int]]:
+    """The pair u < v of open_vertices, the ascending list of vertices of
+    degree <= 2, with dist(u, v) >= ring - 1 that rng.choice draws from
+    the lexicographic list of all of them, or None if there is none.
+    v qualifies when it lies outside u's ball of radius ring - 2.  The
+    balls are bitmasks, grown for every vertex at once by ring - 2 rounds
+    of ORs over the neighbours' balls, stopping early once a round adds
+    nothing; each open u counts its pairs (the open v > u outside its
+    ball) with one popcount, and the drawn u's row is read off its ball.
     """
-    open_vertices = [v for v in range(len(adj)) if len(adj[v]) <= 2]
-    counts = []
-    for i, u in enumerate(open_vertices):
-        near = [w for w in ball(adj, u, ring - 2) if w > u and len(adj[w]) <= 2]
-        counts.append(len(open_vertices) - 1 - i - len(near))
+    balls = [1 << v for v in range(len(adj))]
+    for _ in range(ring - 2):
+        grown = []
+        for b, a in zip(balls, adj):
+            for w in a:
+                b |= balls[w]
+            grown.append(b)
+        if grown == balls:
+            break
+        balls = grown
+    is_open = 0
+    for v in open_vertices:
+        is_open |= 1 << v
+    k = len(open_vertices)
+    counts = [
+        k - 1 - i - ((balls[u] & is_open) >> (u + 1)).bit_count()
+        for i, u in enumerate(open_vertices)
+    ]
     total = sum(counts)
     if not total:
         return None
@@ -423,8 +481,8 @@ def _draw_chord(adj: list[set[int]], ring: int, rng: random.Random) -> Optional[
         index -= counts[i]
         i += 1
     u = open_vertices[i]
-    near = ball(adj, u, ring - 2)
-    return u, [v for v in open_vertices[i + 1:] if v not in near][index]
+    near = balls[u]
+    return u, [v for v in open_vertices[i + 1:] if not near >> v & 1][index]
 
 
 def _path(k: int) -> Graph:

@@ -514,6 +514,12 @@ def test_subdivide_edge():
     assert g.has_edge(0, 6) and g.has_edge(1, 6)
 
 
+def test_subdivide_edge_rejects_a_non_edge():
+    for u, v in ((0, 2), (2, 0), (0, 6), (-1, 0)):
+        with pytest.raises(ValueError, match="is not an edge"):
+            subdivide_edge(cycle(6), u, v)
+
+
 # --- random generation ---
 
 
@@ -569,33 +575,62 @@ def test_chord_pairs_match_brute_force(subcubic9, monkeypatch):
     grown = {}
     step = generate._random_step
 
-    def recording(adj, spec, rng):
-        grown[tuple(frozenset(a) for a in adj)] = None
-        return step(adj, spec, rng)
+    def recording(sample, spec, rng):
+        grown[tuple(frozenset(a) for a in sample.adj)] = None
+        return step(sample, spec, rng)
 
     monkeypatch.setattr(generate, "_random_step", recording)
     for seed, min_girth in ((0, 6), (1, 6), (13, 6), (2, 4), (3, 5), (4, 8)):
         random_instance(GeneratorSpec(max_n=60, min_girth=min_girth, seed=seed))
     assert len(grown) > 100
+    diameter = 0
     for adj in [g.adj for g in subcubic9] + list(grown):
         g = Graph(len(adj), [(u, v) for u in range(len(adj)) for v in adj[u] if u < v])
         dist = [ball(g.adj, u, g.n) for u in range(g.n)]
-        for ring in range(3, 9):
+        diameter = max(diameter, *(d for row in dist for d in row.values()))
+        open_vertices = [v for v in range(g.n) if g.degree(v) <= 2]
+        for ring in (*range(3, 9), 30):
             want = [
                 (u, v)
                 for u in range(g.n)
                 for v in range(u + 1, g.n)
                 if g.degree(u) <= 2 and g.degree(v) <= 2 and dist[u].get(v, math.inf) >= ring - 1
             ]
-            got = [_draw_chord(adj, ring, _Pick(i)) for i in range(len(want))]
+            got = [_draw_chord(adj, open_vertices, ring, _Pick(i)) for i in range(len(want))]
             assert got == want, (g.edges(), ring)
             if not want:
-                assert _draw_chord(adj, ring, _Pick(0)) is None, (g.edges(), ring)
+                assert _draw_chord(adj, open_vertices, ring, _Pick(0)) is None, (g.edges(), ring)
+    # The balls are complete after `diameter` rounds, so at ring 30 the
+    # next round adds nothing and the 28 rounds stop early.
+    assert diameter + 1 < 30 - 2
+
+
+def test_the_kept_bookkeeping_matches_a_recount(monkeypatch):
+    step = generate._random_step
+    steps = []
+
+    def check(sample):
+        adj = sample.adj
+        assert sample.open == [v for v in range(len(adj)) if len(adj[v]) <= 2]
+        assert sample.edges == sorted((u, v) for u in range(len(adj)) for v in adj[u] if u < v)
+        assert sample.low == sum(len(a) <= 1 for a in adj)
+
+    def checking(sample, spec, rng):
+        check(sample)
+        step(sample, spec, rng)
+        check(sample)
+        steps.append(None)
+
+    monkeypatch.setattr(generate, "_random_step", checking)
+    for min_girth in (4, 5, 6, 8, math.inf):
+        for seed in range(10):
+            random_instance(GeneratorSpec(max_n=60, min_girth=min_girth, seed=seed))
+    assert len(steps) > 1000
 
 
 def test_random_instance_draws_chords_within_a_cpu_bound(cpu_bound):
     # Listing every open pair before each chord draw made this take 9 to
-    # 11 s; counting the pairs per vertex takes under 2 s.
+    # 11 s; counting the pairs per vertex from bitmask balls takes 0.5 s.
     with cpu_bound(6, "random_instance(max_n=2000)"):
         g = random_instance(GeneratorSpec(max_n=2000, seed=0))
     assert g.n == 2000
@@ -611,7 +646,8 @@ def test_random_instance_with_a_huge_girth_within_a_cpu_bound(cpu_bound):
 
 def test_random_instance_at_girth_30_within_a_cpu_bound(cpu_bound):
     # The budget shrinks with the girth: girth 30 at 4,000 vertices took
-    # 2.7 times the CPU of girth 6 there; at its budget it takes 0.3 s.
+    # 2.7 times the CPU of girth 6 there with one dict ball per open
+    # vertex; at its budget it takes 0.07 s.
     max_n = generate._sample_budget(30)
     assert max_n == 800
     with cpu_bound(3, f"random_instance(max_n={max_n}, min_girth=30)"):
