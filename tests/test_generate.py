@@ -630,7 +630,7 @@ def test_the_kept_bookkeeping_matches_a_recount(monkeypatch):
 
 def test_random_instance_draws_chords_within_a_cpu_bound(cpu_bound):
     # Listing every open pair before each chord draw made this take 9 to
-    # 11 s; counting the pairs per vertex from bitmask balls takes 0.5 s.
+    # 11 s; counting the pairs per vertex from bitmask balls takes 0.6 s.
     with cpu_bound(6, "random_instance(max_n=2000)"):
         g = random_instance(GeneratorSpec(max_n=2000, seed=0))
     assert g.n == 2000
@@ -647,7 +647,7 @@ def test_random_instance_with_a_huge_girth_within_a_cpu_bound(cpu_bound):
 def test_random_instance_at_girth_30_within_a_cpu_bound(cpu_bound):
     # The budget shrinks with the girth: girth 30 at 4,000 vertices took
     # 2.7 times the CPU of girth 6 there with one dict ball per open
-    # vertex; at its budget it takes 0.07 s.
+    # vertex; at its budget it takes under 0.1 s.
     max_n = generate._sample_budget(30)
     assert max_n == 800
     with cpu_bound(3, f"random_instance(max_n={max_n}, min_girth=30)"):
