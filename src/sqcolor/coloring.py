@@ -45,42 +45,54 @@ def is_proper(g: Graph, coloring: Sequence[Optional[int]]) -> bool:
 
 
 def _search(g: Graph, lists, budget: int) -> tuple[Optional[list], int]:
-    """Exact list-coloring backtracking; returns (coloring or None, nodes)."""
-    n = g.n
+    """Exact list-coloring backtracking; returns (coloring or None, nodes).
+
+    The next vertex has the fewest available colors, then the highest
+    degree, then the least index; its colors are tried in increasing
+    order, one node each.  The search keeps an explicit stack with one
+    frame per colored vertex: the vertex, its untried colors and the
+    uncolored neighbours its color was taken from, so its depth is not
+    bounded by Python's recursion limit.
+    """
+    adj = g.adj
     avail = [set(L) for L in lists]
-    color: list[Optional[int]] = [None] * n
-    uncolored = set(range(n))
+    color: list[Optional[int]] = [None] * g.n
+    uncolored = set(range(g.n))
     nodes = 0
-
-    def dfs() -> bool:
-        nonlocal nodes
-        if not uncolored:
-            return True
-        v = min(uncolored, key=lambda u: (len(avail[u]), -len(g.adj[u]), u))
-        uncolored.discard(v)
-        for c in sorted(avail[v]):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(nodes, budget, "list-coloring")
-            color[v] = c
-            removed = []
-            dead = False
-            for u in g.adj[v]:
-                if color[u] is None and c in avail[u]:
-                    avail[u].discard(c)
-                    removed.append(u)
-                    if not avail[u]:
-                        dead = True
-            if not dead and dfs():
-                return True
+    stack = []
+    fits = True  # the top vertex's color left each uncolored neighbour a color
+    while True:
+        if fits:
+            if not uncolored:
+                return list(color), nodes
+            v = min(uncolored, key=lambda u: (len(avail[u]), -len(adj[u]), u))
+            uncolored.discard(v)
+            stack.append((v, iter(sorted(avail[v])), []))
+        v, colors, removed = stack[-1]
+        if color[v] is not None:  # take back the color that failed
             for u in removed:
-                avail[u].add(c)
+                avail[u].add(color[v])
+            removed.clear()
             color[v] = None
-        uncolored.add(v)
-        return False
-
-    found = dfs()
-    return (list(color) if found else None), nodes
+        c = next(colors, None)
+        if c is None:
+            stack.pop()
+            uncolored.add(v)
+            if not stack:
+                return None, nodes
+            fits = False
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(nodes, budget, "list-coloring")
+        color[v] = c
+        fits = True
+        for u in adj[v]:
+            if color[u] is None and c in avail[u]:
+                avail[u].discard(c)
+                removed.append(u)
+                if not avail[u]:
+                    fits = False
 
 
 def find_L_coloring(
@@ -138,29 +150,44 @@ class ChoosabilityResult:
     nodes_used: int
 
 
+def _list_choices(k: int, fresh: int):
+    """The lists one vertex may take when colors 1..fresh are in use, each
+    with the count of colors in use after it: for take_new = 0, ..., k,
+    each (k - take_new)-subset of the old colors in lexicographic order,
+    followed by the new colors fresh + 1, ..., fresh + take_new."""
+    for take_new in range(k + 1):
+        new_block = tuple(range(fresh + 1, fresh + 1 + take_new))
+        for old in combinations(range(1, fresh + 1), k - take_new):
+            yield old + new_block, fresh + take_new
+
+
 def _canonical_assignments(n: int, k: int):
     """Yield list assignments with colors labeled in first-use order.
 
     Every size-k assignment is a color renaming of exactly one canonical
     assignment, so checking the canonical ones decides choosability.
     Colors are 1-based; at most k fresh colors appear per vertex, so the
-    pool never exceeds k*n.
+    pool never exceeds k*n.  The assignments come in the order of the
+    vertices' choices (_list_choices), the last vertex's varying fastest.
+    An explicit stack holds one iterator of choices per vertex placed, so
+    n is not bounded by the recursion limit.
     """
+    if n == 0:
+        yield []
+        return
     lists: list[tuple[int, ...]] = [()] * n
-
-    def rec(i: int, fresh: int):
-        if i == n:
+    stack = [_list_choices(k, 0)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            continue
+        i = len(stack) - 1
+        lists[i], fresh = step
+        if i + 1 == n:
             yield [frozenset(L) for L in lists]
-            return
-        for take_new in range(k + 1):
-            old_need = k - take_new
-            new_block = tuple(range(fresh + 1, fresh + 1 + take_new))
-            for old in combinations(range(1, fresh + 1), old_need):
-                lists[i] = old + new_block
-                yield from rec(i + 1, fresh + take_new)
-        lists[i] = ()
-
-    yield from rec(0, 0)
+        else:
+            stack.append(_list_choices(k, fresh))
 
 
 def is_k_choosable(g: Graph, k: int, max_nodes: int = DEFAULT_CHOOSABILITY_BUDGET) -> ChoosabilityResult:

@@ -29,7 +29,10 @@ derived(g, fact, *args) computes fact(g, *args) once, keyed by fact and
 args, in g's private memo.  That is sound because a Graph is never
 changed after __init__: its rows are tuples, and nothing writes n, adj
 or m again.  No value kept refers back to g, so a graph and its memo are
-freed together by reference counting.
+freed together by reference counting.  keep(g, value, fact, *args)
+stores a fact that a caller has proved another way: the colorer's peel
+certifies girth >= 6 as it runs, and keeps girth_at_least(g, 6) for the
+charge audit, which would otherwise run the girth kernel again.
 """
 
 from __future__ import annotations
@@ -102,6 +105,13 @@ def derived(g: Graph, fact, *args):
     if key not in facts:
         facts[key] = fact(g, *args)
     return facts[key]
+
+
+def keep(g: Graph, value, fact, *args) -> None:
+    """Store value as fact(g, *args) in g's memo, for a caller that has
+    proved it another way, so that derived reads it and never computes
+    it; the same rules hold as for derived's values."""
+    g._facts[(fact, *args)] = value
 
 
 def max_degree(g: Graph) -> int:

@@ -26,7 +26,10 @@ _embed, embed the reduction the same way and then undo _reduce's log in
 reverse, which puts each deleted or suppressed vertex back into the
 rotation rows with no search; the faces are traced and Euler-checked,
 and the audit numbers faces in the order of that trace.
-check_class is the one membership test for the coloring theorem's class.
+check_class is the one membership test for the coloring theorem's class,
+and the refusal oracle of the colorer: color_square_7lists checks the
+degrees and planarity itself, lets its peel certify girth >= 6, and
+calls check_class only to word a refusal.
 """
 
 from __future__ import annotations
@@ -589,10 +592,13 @@ def check_degree_and_girth(g: Graph) -> None:
 def check_class(g: Graph) -> None:
     """Raise NotInClass unless g is subcubic, of girth at least 6 and planar.
 
-    g may be disconnected.  Planarity is decided by is_planar, so most
-    class members pass without any embedding being built; the charge
-    audit, which needs the faces, makes the same degree and girth checks
-    through check_degree_and_girth and then calls _embed.
+    g may be disconnected.  The checks run in that order, and the first
+    that fails gives the message.  Planarity is decided by is_planar, so
+    most class members pass without any embedding being built; the
+    charge audit, which needs the faces, makes the same degree and girth
+    checks through check_degree_and_girth and then calls _embed.  The
+    colorer does not call it on in-class input: its peel certifies the
+    girth, and check_class words its refusals (color_square_7lists).
     """
     check_degree_and_girth(g)
     if not is_planar(g):

@@ -8,6 +8,14 @@ the vertices back in reverse order and colors them (_lift), recoloring
 around the six-cycle by Lemma 2 (_recoloring, RECOLORING_ROWS), and
 certifies the result.  verify_lemma2_tables checks the 12 rows.
 
+The colorer runs no girth pass.  It checks the degrees and planarity,
+and the peel certifies girth >= 6 as it goes: a cycle of length <= 5
+is whole until the peel removes its first vertex v, whose neighbours
+are then joined by a path of at most 3 edges that avoids v, and the
+peel looks for that path at every 2-vertex.  A finished peel keeps the
+fact girth_at_least(g, 6) on g for the charge audit; a refused one
+hands g to check_class, which words the refusal.
+
 The peel records each removed vertex's square-neighbourhood (for a
 six-cycle, those of all six cycle vertices) while the vertex is still
 attached.  The lift colors that vertex in the same graph, so it reads
@@ -21,8 +29,8 @@ from typing import Iterable, Optional, Sequence
 
 from .coloring import normalize_lists
 from .errors import ListTooSmall, PreconditionViolated
-from .graph_core import Graph, _four_path, derived, girth_at_least, is_subcubic, square_neighbors
-from .planar_embed import check_class
+from .graph_core import Graph, _four_path, derived, girth_at_least, is_subcubic, keep, square_neighbors
+from .planar_embed import check_class, is_planar
 
 # The benchmark's span tracer (perfbench/spans.py) still looks these names
 # up on this module; delete this import once it looks them up on discharging.
@@ -227,12 +235,13 @@ SPLICE = "splice"
 SIXCYCLE = "six-cycle"
 
 
-def _peel(adj: list) -> list:
+def _peel(adj: list) -> Optional[list]:
     """Remove every vertex of an in-class graph; return (rule, v, nbrs, cycle, near) records.
 
-    adj is a list of neighbor sets; each removed vertex's row becomes ().
-    Every subcubic planar graph of girth >= 6 has a vertex of degree <= 2,
-    and each rule keeps the graph in the class:
+    adj is the list of neighbor sets of a subcubic graph; each removed
+    vertex's row becomes ().  Every subcubic planar graph of girth >= 6
+    has a vertex of degree <= 2, and each rule keeps the graph in the
+    class:
       leaf      deg v <= 1: delete v.
       six-cycle v lies on a six-cycle (v's neighbors x, y are joined by a
                 path of 4 edges avoiding v): delete v; cycle is
@@ -247,6 +256,19 @@ def _peel(adj: list) -> list:
     undoes the later records first, so it colors v in this same G, and
     these are the neighbourhoods it would read there.  Tuples, not sets:
     the records outlive the peel, and sets cost memory and GC time.
+
+    The peel certifies girth >= 6 as it goes.  A cycle C of length <= 5
+    stays intact until the peel removes its first vertex v, since a
+    splice or a deletion elsewhere only adds edges or removes other
+    vertices.  At that moment v has degree 2, both of its neighbours x
+    and y lie on C, and C - v is an x-y path of at most 3 edges that
+    avoids v.  Before the six-cycle probe, each 2-vertex asks for such a
+    path: a neighbour a != v of x that is y, lies in N(y) or has a
+    neighbour in N(y), two set probes per a.  So a peel that removes
+    every vertex without finding one certifies girth >= 6.  The peel
+    returns None when it finds one, or when it stalls: every vertex left
+    has degree 3, which no member of the class allows, and the rules
+    keep an in-class graph in the class.
     """
     gone = [False] * len(adj)
     work = [v for v in range(len(adj)) if len(adj[v]) <= 2]
@@ -257,7 +279,17 @@ def _peel(adj: list) -> list:
             continue
         gone[v] = True
         nbrs = tuple(sorted(adj[v]))
-        path = _four_path(adj, *nbrs, v) if len(nbrs) == 2 else None
+        path = None
+        if len(nbrs) == 2:
+            x, y = nbrs
+            ax, ay = adj[x], adj[y]
+            # A path x-y, x-a-y or x-a-b-y that avoids v: some neighbour
+            # a != v of x is y itself (N(y) holds v), lies in N(y) or has
+            # a neighbour there.  Each hit closes a cycle of length <= 5.
+            for a in ax:
+                if a != v and (a in ay or not ay.isdisjoint(adj[a])):
+                    return None
+            path = _four_path(adj, x, y, v)
         if path is not None:
             # v is still attached: this is the graph the lift colors v in.
             cycle = (*path, v)
@@ -267,9 +299,6 @@ def _peel(adj: list) -> list:
             adj[u].discard(v)
         if path is None:
             if len(nbrs) == 2:
-                x, y = nbrs
-                ax, ay = adj[x], adj[y]
-                _invariant(y not in ax, "a splice never doubles an edge at girth >= 6")
                 records.append((SPLICE, v, nbrs, None, (x, y, *ax, *ay)))
                 ax.add(y)
                 ay.add(x)
@@ -277,8 +306,7 @@ def _peel(adj: list) -> list:
             record = (LEAF, v, nbrs, None, (nbrs[0], *adj[nbrs[0]]) if nbrs else ())
         records.append(record)
         work.extend(nbrs)  # each lost v, so has degree <= 2 in a subcubic graph
-    _invariant(all(gone), "every in-class graph has a vertex of degree at most 2")
-    return records
+    return records if all(gone) else None
 
 
 def _lift(n: int, records: list, lists) -> list:
@@ -302,8 +330,8 @@ def color_square_7lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
     """Properly color the square of g from per-vertex lists of size >= 7.
 
     g must be subcubic and planar with girth >= 6, else NotInClass (a
-    PreconditionViolated) from check_class.  The proof's three rules
-    (leaf, splice, six-cycle) peel g down to nothing on one mutable
+    PreconditionViolated) with check_class's message.  The proof's three
+    rules (leaf, splice, six-cycle) peel g down to nothing on one mutable
     adjacency (_peel); the lift puts the vertices back in reverse order
     and colors them from the peel's records alone (_lift).  No exact
     search runs.  The result is certified proper on the square of g and
@@ -311,10 +339,22 @@ def color_square_7lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
     vertices at distance <= 2 are adjacent or share a neighbour, so the
     certificate asks only that every closed neighbourhood N[u] has
     pairwise distinct colors.
+
+    No girth pass runs: the degree and planarity checks come first, and
+    the peel itself certifies girth >= 6 (see _peel), so a finished peel
+    keeps that fact on g for the charge audit to read.  The lists are
+    checked after the peel, so a graph of girth < 6 is refused for its
+    girth whatever its lists.  On any refusal, check_class decides the
+    message; if it finds g in the class after the peel has failed, the
+    peel is at fault and an AssertionError says so.
     """
-    check_class(g)
+    records = _peel([set(a) for a in g.adj]) if is_subcubic(g) and is_planar(g) else None
+    if records is None:
+        check_class(g)
+        _invariant(False, "the peel removes every vertex of an in-class graph and meets no cycle shorter than 6")
+    keep(g, True, girth_at_least, 6)
     lists = _seven_lists(g, L)
-    f = _lift(g.n, _peel([set(a) for a in g.adj]), lists)
+    f = _lift(g.n, records, lists)
     _invariant(
         all(color in allowed for color, allowed in zip(f, lists))
         and all(len({f[u], *map(f.__getitem__, nbrs)}) == len(nbrs) + 1 for u, nbrs in enumerate(g.adj)),

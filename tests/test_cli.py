@@ -742,13 +742,25 @@ def test_long_cycle_runs_every_class_command(tmp_path, capsys):
     assert code == 0 and out.endswith("dichotomy=ok\n")
 
 
-def test_recursion_limit_exits_3_without_traceback(tmp_path, capsys):
-    # The exact choosability search recurses once per vertex.
-    path = write_fixture(tmp_path, "c1200.txt", write_graph_text(named("c1200")[0]))
-    code = main(["choosable", "-k", "2", path])
+def test_recursion_limit_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    def too_deep(g, args):
+        raise RecursionError
+
+    monkeypatch.setitem(cli._RUNNERS, "girth", too_deep)
+    code = main(["girth", c6_file(tmp_path)])
     err = capsys.readouterr().err
     assert code == 3
     assert err == "error: resource limit reached (RecursionError)\n"
+
+
+def test_choosable_on_a_long_cycle_gives_a_verdict(tmp_path, capsys):
+    # Both exact searches keep explicit stacks, so a depth of 1,200
+    # vertices is no recursion: the canonical assignments and the
+    # coloring search run until the budget ends them.
+    path = write_fixture(tmp_path, "c1200.txt", write_graph_text(named("c1200")[0]))
+    code, out = run(capsys, ["choosable", "-k", "2", "--budget", "3000", path])
+    assert code == 3
+    assert out == "verdict=inconclusive\nnodes=3001\n"
 
 
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -12,7 +13,9 @@ from sqcolor.coloring import (
     DEFAULT_CHOOSABILITY_BUDGET,
     INCONCLUSIVE,
     NOT_CHOOSABLE,
+    _canonical_assignments,
     _choosable_by_search,
+    _search,
     degeneracy,
     find_L_coloring,
     greedy_extend,
@@ -167,6 +170,19 @@ def test_inconclusive_reports_the_node_that_ran_out():
     for budget in (5, 50, 500, 50_000):
         got = is_k_choosable(sq, 3, budget)
         assert (got.verdict, got.nodes_used) == (INCONCLUSIVE, budget + 1)
+
+
+def test_exact_searches_run_deeper_than_the_recursion_limit():
+    # An even cycle with more vertices than the recursion limit allows
+    # frames: the first canonical assignment gives every vertex {1, 2},
+    # and the search 2-colors the cycle with one node per vertex.
+    n = sys.getrecursionlimit() + 200
+    n += n % 2
+    first = next(_canonical_assignments(n, 2))
+    assert first == [frozenset({1, 2})] * n
+    found, nodes = _search(cycle(n), first, n)
+    assert nodes == n
+    assert is_proper(cycle(n), found)
 
 
 def test_degeneracy_shortcut_agrees_with_search():

@@ -33,6 +33,7 @@ from sqcolor.graph_core import (
     Graph,
     _four_path,
     biconnected_components,
+    derived,
     girth,
     girth_at_least,
     induced_subgraph,
@@ -799,13 +800,134 @@ def test_final_certificate_rejects_a_bad_lift(monkeypatch, v, color):
         color_square_7lists(cycle(6), FULL * 6)
 
 
-def test_color_square_rejects_nonplanar_girth_six():
+def nonplanar_girth_six():
+    """A 14-cycle with chords i -- i + 5 from each even i: cubic, girth 6."""
     edges = [(i, (i + 1) % 14) for i in range(14)]
     edges += [(i, (i + (5 if i % 2 == 0 else -5)) % 14) for i in range(14)]
-    g = Graph(14, sorted({(min(u, v), max(u, v)) for u, v in edges}))
+    return Graph(14, sorted({(min(u, v), max(u, v)) for u, v in edges}))
+
+
+def test_color_square_rejects_nonplanar_girth_six():
+    g = nonplanar_girth_six()
     assert girth(g) == 6
     with pytest.raises(PreconditionViolated):
         color_square_7lists(g, FULL * 14)
+
+
+# --- the peel's girth certificate ---
+
+
+def refusal(call, *args):
+    """(type, message) of the exception that call(*args) raises, or None."""
+    try:
+        call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def fresh(g):
+    """g rebuilt, with none of its facts kept."""
+    return Graph(g.n, g.edges())
+
+
+def out_of_class():
+    k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    return {
+        "c3": cycle(3), "c4": cycle(4), "c5": cycle(5),
+        # planar with girth < 6, and every vertex of degree 3: the peel stalls
+        "k4": k4, "cube": named("cube")[0], "prism6": named("prism6")[0],
+        "dodecahedron": named("dodecahedron")[0],
+        "petersen": named("petersen")[0],  # girth 5 and not planar
+        "nonplanar-girth-six": nonplanar_girth_six(),
+        "degree-four": Graph(5, [(0, i) for i in range(1, 5)]),
+        # a 4-cycle that the peel meets after removing a pendant path
+        "c4-with-tail": Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)]),
+        # paths of 2, 3 and 7 edges from 0 to 1: the peel pops the long
+        # path's 2-vertices first and splices them until it finds a short path
+        "theta-2-3-7": Graph(11, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6),
+                                  (6, 7), (7, 8), (8, 9), (9, 10), (10, 1)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(out_of_class()))
+@pytest.mark.parametrize("size", [7, 6])
+def test_color_refuses_as_check_class(name, size):
+    # Whatever stops the coloring (a degree, planarity, or the peel finding
+    # a short path or stalling), check_class words the refusal; lists too
+    # small change nothing, since the lists are read after the peel.
+    g = out_of_class()[name]
+    want = refusal(check_class, fresh(g))
+    assert want is not None and want[0] is NotInClass
+    assert refusal(color_square_7lists, fresh(g), [list(range(size))] * g.n) == want
+    assert refusal(color_square_7lists, g, [list(range(size))] * g.n) == want
+
+
+def random_subcubic(rng):
+    """A random subcubic graph, its edges then subdivided at random, so
+    that short and long girths, planar or not, all occur."""
+    n = rng.randint(3, 12)
+    deg = [0] * n
+    edges = set()
+    for _ in range(rng.randint(n - 1, 2 * n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        if deg[u] < 3 and deg[v] < 3 and (u, v) not in edges:
+            edges.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    for _ in range(rng.randint(0, 8)):
+        if edges:
+            u, v = rng.choice(sorted(edges))
+            edges -= {(u, v)}
+            edges |= {(u, n), (v, n)}
+            n += 1
+    return Graph(n, edges)
+
+
+def test_color_refuses_random_subcubic_graphs_as_check_class():
+    rng = random.Random(34)
+    outcomes = {}
+    graphs = 0
+    while graphs < 200:
+        g = random_subcubic(rng)
+        if not 3 <= girth(g) <= 7:
+            continue
+        graphs += 1
+        want = refusal(check_class, fresh(g))
+        got = refusal(color_square_7lists, g, [list(range(7))] * g.n)
+        small = refusal(color_square_7lists, fresh(g), [list(range(6))] * g.n)
+        if want is None:
+            assert got is None and small[0] is ListTooSmall
+        else:
+            assert got == small == want
+        outcomes[want] = outcomes.get(want, 0) + 1
+    assert outcomes[None] >= 20 and outcomes[NotInClass, "girth is below 6"] >= 20
+
+
+def test_a_refused_peel_on_an_in_class_graph_fails_the_invariant(monkeypatch):
+    # The peel stopping where check_class finds g in the class would be a
+    # fault in the peel; that stays a hard check.
+    monkeypatch.setattr("sqcolor.reducer._peel", lambda adj: None)
+    with pytest.raises(AssertionError, match="the peel removes every vertex"):
+        color_square_7lists(cycle(6), FULL * 6)
+
+
+def refuse_girth(*args):
+    raise AssertionError("the girth kernel ran")
+
+
+def test_the_kept_girth_fact_is_the_girth_verdict(corpus12, monkeypatch):
+    # After a coloring, the audit reads girth_at_least(g, 6) from the
+    # graph's memo; with the girth kernel refused, derived must still
+    # answer, and agree with the kernel on a fresh copy.
+    graphs = [fresh(g) for g in corpus12]
+    graphs += [fresh(random_instance(GeneratorSpec(max_n=150, seed=s))) for s in range(20)]
+    for g in graphs:
+        color_square_7lists(g, FULL * g.n)
+    with monkeypatch.context() as m:
+        m.setattr("sqcolor.graph_core._girth_below", refuse_girth)
+        kept = [derived(g, girth_at_least, 6) for g in graphs]
+    assert kept == [girth_at_least(fresh(g), 6) for g in graphs]
 
 
 def assert_colors(g, lists, f):
@@ -835,14 +957,20 @@ def test_coloring_needs_no_exact_search(corpus12, monkeypatch):
 
 
 def test_class_checks_never_run_whole_graph_girth(corpus12, monkeypatch):
+    # No uncapped girth anywhere, and no girth kernel at all while a graph
+    # is colored: the peel certifies girth >= 6 (the audit may run the
+    # kernel, but reads the fact the coloring kept).
     def refuse(*args, **kwargs):
         raise AssertionError("whole-graph girth ran")
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "sqcolor" and hasattr(module, "girth"):
             monkeypatch.setattr(module, "girth", refuse)
-    for g in list(corpus12) + [named("c3000")[0]]:
-        assert_colors(g, FULL * g.n, color_square_7lists(g, FULL * g.n))
+    for g in list(corpus12) + [named("honeycomb-50")[0], named("c3000")[0]]:
+        g = fresh(g)
+        with monkeypatch.context() as m:
+            m.setattr("sqcolor.graph_core._girth_below", refuse_girth)
+            assert_colors(g, FULL * g.n, color_square_7lists(g, FULL * g.n))
         find_reducible_config(g)
         assert discharge_audit(g).dichotomy_holds
     g = random_instance(GeneratorSpec(max_n=150, seed=0))
