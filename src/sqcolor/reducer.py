@@ -6,7 +6,8 @@ color_square_7lists drops a leaf, splices a 2-vertex, or removes a
 2-vertex that lies on a six-cycle, down to nothing (_peel), then puts
 the vertices back in reverse order and colors them (_lift), recoloring
 around the six-cycle by Lemma 2 (_recoloring, RECOLORING_ROWS), and
-certifies the result.  verify_lemma2_tables checks the 12 rows.
+certifies the result.  verify_lemma2_tables runs the engine on its 12
+table situations.
 
 The colorer runs no girth pass.  It checks the degrees and planarity,
 and the peel certifies girth >= 6 as it goes: a cycle of length <= 5
@@ -24,7 +25,6 @@ the records alone and never rebuilds the adjacency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .coloring import normalize_lists
@@ -70,9 +70,6 @@ RECOLORING_ROWS: dict[tuple[str, str, str], tuple[str, ...]] = {
     (C, C, B): (B, A, C, B, ALPHA),
     (C, ALPHA, B): (A, C, ALPHA, B, C),
 }
-
-# Within-cycle pairs that are square-adjacent when the girth is >= 6.
-SQUARE_PAIRS = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3), (2, 4), (0, 4))
 
 
 def _free_color(colors: frozenset, f: Sequence[Optional[int]], near: Iterable[int]) -> int:
@@ -363,59 +360,33 @@ def color_square_7lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
     return f
 
 
-@dataclass(frozen=True)
-class Lemma2Case:
-    key: tuple
-    f: tuple
-    failure: Optional[str]
+def verify_lemma2_tables() -> list:
+    """Run the engine on the 12 table situations; one line per row, ending
+    in OK or FAIL(<message>).
 
-    def line(self) -> str:
-        x2, x3, x4 = self.key
-        verdict = "OK" if self.failure is None else f"FAIL({self.failure})"
-        return f"case {{a,{x2}}}|{{b,{x3}}}|{{c,{x4}}} -> f=({','.join(self.f)}) {verdict}"
-
-
-@dataclass(frozen=True)
-class Lemma2Report:
-    cases: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(case.failure is None for case in self.cases)
-
-    def render(self) -> str:
-        return "\n".join(case.line() for case in self.cases)
-
-
-def check_lemma2_row(key: tuple, f: tuple) -> Optional[str]:
-    """Validate one recoloring row; None when sound, else the broken constraint.
-
-    key = (x2, x3, x4) gives the available sets {a, x2}, {b, x3} and
-    {c, x4} of v2, v3 and v4; v1 and v5 have the fixed sets from the
-    failed escapes.  Checks membership of each new color in its available
-    set and properness on the square-adjacent pairs inside the cycle.
-    The 2-vertex v6 needs no check: its square-neighbours are v1, v2, v4,
-    v5 and the third neighbours of v1 and v5, at most six, so its 7-list
-    always keeps a color for it.
+    Row (x2, x3, x4)'s situation is the bare six-cycle 0..5, with the
+    symbols as colors: v1..v5 wear alpha, a, b, c, alpha, v6 is
+    uncolored, and the lists are C(v1) = {a, b, alpha}, C(v2) = {a, x2},
+    C(v3) = {b, x3}, C(v4) = {c, x4}, C(v5) = {b, c, alpha} and
+    C(v6) = {alpha, a, b, c, d}, all available since no vertex lies off
+    the cycle.  Every escape fails there, so _extend_sixcycle applies the
+    row; a line is OK when its invariants pass and v1..v5 end with the
+    row's colors.
     """
-    x2, x3, x4 = key
-    sets = ({A, B, ALPHA}, {A, x2}, {B, x3}, {C, x4}, {B, C, ALPHA})
-    for i in range(5):
-        if f[i] not in sets[i]:
-            return f"f(v{i + 1}) not in C(v{i + 1})"
-    for i, j in SQUARE_PAIRS:
-        if f[i] == f[j]:
-            return f"v{i + 1}v{j + 1} conflict"
-    return None
-
-
-def verify_lemma2_tables() -> Lemma2Report:
-    """Check all 12 recoloring rows; every case must come back OK."""
-    cases = []
+    cyc = tuple(range(6))
+    near = {v: {(v + step) % 6 for step in (-2, -1, 1, 2)} for v in cyc}
+    lines = []
     for x2 in (B, C):
         for x4 in (A, B):
             for x3 in (A, C, ALPHA):
-                key = (x2, x3, x4)
-                f = RECOLORING_ROWS[key]
-                cases.append(Lemma2Case(key, f, check_lemma2_row(key, f)))
-    return Lemma2Report(cases=tuple(cases))
+                row = RECOLORING_ROWS[(x2, x3, x4)]
+                own = ({A, B, ALPHA}, {A, x2}, {B, x3}, {C, x4}, {B, C, ALPHA}, {ALPHA, A, B, C, "d"})
+                lists = [frozenset(s) for s in own]
+                f = [ALPHA, A, B, C, ALPHA, None]
+                try:
+                    _extend_sixcycle(cyc, lists, f, near)
+                    verdict = "OK" if tuple(f[:5]) == row else f"FAIL(v1..v5 end as ({','.join(f[:5])}))"
+                except AssertionError as exc:
+                    verdict = f"FAIL({exc})"
+                lines.append(f"case {{a,{x2}}}|{{b,{x3}}}|{{c,{x4}}} -> f=({','.join(row)}) {verdict}")
+    return lines

@@ -49,7 +49,6 @@ from sqcolor.reducer import (
     RECOLORING_ROWS,
     SIXCYCLE,
     SPLICE,
-    check_lemma2_row,
     color_square_7lists,
     extend_sixcycle,
     verify_lemma2_tables,
@@ -90,36 +89,9 @@ def test_rows_cover_all_twelve_case_combinations():
     assert len(keys) == 12
 
 
-def test_verify_lemma2_tables_all_ok():
-    report = verify_lemma2_tables()
-    assert len(report.cases) == 12
-    assert report.passed
-    text = report.render()
-    lines = text.splitlines()
-    assert len(lines) == 12
-    assert all(line.endswith("OK") for line in lines)
-    assert lines[0] == "case {a,b}|{b,a}|{c,a} -> f=(alpha,b,a,c,b) OK"
-
-
-def test_check_lemma2_row_accepts_every_stored_row():
-    for key, f in RECOLORING_ROWS.items():
-        assert check_lemma2_row(key, f) is None
-
-
-def test_check_lemma2_row_catches_conflict():
-    key = (B, A, A)  # {a,b}|{b,a}|{c,a}
-    good = RECOLORING_ROWS[key]
-    assert good == (ALPHA, B, A, C, B)
-    broken = (ALPHA, B, B, C, B)
-    assert check_lemma2_row(key, broken) == "v2v3 conflict"
-
-
-def test_check_lemma2_row_catches_bad_membership():
-    key = (B, A, A)
-    broken = (C, B, A, C, B)
-    assert check_lemma2_row(key, broken) == "f(v1) not in C(v1)"
-    broken5 = (ALPHA, B, A, C, A)
-    assert check_lemma2_row(key, broken5) == "f(v5) not in C(v5)"
+# The square-adjacent pairs among v1..v5 (indices 0..4) of a six-cycle
+# in a graph of girth >= 6; v1v4 and v2v5 lie at distance 3.
+SQUARE_PAIRS = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3), (2, 4), (0, 4))
 
 
 def available_symbols(key):
@@ -128,32 +100,55 @@ def available_symbols(key):
     return ({A, B, ALPHA}, {A, x2}, {B, x3}, {C, x4}, {B, C, ALPHA})
 
 
-def test_check_lemma2_row_catches_out_of_list_symbols():
-    for key, good in RECOLORING_ROWS.items():
-        for i, avail in enumerate(available_symbols(key)):
-            for s in (A, B, C, ALPHA):
-                if s in avail:
-                    continue
-                mutated = good[:i] + (s,) + good[i + 1 :]
-                got = check_lemma2_row(key, mutated)
-                assert got == f"f(v{i + 1}) not in C(v{i + 1})"
+def test_verify_lemma2_tables_all_ok():
+    lines = verify_lemma2_tables()
+    assert len(lines) == 12
+    assert all(line.endswith(" OK") for line in lines)
+    assert lines[0] == "case {a,b}|{b,a}|{c,a} -> f=(alpha,b,a,c,b) OK"
 
 
-def test_check_lemma2_row_mutations_never_pass_silently():
-    # A mutation may happen to build another sound row, but whenever the
-    # checker accepts one it must genuinely satisfy all row constraints.
-    from sqcolor.reducer import SQUARE_PAIRS
-
+def test_verify_lemma2_fails_exactly_the_unsound_row_mutants(monkeypatch):
+    # Every one-symbol substitution at v1..v5 of every row, run through
+    # the engine: a line fails exactly when the row leaves an available
+    # set or puts one color on a square-adjacent pair.
+    verdicts = {"OK": 0, "FAIL": 0}
     for key, good in RECOLORING_ROWS.items():
         sets = available_symbols(key)
+        head = "case {{a,{}}}|{{b,{}}}|{{c,{}}} -> ".format(*key)
         for i in range(5):
             for s in (A, B, C, ALPHA):
                 if s == good[i]:
                     continue
                 mutated = good[:i] + (s,) + good[i + 1 :]
-                if check_lemma2_row(key, mutated) is None:
-                    assert all(mutated[j] in sets[j] for j in range(5))
-                    assert all(mutated[p] != mutated[q] for p, q in SQUARE_PAIRS)
+                monkeypatch.setitem(RECOLORING_ROWS, key, mutated)
+                (line,) = [line for line in verify_lemma2_tables() if line.startswith(head)]
+                assert line.startswith(f"{head}f=({','.join(mutated)}) ")
+                if any(mutated[j] not in sets[j] for j in range(5)):
+                    assert line.endswith(" FAIL(recoloring invariant failed: table row leaves an available list)")
+                elif any(mutated[p] == mutated[q] for p, q in SQUARE_PAIRS):
+                    assert line.endswith(" FAIL(recoloring invariant failed: "
+                                         "extension must stay in the lists and proper on the square)")
+                else:
+                    assert line.endswith(" OK")
+                verdicts["OK" if line.endswith(" OK") else "FAIL"] += 1
+        monkeypatch.setitem(RECOLORING_ROWS, key, good)
+    assert verdicts == {"OK": 7, "FAIL": 173}
+
+
+def test_verify_lemma2_exits_1_when_the_engine_misapplies_a_row(monkeypatch, capsys):
+    # An engine that swaps b and c in what it returns must not pass.
+    from sqcolor import reducer
+    from sqcolor.cli import main
+
+    recoloring = reducer._recoloring
+    swap = {B: C, C: B}
+    monkeypatch.setattr(
+        reducer, "_recoloring", lambda *args: {v: swap.get(c, c) for v, c in recoloring(*args).items()}
+    )
+    assert main(["verify-lemma2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12
+    assert not any(line.endswith(" OK") for line in lines)
 
 
 # --- every branch of the recoloring engine ---
@@ -218,8 +213,6 @@ def test_recoloring_is_correct_on_every_collapsed_situation():
     # C(v1) = {alpha, a, b} factors out escape v1, which takes every
     # other list of v1.  Every call must keep each new color in its list
     # and leave no square-adjacent pair of v1..v5 sharing a color.
-    from sqcolor.reducer import SQUARE_PAIRS
-
     v1, v2, v3, v4, v5, v6 = CYC
     f = [None] * 9
     for v, s in zip(CYC, (ALPHA, A, B, C, ALPHA)):
