@@ -333,13 +333,13 @@ def _sample_budget(min_girth: float) -> int:
     up to min_girth vertices the sample is a tree or one cycle, with no
     chord drawn (a tree of 4,000 vertices takes 1 % of the CPU of girth 6).
 
-    The scaling dates from when a chord step read one dict ball per open
-    vertex, so that a larger girth read larger balls.  Now the balls are
-    bitmasks whose rounds stop once they cover the graph, and a larger
-    girth costs less: at 4,000 vertices (seed 0) girth 10 takes 0.77
-    times the CPU of girth 6, and girth 30 0.54 times.  With max_n
-    scaled as 1 / min_girth, seeds 0-2 at girths 7 to 200 took at most
-    0.72 times the cheapest of girth 6 at 4,000.
+    The scaling stays although the bitmask balls no longer cost more at
+    a larger girth: at 4,000 vertices (seed 0, budget lifted, 2-vCPU
+    Xeon) girth 6 took 2.3 s of CPU, girths 10, 30, 60, 100, 150 and
+    200 took 1.6, 1.2, 0.9, 1.9, 9.3 and 1.4 s.  Only mid girths are
+    cheaper, so lifting girth 30 to 4,000 would need a cap at high
+    girths.  As scaled, seeds 0-2 at girths 7 to 200 took at most 0.72
+    times the cheapest of girth 6 at 4,000.
     """
     if min_girth == INF or min_girth <= 6:
         return SAMPLE_BUDGET
