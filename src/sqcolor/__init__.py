@@ -73,6 +73,6 @@ from .planar_embed import (
     find_planar_embedding,
     is_planar,
 )
-from .reducer import color_square_7lists, extend_sixcycle, verify_lemma2_tables
+from .reducer import color_square_7lists, extend_sixcycle, verify_lemma2_situations, verify_lemma2_tables
 
 __version__ = "0.1.0"

@@ -46,7 +46,7 @@ from .formats import (
 )
 from .generate import GeneratorSpec, enumerate_class, named, random_instance
 from .graph_core import INF, Graph, derived, girth, square
-from .reducer import color_square_7lists, verify_lemma2_tables
+from .reducer import color_square_7lists, verify_lemma2_situations, verify_lemma2_tables
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -241,8 +241,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify_lemma2(args) -> int:
     lines = verify_lemma2_tables()
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if all(line.endswith(" OK") for line in lines) else EXIT_VIOLATED
+    sweep, failures = verify_lemma2_situations()
+    _emit(args, "\n".join([*lines, sweep]) + "\n")
+    return EXIT_OK if not failures and all(line.endswith(" OK") for line in lines) else EXIT_VIOLATED
 
 
 def _girth_arg(value: str) -> float:
@@ -301,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--structured", action="store_true")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("verify-lemma2", help="check all 12 recoloring table rows")
+    p = sub.add_parser(
+        "verify-lemma2", help="run the recoloring engine on the 12 table rows and every collapsed situation"
+    )
     p.add_argument("--structured", action="store_true")
     p.set_defaults(func=_cmd_verify_lemma2)
 

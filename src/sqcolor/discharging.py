@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 from .errors import NotCutVertex, NotInClass, NotTwoVertex
 from .graph_core import (
     Graph,
-    _four_path,
+    _short_or_four_path,
     ball,
     biconnected_components,
     component_count,
@@ -87,9 +87,10 @@ def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleTwoVertex]:
     """Find a six-cycle through a 2-vertex; requires girth >= 6.
 
     NotInClass on a vertex of degree above 3, as find_reducible_config:
-    each 2-vertex's path search would scan such a hub's row.  The girth
-    is asked only once a six-cycle path is found, and read from g's memo
-    when the caller has decided it.
+    each 2-vertex's path search would scan such a hub's row.  A short
+    path at a 2-vertex shows a cycle of length <= 5, so the answer is
+    None.  Otherwise the girth is asked only once a six-cycle path is
+    found, and read from g's memo when the caller has decided it.
     """
     check_subcubic(g)
     adj = g.adj
@@ -97,10 +98,14 @@ def find_sixcycle_two_vertex(g: Graph) -> Optional[SixCycleTwoVertex]:
         if len(a) != 2:
             continue
         x, y = a
-        # A path x .. y of 4 edges avoiding v6 closes a six-cycle with x-v6-y.
-        path = _four_path(adj, x, y, v6)
-        if path is not None:  # with no six-cycle the girth cannot change the answer
-            return SixCycleTwoVertex((*path, v6)) if derived(g, girth_at_least, 6) else None
+        path = _short_or_four_path(adj, x, y, v6)
+        if path is None:
+            continue
+        if len(path) < 5:
+            return None  # it closes a cycle of length <= 5 with x-v6-y
+        # A path x .. y of 4 edges closes a six-cycle with x-v6-y; with no
+        # six-cycle the girth cannot change the answer, so it is asked here.
+        return SixCycleTwoVertex((*path, v6)) if derived(g, girth_at_least, 6) else None
     return None
 
 

@@ -14,8 +14,9 @@ k > n only asks whether g is a forest.
 Each primitive has one implementation here: the distance-2
 neighbourhood (square_neighbors), the depth-bounded BFS (ball, which
 distance runs unbounded), the component walk (adjacency_components),
-the first path of four edges (_four_path, which closes a six-cycle for
-the peel and the six-cycle detector alike), the 2-core (core_adjacency,
+the scan for a short or a four-edge path between the neighbours of a
+2-vertex (_short_or_four_path, which refuses a short cycle or closes a
+six-cycle for the peel and the six-cycle detector alike), the 2-core (core_adjacency,
 which girth strips leaves with) and the blocks (biconnected_components),
 from which the cut vertices and the audit's block map of 2-vertices are
 read off.  All but the last take any adjacency sequence, so the peel's,
@@ -38,7 +39,7 @@ charge audit, which would otherwise run the girth kernel again.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 INF = math.inf
 
@@ -149,12 +150,14 @@ def ball(adj: Sequence[Iterable[int]], s: int, radius: int) -> dict[int, int]:
     return dist
 
 
-def adjacency_components(adj: Sequence[Iterable[int]]) -> list[list[int]]:
+def adjacency_components(adj: Sequence[Iterable[int]], sources: Optional[Iterable[int]] = None) -> list[list[int]]:
     """Return the components of adj, one list each in breadth-first order
-    from its smallest vertex; adj[v] holds the neighbours of v."""
+    from its smallest vertex; adj[v] holds the neighbours of v.  With
+    sources, an increasing sequence of vertices, only the components that
+    hold one of them are walked, each from its smallest source."""
     seen = [False] * len(adj)
     out = []
-    for s in range(len(adj)):
+    for s in range(len(adj)) if sources is None else sources:
         if seen[s]:
             continue
         seen[s] = True
@@ -188,23 +191,43 @@ def square_neighbors(adj: Sequence[Iterable[int]], v: int) -> set[int]:
     return near
 
 
-def _four_path(adj, x: int, y: int, avoid: int):
-    """First path (x, a, b, c, y) of 4 edges on distinct vertices, none of
-    them avoid, in the order of the adjacency adj (lexicographic for a
-    Graph's sorted adj), or None; avoid is neither x nor y.  When x and y
-    are the neighbours of avoid at girth >= 6, only the tests against
-    going back (b != x, c != a) can fire; the others rule out shorter
-    cycles."""
+def _short_or_four_path(adj, x: int, y: int, v: int):
+    """One scan of the paths from x to y that avoid v, where x and y are
+    the neighbours of the 2-vertex v (attached to them in adj or not).
+
+    Returns a path (x, ..., y) of at most 3 edges on distinct vertices if
+    there is one: with v it closes a cycle of length <= 5.  Otherwise the
+    first path (x, a, b, c, y) of 4 edges, in the order of adj
+    (lexicographic for a Graph's sorted adj): with v it closes a
+    six-cycle.  Otherwise None.
+
+    The scan walks a in N(x) - v, then b in N(a) - x.  a is y, or lies in
+    N(y), or some b lies in N(y): that is a short path.  Until the first
+    four-edge path is found, each b also looks for a c in N(b) that lies
+    in N(y).  A short path found later still wins, so every a and b is
+    scanned.  With no short path, c is none of a, x, y and v, and so
+    (x, a, b, c, y) is a path; with one, the four-edge path is dropped.
+    """
+    ay = adj[y]
+    four = None
     for a in adj[x]:
-        if a == y or a == avoid:
+        if a == v:
             continue
+        if a == y:
+            return (x, y)
+        if a in ay:
+            return (x, a, y)
         for b in adj[a]:
-            if b == x or b == y or b == avoid:
+            if b == x:
                 continue
-            for c in adj[b]:
-                if c != a and c != x and c != avoid and y in adj[c]:
-                    return (x, a, b, c, y)
-    return None
+            if b in ay:
+                return (x, a, b, y)
+            if four is None:
+                for c in adj[b]:
+                    if c in ay:
+                        four = (x, a, b, c, y)
+                        break
+    return four
 
 
 def square(g: Graph) -> Graph:

@@ -505,7 +505,8 @@ def _planar(adj) -> bool:
     red, _ = _reduce(adj)
     if _few_branch_vertices(len(a) for a in red):
         return True
-    for comp in adjacency_components(red):
+    # The reduction leaves most vertices isolated; walk only the others.
+    for comp in adjacency_components(red, [v for v, a in enumerate(red) if a]):
         if _few_branch_vertices(len(red[v]) for v in comp):
             continue
         if not _embed_kernel(red, comp):

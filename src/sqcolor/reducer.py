@@ -7,7 +7,8 @@ color_square_7lists drops a leaf, splices a 2-vertex, or removes a
 the vertices back in reverse order and colors them (_lift), recoloring
 around the six-cycle by Lemma 2 (_recoloring, RECOLORING_ROWS), and
 certifies the result.  verify_lemma2_tables runs the engine on its 12
-table situations.
+table situations, and verify_lemma2_situations on every collapsed
+situation of the lemma, escapes included.
 
 The colorer runs no girth pass.  It checks the degrees and planarity,
 and the peel certifies girth >= 6 as it goes: a cycle of length <= 5
@@ -25,11 +26,13 @@ the records alone and never rebuilds the adjacency.
 
 from __future__ import annotations
 
+from itertools import compress, product
+from operator import ne
 from typing import Iterable, Optional, Sequence
 
 from .coloring import normalize_lists
 from .errors import ListTooSmall, PreconditionViolated
-from .graph_core import Graph, _four_path, derived, girth_at_least, is_subcubic, keep, square_neighbors
+from .graph_core import Graph, _short_or_four_path, derived, girth_at_least, is_subcubic, keep, square_neighbors
 from .planar_embed import check_class, is_planar
 
 # The benchmark's span tracer (perfbench/spans.py) still looks these names
@@ -72,24 +75,18 @@ RECOLORING_ROWS: dict[tuple[str, str, str], tuple[str, ...]] = {
 }
 
 
-def _free_color(colors: frozenset, f: Sequence[Optional[int]], near: Iterable[int]) -> int:
-    """Smallest color of `colors` that no vertex of `near` wears in f."""
-    free = colors.difference(map(f.__getitem__, near))
-    _invariant(bool(free), "a vertex with at most 6 square-neighbors has a free color")
-    return min(free)
-
-
 def _fits(f: Sequence[Optional[int]], lists, v: int, near: Iterable[int]) -> bool:
     """f[v] lies in the list of v and differs from f[u] for every u in near."""
     color = f[v]
     return color in lists[v] and color not in map(f.__getitem__, near)
 
 
-def _available(cyc: tuple, lists, f: Sequence[Optional[int]], near: dict) -> dict:
+def _available(cyc: tuple, lists, f: Sequence[Optional[int]], near: Sequence) -> dict:
     """The available list of each vertex v of the cycle cyc = (v1, ..., v6):
     the colors of lists[v] that no square-neighbor off the cycle wears in
-    f.  near[v] is the square-neighborhood of v in the host."""
-    return {v: lists[v] - {f[u] for u in near[v] if u not in cyc} for v in cyc}
+    f.  near[i] is the square-neighborhood of cyc[i] in the host."""
+    on = set(cyc)
+    return {v: lists[v].difference([f[u] for u in nv if u not in on]) for v, nv in zip(cyc, near)}
 
 
 def _recoloring(cyc: tuple, Cv: dict, f: Sequence[Optional[int]]) -> dict:
@@ -106,7 +103,8 @@ def _recoloring(cyc: tuple, Cv: dict, f: Sequence[Optional[int]]) -> dict:
     alpha, a, b, c = f[v1], f[v2], f[v3], f[v4]
     _invariant(len({alpha, a, b, c}) == 4, "the four cycle colors must be distinct")
     for v, bound in ((v1, 3), (v2, 2), (v3, 2), (v4, 2), (v5, 3), (v6, 5)):
-        _invariant(len(Cv[v]) >= bound, f"available list at vertex {v} smaller than {bound}")
+        if len(Cv[v]) < bound:
+            _invariant(False, f"available list at vertex {v} smaller than {bound}")
 
     # Escape recolorings: each moves one cycle vertex to a spare color,
     # plus at most one of its cycle neighbors.
@@ -139,23 +137,31 @@ def _recoloring(cyc: tuple, Cv: dict, f: Sequence[Optional[int]]) -> dict:
     return new
 
 
-def _extend_sixcycle(cyc: tuple, lists, f: list, near: dict) -> None:
+def _extend_sixcycle(cyc: tuple, lists, f: list, near: Sequence) -> None:
     """Color the 2-vertex v6 of the six-cycle cyc = (v1, ..., v6) in f.
 
     f colors the host minus v6 properly in its square, except that v1
-    and v5 may share a color; near maps each cycle vertex to its
-    square-neighbourhood in the host (the peel's record, or
+    and v5 may share a color; near[i] is the square-neighbourhood of
+    cyc[i] in the host, aligned with cyc (the peel's record, or
     square_neighbors on the host for extend_sixcycle).  If v1 and v5
     differ in color, v6 is colored greedily; otherwise v1..v5 are
-    recolored first (_recoloring).
+    recolored first (_recoloring).  Then each cycle vertex must wear a
+    color of its list that no square-neighbour wears; the checks run
+    inline, and a message is built only when one fails.
     """
     v1, v5, v6 = cyc[0], cyc[4], cyc[5]
     if f[v1] == f[v5]:
         for v, color in _recoloring(cyc, _available(cyc, lists, f, near), f).items():
             f[v] = color
-    f[v6] = _free_color(lists[v6], f, near[v6])
-    for v in cyc:
-        _invariant(_fits(f, lists, v, near[v]), "extension must stay in the lists and proper on the square")
+    get = f.__getitem__
+    free = lists[v6].difference(map(get, near[5]))
+    if not free:
+        _invariant(False, "a vertex with at most 6 square-neighbors has a free color")
+    f[v6] = min(free)
+    for v, nv in zip(cyc, near):
+        color = f[v]
+        if color not in lists[v] or color in map(get, nv):
+            _invariant(False, "extension must stay in the lists and proper on the square")
 
 
 def _seven_lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
@@ -222,7 +228,7 @@ def extend_sixcycle(
                 f"vertex {v} wears a color outside its list or shared with a square-neighbor"
             )
     f = list(phi)
-    _extend_sixcycle(cycle, lists, f, {v: square_neighbors(g.adj, v) for v in cycle})
+    _extend_sixcycle(cycle, lists, f, [square_neighbors(g.adj, v) for v in cycle])
     return f
 
 
@@ -249,23 +255,24 @@ def _peel(adj: list) -> Optional[list]:
     near holds what the lift needs, read in the graph G from which v is
     removed: for a leaf or a splice, v's square-neighbours (u, *N(u)) or
     (x, y, *N(x), *N(y)) without v; for a six-cycle, one tuple of
-    square-neighbours per cycle vertex, aligned with cycle.  The lift
-    undoes the later records first, so it colors v in this same G, and
-    these are the neighbourhoods it would read there.  Tuples, not sets:
-    the records outlive the peel, and sets cost memory and GC time.
+    square-neighbours per cycle vertex, aligned with cycle, each built by
+    in-place unions of the peel's sets.  The lift undoes the later
+    records first, so it colors v in this same G, and these are the
+    neighbourhoods it would read there.  Tuples, not sets: the records
+    outlive the peel, and sets cost memory and GC time.
 
     The peel certifies girth >= 6 as it goes.  A cycle C of length <= 5
     stays intact until the peel removes its first vertex v, since a
     splice or a deletion elsewhere only adds edges or removes other
     vertices.  At that moment v has degree 2, both of its neighbours x
     and y lie on C, and C - v is an x-y path of at most 3 edges that
-    avoids v.  Before the six-cycle probe, each 2-vertex asks for such a
-    path: a neighbour a != v of x that is y, lies in N(y) or has a
-    neighbour in N(y), two set probes per a.  So a peel that removes
-    every vertex without finding one certifies girth >= 6.  The peel
-    returns None when it finds one, or when it stalls: every vertex left
-    has degree 3, which no member of the class allows, and the rules
-    keep an in-class graph in the class.
+    avoids v.  Each 2-vertex makes one scan of the paths from x to y
+    (_short_or_four_path): it returns such a short path if there is one,
+    else the six-cycle's path of 4 edges, else None for a splice.  So a
+    peel that removes every vertex without a short path certifies girth
+    >= 6.  The peel returns None when it finds one, or when it stalls:
+    every vertex left has degree 3, which no member of the class allows,
+    and the rules keep an in-class graph in the class.
     """
     gone = [False] * len(adj)
     work = [v for v in range(len(adj)) if len(adj[v]) <= 2]
@@ -275,34 +282,48 @@ def _peel(adj: list) -> Optional[list]:
         if gone[v]:
             continue
         gone[v] = True
-        nbrs = tuple(sorted(adj[v]))
-        path = None
-        if len(nbrs) == 2:
-            x, y = nbrs
-            ax, ay = adj[x], adj[y]
-            # A path x-y, x-a-y or x-a-b-y that avoids v: some neighbour
-            # a != v of x is y itself (N(y) holds v), lies in N(y) or has
-            # a neighbour there.  Each hit closes a cycle of length <= 5.
-            for a in ax:
-                if a != v and (a in ay or not ay.isdisjoint(adj[a])):
-                    return None
-            path = _four_path(adj, x, y, v)
-        if path is not None:
-            # v is still attached: this is the graph the lift colors v in.
-            cycle = (*path, v)
-            record = (SIXCYCLE, v, nbrs, cycle, tuple([tuple(square_neighbors(adj, u)) for u in cycle]))
-        adj[v] = ()
-        for u in nbrs:
-            adj[u].discard(v)
+        av = adj[v]
+        if len(av) != 2:
+            adj[v] = ()
+            nbrs = tuple(av)  # at most one vertex, so already sorted
+            near = ()
+            if nbrs:
+                au = adj[nbrs[0]]
+                au.discard(v)
+                near = (nbrs[0], *au)
+                work.append(nbrs[0])  # it lost v, so has degree <= 2 in a subcubic graph
+            records.append((LEAF, v, nbrs, None, near))
+            continue
+        x, y = av
+        if y < x:
+            x, y = y, x
+        # v is still attached to x and y: this is the graph the lift colors v in.
+        path = _short_or_four_path(adj, x, y, v)
+        ax, ay = adj[x], adj[y]
         if path is None:
-            if len(nbrs) == 2:
-                records.append((SPLICE, v, nbrs, None, (x, y, *ax, *ay)))
-                ax.add(y)
-                ay.add(x)
-                continue  # x and y keep their degrees
-            record = (LEAF, v, nbrs, None, (nbrs[0], *adj[nbrs[0]]) if nbrs else ())
-        records.append(record)
-        work.extend(nbrs)  # each lost v, so has degree <= 2 in a subcubic graph
+            adj[v] = ()
+            ax.discard(v)
+            ay.discard(v)
+            records.append((SPLICE, v, (x, y), None, (x, y, *ax, *ay)))
+            ax.add(y)
+            ay.add(x)
+            continue  # x and y keep their degrees
+        if len(path) < 5:
+            return None  # a cycle of length <= 5 through v
+        cycle = (*path, v)
+        near = []
+        for u in cycle:
+            au = adj[u]
+            ball = set(au)
+            for w in au:
+                ball |= adj[w]
+            ball.discard(u)
+            near.append(tuple(ball))
+        records.append((SIXCYCLE, v, (x, y), cycle, tuple(near)))
+        adj[v] = ()
+        ax.discard(v)
+        ay.discard(v)
+        work += (x, y)
     return records if all(gone) else None
 
 
@@ -311,15 +332,21 @@ def _lift(n: int, records: list, lists) -> list:
 
     n is the vertex count.  No adjacency is read: each record carries the
     square-neighbourhoods of the graph the vertex returns to (see _peel).
-    A leaf or spliced vertex has at most 6 square-neighbors and takes a
-    free color; a six-cycle vertex goes through the recoloring engine.
+    A leaf or spliced vertex has at most 6 square-neighbors and takes the
+    least color of its list that none of them wears, inline; a six-cycle
+    vertex goes through the recoloring engine, which reads the record's
+    near as it is, aligned with the cycle.
     """
     f: list = [None] * n
-    for rule, v, _, cycle, near in reversed(records):
-        if rule == SIXCYCLE:
-            _extend_sixcycle(cycle, lists, f, dict(zip(cycle, near)))
-        else:
-            f[v] = _free_color(lists[v], f, near)
+    get = f.__getitem__
+    for _, v, _, cycle, near in reversed(records):
+        if cycle is not None:
+            _extend_sixcycle(cycle, lists, f, near)
+            continue
+        free = lists[v].difference(map(get, near))
+        if not free:
+            _invariant(False, "a vertex with at most 6 square-neighbors has a free color")
+        f[v] = min(free)
     return f
 
 
@@ -360,6 +387,12 @@ def color_square_7lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
     return f
 
 
+# The bare six-cycle 0..5 of the Lemma 2 situations: v_i and v_j are
+# square-adjacent exactly when their cyclic distance is at most 2.
+_HEXAGON = tuple(range(6))
+_HEXAGON_NEAR = tuple(tuple((v + step) % 6 for step in (-2, -1, 1, 2)) for v in _HEXAGON)
+
+
 def verify_lemma2_tables() -> list:
     """Run the engine on the 12 table situations; one line per row, ending
     in OK or FAIL(<message>).
@@ -373,8 +406,6 @@ def verify_lemma2_tables() -> list:
     row; a line is OK when its invariants pass and v1..v5 end with the
     row's colors.
     """
-    cyc = tuple(range(6))
-    near = {v: {(v + step) % 6 for step in (-2, -1, 1, 2)} for v in cyc}
     lines = []
     for x2 in (B, C):
         for x4 in (A, B):
@@ -384,9 +415,99 @@ def verify_lemma2_tables() -> list:
                 lists = [frozenset(s) for s in own]
                 f = [ALPHA, A, B, C, ALPHA, None]
                 try:
-                    _extend_sixcycle(cyc, lists, f, near)
+                    _extend_sixcycle(_HEXAGON, lists, f, _HEXAGON_NEAR)
                     verdict = "OK" if tuple(f[:5]) == row else f"FAIL(v1..v5 end as ({','.join(f[:5])}))"
                 except AssertionError as exc:
                     verdict = f"FAIL({exc})"
                 lines.append(f"case {{a,{x2}}}|{{b,{x3}}}|{{c,{x4}}} -> f=({','.join(row)}) {verdict}")
     return lines
+
+
+# The spare colors of the collapsed lists, and the order in which a
+# situation line names the colors of a list.
+_SPARES = ("s1", "s2")
+_SYMBOL_ORDER = (ALPHA, A, B, C, "d", *_SPARES)
+
+# The cycle vertices (indices into v1..v5) whose colors each escape
+# changes; a table row changes at least three.
+_ESCAPE_OF_CHANGED = {(0,): "v1", (4,): "v5", (0, 1): "v2", (0, 2): "v3", (3, 4): "v4"}
+
+
+def _collapsed_lists(own: str, bound: int) -> list:
+    """Every available list of a cycle vertex wearing the symbol own, up
+    to renaming colors: own, any of the other three cycle colors, and
+    either no spare or as many as reach the bound (at least one)."""
+    others = [s for s in (ALPHA, A, B, C) if s != own]
+    out = []
+    for mask in range(8):
+        base = {own, *(others[i] for i in range(3) if mask >> i & 1)}
+        for spare in (False, True):
+            spares = _SPARES[: max(1, bound - len(base))] if spare else ()
+            if len(base) + len(spares) >= bound:
+                out.append(frozenset(base.union(spares)))
+    return out
+
+
+def verify_lemma2_situations() -> tuple[str, int]:
+    """Run the engine on every collapsed situation of Lemma 2; return the
+    summary line and the number of failures.
+
+    Each situation is the bare six-cycle 0..5 of verify_lemma2_tables,
+    with v1..v5 wearing alpha, a, b, c, alpha and C(v6) = {alpha, a, b,
+    c, d}, and with the lists of v1..v5 drawn from their collapsed
+    lists.  The engine reads of an available list only which of the
+    cycle colors alpha, a, b and c it holds, whether it holds another
+    color, and its size against the bound (3 at v1 and v5, 2 at v2, v3
+    and v4); it takes the least spare color of the first escape that has
+    one, and only that vertex and at most one of its cycle neighbours
+    move.  So up to renaming colors, each list is its cycle colors plus
+    either no spare or as many as reach the bound, and one spare color
+    stands for any number of them.  The situations are the 15 * 15 * 15
+    * 12 = 40,500 lists of v2..v5 with C(v1) = {alpha, a, b}, which is
+    the one list of v1 with no escape, plus each of the 11 escaping lists
+    of v1 with the first lists of v2..v5: escape v1 reads no other list.
+
+    A situation fails when an engine invariant fails, or when the colors
+    leave a list or repeat on a square-adjacent pair of the hexagon.  The
+    line counts the situations and the branch of each one that passes,
+    told by the cycle vertices whose colors changed, then the failures,
+    and names the first failing situation's lists and why it failed.
+    """
+    kept = frozenset({ALPHA, A, B})
+    v6_list = frozenset({ALPHA, A, B, C, "d"})
+    others = (_collapsed_lists(A, 2), _collapsed_lists(B, 2), _collapsed_lists(C, 2), _collapsed_lists(ALPHA, 3))
+    first = tuple(column[0] for column in others)
+    situations = [(kept, *rest, v6_list) for rest in product(*others)]
+    situations += [(L, *first, v6_list) for L in _collapsed_lists(ALPHA, 3) if L != kept]
+    start = (ALPHA, A, B, C, ALPHA, None)
+    us, ws = zip(*[(u, w) for u in _HEXAGON for w in _HEXAGON_NEAR[u] if u < w])
+    moved = {}  # the indices of v1..v5 whose colors changed -> situations
+    failures = 0
+    first_failure = ""
+    for lists in situations:
+        f = list(start)
+        try:
+            _extend_sixcycle(_HEXAGON, lists, f, _HEXAGON_NEAR)
+        except AssertionError as exc:
+            why = str(exc)
+        else:
+            # The engine's own check, repeated here in case it is wrong:
+            # every color in its list, and each square pair (us[k], ws[k])
+            # of two colors.
+            get = f.__getitem__
+            if all(map(frozenset.__contains__, lists, f)) and all(map(ne, map(get, us), map(get, ws))):
+                key = tuple(compress(range(5), map(ne, f, start)))
+                moved[key] = moved.get(key, 0) + 1
+                continue
+            why = "the colors leave a list or repeat on the square"
+        failures += 1
+        if not first_failure:
+            shown = ("{" + ",".join(s for s in _SYMBOL_ORDER if s in L) + "}" for L in lists)
+            first_failure = f" first={'|'.join(shown)} FAIL({why})"
+    branches = {name: 0 for name in ("v1", "v5", "v2", "v3", "v4", "table", "other")}
+    for key, count in moved.items():
+        branches["table" if len(key) >= 3 else _ESCAPE_OF_CHANGED.get(key, "other")] += count
+    if not branches["other"]:
+        del branches["other"]
+    histogram = " ".join(f"{name}={count}" for name, count in branches.items())
+    return f"situations={len(situations)} {histogram} failures={failures}{first_failure}", failures

@@ -10,7 +10,7 @@ from sqcolor.formats import MAX_VERTICES, parse_graphs
 from sqcolor.generate import enumerate_class
 from sqcolor.graph_core import Graph, square_neighbors
 from sqcolor.planar_embed import faces
-from sqcolor.reducer import SIXCYCLE, SPLICE, _extend_sixcycle, _free_color
+from sqcolor.reducer import SIXCYCLE, SPLICE, _extend_sixcycle
 
 
 def to_nx(g):
@@ -411,13 +411,15 @@ def lift_by_adjacency(adj, records, lists):
         for u in nbrs:
             adj[u].add(v)
         if rule == SIXCYCLE:
-            restored = {u: square_neighbors(adj, u) for u in cycle}
-            assert [set(t) for t in near] == [restored[u] for u in cycle], (rule, v)
+            restored = [square_neighbors(adj, u) for u in cycle]
+            assert [set(t) for t in near] == restored, (rule, v)
             _extend_sixcycle(cycle, lists, f, restored)
         else:
             restored = square_neighbors(adj, v)
             assert sorted(near) == sorted(restored), (rule, v)
-            f[v] = _free_color(lists[v], f, restored)
+            free = lists[v] - {f[u] for u in restored}
+            assert free, "a vertex with at most 6 square-neighbors has a free color"
+            f[v] = min(free)
     return f
 
 

@@ -6,13 +6,14 @@ graph primitives underneath them.
 """
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
 
 from sqcolor.discharging import describe_config, discharge_audit, find_reducible_config, render_audit
 from sqcolor.formats import from_graph6
-from sqcolor.generate import named
+from sqcolor.generate import GeneratorSpec, named, random_instance
 from sqcolor.reducer import color_square_7lists
 
 CORPUS12 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "corpus12.g6"
@@ -21,6 +22,8 @@ CORPUS12 = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "corp
 def _graphs(family):
     if family == "corpus12":
         return [from_graph6(line) for line in CORPUS12.read_text().split()]
+    if family.startswith("random150-s"):
+        return [random_instance(GeneratorSpec(max_n=150, seed=int(family[len("random150-s"):])))]
     return [named(family)[0]]
 
 
@@ -88,3 +91,34 @@ def test_audit_lines_outside_the_face_numbering_are_frozen():
         blocks.append("".join(line + "\n" for line in lines if not line.startswith(FACE_NUMBERED)))
     digest = hashlib.sha256("".join(blocks).encode()).hexdigest()
     assert digest == CORPUS12_AUDIT_WITHOUT_FACE_NUMBERS
+
+
+def _random_list_colors_digest(family):
+    """sha256 of the colors from random 7-of-10 lists (the benchmark's
+    palette), drawn in order from one generator seeded by the family."""
+    rng = random.Random(family)
+    blocks = []
+    for g in _graphs(family):
+        lists = [frozenset(rng.sample(range(1, 11), 7)) for _ in range(g.n)]
+        blocks.append(" ".join(map(str, color_square_7lists(g, lists))) + "\n")
+    return hashlib.sha256("".join(blocks).encode()).hexdigest()
+
+
+# Colors from random lists, which reach the recoloring branch of the
+# six-cycle engine far more often than uniform lists do: on corpus12 it
+# recolors at 168 of 1,077 six-cycle records, on honeycomb-50 at 11 of
+# 50, and on each random150 sample at 5 or 6 of about 32.
+FROZEN_RANDOM_LISTS = {
+    "corpus12": "15b1e4e138edb953e27c50d280665a3cd32abefed8a5b1e9cbe95553bcaf3e48",
+    "honeycomb-50": "0e52cca43880b3af50d285ca0ec588a6444887728da302ef6b9c990f3d595f10",
+    "c600": "377aafa89589ed7c4d1daf18f4baf458b39b1b7b7790f909dea241a5787bc100",
+    "random150-s0": "dd5f519ad753386f8aa4e6d95efbc847a67bd352a372b47e09127422be3c149c",
+    "random150-s1": "4b95228bcced78dc69c79cb32040584bf90ce8cd03396cb206cbb0a4202090cc",
+    "random150-s2": "4b8017a633682b434cf3f0028ec160126e55218dd3d52c98e15ffce226a0edde",
+    "random150-s3": "46ce2651b23dfd99319e4aab91ecaa72889c9588a618154d3e26c2492051e4e6",
+}
+
+
+@pytest.mark.parametrize("family", sorted(FROZEN_RANDOM_LISTS))
+def test_colors_from_random_lists_are_frozen(family):
+    assert _random_list_colors_digest(family) == FROZEN_RANDOM_LISTS[family]

@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from oracles import config_holds, lift_by_adjacency, naive_choosable
+from oracles import config_holds, lift_by_adjacency, naive_choosable, to_nx
 
 from sqcolor.coloring import find_L_coloring, is_proper, normalize_lists
 from sqcolor.discharging import (
@@ -31,7 +31,7 @@ from sqcolor.errors import (
 from sqcolor.generate import GeneratorSpec, enumerate_class, named, random_instance
 from sqcolor.graph_core import (
     Graph,
-    _four_path,
+    _short_or_four_path,
     biconnected_components,
     derived,
     girth,
@@ -147,8 +147,53 @@ def test_verify_lemma2_exits_1_when_the_engine_misapplies_a_row(monkeypatch, cap
     )
     assert main(["verify-lemma2"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 12
+    assert len(lines) == 13
     assert not any(line.endswith(" OK") for line in lines)
+    assert lines[12].startswith("situations=40511 ") and " failures=0" not in lines[12]
+
+
+def mutant_v2_leaves_v1(cyc, Cv, f, new):
+    # escape v2 keeps v2's move but leaves v1 at alpha
+    return {cyc[1]: new[cyc[1]]} if set(new) == {cyc[0], cyc[1]} else new
+
+
+def mutant_v3_moves_v1_to_a(cyc, Cv, f, new):
+    # escape v3 moves v1 to a (the color of v2), not to b
+    return {**new, cyc[0]: f[cyc[1]]} if set(new) == {cyc[0], cyc[2]} else new
+
+
+def mutant_v4_leaves_v5(cyc, Cv, f, new):
+    # escape v4 keeps v4's move but leaves v5 at alpha
+    return {cyc[3]: new[cyc[3]]} if set(new) == {cyc[3], cyc[4]} else new
+
+
+def mutant_sym_swaps_b_and_c(cyc, Cv, f, new):
+    # a table row read with b and c swapped in _recoloring's sym map
+    if len(new) < 5:
+        return new
+    b, c = f[cyc[2]], f[cyc[3]]
+    return {v: c if color == b else b if color == c else color for v, color in new.items()}
+
+
+@pytest.mark.parametrize("mutant, failures", [
+    (mutant_v2_leaves_v1, 2_700),
+    (mutant_v3_moves_v1_to_a, 360),
+    (mutant_v4_leaves_v5, 252),
+    (mutant_sym_swaps_b_and_c, 49),
+])
+def test_verify_lemma2_exits_1_under_each_escape_and_sym_mutant(monkeypatch, capsys, mutant, failures):
+    # Each mutant wraps _recoloring.  An escape mutant fails every
+    # situation that takes its escape, while the 12 table lines stay OK;
+    # the sym mutant fails 49 of the 63 table situations.
+    from sqcolor import reducer
+    from sqcolor.cli import main
+
+    recoloring = reducer._recoloring
+    monkeypatch.setattr(reducer, "_recoloring", lambda cyc, Cv, f: mutant(cyc, Cv, f, recoloring(cyc, Cv, f)))
+    assert main(["verify-lemma2"]) == 1
+    sweep = capsys.readouterr().out.splitlines()[12]
+    assert int(sweep.split(" failures=")[1].split()[0]) == failures
+    assert " first={" in sweep and " FAIL(" in sweep
 
 
 # --- every branch of the recoloring engine ---
@@ -280,10 +325,16 @@ def test_find_sixcycle_on_subdivided_prism():
 def test_find_sixcycle_respects_girth_gate():
     assert find_sixcycle_two_vertex(named("prism6")[0]) is None
     assert find_sixcycle_two_vertex(cycle(7)) is None
-    # Girth 4 with a six-cycle 0-1-13-7-6-12 through the 2-vertex 12: the
-    # girth check after the path search still rejects it.
+    # Girth 4 with a six-cycle 0-1-13-7-6-12 through the 2-vertex 12, and
+    # the five-cycle 0-5-11-6-12 through it too: the scan finds the short
+    # path before the four-edge one can count, and rejects.
     g = prism_with_subdivided_rungs({0, 1})
-    assert _four_path(g.adj, 0, 6, 12) == (0, 1, 13, 7, 6)
+    assert _short_or_four_path(g.adj, 0, 6, 12) == (0, 5, 11, 6)
+    assert find_sixcycle_two_vertex(g) is None
+    # A six-cycle whose 2-vertex 0 sees no short path, beside a triangle:
+    # the girth check after the path search still rejects it.
+    g = Graph(9, [(i, (i + 1) % 6) for i in range(6)] + [(6, 7), (7, 8), (8, 6)])
+    assert _short_or_four_path(g.adj, 1, 5, 0) == (1, 2, 3, 4, 5)
     assert find_sixcycle_two_vertex(g) is None
 
 
@@ -306,33 +357,108 @@ def first_four_path_by_walks(adj, x, y, avoid):
     return next((w for w in walks if w[-1] == y and len(set(w)) == 5 and avoid not in w), None)
 
 
+def is_path_in(adj, path):
+    """path lists distinct vertices, each adjacent to the next in adj."""
+    return len(set(path)) == len(path) and all(path[i + 1] in adj[path[i]] for i in range(len(path) - 1))
+
+
+def has_short_path_by_walks(adj, x, y, avoid):
+    """Some walk of at most 3 edges from x to y on distinct vertices
+    avoids avoid."""
+    walks = [(x,)]
+    for _ in range(3):
+        walks = [w + (u,) for w in walks for u in adj[w[-1]] if u not in w and u != avoid]
+        if any(w[-1] == y for w in walks):
+            return True
+    return False
+
+
 def test_four_path_is_the_first_path_in_adjacency_order(subcubic9):
+    # At every 2-vertex v with neighbours x and y, in either order, on
+    # sorted, shuffled and set adjacencies, with v attached or detached:
+    # a short path is a real x-y path of at most 3 edges avoiding v when
+    # one exists, and otherwise the scan gives the first four-edge path.
     rng = random.Random(5)
-    found_below_six = 0
+    found_below_six = shorts = 0
     for g in subcubic9:
         below_six = not girth_at_least(g, 6)
         adjs = [g.adj, [tuple(rng.sample(a, len(a))) for a in g.adj], [set(a) for a in g.adj]]
-        cases = []
         for v in range(g.n):
-            if g.degree(v) == 2:
-                cases.append((*g.adj[v], v))
-        if g.n >= 3:
-            for _ in range(4):
-                x, y, other = rng.sample(range(g.n), 3)
-                cases += [(x, y, -1), (x, y, other)]
-        for adj in adjs:
-            for x, y, avoid in cases:
-                want = first_four_path_by_walks(adj, x, y, avoid)
-                assert _four_path(adj, x, y, avoid) == want, (g.adj, x, y, avoid)
-                found_below_six += want is not None and below_six
-        # The peel's case: v is already gone from a set adjacency.
-        for v in range(g.n):
-            if g.degree(v) == 2:
-                adj = [set(a) - {v} for a in g.adj]
-                adj[v] = set()
-                x, y = g.adj[v]
-                assert _four_path(adj, x, y, v) == first_four_path_by_walks(adj, x, y, v)
-    assert found_below_six > 100
+            if g.degree(v) != 2:
+                continue
+            detached = [set(a) - {v} for a in g.adj]
+            detached[v] = set()
+            for adj in adjs + [detached]:
+                for x, y in (g.adj[v], g.adj[v][::-1]):
+                    got = _short_or_four_path(adj, x, y, v)
+                    if has_short_path_by_walks(adj, x, y, v):
+                        assert got is not None and len(got) <= 4, (g.adj, x, y, v)
+                        assert got[0] == x and got[-1] == y and v not in got and is_path_in(adj, got)
+                        shorts += 1
+                    else:
+                        want = first_four_path_by_walks(adj, x, y, v)
+                        assert got == want, (g.adj, x, y, v)
+                        found_below_six += want is not None and below_six
+    assert found_below_six > 2000
+    assert shorts > 20000
+
+
+def scan_spy(monkeypatch):
+    """Wrap the peel's scan: calls holds (v, result, whether a short path
+    exists, the first four-edge path) for every call, the last two read
+    by walks on the peel's adjacency at the call (a copy of a set may
+    iterate in another order)."""
+    calls = []
+    scan = _short_or_four_path
+
+    def spy(adj, x, y, v):
+        got = scan(adj, x, y, v)
+        calls.append((v, got, has_short_path_by_walks(adj, x, y, v), first_four_path_by_walks(adj, x, y, v)))
+        return got
+
+    monkeypatch.setattr("sqcolor.reducer._short_or_four_path", spy)
+    return calls
+
+
+def test_the_peels_six_cycle_path_is_the_first_four_path(corpus12, monkeypatch):
+    calls = scan_spy(monkeypatch)
+    graphs = list(corpus12) + [named("honeycomb-5")[0]]
+    graphs += [random_instance(GeneratorSpec(max_n=150, seed=s)) for s in range(14)]
+    sixcycles = 0
+    for g in graphs:
+        calls.clear()
+        records = _peel([set(a) for a in g.adj])
+        cycles = [cycle for rule, _, _, cycle, _ in records if rule == SIXCYCLE]
+        at_calls = []
+        for v, got, short, four in calls:
+            assert not short
+            assert got == four
+            if got is not None:
+                at_calls.append((*got, v))
+        assert cycles == at_calls
+        sixcycles += len(cycles)
+    assert sixcycles > 1500
+
+
+def test_each_short_path_refusal_names_a_cycle_of_length_at_most_5(subcubic9, monkeypatch):
+    calls = scan_spy(monkeypatch)
+    graphs = [g for g in enumerate_class(GeneratorSpec(max_n=12, min_girth=5)) if not girth_at_least(g, 6)]
+    graphs += [g for g in subcubic9 if not girth_at_least(g, 6)]
+    refusals = stalls = 0
+    for g in graphs:
+        calls.clear()
+        assert _peel([set(a) for a in g.adj]) is None
+        v, path, short, _ = calls[-1] if calls else (None, None, False, None)
+        assert (path is not None and len(path) <= 4) == short
+        if not short:
+            stalls += 1  # every vertex left has degree 3
+            continue
+        cyc = (*path, v)
+        h = to_nx(g)
+        assert len(cyc) <= 5 and len(set(cyc)) == len(cyc)
+        assert all(h.has_edge(cyc[i - 1], cyc[i]) for i in range(len(cyc))), (g.edges(), cyc)
+        refusals += 1
+    assert refusals > 3000 and stalls > 0
 
 
 # --- reducible configuration detection ---
@@ -524,7 +650,7 @@ def test_every_in_class_graph_has_one_of_the_four_configs(corpus12):
 
 
 def available(g, cyc, L, phi):
-    near = {v: square_neighbors(g.adj, v) for v in cyc}
+    near = [square_neighbors(g.adj, v) for v in cyc]
     return _available(cyc, normalize_lists(g, L), phi, near)
 
 
