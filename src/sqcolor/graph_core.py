@@ -15,11 +15,11 @@ Each primitive has one implementation here: the distance-2
 neighbourhood (square_neighbors), the depth-bounded BFS (ball, which
 distance runs unbounded), the component walk (adjacency_components),
 the scan for a short or a four-edge path between the neighbours of a
-2-vertex (_short_or_four_path, which refuses a short cycle or closes a
-six-cycle for the peel and the six-cycle detector alike), the 2-core (core_adjacency,
-which girth strips leaves with) and the blocks (biconnected_components),
-from which the cut vertices and the audit's block map of 2-vertices are
-read off.  All but the last take any adjacency sequence, so the peel's,
+2-vertex (_short_or_four_path, which finds a short cycle or closes a
+six-cycle for the peel and the six-cycle detector alike), the 2-core
+(core_adjacency, which girth strips leaves with) and the blocks
+(biconnected_components), from which the cut vertices and the audit's
+block map of 2-vertices are read off.  All but the last take any adjacency sequence, so the peel's,
 the sampler's and the planarity test's mutable adjacencies of sets use
 them too.
 
