@@ -19,14 +19,19 @@ fact girth_at_least(g, 6) on g for the charge audit; a refused one
 hands g to check_class, which words the refusal.
 
 The peel records each removed vertex's square-neighbourhood (for a
-six-cycle, those of all six cycle vertices) while the vertex is still
-attached.  The lift colors that vertex in the same graph, so it reads
-the records alone and never rebuilds the adjacency.
+six-cycle, the off-cycle square-neighbours of each cycle vertex) while
+the vertex is still attached.  The lift colors that vertex in the same
+graph, so it reads the records alone and never rebuilds the adjacency.
+At girth >= 6 the square pairs on a six-cycle are fixed, v_i and v_j
+being square-adjacent exactly when their cyclic distance is <= 2, so
+only the engine (_extend_sixcycle) knows them, and the records, the
+checked entry point and the Lemma 2 checks pass it the off-cycle sets
+alone.
 """
 
 from __future__ import annotations
 
-from itertools import compress, product
+from itertools import product
 from operator import ne
 from typing import Iterable, Optional, Sequence
 
@@ -81,23 +86,23 @@ def _fits(f: Sequence[Optional[int]], lists, v: int, near: Iterable[int]) -> boo
     return color in lists[v] and color not in map(f.__getitem__, near)
 
 
-def _available(cyc: tuple, lists, f: Sequence[Optional[int]], near: Sequence) -> dict:
+def _available(cyc: tuple, lists, f: Sequence[Optional[int]], off: Sequence) -> dict:
     """The available list of each vertex v of the cycle cyc = (v1, ..., v6):
     the colors of lists[v] that no square-neighbor off the cycle wears in
-    f.  near[i] is the square-neighborhood of cyc[i] in the host."""
-    on = set(cyc)
-    return {v: lists[v].difference([f[u] for u in nv if u not in on]) for v, nv in zip(cyc, near)}
+    f.  off[i] holds the off-cycle square-neighbours of cyc[i] in the host."""
+    return {v: lists[v].difference(map(f.__getitem__, ov)) for v, ov in zip(cyc, off)}
 
 
-def _recoloring(cyc: tuple, Cv: dict, f: Sequence[Optional[int]]) -> dict:
-    """New colors for some of v1..v5 when f[v1] == f[v5].
+def _recoloring(cyc: tuple, Cv: dict, f: Sequence[Optional[int]]) -> tuple:
+    """The branch taken and the new colors for some of v1..v5 when f[v1] == f[v5].
 
     f colors v1, ..., v5 alpha, a, b, c, alpha; Cv holds their available
     lists (_available).  Try the five single-vertex recolorings (v1, v5,
     v2, v3, v4, in this order; later ones rely on the equalities that
     earlier failures establish), and when all escapes fail, look up the
     row of RECOLORING_ROWS for the colors (x2, x3, x4) that C(v2), C(v3)
-    and C(v4) hold besides a, b and c.
+    and C(v4) hold besides a, b and c.  The branch is the escape's name,
+    "v1", "v5", "v2", "v3" or "v4", or the row's key (x2, x3, x4).
     """
     v1, v2, v3, v4, v5, v6 = cyc
     alpha, a, b, c = f[v1], f[v2], f[v3], f[v4]
@@ -109,16 +114,16 @@ def _recoloring(cyc: tuple, Cv: dict, f: Sequence[Optional[int]]) -> dict:
     # Escape recolorings: each moves one cycle vertex to a spare color,
     # plus at most one of its cycle neighbors.
     escapes = (
-        (v1, {a, b, alpha}, {}),
-        (v5, {b, c, alpha}, {}),
-        (v2, {a, b, c}, {v1: a}),
-        (v3, {a, b, c, alpha}, {v1: b}),
-        (v4, {a, b, c}, {v5: c}),
+        ("v1", v1, {a, b, alpha}, {}),
+        ("v5", v5, {b, c, alpha}, {}),
+        ("v2", v2, {a, b, c}, {v1: a}),
+        ("v3", v3, {a, b, c, alpha}, {v1: b}),
+        ("v4", v4, {a, b, c}, {v5: c}),
     )
-    for v, taken, also in escapes:
+    for name, v, taken, also in escapes:
         spare = Cv[v] - taken
         if spare:
-            return {v: min(spare), **also}
+            return name, {v: min(spare), **also}
 
     # All escapes failed, so the available lists collapse to the table
     # situation; these five facts are forced at this point.
@@ -131,37 +136,50 @@ def _recoloring(cyc: tuple, Cv: dict, f: Sequence[Optional[int]]) -> dict:
     x2 = B if b in Cv[v2] else C
     x3 = A if a in Cv[v3] else C if c in Cv[v3] else ALPHA
     x4 = A if a in Cv[v4] else B
+    key = (x2, x3, x4)
     sym = {A: a, B: b, C: c, ALPHA: alpha}
-    new = {v: sym[symbol] for v, symbol in zip(cyc, RECOLORING_ROWS[(x2, x3, x4)])}
+    new = {v: sym[symbol] for v, symbol in zip(cyc, RECOLORING_ROWS[key])}
     _invariant(all(new[v] in Cv[v] for v in new), "table row leaves an available list")
-    return new
+    return key, new
 
 
-def _extend_sixcycle(cyc: tuple, lists, f: list, near: Sequence) -> None:
-    """Color the 2-vertex v6 of the six-cycle cyc = (v1, ..., v6) in f.
+def _extend_sixcycle(cyc: tuple, lists, f: list, off: Sequence):
+    """Color the 2-vertex v6 of the six-cycle cyc = (v1, ..., v6) in f;
+    return the branch taken: "greedy", or _recoloring's branch.
 
     f colors the host minus v6 properly in its square, except that v1
-    and v5 may share a color; near[i] is the square-neighbourhood of
-    cyc[i] in the host, aligned with cyc (the peel's record, or
-    square_neighbors on the host for extend_sixcycle).  If v1 and v5
-    differ in color, v6 is colored greedily; otherwise v1..v5 are
-    recolored first (_recoloring).  Then each cycle vertex must wear a
-    color of its list that no square-neighbour wears; the checks run
-    inline, and a message is built only when one fails.
+    and v5 may share a color.  off[i] holds the off-cycle
+    square-neighbours of cyc[i] in the host, aligned with cyc (the
+    peel's record, square_neighbors minus the cycle for extend_sixcycle,
+    empty sets for the bare hexagon).  The square pairs on the cycle are
+    fixed at girth >= 6: v_i and v_j are square-adjacent exactly when
+    their cyclic distance is <= 2.  If v1 and v5 differ in color, v6 is
+    colored greedily; otherwise v1..v5 are recolored first
+    (_recoloring).  Then each cycle vertex must wear a color of its list
+    that no off-cycle square-neighbour wears, and the 12 cyclic pairs
+    must differ, which the triples v1v2v3, v3v4v5, v5v6v1 and v2v4v6
+    cover; the checks run inline, and a message is built only when one
+    fails.
     """
-    v1, v5, v6 = cyc[0], cyc[4], cyc[5]
+    v1, v2, v3, v4, v5, v6 = cyc
+    branch = "greedy"
     if f[v1] == f[v5]:
-        for v, color in _recoloring(cyc, _available(cyc, lists, f, near), f).items():
+        branch, new = _recoloring(cyc, _available(cyc, lists, f, off), f)
+        for v, color in new.items():
             f[v] = color
     get = f.__getitem__
-    free = lists[v6].difference(map(get, near[5]))
+    c1, c2, c3, c4, c5 = f[v1], f[v2], f[v3], f[v4], f[v5]
+    free = lists[v6].difference(map(get, off[5]), (c1, c2, c4, c5))
     if not free:
         _invariant(False, "a vertex with at most 6 square-neighbors has a free color")
-    f[v6] = min(free)
-    for v, nv in zip(cyc, near):
+    f[v6] = c6 = min(free)
+    for v, ov in zip(cyc, off):
         color = f[v]
-        if color not in lists[v] or color in map(get, nv):
+        if color not in lists[v] or color in map(get, ov):
             _invariant(False, "extension must stay in the lists and proper on the square")
+    if len({c1, c2, c3}) < 3 or len({c3, c4, c5}) < 3 or len({c5, c6, c1}) < 3 or len({c2, c4, c6}) < 3:
+        _invariant(False, "extension must stay in the lists and proper on the square")
+    return branch
 
 
 def _seven_lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
@@ -228,7 +246,8 @@ def extend_sixcycle(
                 f"vertex {v} wears a color outside its list or shared with a square-neighbor"
             )
     f = list(phi)
-    _extend_sixcycle(cycle, lists, f, [square_neighbors(g.adj, v) for v in cycle])
+    on = set(cycle)
+    _extend_sixcycle(cycle, lists, f, [square_neighbors(g.adj, v) - on for v in cycle])
     return f
 
 
@@ -254,9 +273,11 @@ def _peel(adj: list) -> Optional[list]:
                 girth stays >= 6.
     near holds what the lift needs, read in the graph G from which v is
     removed: for a leaf or a splice, v's square-neighbours (u, *N(u)) or
-    (x, y, *N(x), *N(y)) without v; for a six-cycle, one tuple of
-    square-neighbours per cycle vertex, aligned with cycle, each built by
-    in-place unions of the peel's sets.  The lift undoes the later
+    (x, y, *N(x), *N(y)) without v; for a six-cycle, one tuple per cycle
+    vertex, aligned with cycle, of its square-neighbours off the cycle,
+    each built by in-place unions of the peel's sets less the cycle.
+    The square pairs on the cycle are fixed at girth >= 6, and the
+    engine knows them (_extend_sixcycle).  The lift undoes the later
     records first, so it colors v in this same G, and these are the
     neighbourhoods it would read there.  Tuples, not sets: the records
     outlive the peel, and sets cost memory and GC time.
@@ -311,13 +332,14 @@ def _peel(adj: list) -> Optional[list]:
         if len(path) < 5:
             return None  # a cycle of length <= 5 through v
         cycle = (*path, v)
+        on = set(cycle)
         near = []
         for u in cycle:
             au = adj[u]
             ball = set(au)
             for w in au:
                 ball |= adj[w]
-            ball.discard(u)
+            ball -= on
             near.append(tuple(ball))
         records.append((SIXCYCLE, v, (x, y), cycle, tuple(near)))
         adj[v] = ()
@@ -335,7 +357,8 @@ def _lift(n: int, records: list, lists) -> list:
     A leaf or spliced vertex has at most 6 square-neighbors and takes the
     least color of its list that none of them wears, inline; a six-cycle
     vertex goes through the recoloring engine, which reads the record's
-    near as it is, aligned with the cycle.
+    off-cycle near as it is, aligned with the cycle.  The lift ignores
+    the branch that the engine returns.
     """
     f: list = [None] * n
     get = f.__getitem__
@@ -387,10 +410,8 @@ def color_square_7lists(g: Graph, L: Sequence[Iterable[int]]) -> list:
     return f
 
 
-# The bare six-cycle 0..5 of the Lemma 2 situations: v_i and v_j are
-# square-adjacent exactly when their cyclic distance is at most 2.
+# The bare six-cycle 0..5 of the Lemma 2 situations; nothing lies off it.
 _HEXAGON = tuple(range(6))
-_HEXAGON_NEAR = tuple(tuple((v + step) % 6 for step in (-2, -1, 1, 2)) for v in _HEXAGON)
 
 
 def verify_lemma2_tables() -> list:
@@ -402,9 +423,10 @@ def verify_lemma2_tables() -> list:
     uncolored, and the lists are C(v1) = {a, b, alpha}, C(v2) = {a, x2},
     C(v3) = {b, x3}, C(v4) = {c, x4}, C(v5) = {b, c, alpha} and
     C(v6) = {alpha, a, b, c, d}, all available since no vertex lies off
-    the cycle.  Every escape fails there, so _extend_sixcycle applies the
-    row; a line is OK when its invariants pass and v1..v5 end with the
-    row's colors.
+    the cycle: the engine gets empty off-cycle sets.  Every escape fails
+    there, so _extend_sixcycle applies the row; a line is OK when its
+    invariants pass, the engine reports the row's key as its branch, and
+    v1..v5 end with the row's colors.
     """
     lines = []
     for x2 in (B, C):
@@ -415,8 +437,13 @@ def verify_lemma2_tables() -> list:
                 lists = [frozenset(s) for s in own]
                 f = [ALPHA, A, B, C, ALPHA, None]
                 try:
-                    _extend_sixcycle(_HEXAGON, lists, f, _HEXAGON_NEAR)
-                    verdict = "OK" if tuple(f[:5]) == row else f"FAIL(v1..v5 end as ({','.join(f[:5])}))"
+                    branch = _extend_sixcycle(_HEXAGON, lists, f, ((),) * 6)
+                    if branch != (x2, x3, x4):
+                        verdict = f"FAIL(the engine took branch {branch})"
+                    elif tuple(f[:5]) != row:
+                        verdict = f"FAIL(v1..v5 end as ({','.join(f[:5])}))"
+                    else:
+                        verdict = "OK"
                 except AssertionError as exc:
                     verdict = f"FAIL({exc})"
                 lines.append(f"case {{a,{x2}}}|{{b,{x3}}}|{{c,{x4}}} -> f=({','.join(row)}) {verdict}")
@@ -427,10 +454,6 @@ def verify_lemma2_tables() -> list:
 # situation line names the colors of a list.
 _SPARES = ("s1", "s2")
 _SYMBOL_ORDER = (ALPHA, A, B, C, "d", *_SPARES)
-
-# The cycle vertices (indices into v1..v5) whose colors each escape
-# changes; a table row changes at least three.
-_ESCAPE_OF_CHANGED = {(0,): "v1", (4,): "v5", (0, 1): "v2", (0, 2): "v3", (3, 4): "v4"}
 
 
 def _collapsed_lists(own: str, bound: int) -> list:
@@ -468,10 +491,12 @@ def verify_lemma2_situations() -> tuple[str, int]:
     of v1 with the first lists of v2..v5: escape v1 reads no other list.
 
     A situation fails when an engine invariant fails, or when the colors
-    leave a list or repeat on a square-adjacent pair of the hexagon.  The
-    line counts the situations and the branch of each one that passes,
-    told by the cycle vertices whose colors changed, then the failures,
-    and names the first failing situation's lists and why it failed.
+    leave a list or repeat on a square-adjacent pair of the hexagon; that
+    re-check lists the hexagon's pairs itself rather than trust the
+    engine's.  The line counts the situations and the branch that the
+    engine reports for each one that passes (every table row counts as
+    "table"), then the failures, and names the first failing situation's
+    lists and why it failed.
     """
     kept = frozenset({ALPHA, A, B})
     v6_list = frozenset({ALPHA, A, B, C, "d"})
@@ -479,15 +504,15 @@ def verify_lemma2_situations() -> tuple[str, int]:
     first = tuple(column[0] for column in others)
     situations = [(kept, *rest, v6_list) for rest in product(*others)]
     situations += [(L, *first, v6_list) for L in _collapsed_lists(ALPHA, 3) if L != kept]
-    start = (ALPHA, A, B, C, ALPHA, None)
-    us, ws = zip(*[(u, w) for u in _HEXAGON for w in _HEXAGON_NEAR[u] if u < w])
-    moved = {}  # the indices of v1..v5 whose colors changed -> situations
+    # The hexagon's square pairs (us[k], ws[k]): cyclic distance 1 or 2.
+    us, ws = zip(*[(u, (u + step) % 6) for u in _HEXAGON for step in (1, 2)])
+    branches = {name: 0 for name in ("v1", "v5", "v2", "v3", "v4", "table")}
     failures = 0
     first_failure = ""
     for lists in situations:
-        f = list(start)
+        f = [ALPHA, A, B, C, ALPHA, None]
         try:
-            _extend_sixcycle(_HEXAGON, lists, f, _HEXAGON_NEAR)
+            branch = _extend_sixcycle(_HEXAGON, lists, f, ((),) * 6)
         except AssertionError as exc:
             why = str(exc)
         else:
@@ -496,18 +521,12 @@ def verify_lemma2_situations() -> tuple[str, int]:
             # of two colors.
             get = f.__getitem__
             if all(map(frozenset.__contains__, lists, f)) and all(map(ne, map(get, us), map(get, ws))):
-                key = tuple(compress(range(5), map(ne, f, start)))
-                moved[key] = moved.get(key, 0) + 1
+                branches["table" if branch in RECOLORING_ROWS else branch] += 1
                 continue
             why = "the colors leave a list or repeat on the square"
         failures += 1
         if not first_failure:
             shown = ("{" + ",".join(s for s in _SYMBOL_ORDER if s in L) + "}" for L in lists)
             first_failure = f" first={'|'.join(shown)} FAIL({why})"
-    branches = {name: 0 for name in ("v1", "v5", "v2", "v3", "v4", "table", "other")}
-    for key, count in moved.items():
-        branches["table" if len(key) >= 3 else _ESCAPE_OF_CHANGED.get(key, "other")] += count
-    if not branches["other"]:
-        del branches["other"]
     histogram = " ".join(f"{name}={count}" for name, count in branches.items())
     return f"situations={len(situations)} {histogram} failures={failures}{first_failure}", failures

@@ -400,7 +400,9 @@ def lift_by_adjacency(adj, records, lists):
     reverse on adj (the rows the peel emptied, which end as the original
     graph) and read every square-neighbourhood off the restored graph.
     At each step it asserts that the record's near holds exactly those
-    neighbourhoods, then colors from its own as the lift does."""
+    neighbourhoods (for a six-cycle, the off-cycle ones: no cycle vertex,
+    and with the pairs at cyclic distance <= 2 the whole
+    square-neighbourhood), then colors from its own as the lift does."""
     f = [None] * len(adj)
     for rule, v, nbrs, cycle, near in reversed(records):
         if rule == SPLICE:
@@ -412,8 +414,11 @@ def lift_by_adjacency(adj, records, lists):
             adj[u].add(v)
         if rule == SIXCYCLE:
             restored = [square_neighbors(adj, u) for u in cycle]
-            assert [set(t) for t in near] == restored, (rule, v)
-            _extend_sixcycle(cycle, lists, f, restored)
+            on = set(cycle)
+            pairs = [{cycle[(i + step) % 6] for step in (-2, -1, 1, 2)} for i in range(6)]
+            assert [set(t) | p for t, p in zip(near, pairs)] == restored, (rule, v)
+            assert all(on.isdisjoint(t) for t in near), (rule, v)
+            _extend_sixcycle(cycle, lists, f, [nbhd - on for nbhd in restored])
         else:
             restored = square_neighbors(adj, v)
             assert sorted(near) == sorted(restored), (rule, v)

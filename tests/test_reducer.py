@@ -142,9 +142,12 @@ def test_verify_lemma2_exits_1_when_the_engine_misapplies_a_row(monkeypatch, cap
 
     recoloring = reducer._recoloring
     swap = {B: C, C: B}
-    monkeypatch.setattr(
-        reducer, "_recoloring", lambda *args: {v: swap.get(c, c) for v, c in recoloring(*args).items()}
-    )
+
+    def swapped(*args):
+        branch, new = recoloring(*args)
+        return branch, {v: swap.get(c, c) for v, c in new.items()}
+
+    monkeypatch.setattr(reducer, "_recoloring", swapped)
     assert main(["verify-lemma2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 13
@@ -152,27 +155,39 @@ def test_verify_lemma2_exits_1_when_the_engine_misapplies_a_row(monkeypatch, cap
     assert lines[12].startswith("situations=40511 ") and " failures=0" not in lines[12]
 
 
-def mutant_v2_leaves_v1(cyc, Cv, f, new):
+def test_verify_lemma2_tables_fails_a_line_whose_branch_is_not_its_row(monkeypatch):
+    # An engine that applies the right row but names another branch must
+    # not pass: each line checks the branch the engine reports.
+    from sqcolor import reducer
+
+    recoloring = reducer._recoloring
+    monkeypatch.setattr(reducer, "_recoloring", lambda *args: ("v1", recoloring(*args)[1]))
+    lines = verify_lemma2_tables()
+    assert len(lines) == 12
+    assert all(line.endswith(" FAIL(the engine took branch v1)") for line in lines)
+
+
+def mutant_v2_leaves_v1(cyc, Cv, f, branch, new):
     # escape v2 keeps v2's move but leaves v1 at alpha
-    return {cyc[1]: new[cyc[1]]} if set(new) == {cyc[0], cyc[1]} else new
+    return branch, {cyc[1]: new[cyc[1]]} if branch == "v2" else new
 
 
-def mutant_v3_moves_v1_to_a(cyc, Cv, f, new):
+def mutant_v3_moves_v1_to_a(cyc, Cv, f, branch, new):
     # escape v3 moves v1 to a (the color of v2), not to b
-    return {**new, cyc[0]: f[cyc[1]]} if set(new) == {cyc[0], cyc[2]} else new
+    return branch, {**new, cyc[0]: f[cyc[1]]} if branch == "v3" else new
 
 
-def mutant_v4_leaves_v5(cyc, Cv, f, new):
+def mutant_v4_leaves_v5(cyc, Cv, f, branch, new):
     # escape v4 keeps v4's move but leaves v5 at alpha
-    return {cyc[3]: new[cyc[3]]} if set(new) == {cyc[3], cyc[4]} else new
+    return branch, {cyc[3]: new[cyc[3]]} if branch == "v4" else new
 
 
-def mutant_sym_swaps_b_and_c(cyc, Cv, f, new):
+def mutant_sym_swaps_b_and_c(cyc, Cv, f, branch, new):
     # a table row read with b and c swapped in _recoloring's sym map
-    if len(new) < 5:
-        return new
+    if branch not in RECOLORING_ROWS:
+        return branch, new
     b, c = f[cyc[2]], f[cyc[3]]
-    return {v: c if color == b else b if color == c else color for v, color in new.items()}
+    return branch, {v: c if color == b else b if color == c else color for v, color in new.items()}
 
 
 @pytest.mark.parametrize("mutant, failures", [
@@ -189,7 +204,7 @@ def test_verify_lemma2_exits_1_under_each_escape_and_sym_mutant(monkeypatch, cap
     from sqcolor.cli import main
 
     recoloring = reducer._recoloring
-    monkeypatch.setattr(reducer, "_recoloring", lambda cyc, Cv, f: mutant(cyc, Cv, f, recoloring(cyc, Cv, f)))
+    monkeypatch.setattr(reducer, "_recoloring", lambda cyc, Cv, f: mutant(cyc, Cv, f, *recoloring(cyc, Cv, f)))
     assert main(["verify-lemma2"]) == 1
     sweep = capsys.readouterr().out.splitlines()[12]
     assert int(sweep.split(" failures=")[1].split()[0]) == failures
@@ -233,7 +248,8 @@ def test_recoloring_reaches_every_branch(key, spare_at, new):
     f = [None] * 9
     for v, s in zip(CYC, (ALPHA, A, B, C, ALPHA)):
         f[v] = COLOR[s]
-    got = _recoloring(CYC, Cv, f)
+    branch, got = _recoloring(CYC, Cv, f)
+    assert branch == (key if spare_at is None else f"v{spare_at + 1}")
     assert got == {CYC[i]: COLOR[s] for i, s in new.items()}
 
 
@@ -272,7 +288,7 @@ def test_recoloring_is_correct_on_every_collapsed_situation():
         Cv = {**fixed, **dict(zip((v2, v3, v4, v5), lists))}
         calls += 1
         try:
-            new = _recoloring(CYC, Cv, f)
+            told, new = _recoloring(CYC, Cv, f)
         except AssertionError:
             failures += 1
             continue
@@ -287,7 +303,11 @@ def test_recoloring_is_correct_on_every_collapsed_situation():
         branches[name] = branches.get(name, 0) + 1
         if name == "table":
             C2, C3, C4 = lists[:3]
-            keys.add((B if b in C2 else C, A if a in C3 else C if c in C3 else ALPHA, A if a in C4 else B))
+            key = (B if b in C2 else C, A if a in C3 else C if c in C3 else ALPHA, A if a in C4 else B)
+            keys.add(key)
+            assert told == key
+        else:
+            assert told == name
     assert calls == 40_500
     assert failures == 0
     assert branches == {"v5": 37_125, "v2": 2_700, "v3": 360, "v4": 252, "table": 63}
@@ -650,8 +670,8 @@ def test_every_in_class_graph_has_one_of_the_four_configs(corpus12):
 
 
 def available(g, cyc, L, phi):
-    near = [square_neighbors(g.adj, v) for v in cyc]
-    return _available(cyc, normalize_lists(g, L), phi, near)
+    off = [square_neighbors(g.adj, v) - set(cyc) for v in cyc]
+    return _available(cyc, normalize_lists(g, L), phi, off)
 
 
 def test_available_lists_with_no_externals_is_whole_list():
