@@ -332,14 +332,13 @@ def _peel(adj: list) -> Optional[list]:
         if len(path) < 5:
             return None  # a cycle of length <= 5 through v
         cycle = (*path, v)
-        on = set(cycle)
         near = []
         for u in cycle:
             au = adj[u]
             ball = set(au)
             for w in au:
                 ball |= adj[w]
-            ball -= on
+            ball.difference_update(cycle)
             near.append(tuple(ball))
         records.append((SIXCYCLE, v, (x, y), cycle, tuple(near)))
         adj[v] = ()
