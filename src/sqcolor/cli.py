@@ -13,7 +13,6 @@ import argparse
 import functools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .coloring import (
     CHOOSABLE,
@@ -198,6 +197,10 @@ def _batch(args) -> int:
     chunks = []
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1 and all(p != "-" for p in args.paths):
+        # Imported here: the pool's modules cost every other run their
+        # import time.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_file, tasks))
     else:

@@ -14,7 +14,11 @@ line.  A file may hold several graphs back to back.
 The tokens are split once and the edge ids converted and checked in
 bulk; the line and token of an error are worked out only once a
 conversion or check has failed, and the error reported is the first
-in reading order.
+in reading order.  Edges in the order write_graph_text writes them,
+(u, v) strictly increasing, give sorted rows by appending and cannot
+repeat, so the graph is built from those rows with no further check;
+edges in any other order go through Graph's checks, which report the
+first parallel edge.
 
 graph6 is accepted as an alternate encoding, one graph per line; lines
 are detected as graph6 when they contain no whitespace and do not start
@@ -101,9 +105,9 @@ def parse_graphs_text(text: str, source: str = "<text>") -> list[tuple[Graph, tu
             raise s.error(i, f"vertex count exceeds the limit of {MAX_VERTICES}")
         if m > n * (n - 1) // 2:
             raise s.error(i + 1, f"edge count exceeds n(n-1)/2 = {n * (n - 1) // 2}")
-        edges = _edges(s, i + 2, n, m)
+        us, vs = _edges(s, i + 2, n, m)
         try:
-            g = Graph(n, edges)
+            g = _graph(n, us, vs)
         except ValueError as e:
             raise s.error(i, str(e)) from None
         header = i
@@ -115,8 +119,9 @@ def parse_graphs_text(text: str, source: str = "<text>") -> list[tuple[Graph, tu
     return out
 
 
-def _edges(s: _Tokens, start: int, n: int, m: int):
-    """The m edges whose 2m ids start at token start.
+def _edges(s: _Tokens, start: int, n: int, m: int) -> tuple[list[int], list[int]]:
+    """The m edges whose 2m ids start at token start, as the lists of
+    their ends u and v.
 
     All ids are converted by one int() map and checked against
     0 <= u < v < n in one pass; only if that fails are the edges read
@@ -137,7 +142,28 @@ def _edges(s: _Tokens, start: int, n: int, m: int):
                 raise s.error(i, f"edge must satisfy 0 <= u < v < {n}", f"{toks[i]} {toks[i + 1]}") from None
     if have < m:
         raise s.error(len(toks) - 1, f"expected {m} edges, got {have}")
-    return zip(us, vs)
+    return us, vs
+
+
+def _graph(n: int, us: list[int], vs: list[int]) -> Graph:
+    """The graph on n vertices with the edges (us[i], vs[i]), each with
+    0 <= u < v < n as _edges has checked.
+
+    When the keys u * n + v strictly increase, as write_graph_text writes
+    them, row w receives its neighbours below w (from edges (u, w), which
+    come before those that start at w) and then those above, each in
+    increasing order, and no edge repeats: the rows are built by
+    appending.  Otherwise Graph's checks run, and raise ValueError at
+    the first parallel edge.
+    """
+    keys = [u * n + v for u, v in zip(us, vs)]
+    if not all(map(lt, keys, keys[1:])):
+        return Graph(n, zip(us, vs))
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(us, vs):
+        rows[u].append(v)
+        rows[v].append(u)
+    return Graph._from_rows(tuple(map(tuple, rows)))
 
 
 def _rotation(s: _Tokens, i: int, g: Graph, header: int) -> tuple[tuple, int]:
@@ -221,7 +247,10 @@ def from_graph6(line: str, source: str = "<g6>", lineno: int = 1) -> Graph:
 
     The body is read byte by byte: zero bytes are skipped, and the pair
     (u, v) of the current bit u + v(v-1)/2 is advanced as the bits are
-    found, so memory is O(n + m) beyond the line itself.
+    found, so memory is O(n + m) beyond the line itself.  Bits come in
+    increasing order, v first, so row w receives its neighbours below w
+    (bits of column w) before those above, each in increasing order, and
+    none twice: the rows are built by appending.
     """
     s = line.strip()
     if s.startswith(">>graph6<<"):
@@ -244,7 +273,7 @@ def from_graph6(line: str, source: str = "<g6>", lineno: int = 1) -> Graph:
     need = n * (n - 1) // 2
     if len(data) - start != (need + 5) // 6:
         raise ParseError(source, lineno, s, f"graph6 body length mismatch for n={n}")
-    edges = []
+    rows: list[list[int]] = [[] for _ in range(n)]
     u, v, at = 0, 1, 0
     for i in range(start, len(data)):
         val = data[i] - 63
@@ -261,8 +290,9 @@ def from_graph6(line: str, source: str = "<g6>", lineno: int = 1) -> Graph:
                 while u >= v:
                     u -= v
                     v += 1
-                edges.append((u, v))
-    return Graph(n, edges)
+                rows[u].append(v)
+                rows[v].append(u)
+    return Graph._from_rows(tuple(map(tuple, rows)))
 
 
 def _looks_like_graph6(line: str) -> bool:

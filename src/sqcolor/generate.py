@@ -11,7 +11,10 @@ canonical_code's search with each vertex's degree profile
 (_degree_rank) compared ahead of its adjacency bits.  That code is a
 complete invariant too, so it keeps the same children, with far fewer
 tied orders to carry; canonical_code runs once per kept graph, to sort
-each level.  Attach sets that an automorphism of the parent maps onto
+each level.  A child differs from its parent by its last vertex, so it
+is built from the parent's rows (add_vertex), and its rank is the
+parent's with only the new vertex, its neighbours and theirs ranked
+anew; each kept graph carries its rank for its own children.  Attach sets that an automorphism of the parent maps onto
 each other give isomorphic children, so each parent tries one set per
 orbit (McKay's orbit pruning), under the maps read off the tied orders
 of the ranked search that found the parent.  These need not be all of
@@ -51,8 +54,10 @@ from .planar_embed import _planar, find_planar_embedding, is_planar
 
 # The largest max_n that enumerate_class and random_instance accept;
 # beyond them they raise BudgetExceeded.  CPU on a 2-vCPU Xeon: the
-# enumeration takes 1.2 s at max_n = 13 and 4.8 s at 14; girth-6 samples
-# of 4,000 vertices take 2.3-2.4 s (seeds 0-2), and 5,000 3.6 s (seed 0).
+# enumeration takes 1.5 s at max_n = 13 and 6.1 s at 14, in a slow spell
+# of the shared host in which building each child from an edge list took
+# 1.9 s and 7.0 s; girth-6 samples of 4,000 vertices take 2.3-2.4 s
+# (seeds 0-2), and 5,000 3.6 s (seed 0).
 # Above girth 6 the sampler's budget shrinks (_sample_budget).
 ENUMERATION_BUDGET = 14
 SAMPLE_BUDGET = 4000
@@ -184,13 +189,29 @@ def _frontier_search(g: Graph, rank: Optional[list[int]] = None) -> tuple[tuple,
     return (n, tuple(levels)), orders
 
 
-def _degree_rank(g: Graph) -> list[int]:
+def _degree_rank(g: Graph, parent_rank: Optional[list[int]] = None) -> list[int]:
     """Per vertex, its degree and the multiset of its neighbours'
     degrees packed into one int: deg(v) << 8 plus 1 << 2 deg(w) for each
     neighbour w.  On a subcubic graph each degree count is at most 3 and
-    fits its two bits, so equal ranks mean equal degree profiles."""
+    fits its two bits, so equal ranks mean equal degree profiles.
+
+    With parent_rank, the rank of g minus its last vertex x (the parent
+    that add_vertex grew g from), the ranks are copied and only those
+    that x changes are recomputed: its own, its neighbours', whose
+    degree grew, and their neighbours'.
+    """
     adj = g.adj
-    return [len(a) << 8 | sum(1 << 2 * len(adj[w]) for w in a) for a in adj]
+    if parent_rank is None:
+        rank = [0] * g.n
+        touched = range(g.n)
+    else:
+        x = g.n - 1
+        rank = parent_rank + [0]
+        touched = {x, *adj[x], *chain.from_iterable(adj[s] for s in adj[x])}
+    for v in touched:
+        a = adj[v]
+        rank[v] = len(a) << 8 | sum(1 << 2 * len(adj[w]) for w in a)
+    return rank
 
 
 def _automorphisms(orders: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -235,12 +256,13 @@ def _enumerate_connected(max_n: int, min_girth: float) -> list[list[Graph]]:
     levels: list[list[Graph]] = [[] for _ in range(max_n + 1)]
     if max_n < 1:
         return levels
-    # Each kept graph with the orders its ranked search tied.
-    kept = [(Graph(1, []), [(0,)])]
-    levels[1] = [kept[0][0]]
+    # Each kept graph with the orders its ranked search tied and its rank.
+    root = Graph(1, [])
+    kept = [(root, [(0,)], _degree_rank(root))]
+    levels[1] = [root]
     for n in range(2, max_n + 1):
         seen = {}
-        for g, orders in kept:
+        for g, orders, rank in kept:
             # Sets in one orbit of Aut(g) give isomorphic children, so
             # only the first of each orbit is tried: the first child of
             # each code is found as before, and the output is unchanged.
@@ -256,11 +278,12 @@ def _enumerate_connected(max_n: int, min_girth: float) -> list[list[Graph]]:
                     continue
                 # The ranked code is a complete invariant, so the first
                 # child per ranked code is the first per canonical_code.
-                code, h_orders = _frontier_search(h, _degree_rank(h))
+                h_rank = _degree_rank(h, rank)
+                code, h_orders = _frontier_search(h, h_rank)
                 if code not in seen:
-                    seen[code] = (h, h_orders)
+                    seen[code] = (h, h_orders, h_rank)
         kept = sorted(seen.values(), key=lambda item: canonical_code(item[0]))
-        levels[n] = [h for h, _ in kept]
+        levels[n] = [h for h, _, _ in kept]
     return levels
 
 
@@ -314,7 +337,7 @@ def random_instance(spec: GeneratorSpec) -> Graph:
         if len(sample.adj) >= spec.max_n:
             break
         _random_step(sample, spec, rng)
-    g = Graph(len(sample.adj), sample.edges)
+    g = Graph._from_rows(tuple(tuple(sorted(a)) for a in sample.adj))
     if not (
         g.n <= spec.max_n
         and is_subcubic(g)

@@ -5,6 +5,13 @@ parallel edges) and immutable after construction; derived graphs are new
 objects.  Infinite distances and infinite girth use math.inf, which is
 deliberately distinct from every natural number and compares correctly.
 
+Graph(n, edges) checks every edge.  Code whose rows are sorted,
+symmetric and simple by construction builds through Graph._from_rows,
+which checks nothing: add_vertex, which the enumeration grows each
+child with, random_instance's final graph, and the parsers on graph6
+and on text edges in writer order.  Both constructors end in one
+helper, which sets n, adj, m and an empty memo.
+
 girth and girth_at_least share one kernel, _girth_below: it reads each
 cycle component of the 2-core (core_adjacency) off its length and grows
 spheres from each vertex of degree >= 3 in the 2-core, up to the
@@ -46,7 +53,10 @@ INF = math.inf
 
 class Graph:
     """Undirected simple graph with sorted adjacency; m, the edge count,
-    is counted once at construction, and derived fills the memo _facts."""
+    is counted once at construction, and derived fills the memo _facts.
+
+    Graph(n, edges) raises ValueError on a negative n, an edge out of
+    range, a loop or a parallel edge, the first in edges' order."""
 
     __slots__ = ("n", "adj", "m", "_facts")
 
@@ -63,9 +73,22 @@ class Graph:
                 raise ValueError(f"parallel edge ({u},{v})")
             adjsets[u].add(v)
             adjsets[v].add(u)
-        self.n = n
-        self.adj = tuple(tuple(sorted(s)) for s in adjsets)
-        self.m = sum(map(len, adjsets)) // 2
+        self._take(tuple(tuple(sorted(s)) for s in adjsets))
+
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> Graph:
+        """The graph whose row v is rows[v], taken as it is.  rows must be
+        a tuple of sorted tuples, symmetric and simple (no loop, no
+        repeat); nothing is checked, so only code whose rows are right by
+        construction calls this."""
+        g = cls.__new__(cls)
+        g._take(rows)
+        return g
+
+    def _take(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        self.n = len(rows)
+        self.adj = rows
+        self.m = sum(map(len, rows)) // 2
         self._facts = {}
 
     def degree(self, v: int) -> int:
@@ -400,7 +423,18 @@ def induced_subgraph(g: Graph, keep: Sequence[int]) -> tuple[Graph, list[int]]:
 
 
 def add_vertex(g: Graph, attach_to: Sequence[int]) -> Graph:
-    """Return a new graph with one extra vertex joined to attach_to."""
+    """Return a new graph with one extra vertex, g.n, joined to attach_to.
+
+    The new vertex is the largest id, so each row it joins stays sorted
+    with it appended, and the graph is built from g's rows.  A repeated
+    or out-of-range attach vertex goes through Graph's checks instead,
+    which raise their ValueError."""
     new = g.n
-    edges = g.edges() + [(u, new) for u in attach_to]
-    return Graph(g.n + 1, edges)
+    row = tuple(sorted(attach_to))
+    if not all(0 <= s < new for s in row) or len(set(row)) < len(row):
+        return Graph(new + 1, g.edges() + [(u, new) for u in attach_to])
+    rows = list(g.adj)
+    for s in row:
+        rows[s] += (new,)
+    rows.append(row)
+    return Graph._from_rows(tuple(rows))

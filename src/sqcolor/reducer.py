@@ -157,9 +157,8 @@ def _extend_sixcycle(cyc: tuple, lists, f: list, off: Sequence):
     colored greedily; otherwise v1..v5 are recolored first
     (_recoloring).  Then each cycle vertex must wear a color of its list
     that no off-cycle square-neighbour wears, and the 12 cyclic pairs
-    must differ, which the triples v1v2v3, v3v4v5, v5v6v1 and v2v4v6
-    cover; the checks run inline, and a message is built only when one
-    fails.
+    must differ, compared pair by pair; the checks run inline, and a
+    message is built only when one fails.
     """
     v1, v2, v3, v4, v5, v6 = cyc
     branch = "greedy"
@@ -177,7 +176,10 @@ def _extend_sixcycle(cyc: tuple, lists, f: list, off: Sequence):
         color = f[v]
         if color not in lists[v] or color in map(get, ov):
             _invariant(False, "extension must stay in the lists and proper on the square")
-    if len({c1, c2, c3}) < 3 or len({c3, c4, c5}) < 3 or len({c5, c6, c1}) < 3 or len({c2, c4, c6}) < 3:
+    if (
+        c1 == c2 or c2 == c3 or c3 == c4 or c4 == c5 or c5 == c6 or c6 == c1
+        or c1 == c3 or c2 == c4 or c3 == c5 or c4 == c6 or c5 == c1 or c6 == c2
+    ):
         _invariant(False, "extension must stay in the lists and proper on the square")
     return branch
 

@@ -28,6 +28,15 @@ def from_nx(h):
     return Graph(len(nodes), [(index[u], index[v]) for u, v in h.edges()])
 
 
+def built_as_checked(g, edges):
+    """Whether g, which a producer built from rows, is the graph that the
+    checked constructor Graph(g.n, edges) builds, with the same m.  Its
+    rows are sorted tuples, so == holds only if g's rows are sorted,
+    symmetric and without repeats."""
+    h = Graph(g.n, edges)
+    return g == h and g.m == h.m
+
+
 def square_edges_bfs(g):
     """Edge set of the square, via a depth-2 BFS from every vertex."""
     out = set()

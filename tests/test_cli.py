@@ -727,6 +727,19 @@ def test_the_command_line_does_not_import_networkx():
     assert proc.stdout == "False\n"
 
 
+def test_the_command_line_does_not_import_the_process_pool():
+    # Only --jobs > 1 over files uses the pool, and imports it then.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sqcolor.cli, sys;"
+         " print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_color_structured_large_honeycomb(tmp_path, capsys):
     path = write_fixture(tmp_path, "hc300.txt", write_graph_text(named("honeycomb-300")[0]))
     code, out = run(capsys, ["color", "--structured", path])
@@ -808,7 +821,7 @@ def test_jobs_pool_is_clamped(tmp_path, capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     paths = [write_fixture(tmp_path, f"{k}.txt", write_graph_text(named("c6")[0])) for k in range(3)]
     assert run(capsys, ["girth", "--jobs", "10000", *paths])[0] == 0

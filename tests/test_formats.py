@@ -7,7 +7,7 @@ import pytest
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from oracles import parse_graphs_text_by_tokens, parse_lists_by_line, parse_one_graph, to_nx
+from oracles import built_as_checked, parse_graphs_text_by_tokens, parse_lists_by_line, parse_one_graph, to_nx
 
 from sqcolor.errors import ParseError
 from sqcolor.formats import (
@@ -249,6 +249,33 @@ def test_header_with_too_many_edges_is_refused_at_the_header():
     assert (e.value.source, e.value.line, e.value.token) == ("dense.txt", 1, "7")
     assert e.value.message == "edge count exceeds n(n-1)/2 = 6"
     assert parse_graphs_text(write_graph_text(Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])))
+
+
+def edge_text(n, edges):
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def test_parsed_graphs_are_the_checked_graphs_of_their_edges(corpus12):
+    # Edges in writer order build rows by appending; shuffled ones go
+    # through Graph's checks; graph6 appends its rows in bit order.
+    rng = random.Random(7)
+    graphs = corpus12 + [named(name)[0] for name in NAMES + ("honeycomb-50", "c100", "p1")] + [Graph(0), Graph(3)]
+    for g in graphs:
+        edges = g.edges()
+        shuffled = rng.sample(edges, len(edges))
+        for order in (edges, shuffled):
+            [(h, rot)] = parse_graphs_text(edge_text(g.n, order))
+            assert rot is None and built_as_checked(h, order)
+        assert built_as_checked(from_graph6(to_graph6(g)), edges)
+
+
+def test_a_repeated_edge_is_refused_at_its_header_in_sorted_and_shuffled_files():
+    edges = named("honeycomb-50")[0].edges()
+    repeated = edges[:151] + [edges[150]] + edges[151:]
+    sorted_text = "# a repeated edge\n" + write_graph_text(named("c6")[0]) + edge_text(202, repeated)
+    assert same_graphs(sorted_text) == ("error", ("g.txt", 9, "202", "parallel edge (119,122)"))
+    random.Random(5).shuffle(repeated)
+    assert same_graphs("\n\n" + edge_text(202, repeated)) == ("error", ("g.txt", 3, "202", "parallel edge (119,122)"))
 
 
 BLANKS = st.sampled_from(["", "  ", "# c", "\t"])

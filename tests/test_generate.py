@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from oracles import (
+    built_as_checked,
     canonical_code_by_frontier,
     from_nx,
     graphs_in_class,
@@ -338,6 +339,27 @@ def test_enumeration_codes_one_child_per_orbit_with_four_cycles(monkeypatch, min
     levels = generate._enumerate_connected(9, min_girth)
     assert len(ranked) == tried
     assert len(coded) == kept == sum(map(len, levels[2:]))
+
+
+@pytest.mark.parametrize("max_n, min_girth", [(12, 6), (9, 4), (9, 3)])
+def test_enumeration_children_are_the_checked_graphs_with_full_ranks(monkeypatch, max_n, min_girth):
+    # Each child is built from its parent's rows (add_vertex) and ranked
+    # from its parent's rank; every child searched must be the graph
+    # Graph(n, edges) builds, with the rank _degree_rank computes anew.
+    children = []
+    search = generate._frontier_search
+
+    def checking_search(g, rank=None):
+        if rank is not None:
+            children.append(None)
+            assert built_as_checked(g, g.edges())
+            assert rank == _degree_rank(g)
+        return search(g, rank)
+
+    monkeypatch.setattr(generate, "_frontier_search", checking_search)
+    levels = generate._enumerate_connected(max_n, min_girth)
+    assert len(children) > sum(map(len, levels[2:]))
+    assert all(built_as_checked(g, g.edges()) for level in levels for g in level)
 
 
 # --- enumeration ---
@@ -717,22 +739,29 @@ def test_random_instance_growth_steps_are_frozen():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RANDOM_MULTI_GIRTH_SHA256
 
 
+def test_random_instance_is_the_checked_graph_of_its_rows():
+    for seed in range(14):
+        g = random_instance(GeneratorSpec(max_n=150, seed=seed))
+        assert built_as_checked(g, g.edges())
+
+
 def test_random_instance_builds_a_graph_only_to_test_planarity(monkeypatch):
     # The sampler grows one adjacency, and each chord's planarity test
     # reads it: the one Graph built is the result, for the final check.
+    # Both constructors end in Graph._take, which counts them all.
     built, planar_calls = [], []
-    init = Graph.__init__
+    take = Graph._take
     planar = generate._planar
 
-    def counting_init(self, *args, **kwargs):
+    def counting_take(self, rows):
         built.append(None)
-        init(self, *args, **kwargs)
+        take(self, rows)
 
     def counting_planar(adj):
         planar_calls.append(None)
         return planar(adj)
 
-    monkeypatch.setattr(Graph, "__init__", counting_init)
+    monkeypatch.setattr(Graph, "_take", counting_take)
     monkeypatch.setattr(generate, "_planar", counting_planar)
     random_instance(GeneratorSpec(max_n=150, seed=0))
     assert planar_calls

@@ -1,11 +1,12 @@
 """Tests for the core graph type and its structural queries."""
 
+import itertools
 import math
 import random
 
 import pytest
 
-from oracles import girth_per_edge, square_edges_bfs, to_nx, with_disjoint_unions
+from oracles import built_as_checked, girth_per_edge, square_edges_bfs, to_nx, with_disjoint_unions
 import networkx as nx
 
 from sqcolor.generate import GeneratorSpec, _honeycomb, _prism, named
@@ -291,6 +292,33 @@ def test_add_vertex():
     h = add_vertex(g, [0, 2])
     assert h.n == 4
     assert set(h.edges()) == {(0, 1), (1, 2), (0, 3), (2, 3)}
+
+
+def test_add_vertex_builds_from_rows_the_graph_of_its_edges():
+    for g in (Graph(0), Graph(1), path(3), cycle(6), named("honeycomb-2")[0]):
+        open_vertices = [v for v in range(g.n) if g.degree(v) < 3]
+        for size in range(4):
+            for S in itertools.combinations(open_vertices, size):
+                for order in (S, S[::-1]):
+                    h = add_vertex(g, order)
+                    assert built_as_checked(h, g.edges() + [(s, g.n) for s in order])
+
+
+def test_add_vertex_refuses_a_repeated_or_out_of_range_attach_vertex():
+    # The messages of Graph's checks, the first fault in attach order.
+    g = path(3)
+    for S, message in [
+        ([0, 0], "parallel edge (0,3)"),
+        ([1, 2, 1], "parallel edge (1,3)"),
+        ([3], "loop at vertex 3"),
+        ([0, 2, 3], "loop at vertex 3"),
+        ([4], "edge (4,3) out of range for n=4"),
+        ([-1], "edge (-1,3) out of range for n=4"),
+        ([2, 5, 0, 0], "edge (5,3) out of range for n=4"),
+    ]:
+        with pytest.raises(ValueError) as e:
+            add_vertex(g, S)
+        assert str(e.value) == message, S
 
 
 def test_distance_queries():
