@@ -7,16 +7,25 @@ deliberately distinct from every natural number and compares correctly.
 
 Graph(n, edges) checks every edge.  Code whose rows are sorted,
 symmetric and simple by construction builds through Graph._from_rows,
-which checks nothing: add_vertex, which the enumeration grows each
-child with, random_instance's final graph, and the parsers on graph6
-and on text edges in writer order.  Both constructors end in one
+which checks nothing: square, add_vertex, which the enumeration grows
+each child with, random_instance's final graph, and the parsers on
+graph6 and on text edges in writer order.  Both constructors end in one
 helper, which sets n, adj, m and an empty memo.
 
-girth and girth_at_least share one kernel, _girth_below: it reads each
-cycle component of the 2-core (core_adjacency) off its length and grows
+girth and girth_at_least share one kernel, _girth_below.  For a bound
+of at most 6 it first deletes vertices of degree <= 2 as the colorer's
+peel does, and probes the short paths between the two neighbours of
+each 2-vertex it deletes; a member of the class is deleted in full, so
+there girth_at_least(g, 6) is one linear pass.  What that leaves, and
+every larger bound, goes to the general stage: it reads each cycle
+component of the 2-core (core_adjacency) off its length and grows
 spheres from each vertex of degree >= 3 in the 2-core, up to the
 shortest cycle found so far, or up to k for girth_at_least, which for
-k > n only asks whether g is a forest.
+k > n only asks whether g is a forest.  The deletion's probe is a scan
+of its own beside _short_or_four_path: it reads a Graph's tuple rows
+under gone marks, while _short_or_four_path reads the peel's mutated
+sets and has to find the four-edge path too, and sharing it would mean
+copying every row into a set.
 
 Each primitive has one implementation here: the distance-2
 neighbourhood (square_neighbors), the depth-bounded BFS (ball, which
@@ -254,9 +263,11 @@ def _short_or_four_path(adj, x: int, y: int, v: int):
 
 
 def square(g: Graph) -> Graph:
-    """Return the square graph: edges between vertices at distance 1 or 2."""
-    edges = [(u, v) for u in range(g.n) for v in square_neighbors(g.adj, u) if u < v]
-    return Graph(g.n, edges)
+    """Return the square graph: edges between vertices at distance 1 or 2.
+    Row v is v's square_neighbors, sorted: distance is symmetric, and v is
+    discarded from its own, so the rows are right by construction."""
+    adj = g.adj
+    return Graph._from_rows(tuple(tuple(sorted(square_neighbors(adj, v))) for v in range(g.n)))
 
 
 def girth(g: Graph) -> float:
@@ -270,7 +281,10 @@ def girth_at_least(g: Graph, k: float) -> bool:
 
     A graph with a cycle has girth at most n, so for k > n (math.inf
     included) the answer is whether g is a forest: m = n - #components.
-    Otherwise girth's kernel decides, with its spheres cut off at k.
+    Otherwise girth's kernel decides, with its spheres cut off at k.  For
+    k <= 6 it first deletes vertices of degree <= 2, which decides alone
+    on every member of the class: girth_at_least(g, 6) is then one
+    linear pass, the check that the peel makes as it colors.
     """
     if k <= 3:
         return True
@@ -283,6 +297,12 @@ def girth_at_least(g: Graph, k: float) -> bool:
 
 def _girth_below(adj, bound) -> float:
     """The girth of the graph adj if it is less than bound, else bound.
+
+    For bound <= 6 a first stage eliminates vertices of degree <= 2, as
+    the colorer's peel does (_eliminate_below_six).  It lowers best to
+    the shortest cycle it sees, and what it leaves, if anything, goes to
+    the sphere stage below with best as its bound.  Every member of the
+    class is eliminated in full, so on it the check is one linear pass.
 
     Every cycle lies in the 2-core.  A component of the 2-core whose
     vertices all have degree 2 there is a cycle, read off its length.  In
@@ -305,8 +325,12 @@ def _girth_below(adj, bound) -> float:
     or a theta graph, takes linear time; many branch vertices far apart
     on long cycles still cost up to quadratic time.
     """
-    core = core_adjacency(adj)
     best = bound
+    if bound <= 6:
+        best, adj = _eliminate_below_six(adj, bound)
+        if adj is None:
+            return best
+    core = core_adjacency(adj)
     sources = []
     for comp in adjacency_components(core):
         branch = [v for v in comp if len(core[v]) >= 3]
@@ -334,6 +358,98 @@ def _girth_below(adj, bound) -> float:
             prev, cur = cur, nxt
             d += 1
     return best
+
+
+def _eliminate_below_six(adj, bound):
+    """Delete the vertices of degree <= 2 of the graph adj, one at a time,
+    as the peel does; returns (best, rest).  best is the shortest cycle
+    that the deletions saw, or bound (<= 6) if none was shorter.  rest is
+    None once every vertex is gone, adj itself if none is, and otherwise
+    the adjacency of what is left, with an empty row for each deleted
+    vertex.
+
+    A worklist pops the vertices whose live degree fell to 2 or less; it
+    reads the tuple rows of adj in place, with a live-degree list and
+    gone marks, and copies no row.  A leaf, or a vertex with no live
+    neighbour, is deleted.  A 2-vertex v with live neighbours x and y is
+    deleted after one probe of the x...y paths of at most 3 edges that
+    avoid v: y in N(x) (a 3-cycle), a live a in N(x) with a in N(y) (a
+    4-cycle), or b in N(a) with b in N(y) (a 5-cycle).  v is marked gone
+    before its probe, so a is never v.  b is never v, since v's only live
+    neighbours are x and y, and never x, since y is not in N(x) there; so
+    each path found closes a cycle with v.
+
+    This is sound because only deletions happen.  A cycle C stays whole
+    until its first deleted vertex v, which then has live degree 2 and
+    C's two neighbours as its live neighbours.  If C is shorter than
+    bound, it has at most 5 edges, so C - v is an x...y path of at most 3
+    live edges, and the probe at v sees it.  A cycle with no vertex
+    deleted is left whole in rest.
+
+    A 2-vertex whose probe would read a row longer than 3 is left in
+    place, so every probe costs O(1): without this guard a K2,n with each
+    edge subdivided twice costs O(n) per probe.  rest holds what the
+    guard left and any stall at minimum degree 3.  A subcubic graph never
+    meets the guard, and a member of the class never stalls: each of its
+    subgraphs has a vertex of degree <= 2.
+    """
+    deg = [len(row) for row in adj]
+    gone = [False] * len(adj)
+    stack = [v for v, d in enumerate(deg) if d <= 2]
+    best = bound
+    while stack:
+        v = stack.pop()
+        if gone[v]:
+            continue
+        gone[v] = True
+        x = y = -1
+        for u in adj[v]:
+            if not gone[u]:
+                if x < 0:
+                    x = u
+                else:
+                    y = u
+        if y >= 0:
+            if best > 3:
+                ax, ay = adj[x], adj[y]
+                if len(ax) > 3 or len(ay) > 3:
+                    gone[v] = False
+                    continue
+                if y in ax:
+                    best = 3
+                elif best > 4:
+                    found = best
+                    for a in ax:
+                        if gone[a]:
+                            continue
+                        if a in ay:
+                            found = 4
+                            break
+                        if found > 5:
+                            row = adj[a]
+                            if len(row) > 3:
+                                found = 0
+                                break
+                            for b in row:
+                                if b in ay:
+                                    found = 5
+                                    break
+                    if not found:
+                        gone[v] = False
+                        continue
+                    best = found
+            deg[y] -= 1
+            if deg[y] <= 2:
+                stack.append(y)
+        if x >= 0:
+            deg[x] -= 1
+            if deg[x] <= 2:
+                stack.append(x)
+    if False not in gone:
+        return best, None
+    if True not in gone:
+        return best, adj
+    return best, [() if gone[v] else [w for w in row if not gone[w]] for v, row in enumerate(adj)]
 
 
 def core_adjacency(adj) -> list[list[int]]:

@@ -9,7 +9,7 @@ import pytest
 from oracles import built_as_checked, girth_per_edge, square_edges_bfs, to_nx, with_disjoint_unions
 import networkx as nx
 
-from sqcolor.generate import GeneratorSpec, _honeycomb, _prism, named
+from sqcolor.generate import GeneratorSpec, _honeycomb, _prism, named, random_instance, subdivide_edge
 from sqcolor.graph_core import (
     Graph,
     add_vertex,
@@ -116,11 +116,12 @@ def test_square_of_small_fixtures():
     assert not sq6.has_edge(0, 3)
 
 
-def test_square_matches_bfs_oracle_on_corpus(corpus12):
-    rng = random.Random(7)
-    sample = rng.sample(corpus12, 120)
-    for g in sample:
-        assert frozenset(square(g).edges()) == square_edges_bfs(g)
+def test_square_matches_bfs_oracle_on_corpus(corpus12, subcubic9):
+    # square builds from rows, so its graph must be the one that the
+    # checked constructor builds from the oracle's edges, rows and m alike.
+    graphs = list(corpus12) + list(subcubic9) + [_honeycomb(k) for k in (1, 2, 5, 50)]
+    for g in graphs:
+        assert built_as_checked(square(g), square_edges_bfs(g)), g.edges()
 
 
 def test_girth_fixtures():
@@ -177,11 +178,52 @@ NAMED_SMALL = ("c3", "c4", "c5", "c6", "c11", "p1", "p7", "q3", "prism6", "peter
                "dodecahedron", "honeycomb-1", "honeycomb-5", "subdivided-prism", "two-heptagons")
 
 
+def joined(core, part, u, w):
+    """core and part side by side, with u in core joined to w in part."""
+    edges = core.edges() + [(core.n + a, core.n + b) for a, b in part.edges()] + [(u, core.n + w)]
+    return Graph(core.n + part.n, edges)
+
+
+def binary_tree(depth):
+    return Graph(2 ** (depth + 1) - 1, [((v - 1) // 2, v) for v in range(1, 2 ** (depth + 1) - 1)])
+
+
+def random_subcubic(rng, n):
+    """A random simple graph on n vertices of degree at most 3."""
+    degree = [0] * n
+    edges = set()
+    for _ in range(3 * n):
+        u, v = sorted(rng.sample(range(n), 2))
+        if degree[u] < 3 and degree[v] < 3 and (u, v) not in edges:
+            edges.add((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    return Graph(n, edges)
+
+
+def stalling_hosts():
+    """Hosts on which deleting vertices of degree <= 2 stalls, in full or
+    in part: cubic cores alone, with pendant trees, and with honeycomb
+    chains hung off them, joined at a core vertex (which keeps the core
+    cubic in the rest) or at a subdivided core edge (which lets it go)."""
+    cores = [named(name)[0] for name in ("q3", "petersen", "dodecahedron")] + [_prism(k) for k in (3, 4, 5, 6, 8)]
+    hosts = list(cores)
+    for core in cores:
+        split = subdivide_edge(core, *core.edges()[0])
+        for part in (binary_tree(1), binary_tree(3), _honeycomb(1), _honeycomb(4)):
+            hosts += [joined(core, part, 0, 0), joined(split, part, core.n, 0)]
+    return hosts
+
+
 def test_girth_at_least_agrees_with_girth(corpus12):
     # girth and girth_at_least share their kernel, so both are checked
-    # against the per-edge oracle; the 1,000 random graphs are the only
-    # inputs here above degree 3.
+    # against the per-edge oracle.  The random graphs, the theta graphs
+    # of 5 paths (whose hubs stop the deletion of their 2-vertices) and
+    # the parts hung off cubic cores are the inputs here above degree 3;
+    # the cubic cores stall the deletion at k <= 6, in full or in part.
     graphs = list(corpus12) + [named(name)[0] for name in NAMED_SMALL]
+    graphs += stalling_hosts()
+    graphs += [theta((length,) * k) for k in (2, 3, 5) for length in (2, 3, 4)]
     for min_girth in (3, 4, 5, 6):
         graphs += with_disjoint_unions(GeneratorSpec(max_n=9, min_girth=min_girth))
     rng = random.Random(23)
@@ -189,6 +231,8 @@ def test_girth_at_least_agrees_with_girth(corpus12):
         n = rng.randint(0, 14)
         p = rng.choice((0.1, 0.2, 0.35, 0.6))
         graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    rng = random.Random(29)
+    graphs += [random_subcubic(rng, rng.randint(6, 40)) for _ in range(300)]
     graphs += [cycle(k) for k in range(3, 14)]
     graphs += [theta(lengths) for lengths in ((1, 2, 2), (2, 3, 5), (1, 6, 6), (4, 4, 9), (3, 3, 3, 3))]
     graphs.append(Graph(22, theta((4, 4, 9)).edges() + [(16 + u, 16 + v) for u, v in cycle(6).edges()]))
@@ -217,13 +261,33 @@ def test_girth_at_least_within_a_cpu_bound(cpu_bound, k):
     # took 5.8 s on p3000 at k = inf, so p100000 would take hours.  At
     # k = 6 the spheres grow from every branch vertex of honeycomb-25000
     # and of the prism on 10,000 vertices, whose girth is 4: the kernel
-    # has no early exit.
-    cases = [(path(100_000), True), (cycle(100_000), k == 6)]
+    # has no early exit.  In K2,100000 with two vertices on each of its
+    # paths, of girth 6, every 2-vertex lies next to a hub of degree
+    # 100,000: probing its short paths would cost O(n) per vertex, so the
+    # deletion leaves it.
+    cases = [(path(100_000), True), (cycle(100_000), k == 6), (theta((3,) * 100_000), k == 6)]
     if k == 6:
         cases += [(_honeycomb(25_000), True), (_prism(5000), False)]
     for g, want in cases:
         with cpu_bound(1.0, f"girth_at_least at n = {g.n}, k = {k}"):
             assert girth_at_least(g, k) == want
+
+
+def test_girth_at_least_six_deletes_every_class_member(monkeypatch, corpus12):
+    # On a member of the class, girth_at_least(g, 6) is one pass of
+    # deleting vertices of degree <= 2: the 2-core and the spheres are
+    # never reached.  Stalling hosts reach them.
+    samples = [random_instance(GeneratorSpec(max_n=150, seed=seed)) for seed in range(14)]
+    hosts = list(corpus12) + [_honeycomb(k) for k in range(1, 51)] + [cycle(k) for k in range(6, 901)] + samples
+
+    def no_core(adj):
+        raise AssertionError("the sphere stage ran")
+
+    monkeypatch.setattr("sqcolor.graph_core.core_adjacency", no_core)
+    for g in hosts:
+        assert girth_at_least(g, 6), g.edges()
+    with pytest.raises(AssertionError, match="sphere stage"):
+        girth_at_least(named("dodecahedron")[0], 6)
 
 
 @pytest.mark.parametrize("lengths", [(1, 2999), (1, 1500, 1500), (700, 700, 700)], ids=["c3000", "theta-3000", "theta-2099"])
