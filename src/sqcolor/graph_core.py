@@ -387,11 +387,11 @@ def _eliminate_below_six(adj, bound):
     deleted is left whole in rest.
 
     A 2-vertex whose probe would read a row longer than 3 is left in
-    place, so every probe costs O(1): without this guard a K2,n with each
-    edge subdivided twice costs O(n) per probe.  rest holds what the
-    guard left and any stall at minimum degree 3.  A subcubic graph never
-    meets the guard, and a member of the class never stalls: each of its
-    subgraphs has a vertex of degree <= 2.
+    place, so every probe costs O(1): without this guard a K2,n with two
+    vertices on each of its paths costs O(n) per probe.  rest holds what
+    the guard left and any stall at minimum degree 3.  A subcubic graph
+    never meets the guard, and a member of the class never stalls: each
+    of its subgraphs has a vertex of degree <= 2.
     """
     deg = [len(row) for row in adj]
     gone = [False] * len(adj)
