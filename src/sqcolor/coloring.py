@@ -53,31 +53,53 @@ def _search(g: Graph, lists, budget: int) -> tuple[Optional[list], int]:
     frame per colored vertex: the vertex, its untried colors and the
     uncolored neighbours its color was taken from, so its depth is not
     bounded by Python's recursion limit.
+
+    The next vertex comes off a heap of (len(avail[u]), -deg(u), u).  An
+    entry is pushed whenever an uncolored vertex's available set shrinks
+    or grows and whenever a vertex is uncolored again, so every uncolored
+    vertex has an entry with its current key; an entry whose vertex is
+    on the stack, or whose length is no longer that of its vertex's set,
+    is stale and popped unused.  So the top is the least key over the
+    uncolored vertices, and a node costs O(deg log) rather than O(n).
+    The heap is rebuilt from the uncolored vertices once stale entries
+    make it more than twice as long as n, which keeps it O(n).
     """
     adj = g.adj
+    n = g.n
     avail = [set(L) for L in lists]
-    color: list[Optional[int]] = [None] * g.n
-    uncolored = set(range(g.n))
+    color: list[Optional[int]] = [None] * n
+    taken = [False] * n  # on the stack
+    heap = [(len(avail[u]), -len(adj[u]), u) for u in range(n)]
+    heapq.heapify(heap)
+    push = heapq.heappush
     nodes = 0
     stack = []
     fits = True  # the top vertex's color left each uncolored neighbour a color
     while True:
         if fits:
-            if not uncolored:
+            if len(stack) == n:
                 return list(color), nodes
-            v = min(uncolored, key=lambda u: (len(avail[u]), -len(adj[u]), u))
-            uncolored.discard(v)
+            if len(heap) > 2 * n + 16:
+                heap = [(len(avail[u]), -len(adj[u]), u) for u in range(n) if not taken[u]]
+                heapq.heapify(heap)
+            k, _, v = heapq.heappop(heap)
+            while taken[v] or k != len(avail[v]):
+                k, _, v = heapq.heappop(heap)
+            taken[v] = True
             stack.append((v, iter(sorted(avail[v])), []))
         v, colors, removed = stack[-1]
         if color[v] is not None:  # take back the color that failed
             for u in removed:
-                avail[u].add(color[v])
+                a = avail[u]
+                a.add(color[v])
+                push(heap, (len(a), -len(adj[u]), u))
             removed.clear()
             color[v] = None
         c = next(colors, None)
         if c is None:
             stack.pop()
-            uncolored.add(v)
+            taken[v] = False
+            push(heap, (len(avail[v]), -len(adj[v]), v))
             if not stack:
                 return None, nodes
             fits = False
@@ -88,10 +110,12 @@ def _search(g: Graph, lists, budget: int) -> tuple[Optional[list], int]:
         color[v] = c
         fits = True
         for u in adj[v]:
-            if color[u] is None and c in avail[u]:
-                avail[u].discard(c)
+            a = avail[u]
+            if color[u] is None and c in a:
+                a.discard(c)
                 removed.append(u)
-                if not avail[u]:
+                push(heap, (len(a), -len(adj[u]), u))
+                if not a:
                     fits = False
 
 

@@ -320,6 +320,10 @@ class Claim3Face:
 
 @dataclass(frozen=True)
 class Claim3Report:
+    """The verdict of claim3_bound_check.  A checked report holds one row
+    per face, rows[i] for face i; a skipped one names the first hypothesis
+    that fails and holds no rows."""
+
     checked: bool
     reason: str
     rows: tuple
@@ -338,10 +342,17 @@ def claim3_bound_check(g: Graph, face_list: Sequence[tuple]) -> Claim3Report:
     each face of face_list, given as the tuple of darts of its walk.
 
     The cap only holds for graphs with no cut 2-vertex and no two
-    2-vertices within distance 3 on a common cycle, so the counts are
-    asserted only when those hypotheses hold; otherwise the report just
-    records them.
+    2-vertices within distance 3 on a common cycle, so those hypotheses
+    are asked first, in this order: a cycle at all, no cut 2-vertex, no
+    close pair.  The first that fails is the reason of a skipped report,
+    which holds no rows; only a checked report builds one row per face.
     """
+    if g.m == g.n - derived(g, component_count):
+        return Claim3Report(checked=False, reason="acyclic", rows=())
+    if derived(g, least_cut_two_vertex) is not None:
+        return Claim3Report(checked=False, reason="cut 2-vertex present", rows=())
+    if derived(g, close_two_vertex_pair) is not None:
+        return Claim3Report(checked=False, reason="close 2-vertices on a cycle", rows=())
     adj = g.adj
     rows = tuple(
         Claim3Face(
@@ -352,12 +363,6 @@ def claim3_bound_check(g: Graph, face_list: Sequence[tuple]) -> Claim3Report:
         )
         for i, walk in enumerate(face_list)
     )
-    if g.m == g.n - derived(g, component_count):
-        return Claim3Report(checked=False, reason="acyclic", rows=rows)
-    if derived(g, least_cut_two_vertex) is not None:
-        return Claim3Report(checked=False, reason="cut 2-vertex present", rows=rows)
-    if derived(g, close_two_vertex_pair) is not None:
-        return Claim3Report(checked=False, reason="close 2-vertices on a cycle", rows=rows)
     return Claim3Report(checked=True, reason="", rows=rows)
 
 
@@ -393,7 +398,8 @@ def discharge_audit(g: Graph) -> AuditReport:
     decides on, with the reduction's log undone (is_planar would only
     answer yes or no).  Any embedding serves, since Euler gives -12 for
     each; the faces are the ones _embed traced once for its Euler check,
-    and apply_r1 and claim3 read their walks.  Totals the charges before
+    and apply_r1 reads their walks, as claim3 does only when it checks
+    the claim.  Totals the charges before
     the rule from the degrees and face lengths and after it from
     apply_r1's two lists (both must be -12), lists every element left
     negative, and runs find_reducible_config and claim3_bound_check,

@@ -16,12 +16,13 @@ girth and girth_at_least share one kernel, _girth_below.  For a bound
 of at most 6 it first deletes vertices of degree <= 2 as the colorer's
 peel does, and probes the short paths between the two neighbours of
 each 2-vertex it deletes; a member of the class is deleted in full, so
-there girth_at_least(g, 6) is one linear pass.  What that leaves, and
-every larger bound, goes to the general stage: it reads each cycle
-component of the 2-core (core_adjacency) off its length and grows
-spheres from each vertex of degree >= 3 in the 2-core, up to the
-shortest cycle found so far, or up to k for girth_at_least, which for
-k > n only asks whether g is a forest.  The deletion's probe is a scan
+there girth_at_least(g, 6) is one linear pass.  What that leaves has
+no vertex of degree below 2, so it is its own 2-core; for a larger
+bound core_adjacency strips the leaves.  The 2-core goes to the general
+stage (_core_girth): it reads each cycle component off its length and
+grows spheres from each vertex of degree >= 3, up to the shortest cycle
+found so far, or up to k for girth_at_least, which for k > n only asks
+whether g is a forest.  The deletion's probe is a scan
 of its own beside _short_or_four_path: it reads a Graph's tuple rows
 under gone marks, while _short_or_four_path reads the peel's mutated
 sets and has to find the four-edge path too, and sharing it would mean
@@ -33,7 +34,7 @@ distance runs unbounded), the component walk (adjacency_components),
 the scan for a short or a four-edge path between the neighbours of a
 2-vertex (_short_or_four_path, which finds a short cycle or closes a
 six-cycle for the peel and the six-cycle detector alike), the 2-core
-(core_adjacency, which girth strips leaves with) and the blocks
+(core_adjacency, which girth strips leaves with above bound 6) and the blocks
 (biconnected_components), from which the cut vertices and the audit's
 block map of 2-vertices are read off.  All but the last take any adjacency sequence, so the peel's,
 the sampler's and the planarity test's mutable adjacencies of sets use
@@ -301,36 +302,47 @@ def _girth_below(adj, bound) -> float:
     For bound <= 6 a first stage eliminates vertices of degree <= 2, as
     the colorer's peel does (_eliminate_below_six).  It lowers best to
     the shortest cycle it sees, and what it leaves, if anything, goes to
-    the sphere stage below with best as its bound.  Every member of the
-    class is eliminated in full, so on it the check is one linear pass.
+    the sphere stage (_core_girth) with best as its bound.  That rest has
+    minimum degree >= 2, since every vertex whose live degree fell to 1
+    or 0 was deleted, so it is its own 2-core and goes as it is.  Every
+    member of the class is eliminated in full, so on it the check is one
+    linear pass.  A larger bound strips leaves with core_adjacency.
+    """
+    best = bound
+    if bound <= 6:
+        best, core = _eliminate_below_six(adj, bound)
+        if core is None:
+            return best
+    else:
+        core = core_adjacency(adj)
+    return _core_girth(core, best)
 
-    Every cycle lies in the 2-core.  A component of the 2-core whose
-    vertices all have degree 2 there is a cycle, read off its length.  In
-    any other component every cycle passes through a branch vertex (one
-    of degree >= 3 in the 2-core), since a cycle of 2-vertices would be a
-    component by itself.  From each branch vertex s the spheres S_1 =
-    core[s], S_2, ... grow by set unions.  A shortest cycle is isometric,
-    so from each of its vertices one of length 2d + 1 shows as an edge
-    inside S_d, and one of length 2d + 2 as a vertex of S_{d+1} reached
-    from two vertices of S_d: |S_{d+1}| < the sum of deg - 1 over S_d.
-    Conversely each of those closes a walk through s of that length,
-    which holds a cycle no longer.  So the first such level from any
-    source bounds the girth from above, and from a vertex of a shortest
-    cycle it gives the girth.  The spheres stop at the level d where
-    2d + 1 reaches the best length so far.
 
-    There is no early exit: a graph with a cycle shorter than bound is
+def _core_girth(core, best) -> float:
+    """The girth of the graph core, a 2-core given by its rows (a deleted
+    vertex has an empty row), if it is less than best, else best.
+
+    A component of the 2-core whose vertices all have degree 2 there is a
+    cycle, read off its length.  In any other component every cycle
+    passes through a branch vertex (one of degree >= 3 in the 2-core),
+    since a cycle of 2-vertices would be a component by itself.  From
+    each branch vertex s the spheres S_1 = core[s], S_2, ... grow by set
+    unions.  A shortest cycle is isometric, so from each of its vertices
+    one of length 2d + 1 shows as an edge inside S_d, and one of length
+    2d + 2 as a vertex of S_{d+1} reached from two vertices of S_d:
+    |S_{d+1}| < the sum of deg - 1 over S_d.  Conversely each of those
+    closes a walk through s of that length, which holds a cycle no
+    longer.  So the first such level from any source bounds the girth
+    from above, and from a vertex of a shortest cycle it gives the girth.
+    The spheres stop at the level d where 2d + 1 reaches the best length
+    so far.
+
+    There is no early exit: a graph with a cycle shorter than best is
     still read in full.  That stays linear in n at bounded degree, and
     only input outside the class (girth < 6) pays for it.  A long cycle,
     or a theta graph, takes linear time; many branch vertices far apart
     on long cycles still cost up to quadratic time.
     """
-    best = bound
-    if bound <= 6:
-        best, adj = _eliminate_below_six(adj, bound)
-        if adj is None:
-            return best
-    core = core_adjacency(adj)
     sources = []
     for comp in adjacency_components(core):
         branch = [v for v in comp if len(core[v]) >= 3]
@@ -366,7 +378,8 @@ def _eliminate_below_six(adj, bound):
     that the deletions saw, or bound (<= 6) if none was shorter.  rest is
     None once every vertex is gone, adj itself if none is, and otherwise
     the adjacency of what is left, with an empty row for each deleted
-    vertex.
+    vertex.  Each vertex left keeps >= 2 live neighbours, so rest is a
+    2-core.
 
     A worklist pops the vertices whose live degree fell to 2 or less; it
     reads the tuple rows of adj in place, with a live-degree list and

@@ -79,24 +79,33 @@ def _face_walks(verts, order, rot) -> list[tuple[tuple[int, int], ...]]:
     """The face walks of the rotation rows rot on verts, each started at
     the first unwalked dart (u, v) for u in verts and v in order[u].  A
     dart (s, t) is marked walked at t's position in rot[s], in a table
-    with a row for each vertex of verts.  With no dart at all, a single
-    vertex in the plane, there is one empty walk."""
+    with a row for each vertex of verts.  A start dart is looked up in
+    that table first, so the 2m - f darts that an earlier walk took cost
+    one lookup each and no list.  A step finds s in the row of t with
+    list.index, on rows of at most 3 entries in the class, and wraps past
+    the row's end by a compare.  With no dart at all, a single vertex in
+    the plane, there is one empty walk."""
     seen = [None] * len(rot)
     for v in verts:
         seen[v] = [False] * len(rot[v])
     walks = []
     for u in verts:
+        row_u, seen_u = rot[u], seen[u]
         for v in order[u]:
-            s, t, i = u, v, rot[u].index(v)
+            i = row_u.index(v)
+            if seen_u[i]:
+                continue
+            s, t = u, v
             walk = []
             while not seen[s][i]:
                 seen[s][i] = True
                 walk.append((s, t))
                 row = rot[t]
-                i = (row.index(s) + 1) % len(row)
+                i = row.index(s) + 1
+                if i == len(row):
+                    i = 0
                 s, t = t, row[i]
-            if walk:
-                walks.append(tuple(walk))
+            walks.append(tuple(walk))
     return walks or [()]
 
 

@@ -185,6 +185,16 @@ def test_exact_searches_run_deeper_than_the_recursion_limit():
     assert is_proper(cycle(n), found)
 
 
+def test_search_node_cost_does_not_grow_with_n(cpu_bound):
+    # The next vertex comes off a heap, so a node costs O(deg log n): a
+    # min over every uncolored vertex made 30,000 nodes on c1200 take
+    # 3 s of CPU.
+    g = named("c1200")[0]
+    with cpu_bound(1.0, "30,000 search nodes on c1200"):
+        got = is_k_choosable(g, 2, 30_000)
+    assert (got.verdict, got.nodes_used) == (INCONCLUSIVE, 30_001)
+
+
 def test_degeneracy_shortcut_agrees_with_search():
     # Pairs where the shortcut fires; the exhaustive route must agree.
     for g, k in [(named("p5")[0], 2), (cycle(4), 3)]:

@@ -334,6 +334,56 @@ def test_claim3_seven_face_cap():
     assert report.passed
 
 
+def test_a_skipped_claim3_report_holds_no_rows():
+    # The hypotheses are asked before any row is built, in this order.
+    for name, reason in (
+        ("p5", "acyclic"),
+        ("two-heptagons", "cut 2-vertex present"),
+        ("honeycomb-50", "close 2-vertices on a cycle"),
+    ):
+        g = named(name)[0]
+        report = claim3_bound_check(g, faces_of(g))
+        assert (report.checked, report.reason, report.rows) == (False, reason, ()), name
+        assert report.passed and report.violations == ()
+
+
+def test_a_checked_claim3_report_holds_one_row_per_face(corpus12):
+    cases = [(g, faces_with_pendants_outside(g, k)) for g, k in ((spread_twelve_cycle(), 12), (pendant_seven_cycle(), 7))]
+    checked = [g for g in corpus12 if discharge_audit(g).claim3.checked]
+    assert len(checked) == 2
+    cases += [(g, _embed(g)[1]) for g in checked]
+    for g, fs in cases:
+        report = claim3_bound_check(g, fs)
+        assert report.checked and report.reason == "", g.edges()
+        assert [row.face for row in report.rows] == list(range(len(fs))), g.edges()
+        assert [row.length for row in report.rows] == [len(f) for f in fs], g.edges()
+        assert [row.bound for row in report.rows] == [len(f) // 4 for f in fs], g.edges()
+        twos = [len({v for v, _ in f if g.degree(v) == 2}) for f in fs]
+        assert [row.two_vertices for row in report.rows] == twos, g.edges()
+    for g in checked:
+        report = discharge_audit(g)
+        assert [row.face for row in report.claim3.rows] == list(range(report.face_count)), g.edges()
+
+
+def test_the_audit_builds_no_claim3_row_when_the_claim_is_skipped(monkeypatch):
+    built = []
+    real = discharging.Claim3Face
+
+    def spy(*args, **kwargs):
+        row = real(*args, **kwargs)
+        built.append(row.face)
+        return row
+
+    monkeypatch.setattr(discharging, "Claim3Face", spy)
+    for name in ("honeycomb-50", "c600"):
+        report = discharge_audit(named(name)[0])
+        assert not report.claim3.checked and report.claim3.rows == (), name
+        assert built == [], name
+    report = discharge_audit(pendant_seven_cycle())
+    assert report.claim3.checked
+    assert built == list(range(report.face_count))
+
+
 def test_audit_c6():
     g = cycle(6)
     report = discharge_audit(g)

@@ -9,6 +9,7 @@ import pytest
 from oracles import built_as_checked, girth_per_edge, square_edges_bfs, to_nx, with_disjoint_unions
 import networkx as nx
 
+from sqcolor import graph_core
 from sqcolor.generate import GeneratorSpec, _honeycomb, _prism, named, random_instance, subdivide_edge
 from sqcolor.graph_core import (
     Graph,
@@ -275,19 +276,44 @@ def test_girth_at_least_within_a_cpu_bound(cpu_bound, k):
 
 def test_girth_at_least_six_deletes_every_class_member(monkeypatch, corpus12):
     # On a member of the class, girth_at_least(g, 6) is one pass of
-    # deleting vertices of degree <= 2: the 2-core and the spheres are
-    # never reached.  Stalling hosts reach them.
+    # deleting vertices of degree <= 2: the sphere stage is never
+    # reached.  Stalling hosts reach it.
     samples = [random_instance(GeneratorSpec(max_n=150, seed=seed)) for seed in range(14)]
     hosts = list(corpus12) + [_honeycomb(k) for k in range(1, 51)] + [cycle(k) for k in range(6, 901)] + samples
 
-    def no_core(adj):
+    def no_spheres(core, best):
         raise AssertionError("the sphere stage ran")
 
-    monkeypatch.setattr("sqcolor.graph_core.core_adjacency", no_core)
+    monkeypatch.setattr("sqcolor.graph_core._core_girth", no_spheres)
     for g in hosts:
         assert girth_at_least(g, 6), g.edges()
     with pytest.raises(AssertionError, match="sphere stage"):
         girth_at_least(named("dodecahedron")[0], 6)
+
+
+def test_girth_at_least_six_reads_the_rest_of_the_deletions_as_its_core(monkeypatch):
+    # What the deletions leave has minimum degree >= 2, so at k <= 6 it
+    # goes to the sphere stage as it is; core_adjacency strips leaves
+    # only above 6.  Hosts that stall in full and in part both reach it.
+    hosts = stalling_hosts()
+    want = {(i, k): girth(g) >= k for i, g in enumerate(hosts) for k in (4, 5, 6)}
+    reached = []
+    core_girth = graph_core._core_girth
+
+    def spy(core, best):
+        assert all(len(row) >= 2 for row in core if row), "a leaf reached the sphere stage"
+        reached.append(core)
+        return core_girth(core, best)
+
+    def no_core(adj):
+        raise AssertionError("core_adjacency ran at k <= 6")
+
+    monkeypatch.setattr("sqcolor.graph_core._core_girth", spy)
+    monkeypatch.setattr("sqcolor.graph_core.core_adjacency", no_core)
+    for (i, k), value in want.items():
+        assert girth_at_least(hosts[i], k) == value, (hosts[i].edges(), k)
+    assert any(core is hosts[0].adj for core in reached)
+    assert any(not row for core in reached for row in core)
 
 
 @pytest.mark.parametrize("lengths", [(1, 2999), (1, 1500, 1500), (700, 700, 700)], ids=["c3000", "theta-3000", "theta-2099"])
