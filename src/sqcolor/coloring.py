@@ -60,7 +60,7 @@ def _search(g: Graph, lists, budget: int) -> tuple[Optional[list], int]:
     vertex has an entry with its current key; an entry whose vertex is
     on the stack, or whose length is no longer that of its vertex's set,
     is stale and popped unused.  So the top is the least key over the
-    uncolored vertices, and a node costs O(deg log) rather than O(n).
+    uncolored vertices, and a node costs O(deg log n) rather than O(n).
     The heap is rebuilt from the uncolored vertices once stale entries
     make it more than twice as long as n, which keeps it O(n).
     """
