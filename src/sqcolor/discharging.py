@@ -405,7 +405,9 @@ def discharge_audit(g: Graph) -> AuditReport:
     negative, and runs find_reducible_config and claim3_bound_check,
     which read the facts the class check left on g and share one block
     map, one cut 2-vertex scan and one close-pair search.  At least one
-    side of the dichotomy must come back nonempty.
+    side of the dichotomy must come back nonempty.  A checked Claim 3
+    report must hold one row per face, rows[i] for face i, or the audit
+    raises AssertionError, so that claim3=ok never stands for no rows.
     """
     if g.n == 0:
         raise NotInClass("empty graph")
@@ -417,6 +419,10 @@ def discharge_audit(g: Graph) -> AuditReport:
         raise NotInClass("graph is not planar")
     _, face_list = embedded
     vertex_charge, face_charge = apply_r1(g, face_list)
+    config = find_reducible_config(g)
+    claim3 = claim3_bound_check(g, face_list)
+    if claim3.checked and [row.face for row in claim3.rows] != list(range(len(face_list))):
+        raise AssertionError("a checked Claim 3 report must hold one row per face, rows[i] for face i")
     return AuditReport(
         n=g.n,
         m=g.m,
@@ -429,8 +435,8 @@ def discharge_audit(g: Graph) -> AuditReport:
         negative_faces=tuple(
             (i, len(face_list[i]), q) for i, q in enumerate(face_charge) if q < 0
         ),
-        config=find_reducible_config(g),
-        claim3=claim3_bound_check(g, face_list),
+        config=config,
+        claim3=claim3,
     )
 
 

@@ -19,13 +19,16 @@ nothing (Duffin 1965).  A graph with fewer than six vertices of degree
 so by Kuratowski it is planar.  is_planar asks that of the graph, of
 its reduction and of each component of the reduction; _embed_kernel
 embeds the components that are left by the left-right planarity test
-(Brandes 2009), on explicit stacks, with the rotations networkx's
-check_planarity would give, and _face_walks traces the faces of every
-Euler check.  find_planar_embedding, and the charge audit through
-_embed, embed the reduction the same way and then undo _reduce's log in
-reverse, which puts each deleted or suppressed vertex back into the
-rotation rows with no search; the faces are traced and Euler-checked,
-and the audit numbers faces in the order of that trace.
+(Brandes 2009), with the rotations networkx's check_planarity would
+give, and _face_walks traces the faces of every Euler check.  The test
+is three flat loops, one per depth-first search, whose one helper call
+merges the constraints of an edge; each keeps its stack in arrays (the
+scan of each vertex on the search path, and the tree edges back up the
+path), so no search recurses.  find_planar_embedding, and the charge
+audit through _embed, embed the reduction the same way and then undo
+_reduce's log in reverse, which puts each deleted or suppressed vertex
+back into the rotation rows with no search; the faces are traced and
+Euler-checked, and the audit numbers faces in the order of that trace.
 check_class is the one membership test for the coloring theorem's class,
 and the refusal oracle of the colorer: color_square_7lists checks the
 degrees and planarity itself, lets its peel certify girth >= 6, and
@@ -116,236 +119,224 @@ def _embed_kernel(rot, comp) -> bool:
     This is the left-right planarity test (Brandes 2009) on comp
     relabelled to 0..k-1, and it gives the rotations networkx's
     check_planarity gives on the edges (v, w), v < w, listed by v in comp
-    order and w sorted: the rows are sorted first, so that the answer
-    does not depend on the order the reduction left them in.  Three
-    depth-first searches run on explicit stacks: _lr_orient, _lr_sides,
-    and the embedding below, which puts each edge into its ends'
-    rotations by its side.
+    order and w sorted, so that the answer does not depend on the order
+    the reduction left the rows in.  Three depth-first searches run on
+    explicit stacks: _lr_orient, _lr_sides, and the embedding below.
+    Each stack is two arrays: its[v], the scan of each vertex v on the
+    search path, and the tree edges, which lead back up the path.
 
-    A rotation is a cyclic list of darts, cw[d] following d; dart 2f
-    runs along edge f (oriented src to dst) and dart 2f + 1 against it.
-    Each rotation starts at networkx's leftmost dart, first[v]: a tree
-    edge puts the parent first, a right back edge goes just after
-    right_ref, and a left back edge just before left_ref, taking its
-    place as first if left_ref held it.
+    networkx's graph copy lists each edge from its end that comes first
+    in comp, which sets the order the searches scan neighbours in: the
+    row of vertex x lists its neighbours before x, in comp order, then
+    those after x whose label is above x's, in label order, then the
+    other ones after x, in comp order.  One pass builds these rows, each
+    vertex appending itself to the rows of the neighbours after it.
+
+    Each vertex's out-edges are sorted by nesting depth for the test,
+    then, on a planar answer, by side times nesting depth for the
+    embedding.  There a tree edge puts the parent first in the child's
+    row, and a back edge into w from below w's current tree edge g goes
+    just after g's head (right) or just before the left back edges put
+    there so far (left).  So w's row is its parent, then for each
+    out-edge g in turn: g's left back edges, the last one first, then
+    g's head, then g's right back edges, the last one first.  The row is
+    assembled, in labels, as each tree edge is finished.
     """
     k = len(comp)
     idx = {v: i for i, v in enumerate(comp)}
-    # networkx's graph copy re-lists each edge from its end that comes
-    # first in comp, which sets the order the DFS scans neighbours in.
-    given: list[list[int]] = [[] for _ in range(k)]
-    for i, v in enumerate(comp):
-        for w in sorted(rot[v]):
-            if v < w:
-                j = idx[w]
-                given[i].append(j)
-                given[j].append(i)
     adj: list[list[int]] = [[] for _ in range(k)]
-    for i in range(k):
-        for j in given[i]:
-            if j > i:
-                adj[i].append(j)
-                adj[j].append(i)
+    for x, v in enumerate(comp):
+        ax = adj[x]
+        later = None
+        for w in sorted(rot[v]):
+            j = idx[w]
+            if j > x:
+                adj[j].append(x)
+                if w > v:
+                    ax.append(j)
+                elif later is None:
+                    later = [j]
+                else:
+                    later.append(j)
+        if later:
+            later.sort()
+            ax += later
     m = sum(map(len, adj)) // 2
     if k > 2 and m > 3 * k - 6:
         return False
-    height, parent, src, dst, low, depth, out = _lr_orient(adj)
-    ordered = _sorted_rows(out, depth)
-    side = _lr_sides(ordered, height, parent, src, dst, low)
+    parent, src, dst, low, depth, out = _lr_orient(adj, m)
+    for row in out:
+        if len(row) > 1:
+            row.sort(key=depth.__getitem__)
+    side = _lr_sides(out, parent, src, dst, low)
     if side is None:
         return False
-    ordered = _sorted_rows(out, [s * d for s, d in zip(side, depth)])
+    # Stable sorts, so sorting the depth-sorted rows by side times depth
+    # gives what sorting the rows in orientation order would.
+    key = [s * d for s, d in zip(side, depth)]
+    for row in out:
+        if len(row) > 1:
+            row.sort(key=key.__getitem__)
 
-    head = [0] * (2 * m)
-    head[::2] = dst
-    head[1::2] = src
-    cw = [0] * (2 * m)
-    ccw = [0] * (2 * m)
-    first = [-1] * k
-    for v, o in enumerate(ordered):
-        if o:
-            darts = [2 * f for f in o]
-            first[v] = darts[0]
-            for d, d2 in zip(darts, darts[1:] + darts[:1]):
-                cw[d] = d2
-                ccw[d2] = d
-
-    def insert_before(d, r):
-        p = ccw[r]
-        cw[p] = ccw[r] = d
-        ccw[d] = p
-        cw[d] = r
-
-    left_ref = [0] * k
-    right_ref = [0] * k
-    nxt = [0] * k  # position in ordered[v] of the next edge to place
-    stack = [0]
-    while stack:
-        v = stack[-1]
-        o = ordered[v]
-        for i in range(nxt[v], len(o)):
-            f = o[i]
+    # The embedding: rows[v] is v's row, as labels; left[v] and right[v]
+    # list the back edges into v from below its current tree edge.
+    rows: list = [None] * k
+    left: list = [None] * k
+    right: list = [None] * k
+    its: list = [None] * k  # the scan of each vertex on the search path
+    v, lv, row, it = 0, comp[0], [], iter(out[0])
+    rows[0] = row
+    while True:
+        for f in it:
             w = dst[f]
-            d = 2 * f + 1
             if parent[w] == f:
-                if first[w] < 0:
-                    cw[d] = ccw[d] = d
-                else:
-                    insert_before(d, first[w])
-                first[w] = d
-                left_ref[v] = right_ref[v] = 2 * f
-                nxt[v] = i + 1
-                stack.append(w)
+                its[v] = it
+                left[v] = right[v] = None
+                v, lv, row, it = w, comp[w], [lv], iter(out[w])
+                rows[w] = row
                 break
-            if side[f] == 1:
-                insert_before(d, cw[right_ref[w]])
+            row.append(comp[w])
+            back = right if side[f] == 1 else left
+            if back[w] is None:
+                back[w] = [lv]
             else:
-                r = left_ref[w]
-                insert_before(d, r)
-                if first[w] == r:
-                    first[w] = d
-                left_ref[w] = d
+                back[w].append(lv)
         else:
-            stack.pop()
+            rot[lv] = row
+            f = parent[v]
+            if f < 0:
+                return True
+            w = v
+            v = src[f]
+            lv, row, it = comp[v], rows[v], its[v]
+            back = left[v]
+            if back:
+                back.reverse()
+                row += back
+            row.append(comp[w])
+            back = right[v]
+            if back:
+                back.reverse()
+                row += back
 
-    for i, v in enumerate(comp):
-        row = []
-        d = start = first[i]
-        while d >= 0:
-            row.append(comp[head[d]])
-            d = cw[d]
-            if d == start:
-                break
-        rot[v] = row
-    return True
 
-
-def _sorted_rows(rows, key):
-    """Each row stably sorted by key[f] of its entries f."""
-    return [sorted(row, key=key.__getitem__) if len(row) > 1 else row for row in rows]
-
-
-def _lr_orient(adj):
+def _lr_orient(adj, m):
     """The orientation phase of the left-right test on the connected
-    graph adj, scanning each row in order from vertex 0.
+    graph adj with m edges, scanning each row in order from vertex 0.
 
     Each edge is oriented the first time the DFS scans it: to a new
     vertex it is a tree edge, to an ancestor a back edge; edge ids count
-    the edges in that order.  Returns (height, parent, src, dst, low,
-    depth, out): each vertex's height and tree edge in (-1 at the root),
-    each edge's ends, lowpoint and nesting depth (2 * lowpoint, + 1 when
-    its second lowpoint lies below its tail), and each vertex's
-    out-edges in orientation order.
+    the edges in that order.  Returns (parent, src, dst, low, depth,
+    out): each vertex's tree edge in (-1 at the root), each edge's ends,
+    lowpoint (a height) and nesting depth (2 * lowpoint, + 1 when its
+    second lowpoint lies below its tail), and each vertex's out-edges in
+    orientation order.  A back edge's lowpoints are its head's height and
+    its tail's, so it is folded into its tail's tree edge at once; a tree
+    edge's are final when its head is done.
     """
     k = len(adj)
     height = [-1] * k
     parent = [-1] * k
-    src: list[int] = []
-    dst: list[int] = []
-    low: list[int] = []
-    low2: list[int] = []
-    depth: list[int] = []
+    src = [0] * m
+    dst = [0] * m
+    low = [0] * m
+    low2 = [0] * m
+    depth = [0] * m
     out: list[list[int]] = [[] for _ in range(k)]
-    nxt = [0] * k  # position in adj[v] of the next neighbour to scan
+    its: list = [None] * k  # the scan of each vertex on the search path
     height[0] = 0
-    stack = [0]
-    while stack:
-        v = stack[-1]
-        e = parent[v]
-        up = src[e] if e >= 0 else -1
-        hv = height[v]
-        a = adj[v]
-        for i in range(nxt[v], len(a)):
-            w = a[i]
+    f = 0  # the next edge id
+    v, e, up, hv, o, it = 0, -1, -1, 0, out[0], iter(adj[0])
+    while True:
+        for w in it:
             hw = height[w]
             if hw >= 0 and (hw > hv or w == up):
                 continue  # already oriented, from w
-            f = len(src)
-            src.append(v)
-            dst.append(w)
-            out[v].append(f)
-            low2.append(hv)
+            src[f] = v
+            dst[f] = w
+            o.append(f)
             if hw < 0:
-                low.append(hv)
-                depth.append(0)  # set once w is done
+                low[f] = low2[f] = hv
                 parent[w] = f
-                height[w] = hv + 1
-                nxt[v] = i + 1
-                stack.append(w)
+                its[v] = it
+                hv += 1
+                height[w] = hv
+                v, e, up, o, it = w, f, v, out[w], iter(adj[w])
+                f += 1
                 break
-            low.append(hw)
-            depth.append(2 * hw)
-            if e >= 0:
-                _lower(low, low2, e, hw, hv)
+            low[f] = hw
+            depth[f] = 2 * hw
+            f += 1
+            if e >= 0:  # fold (hw, hv) into e; hv lies above both of e's
+                lo = low[e]
+                if hw < lo:
+                    low2[e] = lo
+                    low[e] = hw
+                elif hw > lo and hw < low2[e]:
+                    low2[e] = hw
         else:
-            stack.pop()
-            if e >= 0:
-                depth[e] = 2 * low[e] + (low2[e] < height[up])
-                if parent[up] >= 0:
-                    _lower(low, low2, parent[up], low[e], low2[e])
-    return height, parent, src, dst, low, depth, out
+            if e < 0:
+                return parent, src, dst, low, depth, out
+            lo, lo2 = low[e], low2[e]
+            hv -= 1
+            depth[e] = 2 * lo + (lo2 < hv)
+            v = up
+            e = parent[v]
+            o, it = out[v], its[v]
+            up = src[e] if e >= 0 else -1
+            if e >= 0:  # fold (lo, lo2) into e
+                le = low[e]
+                if lo < le:
+                    low2[e] = le if le < lo2 else lo2
+                    low[e] = lo
+                elif lo > le:
+                    if lo < low2[e]:
+                        low2[e] = lo
+                elif lo2 < low2[e]:
+                    low2[e] = lo2
 
 
-def _lower(low, low2, e, lo, lo2) -> None:
-    """Fold an out-edge's lowpoints (lo, lo2) into those of edge e."""
-    if lo < low[e]:
-        low2[e] = min(low[e], lo2)
-        low[e] = lo
-    elif lo > low[e]:
-        low2[e] = min(low2[e], lo)
-    else:
-        low2[e] = min(low2[e], lo2)
-
-
-def _lr_sides(ordered, height, parent, src, dst, low):
+def _lr_sides(ordered, parent, src, dst, low):
     """The testing phase of the left-right test: each edge's side, +1 or
     -1, or None when the graph is not planar.
 
     The DFS of _lr_orient runs again, each vertex taking its out-edges in
     the order ordered[v].  Conflict pairs [left low, left high, right
     low, right high] of return edges, -1 standing for none, stack up in
-    pairs; bottom[f] is the top pair when f was reached, compared by
-    identity.  ref[f] names the edge whose side f's side is relative to,
-    and the sides are made absolute once the search is done.
+    pairs, on a bottom pair that is never popped; bottom[f] is the top
+    pair when the tree edge f was reached, compared by identity.  An edge
+    f that returns below its tail v is integrated there: the first
+    out-edge of v hands its lowpoint edge to v's tree edge e, and a later
+    one adds its constraints.  Those are f's return edges above e's
+    lowpoint, gathered into the right of a new pair p (a back edge is
+    its own one return edge, so it skips the stack), and then merge.
+    ref[f] names the edge whose side f's side is relative to, and the
+    sides are made absolute once the search is done.
     """
-    k, m = len(ordered), len(src)
-    pairs: list[list[int]] = []
-    bottom: list = [None] * m
+    m = len(src)
+    base = [-1, -1, -1, -1]  # the bottom of the stack, which is never popped
+    pairs = [base]
+    bottom = [base] * m
     low_edge = [0] * m
     ref = [-1] * (m + 1)  # ref[-1] takes the writes to "no edge"
     side = [1] * m
 
-    def conflicting(lo, hi, f):
-        return (lo >= 0 or hi >= 0) and low[hi] > low[f]
-
-    def add_constraints(f, e):
-        p = [-1, -1, -1, -1]
-        while True:  # merge the return edges of f into p's right
-            q = pairs.pop()
-            if q[0] >= 0 or q[1] >= 0:
-                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
-            if q[0] >= 0 or q[1] >= 0:
-                return False
-            if low[q[2]] > low[e]:
-                if p[2] < 0 and p[3] < 0:
-                    p[3] = q[3]
-                else:
-                    ref[p[2]] = q[3]
-                p[2] = q[2]
-            else:
-                ref[q[2]] = low_edge[e]
-            if (pairs[-1] if pairs else None) is bottom[f]:
-                break
-        # merge the conflicting return edges of f's earlier siblings into p's left
+    def merge(f, p):
+        """Merge the return edges of f's earlier siblings that conflict
+        with f into p's left, p's right holding f's own, and push p
+        unless it is empty; False when a pair conflicts on both sides.
+        An interval conflicts with f when it is not empty and its highest
+        return edge lies above f's lowpoint."""
+        lf = low[f]
         while True:
             q = pairs[-1]
-            if not (conflicting(q[0], q[1], f) or conflicting(q[2], q[3], f)):
+            if (q[2] >= 0 or q[3] >= 0) and low[q[3]] > lf:
+                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                if (q[2] >= 0 or q[3] >= 0) and low[q[3]] > lf:
+                    return False
+            elif not ((q[0] >= 0 or q[1] >= 0) and low[q[1]] > lf):
                 break
             pairs.pop()
-            if conflicting(q[2], q[3], f):
-                q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
-            if conflicting(q[2], q[3], f):
-                return False
             ref[p[2]] = q[3]
             if q[2] >= 0:
                 p[2] = q[2]
@@ -354,28 +345,57 @@ def _lr_sides(ordered, height, parent, src, dst, low):
             else:
                 ref[p[0]] = q[1]
             p[0] = q[0]
-        if max(p) >= 0:
+        if p[2] >= 0 or p[3] >= 0 or p[0] >= 0 or p[1] >= 0:
             pairs.append(p)
         return True
 
-    def remove_back_edges(e):
-        u = src[e]
-        hu = height[u]
-        while pairs:  # drop the pairs whose lowest return edge ends at u
-            p = pairs[-1]
-            if p[0] < 0 and p[1] < 0:
-                lowest = low[p[2]]
-            elif p[2] < 0 and p[3] < 0:
-                lowest = low[p[0]]
-            else:
-                lowest = min(low[p[0]], low[p[2]])
-            if lowest != hu:
+    its: list = [None] * len(ordered)  # the scan of each vertex on the search path
+    v, e, hv, o, it = 0, -1, 0, ordered[0], iter(ordered[0])
+    while True:
+        for f in it:
+            w = dst[f]
+            if parent[w] == f:
+                bottom[f] = pairs[-1]
+                its[v] = it
+                v, e, o, it = w, f, ordered[w], iter(ordered[w])
+                hv += 1
                 break
-            pairs.pop()
-            if p[0] >= 0:
-                side[p[0]] = -1
-        if pairs:  # trim the return edges ending at u off the top pair
+            low_edge[f] = f
+            if f == o[0]:
+                low_edge[e] = f
+                pairs.append([-1, -1, f, f])
+                continue
+            # f's constraints: f goes into p's right if it lies above e's lowpoint
+            if low[f] > low[e]:
+                p = [-1, -1, f, f]
+            else:
+                ref[f] = low_edge[e]
+                p = [-1, -1, -1, -1]
+            if not merge(f, p):
+                return None
+        else:
+            if e < 0:
+                break
+            # v is done: drop the return edges that end at its parent u
+            u = src[e]
+            hv -= 1
             p = pairs[-1]
+            while p is not base:  # the pairs whose lowest return edge ends at u
+                if p[0] < 0 and p[1] < 0:
+                    lowest = low[p[2]]
+                elif p[2] < 0 and p[3] < 0:
+                    lowest = low[p[0]]
+                else:
+                    lowest = low[p[0]]
+                    if low[p[2]] < lowest:
+                        lowest = low[p[2]]
+                if lowest != hv:
+                    break
+                pairs.pop()
+                if p[0] >= 0:
+                    side[p[0]] = -1
+                p = pairs[-1]
+            # trim the return edges ending at u off the top pair
             while p[1] >= 0 and dst[p[1]] == u:
                 p[1] = ref[p[1]]
             if p[1] < 0 and p[0] >= 0:
@@ -388,44 +408,41 @@ def _lr_sides(ordered, height, parent, src, dst, low):
                 ref[p[2]] = p[0]
                 side[p[2]] = -1
                 p[2] = -1
-        if low[e] < hu:  # e takes the side of a highest return edge
-            hl, hr = pairs[-1][1], pairs[-1][3]
-            ref[e] = hl if hl >= 0 and (hr < 0 or low[hl] > low[hr]) else hr
-
-    def integrate(f, v):
-        # f leaves v and returns below it: the first out-edge hands its
-        # lowpoint edge to v's tree edge, a later one adds constraints.
-        if f == ordered[v][0]:
-            low_edge[parent[v]] = low_edge[f]
-            return True
-        return add_constraints(f, parent[v])
-
-    nxt = [0] * k  # position in ordered[v] of the next edge to test
-    stack = [0]
-    while stack:
-        v = stack[-1]
-        o = ordered[v]
-        for i in range(nxt[v], len(o)):
-            f = o[i]
-            bottom[f] = pairs[-1] if pairs else None
-            if parent[dst[f]] == f:
-                nxt[v] = i + 1
-                stack.append(dst[f])
-                break
-            low_edge[f] = f
-            pairs.append([-1, -1, f, f])
-            if not integrate(f, v):
-                return None
-        else:
-            stack.pop()
-            e = parent[v]
-            if e >= 0:
-                remove_back_edges(e)
-                u = src[e]
-                if low[e] < height[u] and not integrate(e, u):
+            f = e
+            v = u
+            e, o, it = parent[u], ordered[u], its[u]
+            if low[f] < hv:  # f returns below u, so it is integrated at u
+                hl, hr = p[1], p[3]  # f takes a highest return edge's side
+                ref[f] = hl if hl >= 0 and (hr < 0 or low[hl] > low[hr]) else hr
+                if f == o[0]:
+                    low_edge[e] = low_edge[f]
+                    continue
+                # f's constraints: the pairs above bottom[f] hold f's return
+                # edges; those above e's lowpoint go into p's right
+                p = [-1, -1, -1, -1]
+                le = low[e]
+                while True:
+                    q = pairs.pop()
+                    if q[0] >= 0 or q[1] >= 0:
+                        q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                        if q[0] >= 0 or q[1] >= 0:
+                            return None
+                    if low[q[2]] > le:
+                        if p[2] < 0 and p[3] < 0:
+                            p[3] = q[3]
+                        else:
+                            ref[p[2]] = q[3]
+                        p[2] = q[2]
+                    else:
+                        ref[q[2]] = low_edge[e]
+                    if pairs[-1] is bottom[f]:
+                        break
+                if not merge(f, p):
                     return None
 
     for f in range(m):  # follow each ref chain, then unwind it
+        if ref[f] < 0:
+            continue
         chain = []
         e = f
         while ref[e] >= 0:

@@ -379,8 +379,10 @@ def test_discharge_audit_p3_golden(tmp_path, capsys):
 def test_discharge_audit_prints_claim3_violations(tmp_path, capsys, monkeypatch):
     from sqcolor.discharging import Claim3Face, Claim3Report
 
-    def violated(*args):
-        return Claim3Report(checked=True, reason="", rows=(Claim3Face(0, 7, 2, 1),))
+    def violated(g, face_list):
+        # c6 has two faces; a checked report holds one row for each.
+        assert len(face_list) == 2
+        return Claim3Report(checked=True, reason="", rows=(Claim3Face(0, 7, 2, 1), Claim3Face(1, 6, 1, 1)))
 
     monkeypatch.setattr("sqcolor.discharging.claim3_bound_check", violated)
     code, out = run(capsys, ["discharge-audit", c6_file(tmp_path)])

@@ -335,6 +335,24 @@ def test_claim3_seven_face_cap():
     assert report.passed
 
 
+def test_audit_refuses_a_checked_claim3_report_without_one_row_per_face(monkeypatch):
+    # claim3=ok must not stand for a report that checked no face: a
+    # claim3_bound_check that builds no rows, or rows out of face order,
+    # when the claim is checked breaks the audit's invariant.
+    g = pendant_seven_cycle()
+    report = discharge_audit(g)
+    assert report.claim3.checked and [row.face for row in report.claim3.rows] == list(range(report.face_count))
+    real = discharging.claim3_bound_check
+    for mutate in (lambda rows: (), lambda rows: rows[:-1], lambda rows: rows[::-1]):
+        def mutant(g, face_list, mutate=mutate):
+            report = real(g, face_list)
+            return discharging.Claim3Report(checked=report.checked, reason=report.reason, rows=mutate(report.rows))
+
+        monkeypatch.setattr(discharging, "claim3_bound_check", mutant)
+        with pytest.raises(AssertionError, match="one row per face"):
+            discharge_audit(pendant_seven_cycle())
+
+
 def test_a_checked_claim3_report_holds_one_row_per_face(corpus12):
     cases = [(g, faces_with_pendants_outside(g, k)) for g, k in ((spread_twelve_cycle(), 12), (pendant_seven_cycle(), 7))]
     checked = [g for g in corpus12 if discharge_audit(g).claim3.checked]

@@ -571,6 +571,30 @@ def test_embed_kernel_matches_networkx_on_subcubic_kernels(monkeypatch, corpus12
     assert verdicts[True] > 2000 and verdicts[False] > 300, verdicts
 
 
+def test_embed_kernel_matches_networkx_on_the_chord_steps_kernels(monkeypatch):
+    # Every G + uv that the sampler's chord step hands to _planar for
+    # seeds 0-13 at max_n = 150, the traffic that sets the cost of a
+    # sample: the same verdict as networkx for the graph, and the same
+    # verdict and rotations for each kernel component.
+    chords = []
+    real = generate._planar
+
+    def capture(adj):
+        planar = real(adj)
+        chords.append((Graph(len(adj), [(u, v) for u, a in enumerate(adj) for v in a if u < v]), planar))
+        return planar
+
+    monkeypatch.setattr(generate, "_planar", capture)
+    for seed in range(14):
+        generate.random_instance(generate.GeneratorSpec(max_n=150, seed=seed))
+    verdicts = {True: 0, False: 0}
+    for g, planar in chords:
+        assert planar is nx.check_planarity(to_nx(g))[0]
+        embeds_kernel_as_networkx(g, verdicts)
+    assert len(chords) > 200
+    assert verdicts[False] >= 150 and verdicts[True] >= 90, verdicts
+
+
 def test_embed_kernel_matches_networkx_on_graphs_of_higher_degree():
     # is_planar takes any simple graph; the components are embedded as
     # they are and after the reduction is taken.
@@ -591,6 +615,16 @@ def test_embed_kernel_matches_networkx_on_graphs_of_higher_degree():
         embeds_as_networkx(g.adj, verdicts)
         embeds_kernel_as_networkx(g, verdicts)
     assert verdicts[True] > 150 and verdicts[False] > 200, verdicts
+
+
+def test_left_right_test_on_a_large_cubic_kernel_within_a_cpu_bound(cpu_bound):
+    # The prism is cubic and 3-connected, so all of it reaches the
+    # left-right test; both calls took about 0.1 s of CPU when written.
+    g = generate._prism(5000)
+    with cpu_bound(0.5, f"is_planar on prism-5000 (n = {g.n})"):
+        assert is_planar(g) is True
+    with cpu_bound(0.8, f"find_planar_embedding on prism-5000 (n = {g.n})"):
+        assert find_planar_embedding(g) is not None
 
 
 def test_embedding_a_large_kernel_needs_no_recursion(planarity_calls):
