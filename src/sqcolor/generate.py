@@ -14,10 +14,11 @@ tied orders to carry; canonical_code runs once per kept graph, to sort
 each level.  A child differs from its parent by its last vertex, so it
 is built from the parent's rows (add_vertex), and its rank is the
 parent's with only the new vertex, its neighbours and theirs ranked
-anew; each kept graph carries its rank for its own children.  Attach sets that an automorphism of the parent maps onto
-each other give isomorphic children, so each parent tries one set per
-orbit (McKay's orbit pruning), under the maps read off the tied orders
-of the ranked search that found the parent.  These need not be all of
+anew; each kept graph carries its rank for its own children.  Attach
+sets that an automorphism of the parent maps onto each other give
+isomorphic children, so each parent tries one set per orbit (McKay's
+orbit pruning), under the maps read off the tied orders of the ranked
+search that found the parent.  These need not be all of
 Aut(g), but two sets with the same least image under them are images
 of each other under a composition of them, so the output is the same
 as without pruning.  At max_n = 11 this searches 1,631 children instead

@@ -12,21 +12,20 @@ each child with, random_instance's final graph, and the parsers on
 graph6 and on text edges in writer order.  Both constructors end in one
 helper, which sets n, adj, m and an empty memo.
 
-girth and girth_at_least share one kernel, _girth_below.  For a bound
-of at most 6 it first deletes vertices of degree <= 2 as the colorer's
-peel does, and probes the short paths between the two neighbours of
-each 2-vertex it deletes; a member of the class is deleted in full, so
-there girth_at_least(g, 6) is one linear pass.  What that leaves has
-no vertex of degree below 2, so it is its own 2-core; for a larger
-bound core_adjacency strips the leaves.  The 2-core goes to the general
-stage (_core_girth): it reads each cycle component off its length and
-grows spheres from each vertex of degree >= 3, up to the shortest cycle
-found so far, or up to k for girth_at_least, which for k > n only asks
-whether g is a forest.  The deletion's probe is a scan
-of its own beside _short_or_four_path: it reads a Graph's tuple rows
-under gone marks, while _short_or_four_path reads the peel's mutated
-sets and has to find the four-edge path too, and sharing it would mean
-copying every row into a set.
+girth and girth_at_least share one kernel, _girth_below.  It first
+deletes vertices as the colorer's peel does: those of degree <= 1 at
+every bound, and, for a bound of at most 6, those of degree 2 too, after
+a probe of the short paths between the two neighbours of each.  A member
+of the class is deleted in full, so there girth_at_least(g, 6) is one
+linear pass.  What is left has no vertex of degree below 2, so it is its
+own 2-core, and it goes to the general stage (_core_girth): that reads
+each cycle component off its length and grows spheres from each vertex
+of degree >= 3, up to the shortest cycle found so far, or up to k for
+girth_at_least, which for k > n only asks whether g is a forest.  The
+deletion's probe is a scan of its own beside _short_or_four_path: it
+reads a Graph's tuple rows under gone marks, while _short_or_four_path
+reads the peel's mutated sets and has to find the four-edge path too,
+and sharing it would mean copying every row into a set.
 
 Each primitive has one implementation here: the distance-2
 neighbourhood (square_neighbors), the depth-bounded BFS (ball, which
@@ -34,11 +33,12 @@ distance runs unbounded), the component walk (adjacency_components),
 the scan for a short or a four-edge path between the neighbours of a
 2-vertex (_short_or_four_path, which finds a short cycle or closes a
 six-cycle for the peel and the six-cycle detector alike), the 2-core
-(core_adjacency, which girth strips leaves with above bound 6) and the blocks
-(biconnected_components), from which the cut vertices and the audit's
-block map of 2-vertices are read off.  All but the last take any adjacency sequence, so the peel's,
-the sampler's and the planarity test's mutable adjacencies of sets use
-them too.
+(_eliminate, the girth kernel's deletion stage, which strips only
+leaves above bound 6) and the blocks (biconnected_components), from
+which the cut vertices and the audit's block map of 2-vertices are read
+off.  All but the last take any adjacency sequence, so the peel's, the
+sampler's and the planarity test's mutable adjacencies of sets use them
+too.
 
 A fact that several functions read about one graph (its component
 count, maximum degree, girth verdict, block map of 2-vertices, least
@@ -297,25 +297,11 @@ def girth_at_least(g: Graph, k: float) -> bool:
 
 
 def _girth_below(adj, bound) -> float:
-    """The girth of the graph adj if it is less than bound, else bound.
-
-    For bound <= 6 a first stage eliminates vertices of degree <= 2, as
-    the colorer's peel does (_eliminate_below_six).  It lowers best to
-    the shortest cycle it sees, and what it leaves, if anything, goes to
-    the sphere stage (_core_girth) with best as its bound.  That rest has
-    minimum degree >= 2, since every vertex whose live degree fell to 1
-    or 0 was deleted, so it is its own 2-core and goes as it is.  Every
-    member of the class is eliminated in full, so on it the check is one
-    linear pass.  A larger bound strips leaves with core_adjacency.
-    """
-    best = bound
-    if bound <= 6:
-        best, core = _eliminate_below_six(adj, bound)
-        if core is None:
-            return best
-    else:
-        core = core_adjacency(adj)
-    return _core_girth(core, best)
+    """The girth of the graph adj if it is less than bound, else bound:
+    the deletion stage (_eliminate), then the sphere stage (_core_girth)
+    on the 2-core that it leaves, if anything is left."""
+    best, core = _eliminate(adj, bound)
+    return best if core is None else _core_girth(core, best)
 
 
 def _core_girth(core, best) -> float:
@@ -372,43 +358,47 @@ def _core_girth(core, best) -> float:
     return best
 
 
-def _eliminate_below_six(adj, bound):
-    """Delete the vertices of degree <= 2 of the graph adj, one at a time,
-    as the peel does; returns (best, rest).  best is the shortest cycle
-    that the deletions saw, or bound (<= 6) if none was shorter.  rest is
-    None once every vertex is gone, adj itself if none is, and otherwise
-    the adjacency of what is left, with an empty row for each deleted
-    vertex.  Each vertex left keeps >= 2 live neighbours, so rest is a
-    2-core.
+def _eliminate(adj, bound):
+    """Delete vertices of the graph adj one at a time, as the peel does:
+    those of degree <= 1 at every bound, and those of degree 2 too when
+    bound <= 6.  Returns (best, rest).  best is the shortest cycle that
+    the deletions saw, or bound if none was shorter.  rest is None once
+    every vertex is gone, adj itself if none is, and otherwise the
+    adjacency of what is left, with an empty row for each deleted
+    vertex.  Each vertex left keeps >= 2 live neighbours, so rest is its
+    own 2-core; above bound 6 it is the 2-core of adj.
 
-    A worklist pops the vertices whose live degree fell to 2 or less; it
-    reads the tuple rows of adj in place, with a live-degree list and
-    gone marks, and copies no row.  A leaf, or a vertex with no live
-    neighbour, is deleted.  A 2-vertex v with live neighbours x and y is
-    deleted after one probe of the x...y paths of at most 3 edges that
-    avoid v: y in N(x) (a 3-cycle), a live a in N(x) with a in N(y) (a
-    4-cycle), or b in N(a) with b in N(y) (a 5-cycle).  v is marked gone
-    before its probe, so a is never v.  b is never v, since v's only live
-    neighbours are x and y, and never x, since y is not in N(x) there; so
-    each path found closes a cycle with v.
+    A worklist pops the vertices whose live degree fell to low (2 for
+    bound <= 6, else 1) or less; it reads the tuple rows of adj in place,
+    with a live-degree list and gone marks, and copies no row.  A leaf,
+    or a vertex with no live neighbour, is deleted.  A 2-vertex v with
+    live neighbours x and y is deleted after one probe of the x...y paths
+    of at most 3 edges that avoid v: y in N(x) (a 3-cycle), a live a in
+    N(x) with a in N(y) (a 4-cycle), or b in N(a) with b in N(y) (a
+    5-cycle).  v is marked gone before its probe, so a is never v.  b is
+    never v, since v's only live neighbours are x and y, and never x,
+    since y is not in N(x) there; so each path found closes a cycle with
+    v.  Above bound 6 live degrees only fall, so a popped vertex has at
+    most one live neighbour, and the probe and its guard never run.
 
     This is sound because only deletions happen.  A cycle C stays whole
     until its first deleted vertex v, which then has live degree 2 and
     C's two neighbours as its live neighbours.  If C is shorter than
-    bound, it has at most 5 edges, so C - v is an x...y path of at most 3
-    live edges, and the probe at v sees it.  A cycle with no vertex
-    deleted is left whole in rest.
+    bound <= 6, it has at most 5 edges, so C - v is an x...y path of at
+    most 3 live edges, and the probe at v sees it.  A cycle with no
+    vertex deleted is left whole in rest.
 
     A 2-vertex whose probe would read a row longer than 3 is left in
     place, so every probe costs O(1): without this guard a K2,n with two
-    vertices on each of its paths costs O(n) per probe.  rest holds what
-    the guard left and any stall at minimum degree 3.  A subcubic graph
-    never meets the guard, and a member of the class never stalls: each
-    of its subgraphs has a vertex of degree <= 2.
+    vertices on each of its paths costs O(n) per probe.  At bound <= 6
+    rest holds what the guard left and any stall at minimum degree 3.  A
+    subcubic graph never meets the guard, and a member of the class
+    never stalls: each of its subgraphs has a vertex of degree <= 2.
     """
+    low = 2 if bound <= 6 else 1
     deg = [len(row) for row in adj]
     gone = [False] * len(adj)
-    stack = [v for v, d in enumerate(deg) if d <= 2]
+    stack = [v for v, d in enumerate(deg) if d <= low]
     best = bound
     while stack:
         v = stack.pop()
@@ -452,33 +442,17 @@ def _eliminate_below_six(adj, bound):
                         continue
                     best = found
             deg[y] -= 1
-            if deg[y] <= 2:
+            if deg[y] <= low:
                 stack.append(y)
         if x >= 0:
             deg[x] -= 1
-            if deg[x] <= 2:
+            if deg[x] <= low:
                 stack.append(x)
     if False not in gone:
         return best, None
     if True not in gone:
         return best, adj
     return best, [() if gone[v] else [w for w in row if not gone[w]] for v, row in enumerate(adj)]
-
-
-def core_adjacency(adj) -> list[list[int]]:
-    """The 2-core of the graph given by its adjacency: leaves are
-    stripped repeatedly, and core[v] lists v's neighbours in the 2-core,
-    in adj's order, and is empty off it."""
-    core = [list(a) for a in adj]
-    stack = [v for v in range(len(core)) if len(core[v]) <= 1]
-    while stack:
-        v = stack.pop()
-        for u in core[v]:
-            core[u].remove(v)
-            if len(core[u]) == 1:
-                stack.append(u)
-        core[v] = []
-    return core
 
 
 def cut_vertices(g: Graph) -> set[int]:

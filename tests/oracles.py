@@ -76,6 +76,13 @@ def girth_per_edge(g):
     return best
 
 
+def two_core_rows(g):
+    """The rows of g's 2-core, by networkx's k_core: row v lists v's
+    neighbours in the 2-core, sorted, and is empty off it."""
+    core = nx.k_core(to_nx(g), 2)
+    return [sorted(core.adj[v]) if v in core else [] for v in range(g.n)]
+
+
 def brute_colorable(g, lists):
     """Decide L-colorability by plain index-order backtracking."""
     colors = [None] * g.n

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import built_as_checked, girth_per_edge, square_edges_bfs, to_nx, with_disjoint_unions
+from oracles import built_as_checked, girth_per_edge, square_edges_bfs, to_nx, two_core_rows, with_disjoint_unions
 import networkx as nx
 
 from sqcolor import graph_core
@@ -256,17 +256,24 @@ def test_girth_at_least_on_long_cycles():
     assert girth_at_least(cycle(40), 40) and not girth_at_least(cycle(40), 41)
 
 
-@pytest.mark.parametrize("k", [6, math.inf])
+@pytest.mark.parametrize("k", [6, 7, math.inf])
 def test_girth_at_least_within_a_cpu_bound(cpu_bound, k):
     # Linear at fixed k, and a forest test at k = inf; one BFS per vertex
     # took 5.8 s on p3000 at k = inf, so p100000 would take hours.  At
-    # k = 6 the spheres grow from every branch vertex of honeycomb-25000
-    # and of the prism on 10,000 vertices, whose girth is 4: the kernel
-    # has no early exit.  In K2,100000 with two vertices on each of its
-    # paths, of girth 6, every 2-vertex lies next to a hub of degree
-    # 100,000: probing its short paths would cost O(n) per vertex, so the
-    # deletion leaves it.
-    cases = [(path(100_000), True), (cycle(100_000), k == 6), (theta((3,) * 100_000), k == 6)]
+    # k = 7 only leaves are deleted, so the path and the binary tree on
+    # 131,071 vertices go in that pass, and the cycle and the theta graph
+    # reach the sphere stage whole.  At k = 6 the spheres grow from every
+    # branch vertex of honeycomb-25000 and of the prism on 10,000
+    # vertices, whose girth is 4: the kernel has no early exit.  In
+    # K2,100000 with two vertices on each of its paths, of girth 6, every
+    # 2-vertex lies next to a hub of degree 100,000: probing its short
+    # paths would cost O(n) per vertex, so the deletion leaves it.
+    cases = [
+        (path(100_000), True),
+        (binary_tree(16), True),
+        (cycle(100_000), k != math.inf),
+        (theta((3,) * 100_000), k == 6),
+    ]
     if k == 6:
         cases += [(_honeycomb(25_000), True), (_prism(5000), False)]
     for g, want in cases:
@@ -291,12 +298,15 @@ def test_girth_at_least_six_deletes_every_class_member(monkeypatch, corpus12):
         girth_at_least(named("dodecahedron")[0], 6)
 
 
-def test_girth_at_least_six_reads_the_rest_of_the_deletions_as_its_core(monkeypatch):
-    # What the deletions leave has minimum degree >= 2, so at k <= 6 it
-    # goes to the sphere stage as it is; core_adjacency strips leaves
-    # only above 6.  Hosts that stall in full and in part both reach it.
-    hosts = stalling_hosts()
-    want = {(i, k): girth(g) >= k for i, g in enumerate(hosts) for k in (4, 5, 6)}
+def test_girth_at_least_six_reads_the_rest_of_the_deletions_as_its_core(monkeypatch, corpus12):
+    # What the deletions leave has minimum degree >= 2 at every bound, so
+    # it goes to the sphere stage as it is.  At k <= 6 hosts that stall
+    # in full and in part both reach it.  Above 6 only leaves are
+    # deleted, so what reaches it is the 2-core: the stalling hosts and
+    # the members of the class with pendant trees check it against
+    # networkx, at k = 7 and 9 (when k <= n) and through girth.
+    pendant = [g for g in corpus12 if g.m >= g.n and min(map(len, g.adj)) == 1]
+    hosts = stalling_hosts() + pendant
     reached = []
     core_girth = graph_core._core_girth
 
@@ -305,13 +315,18 @@ def test_girth_at_least_six_reads_the_rest_of_the_deletions_as_its_core(monkeypa
         reached.append(core)
         return core_girth(core, best)
 
-    def no_core(adj):
-        raise AssertionError("core_adjacency ran at k <= 6")
-
     monkeypatch.setattr("sqcolor.graph_core._core_girth", spy)
-    monkeypatch.setattr("sqcolor.graph_core.core_adjacency", no_core)
-    for (i, k), value in want.items():
-        assert girth_at_least(hosts[i], k) == value, (hosts[i].edges(), k)
+    for g in hosts:
+        value = girth_per_edge(g)
+        rows = two_core_rows(g)
+        for k in (4, 5, 6, 7, 9, math.inf):
+            start = len(reached)
+            if k == math.inf:
+                assert girth(g) == value, g.edges()
+            else:
+                assert girth_at_least(g, k) == (value >= k), (g.edges(), k)
+            if k == math.inf or 6 < k <= g.n:
+                assert [[sorted(row) for row in core] for core in reached[start:]] == [rows], (g.edges(), k)
     assert any(core is hosts[0].adj for core in reached)
     assert any(not row for core in reached for row in core)
 
